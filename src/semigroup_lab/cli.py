@@ -4,7 +4,7 @@ Subcommands: limit-check (scalar product-formula schedules, optionally
 against the bounded-limit oracle), witness (build and save a blow-up
 certificate), renorm-audit (split or classical renorming audit), verify
 (recheck certificates and reports from disk), and sweep (randomized
-bounded-convergence trials, parallel across SEMIGROUP_LAB_THREADS).
+bounded-convergence trials, run in order of their trial index).
 
 Exit codes: 0 success, 2 configuration problems, 3 overflow with a
 partial CSV written, 4 direction search exhausted the truncation,
@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,14 +38,14 @@ from .serialize import (
     REPORT_SCHEMA,
     cert_from_dict,
     cert_to_dict,
-    law_to_dict,
-    encode,
+    generator_from_dict,
+    generator_to_dict,
     load_json,
     report_from_dict,
     report_to_dict,
     save_json,
 )
-from .spaces import CVec, Generator, diagonal_generator, norm
+from .spaces import CVec, Generator, norm
 from .trotter import bounded_limit_oracle, dense_trotter_apply, scalar_trotter_value
 from .witness import build_certificate, verify_certificate
 
@@ -61,10 +59,6 @@ EXIT_INVALID = 6
 
 LIMIT_CSV_SCHEMA = "semigroup-lab/limit-csv/1"
 SWEEP_CSV_SCHEMA = "semigroup-lab/sweep-csv/1"
-
-
-def _resolve_config(arg: str) -> Path:
-    return resolve_config_path(arg)
 
 
 def _fmt(value) -> str:
@@ -200,14 +194,6 @@ def run_witness(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _generator_source(a: Generator) -> dict:
-    if a.kind == "diagonal":
-        if a.law is None:
-            return {"kind": "diagonal", "entries": encode(a.entries)}
-        return {"kind": "diagonal", "law": law_to_dict(a.law)}
-    return {"kind": "dense", "matrix": encode(a.matrix)}
-
-
 def run_renorm_audit(cfg: ExperimentConfig, out_dir: Path, config_dir: Path) -> int:
     params = cfg.renorm_params()
     if params.kind == "classical":
@@ -223,7 +209,7 @@ def run_renorm_audit(cfg: ExperimentConfig, out_dir: Path, config_dir: Path) -> 
             grid_points=params.grid_points,
             tol=params.tol,
         )
-        report = replace(report, source={"generator": _generator_source(a)})
+        report = replace(report, source={"generator": generator_to_dict(a)})
     else:
         if params.certificate is not None:
             cert_path = Path(params.certificate)
@@ -275,24 +261,7 @@ def _rebuild_report(report):
             slack=float(report.parameters["slack"]),
         )
     elif "generator" in src:
-        desc = src["generator"]
-        if desc.get("kind") == "diagonal" and "law" in desc:
-            from .serialize import law_from_dict
-
-            law = law_from_dict(desc["law"])
-            a = diagonal_generator(law, int(report.parameters["dim"]))
-        elif desc.get("kind") == "diagonal":
-            from .serialize import decode as _dec
-            from .spaces import diagonal_generator_from_entries
-
-            a = diagonal_generator_from_entries(
-                np.asarray(_dec(desc["entries"]), dtype=np.complex128)
-            )
-        else:
-            from .serialize import decode as _dec
-            from .spaces import dense_generator
-
-            a = dense_generator(np.asarray(_dec(desc["matrix"]), dtype=np.complex128))
+        a = generator_from_dict(src["generator"], int(report.parameters["dim"]))
         fresh = quasi_contractivity_audit(
             "classical",
             a=a,
@@ -348,19 +317,6 @@ def run_verify(paths: list[str]) -> int:
     return code
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SEMIGROUP_LAB_THREADS")
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"SEMIGROUP_LAB_THREADS={raw!r} is not an integer")
-        if value < 1:
-            raise ConfigError("SEMIGROUP_LAB_THREADS must be at least 1")
-        return value
-    return min(8, os.cpu_count() or 1)
-
-
 def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     spec = cfg.sweep_spec
     if spec is None:
@@ -375,7 +331,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     if not 2 <= dim_lo <= dim_hi:
         raise ConfigError("sweep needs 2 <= dim_min <= dim_max")
 
-    def one_trial(trial: int):
+    rows: list[list] = []
+    overflowed = False
+    for trial in range(trials):
         rng = np.random.default_rng([cfg.seed, trial])
         dim = int(rng.integers(dim_lo, dim_hi + 1))
         raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -384,25 +342,16 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         rank = int(rng.integers(1, dim))
         proj = random_oblique_projection(dim, rank, rng, norm_cap=cap)
         x = CVec(rng.standard_normal(dim) + 1j * rng.standard_normal(dim), 2.0)
-        rows = []
-        for t in times:
-            target = bounded_limit_oracle(a, proj, t) @ x.coords
-            try:
+        try:
+            for t in times:
+                target = bounded_limit_oracle(a, proj, t) @ x.coords
                 product = dense_trotter_apply(a, proj, x, t, steps)
                 gap = norm(CVec(product.coords - target, x.p))
                 rows.append(
                     [trial, dim, rank, t, steps, gap, projection_norm(proj), gen_scale]
                 )
-            except SemigroupOverflow:
-                return trial, rows, True
-        return trial, rows, False
-
-    overflowed = False
-    results: dict[int, list[list]] = {}
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        for trial, rows, bad in pool.map(one_trial, range(trials)):
-            results[trial] = rows
-            overflowed = overflowed or bad
+        except SemigroupOverflow:
+            overflowed = True
     fields = [
         "trial",
         "dim",
@@ -413,12 +362,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         "projection_norm",
         "generator_norm",
     ]
-    merged = [row for trial in sorted(results) for row in results[trial]]
     out_path = out_dir / f"{cfg.name}.sweep.csv"
-    _write_csv(out_path, SWEEP_CSV_SCHEMA, fields, merged)
-    worst = max((row[5] for row in merged), default=math.nan)
+    _write_csv(out_path, SWEEP_CSV_SCHEMA, fields, rows)
+    worst = max((row[5] for row in rows), default=math.nan)
     print(
-        f"sweep {cfg.name}: {len(merged)} rows over {trials} trials -> {out_path}; "
+        f"sweep {cfg.name}: {len(rows)} rows over {trials} trials -> {out_path}; "
         f"worst gap {worst:.3g} vs tolerance {cfg.tolerance:.3g}"
     )
     return EXIT_OVERFLOW if overflowed else EXIT_OK
@@ -451,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         return run_verify(args.paths)
     try:
-        config_path = _resolve_config(args.config)
+        config_path = resolve_config_path(args.config)
         cfg = load_config(config_path)
         cfg = cfg.with_overrides(
             seed=args.seed, tolerance=getattr(args, "tolerance", None)

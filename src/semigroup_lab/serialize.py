@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InvalidCertificate
 from .renorm import RenormReport
-from .spaces import GrowthLaw
+from .spaces import Generator, GrowthLaw, dense_generator, diagonal_generator
 from .witness import WitnessCertificate, WitnessStage
 
 CERT_SCHEMA = "semigroup-lab/cert/1"
@@ -88,6 +89,51 @@ def law_from_dict(data: dict) -> GrowthLaw:
     )
 
 
+def generator_to_dict(a: Generator) -> dict:
+    """A report's description of its generator: a growth law or a dense matrix."""
+    if a.kind == "dense":
+        return {"kind": "dense", "matrix": encode(a.matrix)}
+    if a.law is None:
+        raise ValueError("only diagonal generators with a growth law can be described")
+    return {"kind": "diagonal", "law": law_to_dict(a.law)}
+
+
+def generator_from_dict(desc: dict, dim: int) -> Generator:
+    """Invert :func:`generator_to_dict`; ``dim`` sizes a diagonal law."""
+    kind = _field(desc, "kind", str, "generator.")
+    if kind == "diagonal":
+        return diagonal_generator(_field(desc, "law", law_from_dict, "generator."), dim)
+    if kind == "dense":
+        return _field(desc, "matrix", lambda raw: dense_generator(_array(raw)), "generator.")
+    raise InvalidCertificate([f"generator.kind: unknown generator source {kind!r}"])
+
+
+def _field(data: dict, key: str, convert, path: str = "", optional: bool = False):
+    """``convert(data[key])``, raising InvalidCertificate that names the field
+    when it is malformed, or missing and not ``optional``."""
+    try:
+        raw = data.get(key)
+        if raw is None:
+            if optional:
+                return None
+            raise ValueError("missing")
+        return convert(raw)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise InvalidCertificate([f"{path}{key}: {exc}"]) from exc
+
+
+def _float(raw) -> float:
+    return float(decode(raw))
+
+
+def _complex(raw) -> complex:
+    return complex(decode(raw))
+
+
+def _array(raw) -> np.ndarray:
+    return np.asarray(decode(raw), dtype=np.complex128)
+
+
 def _stage_to_dict(stage: WitnessStage) -> dict:
     return {
         "index": stage.index,
@@ -103,21 +149,18 @@ def _stage_to_dict(stage: WitnessStage) -> dict:
     }
 
 
-def _stage_from_dict(data: dict) -> WitnessStage:
-    def opt_float(key):
-        raw = data.get(key)
-        return None if raw is None else float(decode(raw))
-
+def _stage_from_dict(k: int, data: dict) -> WitnessStage:
+    path = f"stages[{k}]."
     return WitnessStage(
-        index=int(data["index"]),
-        vector=np.asarray(decode(data["vector"]), dtype=np.complex128),
-        generator_pairing=complex(decode(data["generator_pairing"])),
-        steps=int(data["steps"]),
-        limit_error=float(decode(data["limit_error"])),
-        stability_radius=float(decode(data["stability_radius"])),
-        log_value=complex(decode(data["log_value"])),
-        bump_radius=opt_float("bump_radius"),
-        search_target=opt_float("search_target"),
+        index=_field(data, "index", int, path),
+        vector=_field(data, "vector", _array, path),
+        generator_pairing=_field(data, "generator_pairing", _complex, path),
+        steps=_field(data, "steps", int, path),
+        limit_error=_field(data, "limit_error", _float, path),
+        stability_radius=_field(data, "stability_radius", _float, path),
+        log_value=_field(data, "log_value", _complex, path),
+        bump_radius=_field(data, "bump_radius", _float, path, optional=True),
+        search_target=_field(data, "search_target", _float, path, optional=True),
         direction_index=data.get("direction_index"),
     )
 
@@ -141,22 +184,30 @@ def cert_to_dict(cert: WitnessCertificate) -> dict:
 
 
 def cert_from_dict(data: dict) -> WitnessCertificate:
+    """Decode a certificate; a malformed payload raises InvalidCertificate."""
     if data.get("schema") != CERT_SCHEMA:
-        raise ValueError(f"not a certificate payload: schema {data.get('schema')!r}")
-    dense = data.get("dense_matrix")
+        raise InvalidCertificate([f"schema: not a certificate ({data.get('schema')!r})"])
     return WitnessCertificate(
-        eps=float(decode(data["eps"])),
-        p=float(decode(data["p"])),
-        law=None if data.get("law") is None else law_from_dict(data["law"]),
-        dense_matrix=None if dense is None else np.asarray(decode(dense), dtype=np.complex128),
-        functional=np.asarray(decode(data["functional"]), dtype=np.complex128),
-        initial=np.asarray(decode(data["initial"]), dtype=np.complex128),
-        stages=tuple(_stage_from_dict(st) for st in data["stages"]),
-        witness=np.asarray(decode(data["witness"]), dtype=np.complex128),
-        witness_log_values=tuple(complex(decode(v)) for v in data["witness_log_values"]),
-        witness_errors=tuple(float(decode(v)) for v in data["witness_errors"]),
-        j_max=int(data["j_max"]),
-        build_seed=int(data["build_seed"]),
+        eps=_field(data, "eps", _float),
+        p=_field(data, "p", _float),
+        law=_field(data, "law", law_from_dict, optional=True),
+        dense_matrix=_field(data, "dense_matrix", _array, optional=True),
+        functional=_field(data, "functional", _array),
+        initial=_field(data, "initial", _array),
+        stages=_field(
+            data,
+            "stages",
+            lambda raw: tuple(_stage_from_dict(k, st) for k, st in enumerate(raw)),
+        ),
+        witness=_field(data, "witness", _array),
+        witness_log_values=_field(
+            data, "witness_log_values", lambda raw: tuple(_complex(v) for v in raw)
+        ),
+        witness_errors=_field(
+            data, "witness_errors", lambda raw: tuple(_float(v) for v in raw)
+        ),
+        j_max=_field(data, "j_max", int),
+        build_seed=_field(data, "build_seed", int),
     )
 
 
@@ -177,17 +228,20 @@ def report_to_dict(report: RenormReport) -> dict:
 
 
 def report_from_dict(data: dict) -> RenormReport:
+    """Decode a report; a malformed payload raises InvalidCertificate."""
     if data.get("schema") != REPORT_SCHEMA:
-        raise ValueError(f"not a report payload: schema {data.get('schema')!r}")
+        raise InvalidCertificate([f"schema: not a report ({data.get('schema')!r})"])
     return RenormReport(
-        kind=data["kind"],
-        seed=int(data["seed"]),
-        vector_samples=int(data["vector_samples"]),
-        time_samples=int(data["time_samples"]),
-        parameters=decode(data["parameters"]),
-        summary=decode(data["summary"]),
-        lambdas=tuple(float(decode(v)) for v in data["lambdas"]),
-        violations=tuple(tuple(row) for row in decode(data["violations"])),
-        passed=bool(data["passed"]),
-        source=decode(data.get("source", {})),
+        kind=_field(data, "kind", str),
+        seed=_field(data, "seed", int),
+        vector_samples=_field(data, "vector_samples", int),
+        time_samples=_field(data, "time_samples", int),
+        parameters=_field(data, "parameters", decode),
+        summary=_field(data, "summary", decode),
+        lambdas=_field(data, "lambdas", lambda raw: tuple(_float(v) for v in raw)),
+        violations=_field(
+            data, "violations", lambda raw: tuple(tuple(row) for row in decode(raw))
+        ),
+        passed=_field(data, "passed", bool),
+        source=_field(data, "source", decode, optional=True) or {},
     )

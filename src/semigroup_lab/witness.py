@@ -511,6 +511,8 @@ def verify_certificate(cert: WitnessCertificate, strict_goal: int | None = None)
     failures: list[str] = []
     if not 0.0 < cert.eps < 0.5:
         failures.append(f"eps {cert.eps} outside (0, 1/2)")
+    if not cert.stages:
+        raise InvalidCertificate(failures + ["stages: certificate has no stages"])
     try:
         a = cert.generator()
     except Exception as exc:

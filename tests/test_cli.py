@@ -10,6 +10,7 @@ from semigroup_lab.cli import (
     EXIT_FAIL,
     EXIT_INVALID,
     EXIT_OK,
+    EXIT_OVERFLOW,
     EXIT_TRUNCATION,
     main,
 )
@@ -60,20 +61,30 @@ def test_seed_override_changes_sweep_rows(tmp_path):
     assert first != second
 
 
-def test_sweep_thread_count_does_not_change_output(tmp_path, monkeypatch):
-    monkeypatch.setenv("SEMIGROUP_LAB_THREADS", "1")
-    assert main(["sweep", "--config", "sweep_bounded", "--out", str(tmp_path / "a")]) == EXIT_OK
-    monkeypatch.setenv("SEMIGROUP_LAB_THREADS", "4")
-    assert main(["sweep", "--config", "sweep_bounded", "--out", str(tmp_path / "b")]) == EXIT_OK
-    first = (tmp_path / "a" / "sweep_bounded.sweep.csv").read_bytes()
-    second = (tmp_path / "b" / "sweep_bounded.sweep.csv").read_bytes()
-    assert first == second
-
-
-def test_invalid_thread_env_is_config_error(tmp_path, monkeypatch):
-    monkeypatch.setenv("SEMIGROUP_LAB_THREADS", "many")
-    rc = main(["sweep", "--config", "sweep_bounded", "--out", str(tmp_path)])
-    assert rc == EXIT_CONFIG
+def test_limit_check_overflow_keeps_csv_header(tmp_path, capsys):
+    # the limit is exp(360), but the n-step product is about exp(720) / 2^n
+    # and overflows for every n <= 8
+    data = {
+        "schema": CONFIG_SCHEMA,
+        "name": "overflowing",
+        "seed": 0,
+        "space": {"dim": 2, "p": 2.0},
+        "generator": {"kind": "dense", "matrix": [[720.0, 0.0], [0.0, 0.0]]},
+        "functional": {"kind": "values", "values": [0.5, 0.5]},
+        "vector": {"kind": "values", "values": [1.0, 1.0]},
+        "projection": {"kind": "rank_one"},
+        "time": 1.0,
+        "schedule": {"j_min": 1, "j_max": 3},
+    }
+    cfg = tmp_path / "overflowing.config.json"
+    cfg.write_text(json.dumps(data))
+    rc = main(["limit-check", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == EXIT_OVERFLOW
+    assert "overflow after 0 rows: alternating product" in capsys.readouterr().err
+    schema_line, header, rows = read_csv(tmp_path / "overflowing.limit.csv")
+    assert schema_line == "# schema=semigroup-lab/limit-csv/1"
+    assert header[-1] == "product_gap"
+    assert rows == []
 
 
 def test_witness_truncation_saves_partial(tmp_path, capsys):
@@ -86,7 +97,7 @@ def test_witness_truncation_saves_partial(tmp_path, capsys):
     assert main(["verify", str(partial)]) == EXIT_OK
 
 
-def test_witness_and_verify_roundtrip(tmp_path):
+def test_witness_and_verify_roundtrip(tmp_path, capsys):
     rc = main(["witness", "--config", "blowup_k5", "--out", str(tmp_path)])
     assert rc == EXIT_OK
     cert_path = tmp_path / "blowup_k5.cert.json"
@@ -97,6 +108,12 @@ def test_witness_and_verify_roundtrip(tmp_path):
     tampered = tmp_path / "tampered.cert.json"
     tampered.write_text(json.dumps(payload))
     assert main(["verify", str(tampered)]) == EXIT_INVALID
+
+    del payload["eps"]
+    tampered.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(tampered)]) == EXIT_INVALID
+    assert "eps: missing" in capsys.readouterr().out
 
 
 def test_renorm_audit_classical_report(tmp_path):

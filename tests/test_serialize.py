@@ -6,8 +6,22 @@ import math
 import numpy as np
 import pytest
 
-from semigroup_lab import GrowthLaw, dumps_canonical, law_from_dict, law_to_dict
-from semigroup_lab.serialize import decode, encode
+from semigroup_lab import (
+    GrowthLaw,
+    InvalidCertificate,
+    dense_generator,
+    diagonal_generator,
+    dumps_canonical,
+    law_from_dict,
+    law_to_dict,
+)
+from semigroup_lab.serialize import (
+    decode,
+    encode,
+    generator_from_dict,
+    generator_to_dict,
+    report_from_dict,
+)
 
 AWKWARD_FLOATS = [
     0.1,
@@ -91,3 +105,34 @@ def test_law_roundtrip(law):
     assert back.kind == law.kind
     assert back.param == law.param
     assert back.values == law.values
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [
+        diagonal_generator(GrowthLaw("poly", 1.5), 3),
+        dense_generator([[0.1, -2.0j], [1e-300, complex(0.5, 0.25)]]),
+    ],
+    ids=["diagonal", "dense"],
+)
+def test_generator_roundtrip(generator):
+    # the report path: encode, JSON text, decode, rebuild
+    desc = decode(json.loads(json.dumps(generator_to_dict(generator))))
+    back = generator_from_dict(desc, generator.dim)
+    assert back.law == generator.law
+    assert generator_to_dict(back) == generator_to_dict(generator)
+
+
+def test_unknown_generator_source_is_invalid():
+    with pytest.raises(InvalidCertificate) as info:
+        generator_from_dict({"kind": "diagonal", "entries": [1.0]}, 1)
+    assert info.value.failures == ["generator.law: missing"]
+    with pytest.raises(InvalidCertificate) as info:
+        generator_from_dict({"kind": "sparse"}, 1)
+    assert info.value.failures[0].startswith("generator.kind: ")
+
+
+def test_malformed_report_names_the_field():
+    with pytest.raises(InvalidCertificate) as info:
+        report_from_dict({"schema": "semigroup-lab/report/1", "kind": "split"})
+    assert info.value.failures == ["seed: missing"]

@@ -10,6 +10,7 @@ import pytest
 from semigroup_lab import (
     CVec,
     Functional,
+    RankOneProjection,
     SemigroupOverflow,
     bounded_limit_oracle,
     dense_generator,
@@ -21,6 +22,7 @@ from semigroup_lab import (
     pairing,
     random_oblique_projection,
     scalar_trotter_value,
+    semigroup_defect,
     step_derivative,
     step_pairing,
 )
@@ -117,21 +119,59 @@ def test_limit_gap_error_identities():
     assert limit_gap_error(0.0j, 800.0 + 0.0j) == math.inf
 
 
-def test_dense_product_is_literal_alternation():
-    rng = np.random.default_rng(31)
-    d, n, t = 3, 3, 0.7
-    entries = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    a = diagonal_generator_from_entries(entries)
-    f = Functional(rng.standard_normal(d), 2.0)
-    x = CVec(rng.standard_normal(d), 2.0)
-    proj = make_rank_one(f, x)
-    got = dense_trotter_apply(a, proj, x, t, n)
-    # unrolled by hand: project, then one orbit step, n times
-    step = np.exp((t / n) * entries)
+def literal_product(a, proj, x, t, n):
+    """Reference for the powered route: (exp((t/n) A) P)^n x evaluated
+    left to right, one projection and one orbit step per factor."""
+    h = t / n
+    if a.kind == "diagonal":
+        step = np.exp(h * a.entries)
+
+        def orbit(v):
+            return step * v
+
+    else:
+        defect = semigroup_defect(a, h)
+
+        def orbit(v):
+            return v + defect @ v
+
+    if isinstance(proj, RankOneProjection):
+
+        def apply_proj(v):
+            return (proj.functional.coords @ v) * proj.vector.coords
+
+    else:
+
+        def apply_proj(v):
+            return proj.matrix @ v
+
     v = x.coords.copy()
     for _ in range(n):
-        v = (f.coords @ v) * proj.vector.coords
-        v = step * v
+        v = orbit(apply_proj(v))
+    return v
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1000])
+@pytest.mark.parametrize("projection", ["rank_one", "oblique"])
+@pytest.mark.parametrize("generator", ["diagonal", "dense"])
+def test_dense_product_is_literal_alternation(generator, projection, n):
+    rng = np.random.default_rng(31)
+    d, t = 4, 0.7
+    if generator == "diagonal":
+        a = diagonal_generator_from_entries(
+            rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        )
+    else:
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        a = dense_generator(m * (1.5 / np.linalg.norm(m, 2)))
+    f = Functional(rng.standard_normal(d), 2.0)
+    x = CVec(rng.standard_normal(d), 2.0)
+    if projection == "rank_one":
+        proj = make_rank_one(f, x)
+    else:
+        proj = random_oblique_projection(d, 2, rng)
+    got = dense_trotter_apply(a, proj, x, t, n)
+    v = literal_product(a, proj, x, t, n)
     assert np.linalg.norm(got.coords - v) <= LITERAL_TOL * np.linalg.norm(v)
 
 
@@ -157,6 +197,8 @@ def test_dense_product_overflow_detection():
     proj = make_rank_one(Functional([1.0], 2.0), CVec([1.0], 2.0))
     with pytest.raises(SemigroupOverflow):
         dense_trotter_apply(a, proj, CVec([1.0], 2.0), 1.0, 2)
+    with pytest.raises(SemigroupOverflow):
+        dense_trotter_apply(dense_generator([[800.0]]), proj, CVec([1.0], 2.0), 1.0, 2)
 
 
 def test_dyadic_schedule_contents():

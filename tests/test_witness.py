@@ -286,3 +286,20 @@ def test_certificate_roundtrip_is_exact(k5_certificate):
     back = cert_from_dict(payload)
     assert dumps_canonical(cert_to_dict(back)) == dumps_canonical(payload)
     verify_certificate(back, strict_goal=5)
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda payload: payload.pop("eps"), "eps"),
+        (lambda payload: payload.update(stages=[]), "stages"),
+        (lambda payload: payload["law"].update(kind="no_such_law"), "law"),
+    ],
+    ids=["missing_eps", "empty_stages", "unknown_law"],
+)
+def test_malformed_certificate_names_the_field(k5_certificate, mutate, field):
+    payload = cert_to_dict(k5_certificate)
+    mutate(payload)
+    with pytest.raises(InvalidCertificate) as info:
+        verify_certificate(cert_from_dict(payload))
+    assert info.value.failures[-1].startswith(f"{field}: ")
