@@ -36,6 +36,7 @@ from .renorm import quasi_contractivity_audit
 from .serialize import (
     CERT_SCHEMA,
     REPORT_SCHEMA,
+    _field,
     cert_from_dict,
     cert_to_dict,
     generator_from_dict,
@@ -250,6 +251,10 @@ def run_renorm_audit(cfg: ExperimentConfig, out_dir: Path, config_dir: Path) -> 
 
 def _rebuild_report(report):
     src = report.source
+
+    def param(key, convert):
+        return _field(report.parameters, key, convert, "parameters.")
+
     if "certificate" in src:
         cert = cert_from_dict(src["certificate"])
         verify_certificate(cert)
@@ -258,20 +263,20 @@ def _rebuild_report(report):
             cert=cert,
             seed=report.seed,
             vector_samples=report.vector_samples,
-            slack=float(report.parameters["slack"]),
+            slack=param("slack", float),
         )
     elif "generator" in src:
-        a = generator_from_dict(src["generator"], int(report.parameters["dim"]))
+        a = generator_from_dict(src["generator"], param("dim", int))
         fresh = quasi_contractivity_audit(
             "classical",
             a=a,
-            omega=float(report.parameters["omega"]),
-            p=float(report.parameters["p"]),
+            omega=param("omega", float),
+            p=param("p", float),
             seed=report.seed,
             vector_samples=report.vector_samples,
-            time_samples=int(report.parameters["time_samples_requested"]),
-            grid_points=int(report.parameters["grid_points"]),
-            tol=float(report.parameters["tol"]),
+            time_samples=param("time_samples_requested", int),
+            grid_points=param("grid_points", int),
+            tol=param("tol", float),
         )
     else:
         raise InvalidCertificate(["report embeds no source to re-run"])

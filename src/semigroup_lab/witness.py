@@ -40,7 +40,7 @@ from .spaces import (
     law_entries,
     norm,
     pairing,
-    semigroup_defect,
+    semigroup_matrix,
 )
 from .trotter import limit_gap_error, step_derivative
 
@@ -106,7 +106,7 @@ class WitnessCertificate:
 
     @property
     def dim(self) -> int:
-        return self.witness.size
+        return self.functional.size
 
     def generator(self) -> Generator:
         if self.dense_matrix is not None:
@@ -241,12 +241,7 @@ def choose_step_count(
 
 def _step_lipschitz(a: Generator, f: Functional, n: int) -> float:
     """The Lipschitz constant of x -> f(exp(A/n) x): the composed dual norm."""
-    h = 1.0 / float(n)
-    if a.kind == "diagonal":
-        composed = f.coords * np.exp(h * a.entries)
-    else:
-        defect = semigroup_defect(a, h)
-        composed = f.coords + defect.T @ f.coords
+    composed = semigroup_matrix(a, 1.0 / float(n)).T @ f.coords
     return dual_norm(Functional(composed, f.p))
 
 
@@ -517,11 +512,18 @@ def verify_certificate(cert: WitnessCertificate, strict_goal: int | None = None)
         a = cert.generator()
     except Exception as exc:
         raise InvalidCertificate(failures + [f"generator rebuild failed: {exc}"])
+    vectors = {"functional": cert.functional, "initial": cert.initial, "witness": cert.witness}
+    vectors.update((f"stages[{k}].vector", st.vector) for k, st in enumerate(cert.stages))
+    mismatched = [
+        f"{name}: dimension {vec.size if vec.ndim == 1 else vec.shape}, expected {a.dim}"
+        for name, vec in vectors.items()
+        if vec.shape != (a.dim,)
+    ]
+    if mismatched:
+        raise InvalidCertificate(failures + mismatched)
     f = cert.functional_obj()
     if strict_goal is not None and cert.stage_count < strict_goal:
         failures.append(f"only {cert.stage_count} stages, needed {strict_goal}")
-    if cert.witness.size != cert.functional.size:
-        failures.append("witness and functional dimensions differ")
     if not np.array_equal(cert.witness, cert.stages[-1].vector):
         failures.append("witness vector differs from the last stage vector")
     two_eps = 2.0 * cert.eps

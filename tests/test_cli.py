@@ -1,10 +1,15 @@
 """Command-line surface: exit codes, CSV layout, artifact verification."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import semigroup_lab
 from semigroup_lab.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -153,3 +158,44 @@ def test_witness_without_witness_section_fails_cleanly(tmp_path):
     cfg.write_text(json.dumps(data))
     rc = main(["witness", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
+
+
+def run_cli_subprocess(args, blas_threads):
+    """Run the CLI in a fresh interpreter with OPENBLAS_NUM_THREADS set or unset."""
+    unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    package_root = str(Path(semigroup_lab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "semigroup_lab.cli", *args]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_dense_report_replays_across_blas_threads(tmp_path):
+    rng = np.random.default_rng(66)
+    raw = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    matrix = raw / np.linalg.norm(raw, 2) - 1.5 * np.eye(6)
+    config = tmp_path / "dense_audit.config.json"
+    config.write_text(json.dumps({
+        "schema": CONFIG_SCHEMA,
+        "seed": 3,
+        "space": {"dim": 6, "p": 2},
+        "generator": {
+            "kind": "dense",
+            "matrix": [[[z.real, z.imag] for z in row] for row in matrix],
+        },
+        "renorm": {"kind": "classical", "omega": 0.5, "vector_samples": 1000},
+    }))
+    reports = {}
+    for threads in ("1", None):
+        out = tmp_path / f"threads-{threads}"
+        args = ["renorm-audit", "--config", str(config), "--out", str(out)]
+        done = run_cli_subprocess(args, threads)
+        assert done.returncode == EXIT_OK, done.stdout + done.stderr
+        reports[threads] = out / "dense_audit.report.json"
+    # each report is verified under the other thread setting
+    for written, replay in (("1", None), (None, "1")):
+        done = run_cli_subprocess(["verify", str(reports[written])], replay)
+        assert done.returncode == EXIT_OK, done.stdout + done.stderr
+    assert reports["1"].read_bytes() == reports[None].read_bytes()

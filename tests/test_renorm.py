@@ -28,8 +28,12 @@ from semigroup_lab import (
     witness_projection,
 )
 from semigroup_lab.errors import SpectralBoundViolated
+from semigroup_lab.projections import random_oblique_projection
+from semigroup_lab.renorm import _draw, _weighted_sups
+from semigroup_lab.spaces import dense_generator, semigroup_apply, semigroup_matrix
 
 RATIO_SLACK = 1e-10
+BATCH_REF_TOL = 1e-13
 
 
 def coordinate_projection():
@@ -162,3 +166,92 @@ def test_report_roundtrip(k5_certificate):
     payload = report_to_dict(report)
     back = report_from_dict(payload)
     assert dumps_canonical(report_to_dict(back)) == dumps_canonical(payload)
+
+
+def transient_dense():
+    """-I plus a strong nilpotent shift: non-normal, so |exp(tA) z| first
+    grows and the weighted sup sits at t > 0 for most draws."""
+    return dense_generator(-np.eye(4) + 3.0 * np.eye(4, k=1))
+
+
+def dissipative_diagonal():
+    return diagonal_generator_from_entries([3j, -0.25 + 9j, -0.5 + 27j])
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["p1", "p2", "pinf"])
+@pytest.mark.parametrize(
+    "make", [dissipative_diagonal, transient_dense], ids=["diagonal", "dense"]
+)
+def test_batched_sups_match_per_vector_reference(make, p):
+    a = make()
+    grid = renorm_time_grid(a, 0.5, 65)
+    draws = _draw(21, 40, a.dim)
+    propagators = [semigroup_matrix(a, float(t)) for t in grid]
+    sups = _weighted_sups(grid, propagators, 0.5, draws.T, p)
+    argmaxes = []
+    for row, batched in zip(draws, sups):
+        ref, argmax = classical_renorm_value(a, 0.5, CVec(row, p), grid)
+        argmaxes.append(argmax)
+        assert abs(batched - ref) <= BATCH_REF_TOL * ref
+    if a.kind == "dense":
+        assert max(argmaxes) > 0.0
+    else:
+        assert max(argmaxes) == 0.0
+
+
+def per_vector_violations(a, omega, p, seed, vectors, shifts, grid_points, tol):
+    """The classical audit's violation rows, one draw and one shift at a time."""
+    grid = renorm_time_grid(a, omega, grid_points)
+    draws = _draw(seed, vectors, a.dim)
+    idx = np.unique(np.round(np.linspace(0, grid.size - 1, shifts)).astype(int))
+    rows = []
+    for i, row in enumerate(draws):
+        z = CVec(row, p)
+        base, _ = classical_renorm_value(a, omega, z, grid)
+        for s in grid[idx]:
+            lhs, _ = classical_renorm_value(a, omega, semigroup_apply(a, float(s), z), grid)
+            rhs = math.exp(omega * float(s)) * base
+            if lhs - rhs > tol:
+                rows.append((i, float(s), lhs, rhs))
+    return rows
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0], ids=["p1", "p2"])
+def test_classical_violation_rows_match_per_vector_loop(p):
+    # a tolerance every draw breaks records one row per (draw, shift)
+    a = transient_dense()
+    report = quasi_contractivity_audit(
+        "classical", a=a, omega=0.5, p=p, seed=4, vector_samples=6,
+        time_samples=5, grid_points=33, tol=-math.inf,
+    )
+    expected = per_vector_violations(a, 0.5, p, 4, 6, 5, 33, -math.inf)
+    assert not report.passed
+    assert len(report.violations) == len(expected) == 6 * report.time_samples
+    for got, want in zip(report.violations, expected):
+        assert got[:2] == want[:2]
+        assert all(type(x) is type(y) for x, y in zip(got, want))
+        for x, y in zip(got[2:], want[2:]):
+            assert abs(x - y) <= BATCH_REF_TOL * abs(y)
+
+
+@pytest.mark.parametrize("kind", ["rank_one", "dense"])
+def test_batched_split_ratios_match_split_norm(kind):
+    rng = np.random.default_rng(52)
+    if kind == "rank_one":
+        f, x = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+        proj = make_rank_one(Functional(f, 1.0), CVec(x, 1.0))
+        p = 1.0
+    else:
+        proj = random_oblique_projection(5, 2, rng)
+        p = proj.p
+    # negative slack turns every sample into a violation row carrying its ratio
+    _, _, eq_rows = equivalence_audit(proj, seed=6, samples=30, slack=-10.0)
+    _, ctr_rows = projection_contractivity_check(proj, seed=7, samples=30, slack=-10.0)
+    assert [row[0] for row in eq_rows] == [row[0] for row in ctr_rows] == list(range(30))
+    for row, z in zip(eq_rows, _draw(6, 30, 5)):
+        z = CVec(z, p)
+        assert abs(row[1] - split_norm(proj, z) / norm(z)) <= BATCH_REF_TOL * row[1]
+    for row, z in zip(ctr_rows, _draw(7, 30, 5)):
+        z = CVec(z, p)
+        ref = split_norm(proj, project(proj, z)) / split_norm(proj, z)
+        assert abs(row[1] - ref) <= BATCH_REF_TOL * ref

@@ -1,7 +1,9 @@
 """Tagged hex-float JSON: every finite double survives a round trip."""
 
+import copy
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,10 @@ from semigroup_lab import (
     dumps_canonical,
     law_from_dict,
     law_to_dict,
+    quasi_contractivity_audit,
+    report_to_dict,
 )
+from semigroup_lab.cli import _rebuild_report
 from semigroup_lab.serialize import (
     decode,
     encode,
@@ -136,3 +141,23 @@ def test_malformed_report_names_the_field():
     with pytest.raises(InvalidCertificate) as info:
         report_from_dict({"schema": "semigroup-lab/report/1", "kind": "split"})
     assert info.value.failures == ["seed: missing"]
+
+    # parameters are read when the report is re-run
+    a = diagonal_generator(GrowthLaw("poly", 1.0), 3)
+    report = quasi_contractivity_audit(
+        "classical", a=a, omega=0.5, vector_samples=4, time_samples=2, grid_points=9
+    )
+    payload = report_to_dict(replace(report, source={"generator": generator_to_dict(a)}))
+    assert report_to_dict(_rebuild_report(report_from_dict(payload))) == payload
+    for mutate, message in [
+        (lambda params: params.pop("dim"), "parameters.dim: missing"),
+        (
+            lambda params: params.update(omega="x"),
+            "parameters.omega: could not convert string to float: 'x'",
+        ),
+    ]:
+        broken = copy.deepcopy(payload)
+        mutate(broken["parameters"])
+        with pytest.raises(InvalidCertificate) as info:
+            _rebuild_report(report_from_dict(broken))
+        assert info.value.failures == [message]

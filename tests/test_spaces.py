@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -32,6 +33,8 @@ from semigroup_lab.spaces import cexpm1, clog1p
 EXACT_TOL = 1e-12
 SEMIGROUP_TOL = 1e-9
 CARRIER_TOL = 1e-13
+DEFECT_REF_TOL = 1e-13
+DEFECT_SCALES = [1e-12, 2.0**-16, 1e-3, 0.5, 4.0, 30.0]
 
 
 def test_norm_known_values():
@@ -181,6 +184,21 @@ def test_dense_defect_small_norm():
     d = semigroup_defect(a, 0.5)
     # exp(0.5 * m) - I for this nilpotent m is exactly 0.5 * m
     np.testing.assert_allclose(d, 0.5 * m, atol=CARRIER_TOL)
+
+
+@pytest.mark.parametrize("scale", DEFECT_SCALES)
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_dense_defect_matches_mpmath(dim, scale):
+    """exp(M) - I against a 50-digit mpmath reference; the 1e-12 case
+    shows that small defects keep their relative accuracy."""
+    rng = np.random.default_rng([dim, DEFECT_SCALES.index(scale)])
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m = raw * (scale / np.linalg.norm(raw, 2))
+    with mpmath.workdps(50):
+        exact = mpmath.expm(mpmath.matrix(m.tolist())) - mpmath.eye(dim)
+        ref = np.array(exact.tolist(), dtype=np.complex128)
+    defect = semigroup_defect(dense_generator(m), 1.0)
+    assert np.linalg.norm(defect - ref, 2) <= DEFECT_REF_TOL * np.linalg.norm(ref, 2)
 
 
 def test_dense_defect_overflow_guard():

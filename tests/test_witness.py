@@ -288,18 +288,28 @@ def test_certificate_roundtrip_is_exact(k5_certificate):
     verify_certificate(back, strict_goal=5)
 
 
+def truncate(payload, key, size):
+    """Keep the first ``size`` coordinates of an encoded vector."""
+    payload[key] = {"~a": payload[key]["~a"][:size]}
+
+
 @pytest.mark.parametrize(
-    "mutate, field",
+    "mutate, prefix",
     [
-        (lambda payload: payload.pop("eps"), "eps"),
-        (lambda payload: payload.update(stages=[]), "stages"),
-        (lambda payload: payload["law"].update(kind="no_such_law"), "law"),
+        (lambda payload: payload.pop("eps"), "eps: "),
+        (lambda payload: payload.update(stages=[]), "stages: "),
+        (lambda payload: payload["law"].update(kind="no_such_law"), "law: "),
+        (
+            lambda payload: truncate(payload["stages"][2], "vector", 3),
+            "stages[2].vector: dimension 3, expected 7",
+        ),
+        (lambda payload: truncate(payload, "witness", 6), "witness: dimension 6, expected 7"),
     ],
-    ids=["missing_eps", "empty_stages", "unknown_law"],
+    ids=["missing_eps", "empty_stages", "unknown_law", "short_stage_vector", "short_witness"],
 )
-def test_malformed_certificate_names_the_field(k5_certificate, mutate, field):
+def test_malformed_certificate_names_the_field(k5_certificate, mutate, prefix):
     payload = cert_to_dict(k5_certificate)
     mutate(payload)
     with pytest.raises(InvalidCertificate) as info:
         verify_certificate(cert_from_dict(payload))
-    assert info.value.failures[-1].startswith(f"{field}: ")
+    assert info.value.failures[-1].startswith(prefix)
