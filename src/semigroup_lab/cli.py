@@ -68,7 +68,8 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
-        return repr(value)
+        # numpy scalars subclass float, but their repr is "np.float64(x)"
+        return repr(float(value))
     return str(value)
 
 
@@ -323,37 +324,26 @@ def run_verify(paths: list[str]) -> int:
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
-    spec = cfg.sweep_spec
-    if spec is None:
-        raise ConfigError("config declares no sweep section")
-    trials = int(spec.get("trials", 20))
-    dim_lo = int(spec.get("dim_min", 2))
-    dim_hi = int(spec.get("dim_max", 8))
-    gen_scale = float(spec.get("generator_norm", 2.0))
-    cap = float(spec.get("projection_norm_cap", 5.0))
-    times = [float(t) for t in spec.get("times", [0.5, 1.0, 2.0])]
+    params = cfg.sweep_params()
     steps = cfg.schedule()[-1]
-    if not 2 <= dim_lo <= dim_hi:
-        raise ConfigError("sweep needs 2 <= dim_min <= dim_max")
-
     rows: list[list] = []
     overflowed = False
-    for trial in range(trials):
+    for trial in range(params.trials):
         rng = np.random.default_rng([cfg.seed, trial])
-        dim = int(rng.integers(dim_lo, dim_hi + 1))
+        dim = int(rng.integers(params.dim_min, params.dim_max + 1))
         raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        matrix = raw * (gen_scale / np.linalg.norm(raw, 2))
+        matrix = raw * (params.generator_norm / np.linalg.norm(raw, 2))
         a = Generator(kind="dense", matrix=matrix)
         rank = int(rng.integers(1, dim))
-        proj = random_oblique_projection(dim, rank, rng, norm_cap=cap)
+        proj = random_oblique_projection(dim, rank, rng, norm_cap=params.projection_norm_cap)
         x = CVec(rng.standard_normal(dim) + 1j * rng.standard_normal(dim), 2.0)
         try:
-            for t in times:
+            for t in params.times:
                 target = bounded_limit_oracle(a, proj, t) @ x.coords
                 product = dense_trotter_apply(a, proj, x, t, steps)
                 gap = norm(CVec(product.coords - target, x.p))
                 rows.append(
-                    [trial, dim, rank, t, steps, gap, projection_norm(proj), gen_scale]
+                    [trial, dim, rank, t, steps, gap, projection_norm(proj), params.generator_norm]
                 )
         except SemigroupOverflow:
             overflowed = True
@@ -371,7 +361,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     _write_csv(out_path, SWEEP_CSV_SCHEMA, fields, rows)
     worst = max((row[5] for row in rows), default=math.nan)
     print(
-        f"sweep {cfg.name}: {len(rows)} rows over {trials} trials -> {out_path}; "
+        f"sweep {cfg.name}: {len(rows)} rows over {params.trials} trials -> {out_path}; "
         f"worst gap {worst:.3g} vs tolerance {cfg.tolerance:.3g}"
     )
     return EXIT_OVERFLOW if overflowed else EXIT_OK

@@ -1,10 +1,12 @@
 """Experiment configuration files and the objects they describe.
 
-Configs are JSON documents; every numeric field accepts a plain number,
-a C99 hex-float string, or the tagged forms emitted by
-:mod:`semigroup_lab.serialize`, so generated and hand-written configs
-interoperate.  Parsing failures raise ConfigError with the offending
-field path in the message.
+Configs are JSON documents read by the readers of
+:mod:`semigroup_lab.serialize`.  A number is a plain number, a tagged
+float, a C99 hex string (``"0x1.8p+1"``) or ``"inf"``; decimal strings
+such as ``"10"`` are refused, not read as hex (16).  Complex entries may
+be ``[re, im]`` pairs.  The ``generator`` section is the format of a
+report's ``source.generator``, decoded by the same function.  Parsing
+failures raise ConfigError with the offending field path in the message.
 """
 
 from __future__ import annotations
@@ -17,43 +19,28 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
-from .serialize import CONFIG_SCHEMA, decode
-from .spaces import (
-    CVec,
-    Functional,
-    Generator,
-    GrowthLaw,
-    dense_generator,
-    diagonal_generator,
+from .errors import ConfigError, InvalidCertificate
+from .serialize import (
+    CONFIG_SCHEMA,
+    READ_ERRORS,
+    _float,
+    _matrix,
+    _vector,
+    decode,
+    generator_from_dict,
 )
+from .spaces import CVec, Functional, Generator
+
+
+def _read(convert, raw, where: str):
+    try:
+        return convert(raw)
+    except READ_ERRORS as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _num(raw, where: str) -> float:
-    raw = decode(raw)
-    if isinstance(raw, bool) or raw is None:
-        raise ConfigError(f"{where}: expected a number, got {raw!r}")
-    if isinstance(raw, str):
-        try:
-            return float.fromhex(raw)
-        except ValueError:
-            if raw == "inf":
-                return math.inf
-            raise ConfigError(f"{where}: cannot read {raw!r} as a number") from None
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    raise ConfigError(f"{where}: expected a number, got {type(raw).__name__}")
-
-
-def _cnum(raw, where: str) -> complex:
-    raw = decode(raw)
-    if isinstance(raw, complex):
-        return raw
-    if isinstance(raw, (list, tuple)):
-        if len(raw) != 2:
-            raise ConfigError(f"{where}: complex entries are [re, im] pairs")
-        return complex(_num(raw[0], where), _num(raw[1], where))
-    return complex(_num(raw, where))
+    return _read(_float, raw, where)
 
 
 def _integer(raw, where: str) -> int:
@@ -96,6 +83,16 @@ class RenormParams:
 
 
 @dataclass(frozen=True)
+class SweepParams:
+    trials: int
+    dim_min: int
+    dim_max: int
+    generator_norm: float
+    projection_norm_cap: float
+    times: tuple[float, ...]
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     """A parsed experiment description.
 
@@ -121,36 +118,12 @@ class ExperimentConfig:
     sweep_spec: dict | None
 
     def generator(self) -> Generator:
-        spec = self.generator_spec
-        if spec is None:
+        if self.generator_spec is None:
             raise ConfigError("config declares no generator")
-        kind = spec.get("kind")
-        if kind == "diagonal":
-            law_raw = spec.get("law")
-            if not isinstance(law_raw, dict):
-                raise ConfigError("generator.law must be an object")
-            try:
-                law = _parse_law(law_raw)
-                return diagonal_generator(law, self.dim)
-            except (ValueError, KeyError) as exc:
-                raise ConfigError(f"generator.law: {exc}") from exc
-        if kind == "dense":
-            rows = decode(spec.get("matrix"))
-            if not isinstance(rows, list):
-                raise ConfigError("generator.matrix must be a list of rows")
-            try:
-                matrix = np.array(
-                    [[_cnum(v, "generator.matrix") for v in row] for row in rows],
-                    dtype=np.complex128,
-                )
-                if matrix.shape != (self.dim, self.dim):
-                    raise ConfigError(
-                        f"generator.matrix is {matrix.shape}, space is {self.dim}"
-                    )
-                return dense_generator(matrix)
-            except ValueError as exc:
-                raise ConfigError(f"generator.matrix: {exc}") from exc
-        raise ConfigError(f"generator.kind {kind!r} is not diagonal or dense")
+        try:
+            return generator_from_dict(self.generator_spec, self.dim)
+        except InvalidCertificate as exc:
+            raise ConfigError("; ".join(exc.failures)) from exc
 
     def functional(self) -> Functional:
         spec = self.functional_spec
@@ -165,11 +138,8 @@ class ExperimentConfig:
             coords = scale * base ** (-np.arange(self.dim, dtype=np.float64))
             return Functional(coords, self.p)
         if kind == "values":
-            values = spec.get("values")
-            if not isinstance(values, list) or len(values) != self.dim:
-                raise ConfigError(f"functional.values must list {self.dim} entries")
-            coords = np.array(
-                [_cnum(v, "functional.values") for v in values], dtype=np.complex128
+            coords = _read(
+                lambda raw: _vector(raw, self.dim), spec.get("values"), "functional.values"
             )
             return Functional(coords, self.p)
         raise ConfigError(f"functional.kind {kind!r} is not geometric or values")
@@ -198,11 +168,8 @@ class ExperimentConfig:
                 coords[index - 1] = 1.0
             return CVec(coords, self.p)
         if kind == "values":
-            values = spec.get("values")
-            if not isinstance(values, list) or len(values) != self.dim:
-                raise ConfigError(f"vector.values must list {self.dim} entries")
-            coords = np.array(
-                [_cnum(v, "vector.values") for v in values], dtype=np.complex128
+            coords = _read(
+                lambda raw: _vector(raw, self.dim), spec.get("values"), "vector.values"
             )
             return CVec(coords, self.p)
         raise ConfigError(f"vector.kind {kind!r} is not basis or values")
@@ -262,6 +229,28 @@ class ExperimentConfig:
             certificate=certificate,
         )
 
+    def sweep_params(self) -> SweepParams:
+        spec = self.sweep_spec
+        if spec is None:
+            raise ConfigError("config declares no sweep section")
+        params = SweepParams(
+            trials=_integer(spec.get("trials", 20), "sweep.trials"),
+            dim_min=_integer(spec.get("dim_min", 2), "sweep.dim_min"),
+            dim_max=_integer(spec.get("dim_max", 8), "sweep.dim_max"),
+            generator_norm=_num(spec.get("generator_norm", 2.0), "sweep.generator_norm"),
+            projection_norm_cap=_num(
+                spec.get("projection_norm_cap", 5.0), "sweep.projection_norm_cap"
+            ),
+            times=_read(
+                lambda raw: tuple(_float(t) for t in raw),
+                spec.get("times", [0.5, 1.0, 2.0]),
+                "sweep.times",
+            ),
+        )
+        if not 2 <= params.dim_min <= params.dim_max:
+            raise ConfigError("sweep needs 2 <= dim_min <= dim_max")
+        return params
+
     def projection(self, f: Functional | None = None, x: CVec | None = None):
         from .projections import DenseProjection, make_rank_one
 
@@ -276,21 +265,11 @@ class ExperimentConfig:
                 x = self.vector(f)
             return make_rank_one(f, x)
         if kind == "dense":
-            rows = decode(spec.get("matrix"))
-            if not isinstance(rows, list):
-                raise ConfigError("projection.matrix must be a list of rows")
-            matrix = np.array(
-                [[_cnum(v, "projection.matrix") for v in row] for row in rows],
-                dtype=np.complex128,
+            return _read(
+                lambda raw: DenseProjection(_matrix(raw, self.dim), self.p),
+                spec.get("matrix"),
+                "projection.matrix",
             )
-            if matrix.shape != (self.dim, self.dim):
-                raise ConfigError(
-                    f"projection.matrix is {matrix.shape}, space is {self.dim}"
-                )
-            try:
-                return DenseProjection(matrix, self.p)
-            except ValueError as exc:
-                raise ConfigError(f"projection.matrix: {exc}") from exc
         raise ConfigError(f"projection.kind {kind!r} is not rank_one or dense")
 
     def with_overrides(
@@ -302,22 +281,6 @@ class ExperimentConfig:
         if tolerance is not None:
             out = replace(out, tolerance=tolerance)
         return out
-
-
-def _parse_law(raw: dict) -> GrowthLaw:
-    kind = raw.get("kind")
-    if not isinstance(kind, str):
-        raise ConfigError("generator.law.kind must be a string")
-    if kind == "table":
-        values = raw.get("values")
-        if not isinstance(values, list) or not values:
-            raise ConfigError("generator.law.table needs a values list")
-        return GrowthLaw(
-            kind="table",
-            values=tuple(_cnum(v, "generator.law.values") for v in values),
-        )
-    param = _num(raw.get("param", 0.0), "generator.law.param")
-    return GrowthLaw(kind=kind, param=param)
 
 
 def parse_config(data: dict, name: str = "config") -> ExperimentConfig:

@@ -3,8 +3,10 @@
 Floats are stored as C99 hex literals inside small tagged objects
 (``{"~f": "0x1.8p+1"}``), complex numbers as tagged pairs, and arrays as
 tagged nested lists.  Decoding restores bit-identical values, which the
-replay and verification paths rely on.  Plain JSON numbers are accepted
-everywhere on input so hand-written files stay pleasant to author.
+replay and verification paths rely on.  The readers here serve configs,
+certificates and reports alike: a real is a plain number, a tagged float,
+a ``0x`` hex string or ``"inf"`` (decimal strings are refused), and a
+complex entry may also be an ``[re, im]`` pair.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidCertificate
+from .errors import DimensionMismatch, InvalidCertificate, SemigroupOverflow
 from .renorm import RenormReport
 from .spaces import Generator, GrowthLaw, dense_generator, diagonal_generator
 from .witness import WitnessCertificate, WitnessStage
@@ -83,9 +85,9 @@ def law_to_dict(law: GrowthLaw) -> dict:
 
 def law_from_dict(data: dict) -> GrowthLaw:
     return GrowthLaw(
-        kind=data["kind"],
-        param=float(decode(data.get("param", 0.0))),
-        values=tuple(decode(v) for v in data.get("values", [])),
+        kind=data.get("kind"),
+        param=_float(data.get("param", 0.0)),
+        values=tuple(_complex(v) for v in data.get("values", [])),
     )
 
 
@@ -99,13 +101,23 @@ def generator_to_dict(a: Generator) -> dict:
 
 
 def generator_from_dict(desc: dict, dim: int) -> Generator:
-    """Invert :func:`generator_to_dict`; ``dim`` sizes a diagonal law."""
+    """Invert :func:`generator_to_dict`; configs share the format.  ``dim``
+    sizes a diagonal law and fixes the shape of a dense matrix."""
     kind = _field(desc, "kind", str, "generator.")
     if kind == "diagonal":
-        return diagonal_generator(_field(desc, "law", law_from_dict, "generator."), dim)
+        return _field(
+            desc, "law", lambda raw: diagonal_generator(law_from_dict(raw), dim), "generator."
+        )
     if kind == "dense":
-        return _field(desc, "matrix", lambda raw: dense_generator(_array(raw)), "generator.")
-    raise InvalidCertificate([f"generator.kind: unknown generator source {kind!r}"])
+        return _field(
+            desc, "matrix", lambda raw: dense_generator(_matrix(raw, dim)), "generator."
+        )
+    raise InvalidCertificate([f"generator.kind: {kind!r} is not diagonal or dense"])
+
+
+# What a reader raises on a malformed value; callers name the field.
+READ_ERRORS = (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError,
+               DimensionMismatch, SemigroupOverflow)
 
 
 def _field(data: dict, key: str, convert, path: str = "", optional: bool = False):
@@ -118,20 +130,49 @@ def _field(data: dict, key: str, convert, path: str = "", optional: bool = False
                 return None
             raise ValueError("missing")
         return convert(raw)
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except READ_ERRORS as exc:
         raise InvalidCertificate([f"{path}{key}: {exc}"]) from exc
 
 
 def _float(raw) -> float:
-    return float(decode(raw))
+    raw = decode(raw)
+    if isinstance(raw, str):
+        bare = raw.lstrip("+-").lower()
+        if not bare.startswith("0x") and bare != "inf":
+            raise ValueError(f"cannot read {raw!r} as a number (use a 0x hex string or 'inf')")
+        return float.fromhex(raw)
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise TypeError(f"expected a number, got {raw!r}")
+    return float(raw)
 
 
 def _complex(raw) -> complex:
-    return complex(decode(raw))
+    raw = decode(raw)
+    if isinstance(raw, complex):
+        return raw
+    if isinstance(raw, list):
+        if len(raw) != 2:
+            raise ValueError(f"complex entries are [re, im] pairs, got {raw!r}")
+        return complex(_float(raw[0]), _float(raw[1]))
+    return complex(_float(raw))
 
 
-def _array(raw) -> np.ndarray:
-    return np.asarray(decode(raw), dtype=np.complex128)
+def _items(raw, dim: int | None, what: str) -> list:
+    items = decode(raw)
+    if not isinstance(items, list):
+        raise TypeError(f"expected a list of {what}, got {items!r}")
+    if dim is not None and len(items) != dim:
+        raise ValueError(f"{len(items)} {what}, space is {dim}")
+    return items
+
+
+def _vector(raw, dim: int | None = None) -> np.ndarray:
+    return np.array([_complex(v) for v in _items(raw, dim, "entries")], dtype=np.complex128)
+
+
+def _matrix(raw, dim: int | None = None) -> np.ndarray:
+    """Rows of complex entries, ``dim`` x ``dim`` when ``dim`` is given."""
+    return np.array([_vector(row, dim) for row in _items(raw, dim, "rows")], dtype=np.complex128)
 
 
 def _stage_to_dict(stage: WitnessStage) -> dict:
@@ -153,7 +194,7 @@ def _stage_from_dict(k: int, data: dict) -> WitnessStage:
     path = f"stages[{k}]."
     return WitnessStage(
         index=_field(data, "index", int, path),
-        vector=_field(data, "vector", _array, path),
+        vector=_field(data, "vector", _vector, path),
         generator_pairing=_field(data, "generator_pairing", _complex, path),
         steps=_field(data, "steps", int, path),
         limit_error=_field(data, "limit_error", _float, path),
@@ -191,15 +232,15 @@ def cert_from_dict(data: dict) -> WitnessCertificate:
         eps=_field(data, "eps", _float),
         p=_field(data, "p", _float),
         law=_field(data, "law", law_from_dict, optional=True),
-        dense_matrix=_field(data, "dense_matrix", _array, optional=True),
-        functional=_field(data, "functional", _array),
-        initial=_field(data, "initial", _array),
+        dense_matrix=_field(data, "dense_matrix", _matrix, optional=True),
+        functional=_field(data, "functional", _vector),
+        initial=_field(data, "initial", _vector),
         stages=_field(
             data,
             "stages",
             lambda raw: tuple(_stage_from_dict(k, st) for k, st in enumerate(raw)),
         ),
-        witness=_field(data, "witness", _array),
+        witness=_field(data, "witness", _vector),
         witness_log_values=_field(
             data, "witness_log_values", lambda raw: tuple(_complex(v) for v in raw)
         ),

@@ -253,7 +253,10 @@ def clog1p(z: complex) -> complex:
     """log(1 + z) on the principal branch, accurate for small |z|.
 
     Falls back to the direct logarithm once |z| is large enough that the
-    alternating series stops paying for itself.
+    alternating series stops paying for itself.  Against mpmath the error
+    is at most 1e-14 relative for |z| <= 1/2; beyond that it is absolute,
+    up to 1e-15 * max(1, |log(1 + z)|), since the direct logarithm
+    cancels where |1 + z| is close to 1.
     """
     if abs(z) > 0.5:
         return cmath.log(1.0 + z)

@@ -104,6 +104,19 @@ def step_derivative(a: Generator, f: Functional, x: CVec, t: float, n: int) -> c
     return float(n) * complex(np.dot(f.coords, defect @ x.coords))
 
 
+def _log_power(offset: complex, n: int) -> complex:
+    """n log(1 + offset), the log of the n-th power of the step value: the one
+    log-domain power carrier.  A step value of exactly 0 gives -inf."""
+    if offset == -1.0:
+        return complex(-math.inf, 0.0)
+    return float(n) * clog1p(offset)
+
+
+def product_log_value(a: Generator, f: Functional, x: CVec, n: int) -> complex:
+    """log of the unit-time n-step scalar product value, via the drift carrier."""
+    return _log_power(step_derivative(a, f, x, 1.0, n) / float(n), n)
+
+
 def _binary_power(base: complex, exponent: int) -> complex | None:
     result = 1.0 + 0.0j
     square = base
@@ -138,19 +151,11 @@ def scalar_trotter_value(
     deriv = step_derivative(a, f, x, t, n)
     offset = deriv / float(n)
     step_value = 1.0 + offset
-    if abs(offset) <= LOG_ROUTE_RADIUS:
-        path = "log"
-        branch_ambiguous = False
-        log_value = float(n) * clog1p(offset)
-        value = cmath.exp(log_value) if abs(log_value.real) < MATERIALIZE_LOG_BOUND else None
-    else:
-        path = "pow"
-        branch_ambiguous = True
-        log_value = float(n) * cmath.log(step_value)
-        if abs(log_value.real) < MATERIALIZE_LOG_BOUND:
-            value = _binary_power(step_value, n)
-        else:
-            value = None
+    log_value = _log_power(offset, n)
+    path = "log" if abs(offset) <= LOG_ROUTE_RADIUS else "pow"
+    value = None
+    if abs(log_value.real) < MATERIALIZE_LOG_BOUND:
+        value = cmath.exp(log_value) if path == "log" else _binary_power(step_value, n)
     drift = pairing(f, apply_generator(a, x))
     err = limit_gap_error(t * drift, log_value)
     return TrotterRecord(
@@ -161,7 +166,7 @@ def scalar_trotter_value(
         value=value,
         err_vs_limit=err,
         path=path,
-        branch_ambiguous=branch_ambiguous,
+        branch_ambiguous=path == "pow",
     )
 
 

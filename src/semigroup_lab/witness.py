@@ -34,7 +34,6 @@ from .spaces import (
     Generator,
     GrowthLaw,
     apply_generator,
-    clog1p,
     diagonal_generator_from_entries,
     dual_norm,
     law_entries,
@@ -42,7 +41,7 @@ from .spaces import (
     pairing,
     semigroup_matrix,
 )
-from .trotter import limit_gap_error, step_derivative
+from .trotter import limit_gap_error, product_log_value
 
 DEFAULT_J_MAX = 40
 UNDERFLOW_FLOOR = 1e-300
@@ -117,14 +116,6 @@ class WitnessCertificate:
 
     def functional_obj(self) -> Functional:
         return Functional(self.functional, self.p)
-
-
-def product_log_value(a: Generator, f: Functional, x: CVec, n: int) -> complex:
-    """log of the unit-time n-step scalar product value, via the drift carrier."""
-    offset = step_derivative(a, f, x, 1.0, n) / float(n)
-    if offset == -1.0:
-        return complex(-math.inf, 0.0)
-    return float(n) * clog1p(offset)
 
 
 def find_direction(
@@ -245,6 +236,17 @@ def _step_lipschitz(a: Generator, f: Functional, n: int) -> float:
     return dual_norm(Functional(composed, f.p))
 
 
+def _radius_log_bound(log_step_abs: float, n: int, lip: float, delta: float) -> float:
+    """log(n * (|c| + L*delta)^(n-1) * L*delta), the step-perturbation bound.
+
+    Takes log|c| rather than |c|: near n = 2^53 and beyond, |c| rounds to
+    1.0 and the (n-1) log|c| term it carries would be lost.
+    """
+    log_move = math.log(lip * delta)
+    hi, lo = max(log_step_abs, log_move), min(log_step_abs, log_move)
+    return math.log(n) + (n - 1) * (hi + math.log1p(math.exp(lo - hi))) + log_move
+
+
 def stability_radius(
     a: Generator,
     f: Functional,
@@ -260,22 +262,20 @@ def stability_radius(
     Certified through the step-perturbation bound
     ``n * (|c| + L*delta)^(n-1) * L * delta <= eps`` with c the step
     value at x and L the per-step Lipschitz constant; the bound is
-    rechecked in log space and the radius halved until it holds.
-    The radius is additionally capped at 1/(n L), at min(1, 1/(2L)) and
-    at half the anchor norm so the ladder stays in a bounded region.
+    rechecked in log space, from log|c| = Re log(c^n) / n, and the radius
+    halved until it holds.  The radius is additionally capped at
+    1/(n L), at min(1, 1/(2L)) and at half the anchor norm so the ladder
+    stays in a bounded region.
     """
     L = _step_lipschitz(a, f, n)
-    offset = step_derivative(a, f, x, 1.0, n) / float(n)
-    log_step_abs = clog1p(offset).real
-    step_abs = math.exp(log_step_abs)
+    log_step_abs = product_log_value(a, f, x, n).real / n
     power_log = (n - 1) * log_step_abs
     leading = 0.0 if power_log > 690.0 else eps / (math.e * n * L * math.exp(power_log))
     cap = min(1.0, 1.0 / (2.0 * L))
     delta = min(leading, 1.0 / (n * L), cap, anchor_norm / 2.0)
     log_eps = math.log(eps)
     while delta >= UNDERFLOW_FLOOR:
-        lhs = math.log(n) + (n - 1) * math.log(step_abs + L * delta) + math.log(L * delta)
-        if lhs <= log_eps:
+        if _radius_log_bound(log_step_abs, n, L, delta) <= log_eps:
             return delta
         delta /= 2.0
     raise UnderflowRadius(radius=delta, stage=stage)
@@ -558,13 +558,7 @@ def verify_certificate(cert: WitnessCertificate, strict_goal: int | None = None)
             failures.append(f"{tag}: stability radius underflowed")
         else:
             L = _step_lipschitz(a, f, st.steps)
-            offset = step_derivative(a, f, x, 1.0, st.steps) / float(st.steps)
-            step_abs = math.exp(clog1p(offset).real)
-            lhs = (
-                math.log(st.steps)
-                + (st.steps - 1) * math.log(step_abs + L * st.stability_radius)
-                + math.log(L * st.stability_radius)
-            )
+            lhs = _radius_log_bound(lv.real / st.steps, st.steps, L, st.stability_radius)
             if lhs > math.log(cert.eps) + 1e-9:
                 failures.append(f"{tag}: stability radius fails its certificate")
         gap = norm(CVec(cert.witness - st.vector, cert.p))

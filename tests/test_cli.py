@@ -199,3 +199,97 @@ def test_dense_report_replays_across_blas_threads(tmp_path):
         done = run_cli_subprocess(["verify", str(reports[written])], replay)
         assert done.returncode == EXIT_OK, done.stdout + done.stderr
     assert reports["1"].read_bytes() == reports[None].read_bytes()
+
+
+def write_config(tmp_path, name, **overrides):
+    data = {
+        "schema": CONFIG_SCHEMA,
+        "seed": 0,
+        "space": {"dim": 2, "p": 2},
+        "generator": {"kind": "diagonal", "law": {"kind": "table", "values": [0.0, 2.0]}},
+        "functional": {"kind": "values", "values": [0.5, 0.5]},
+        "vector": {"kind": "values", "values": [1.0, 1.0]},
+        "schedule": {"j_min": 0, "j_max": 2},
+    }
+    data.update(overrides)
+    path = tmp_path / f"{name}.config.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_limit_check_zero_step_pairing(tmp_path):
+    # exp(-1000/n) - 1 rounds to -1 for n <= 16: the step pairing is 0
+    cfg = write_config(
+        tmp_path,
+        "vanishing",
+        generator={"kind": "diagonal", "law": {"kind": "table", "values": [-1000.0, -1000.0]}},
+        functional={"kind": "values", "values": [1.0, 0.0]},
+        vector={"kind": "values", "values": [1.0, 0.0]},
+        schedule={"j_min": 0, "j_max": 6},
+    )
+    assert main(["limit-check", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    _, _, rows = read_csv(tmp_path / "vanishing.limit.csv")
+    assert len(rows) == 7
+    assert float(rows[0]["step_re"]) == 0.0
+    assert rows[0]["log_re"] == "-inf"
+    assert all(row["value_re"] == row["value_im"] == "" for row in rows)
+
+
+def test_limit_csv_numeric_cells_parse_as_floats(tmp_path):
+    assert main(["limit-check", "--config", "two_point", "--out", str(tmp_path)]) == EXIT_OK
+    _, header, rows = read_csv(tmp_path / "two_point.limit.csv")
+    numeric = [name for name in header if name != "path"]
+    for row in rows:
+        for name in numeric:
+            if row[name]:
+                float(row[name])
+
+
+@pytest.mark.parametrize(
+    "command, overrides, field",
+    [
+        ("limit-check", {"tolerance": "0.5"}, "tolerance"),
+        ("limit-check", {"tolerance": "10"}, "tolerance"),
+        ("limit-check", {"tolerance": "1e5"}, "tolerance"),
+        ("limit-check", {"tolerance": "0x1p5000"}, "tolerance"),
+        (
+            "limit-check",
+            {"generator": {"kind": "diagonal", "law": {"kind": "table", "values": [0.0, 1.0, 2.0]}}},
+            "generator.law",
+        ),
+        (
+            "limit-check",
+            {
+                "space": {"dim": 12, "p": 2},
+                "generator": {"kind": "diagonal", "law": {"kind": "imag_double_exp", "param": 10}},
+            },
+            "generator.law",
+        ),
+        (
+            "limit-check",
+            {"generator": {"kind": "dense", "matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}},
+            "generator.matrix",
+        ),
+        ("sweep", {"sweep": {"trials": "x"}}, "sweep.trials"),
+        ("sweep", {"sweep": {"times": 3}}, "sweep.times"),
+        ("sweep", {"sweep": {"generator_norm": "2.0"}}, "sweep.generator_norm"),
+    ],
+    ids=[
+        "decimal_string",
+        "digit_string",
+        "exponent_string",
+        "hex_overflow",
+        "table_length",
+        "law_overflow",
+        "matrix_shape",
+        "sweep_trials",
+        "sweep_times",
+        "sweep_decimal_string",
+    ],
+)
+def test_malformed_config_is_a_config_error(tmp_path, capsys, command, overrides, field):
+    cfg = write_config(tmp_path, "malformed", **overrides)
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert f"config error: {field}: " in capsys.readouterr().err
+

@@ -233,6 +233,28 @@ def test_clog1p_inverts_cexpm1():
         assert abs(back - z) <= 1e-13 * max(1.0, abs(z))
 
 
+def clog1p_reference(z: complex) -> complex:
+    """log(1 + z) in mpmath, with |log10 |z|| extra digits so 1 + z keeps z."""
+    digits = 50 + max(0, math.ceil(-math.log10(abs(z))))
+    with mpmath.workdps(digits):
+        return complex(mpmath.log(1 + mpmath.mpc(z.real, z.imag)))
+
+
+def test_clog1p_matches_mpmath():
+    rng = np.random.default_rng(41)
+    moduli = 10.0 ** rng.uniform(-300.0, 5.0, 2000)
+    points = list(moduli * np.exp(1j * rng.uniform(-math.pi, math.pi, moduli.size)))
+    # the circle |1 + z| = 1, where the direct logarithm cancels
+    points += list(np.exp(1j * np.linspace(-3.1, 3.1, 200)) - 1.0)
+    for z in map(complex, points):
+        ref = clog1p_reference(z)
+        err = abs(clog1p(z) - ref)
+        if abs(z) <= 0.5:
+            assert err <= 1e-14 * abs(ref), z
+        else:
+            assert err <= 1e-15 * max(1.0, abs(ref)), z
+
+
 def test_adjoint_defect_values():
     a = diagonal_generator_from_entries([0.0, 2.0])
     f = Functional([0.5, 0.5], 2.0)

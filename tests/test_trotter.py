@@ -4,6 +4,7 @@ a library-exponential oracle."""
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,7 +27,7 @@ from semigroup_lab import (
     step_derivative,
     step_pairing,
 )
-from semigroup_lab.trotter import limit_gap_error
+from semigroup_lab.trotter import limit_gap_error, product_log_value
 
 DERIV_TOL = 1e-12
 PATH_AGREE_TOL = 1e-9
@@ -214,3 +215,23 @@ def test_limit_check_errors_shrink_along_schedule():
     errs = [rec.err_vs_limit for rec in records]
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     assert errs[-1] <= 3e-3
+
+
+def test_product_log_value_at_2_122_matches_mpmath(k5_certificate):
+    """The K = 5 stage-5 log value n log(1 + f((exp(A/n) - I) x)) at
+    n = 2^122, against the same expression at 200 digits."""
+    cert = k5_certificate
+    stage = cert.stages[5]
+    assert stage.steps == 2**122
+    a = cert.generator()
+    f = cert.functional_obj()
+    x = CVec(stage.vector, cert.p)
+    lv = product_log_value(a, f, x, stage.steps)
+    with mpmath.workdps(200):
+        n = mpmath.mpf(stage.steps)
+        offset = mpmath.fsum(
+            mpmath.mpc(fm) * mpmath.mpc(xm) * mpmath.expm1(mpmath.mpc(am) / n)
+            for fm, xm, am in zip(f.coords, x.coords, a.entries)
+        )
+        ref = complex(n * mpmath.log(1 + offset))
+    assert abs(lv - ref) <= 1e-14 * abs(ref)

@@ -228,6 +228,25 @@ def test_verify_detects_tampered_steps(k5_certificate):
     assert any("stage 2" in line for line in info.value.failures)
 
 
+@pytest.mark.parametrize(
+    "stage, factor, valid",
+    [(5, 200.0, False), (4, 50.0, False), (3, 20.0, False), (2, 20.0, False), (5, 2.0, True)],
+)
+def test_verify_detects_inflated_radius(k5_certificate, stage, factor, valid):
+    # stages 3-5 run at n = 2^62, 2^90, 2^122, where |c| rounds to 1.0 and
+    # only log|c| keeps the (n - 1) log|c| term of the radius bound
+    stages = list(k5_certificate.stages)
+    radius = stages[stage].stability_radius * factor
+    stages[stage] = dataclasses.replace(stages[stage], stability_radius=radius)
+    inflated = dataclasses.replace(k5_certificate, stages=tuple(stages))
+    if valid:
+        verify_certificate(inflated)
+        return
+    with pytest.raises(InvalidCertificate) as info:
+        verify_certificate(inflated)
+    assert info.value.failures == [f"stage {stage}: stability radius fails its certificate"]
+
+
 def test_verify_detects_tampered_witness(k5_certificate):
     cert = k5_certificate
     bumped = cert.witness.copy()
