@@ -34,9 +34,10 @@ from .errors import (
 from .projections import projection_norm, random_oblique_projection
 from .renorm import quasi_contractivity_audit
 from .serialize import (
-    CERT_SCHEMA,
+    CERT_SCHEMAS,
     REPORT_SCHEMA,
     _field,
+    _int,
     cert_from_dict,
     cert_to_dict,
     generator_from_dict,
@@ -143,10 +144,6 @@ def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     return code
 
 
-def _save_certificate(cert, path: Path) -> None:
-    save_json(path, cert_to_dict(cert))
-
-
 def run_witness(cfg: ExperimentConfig, out_dir: Path) -> int:
     a = cfg.generator()
     f = cfg.functional()
@@ -167,7 +164,7 @@ def run_witness(cfg: ExperimentConfig, out_dir: Path) -> int:
         )
     except WitnessBuildError as failure:
         if failure.partial is not None:
-            _save_certificate(failure.partial, cert_path)
+            save_json(cert_path, cert_to_dict(failure.partial))
             print(
                 f"partial certificate ({len(failure.partial.stages)} stage(s)) "
                 f"-> {cert_path}",
@@ -183,7 +180,7 @@ def run_witness(cfg: ExperimentConfig, out_dir: Path) -> int:
             return EXIT_OVERFLOW
         return EXIT_FAIL
     verify_certificate(cert)
-    _save_certificate(cert, cert_path)
+    save_json(cert_path, cert_to_dict(cert))
     for st in cert.stages:
         print(
             f"stage {st.index}: Re f(Ax) = {st.generator_pairing.real:.4f}, "
@@ -267,7 +264,7 @@ def _rebuild_report(report):
             slack=param("slack", float),
         )
     elif "generator" in src:
-        a = generator_from_dict(src["generator"], param("dim", int))
+        a = generator_from_dict(src["generator"], param("dim", _int))
         fresh = quasi_contractivity_audit(
             "classical",
             a=a,
@@ -275,8 +272,8 @@ def _rebuild_report(report):
             p=param("p", float),
             seed=report.seed,
             vector_samples=report.vector_samples,
-            time_samples=param("time_samples_requested", int),
-            grid_points=param("grid_points", int),
+            time_samples=param("time_samples_requested", _int),
+            grid_points=param("grid_points", _int),
             tol=param("tol", float),
         )
     else:
@@ -296,7 +293,7 @@ def run_verify(paths: list[str]) -> int:
             continue
         schema = data.get("schema")
         try:
-            if schema == CERT_SCHEMA:
+            if schema in CERT_SCHEMAS:
                 cert = cert_from_dict(data)
                 verify_certificate(cert)
                 print(

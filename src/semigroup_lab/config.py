@@ -24,9 +24,9 @@ from .serialize import (
     CONFIG_SCHEMA,
     READ_ERRORS,
     _float,
+    _int,
     _matrix,
     _vector,
-    decode,
     generator_from_dict,
 )
 from .spaces import CVec, Functional, Generator
@@ -44,10 +44,7 @@ def _num(raw, where: str) -> float:
 
 
 def _integer(raw, where: str) -> int:
-    raw = decode(raw)
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ConfigError(f"{where}: expected an integer, got {raw!r}")
-    return raw
+    return _read(_int, raw, where)
 
 
 def _section(data: dict, key: str, required: bool = False) -> dict | None:

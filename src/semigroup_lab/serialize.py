@@ -21,7 +21,8 @@ from .renorm import RenormReport
 from .spaces import Generator, GrowthLaw, dense_generator, diagonal_generator
 from .witness import WitnessCertificate, WitnessStage
 
-CERT_SCHEMA = "semigroup-lab/cert/1"
+CERT_SCHEMA = "semigroup-lab/cert/2"
+CERT_SCHEMAS = (CERT_SCHEMA, "semigroup-lab/cert/1")  # both decode
 REPORT_SCHEMA = "semigroup-lab/report/1"
 CONFIG_SCHEMA = "semigroup-lab/config/1"
 
@@ -92,12 +93,12 @@ def law_from_dict(data: dict) -> GrowthLaw:
 
 
 def generator_to_dict(a: Generator) -> dict:
-    """A report's description of its generator: a growth law or a dense matrix."""
+    """The ``generator`` section of configs, reports and certificates; a
+    diagonal generator without a law becomes a ``table`` law of its entries."""
     if a.kind == "dense":
         return {"kind": "dense", "matrix": encode(a.matrix)}
-    if a.law is None:
-        raise ValueError("only diagonal generators with a growth law can be described")
-    return {"kind": "diagonal", "law": law_to_dict(a.law)}
+    law = a.law or GrowthLaw("table", values=tuple(complex(e) for e in a.entries))
+    return {"kind": "diagonal", "law": law_to_dict(law)}
 
 
 def generator_from_dict(desc: dict, dim: int) -> Generator:
@@ -132,6 +133,19 @@ def _field(data: dict, key: str, convert, path: str = "", optional: bool = False
         return convert(raw)
     except READ_ERRORS as exc:
         raise InvalidCertificate([f"{path}{key}: {exc}"]) from exc
+
+
+def _int(raw) -> int:
+    raw = decode(raw)
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise TypeError(f"expected an integer, got {raw!r}")
+    return raw
+
+
+def _bool(raw) -> bool:
+    if not isinstance(raw, bool):
+        raise TypeError(f"expected true or false, got {raw!r}")
+    return raw
 
 
 def _float(raw) -> float:
@@ -193,16 +207,16 @@ def _stage_to_dict(stage: WitnessStage) -> dict:
 def _stage_from_dict(k: int, data: dict) -> WitnessStage:
     path = f"stages[{k}]."
     return WitnessStage(
-        index=_field(data, "index", int, path),
+        index=_field(data, "index", _int, path),
         vector=_field(data, "vector", _vector, path),
         generator_pairing=_field(data, "generator_pairing", _complex, path),
-        steps=_field(data, "steps", int, path),
+        steps=_field(data, "steps", _int, path),
         limit_error=_field(data, "limit_error", _float, path),
         stability_radius=_field(data, "stability_radius", _float, path),
         log_value=_field(data, "log_value", _complex, path),
         bump_radius=_field(data, "bump_radius", _float, path, optional=True),
         search_target=_field(data, "search_target", _float, path, optional=True),
-        direction_index=data.get("direction_index"),
+        direction_index=_field(data, "direction_index", _int, path, optional=True),
     )
 
 
@@ -211,8 +225,7 @@ def cert_to_dict(cert: WitnessCertificate) -> dict:
         "schema": CERT_SCHEMA,
         "eps": encode(cert.eps),
         "p": encode(cert.p),
-        "law": None if cert.law is None else law_to_dict(cert.law),
-        "dense_matrix": None if cert.dense_matrix is None else encode(cert.dense_matrix),
+        "generator": generator_to_dict(cert.a),
         "functional": encode(cert.functional),
         "initial": encode(cert.initial),
         "stages": [_stage_to_dict(st) for st in cert.stages],
@@ -226,14 +239,20 @@ def cert_to_dict(cert: WitnessCertificate) -> dict:
 
 def cert_from_dict(data: dict) -> WitnessCertificate:
     """Decode a certificate; a malformed payload raises InvalidCertificate."""
-    if data.get("schema") != CERT_SCHEMA:
-        raise InvalidCertificate([f"schema: not a certificate ({data.get('schema')!r})"])
+    schema = data.get("schema")
+    if schema not in CERT_SCHEMAS:
+        raise InvalidCertificate([f"schema: not a certificate ({schema!r})"])
+    if schema != CERT_SCHEMA:  # /1 kept its generator in ``law`` or ``dense_matrix``
+        legacy = {"kind": "diagonal", "law": data.get("law")}
+        if data.get("dense_matrix") is not None:
+            legacy = {"kind": "dense", "matrix": data["dense_matrix"]}
+        data = {**data, "generator": legacy}
+    functional = _field(data, "functional", _vector)
     return WitnessCertificate(
+        a=_field(data, "generator", lambda raw: generator_from_dict(raw, functional.size)),
         eps=_field(data, "eps", _float),
         p=_field(data, "p", _float),
-        law=_field(data, "law", law_from_dict, optional=True),
-        dense_matrix=_field(data, "dense_matrix", _matrix, optional=True),
-        functional=_field(data, "functional", _vector),
+        functional=functional,
         initial=_field(data, "initial", _vector),
         stages=_field(
             data,
@@ -247,8 +266,8 @@ def cert_from_dict(data: dict) -> WitnessCertificate:
         witness_errors=_field(
             data, "witness_errors", lambda raw: tuple(_float(v) for v in raw)
         ),
-        j_max=_field(data, "j_max", int),
-        build_seed=_field(data, "build_seed", int),
+        j_max=_field(data, "j_max", _int),
+        build_seed=_field(data, "build_seed", _int),
     )
 
 
@@ -274,15 +293,15 @@ def report_from_dict(data: dict) -> RenormReport:
         raise InvalidCertificate([f"schema: not a report ({data.get('schema')!r})"])
     return RenormReport(
         kind=_field(data, "kind", str),
-        seed=_field(data, "seed", int),
-        vector_samples=_field(data, "vector_samples", int),
-        time_samples=_field(data, "time_samples", int),
+        seed=_field(data, "seed", _int),
+        vector_samples=_field(data, "vector_samples", _int),
+        time_samples=_field(data, "time_samples", _int),
         parameters=_field(data, "parameters", decode),
         summary=_field(data, "summary", decode),
         lambdas=_field(data, "lambdas", lambda raw: tuple(_float(v) for v in raw)),
         violations=_field(
             data, "violations", lambda raw: tuple(tuple(row) for row in decode(raw))
         ),
-        passed=_field(data, "passed", bool),
+        passed=_field(data, "passed", _bool),
         source=_field(data, "source", decode, optional=True) or {},
     )

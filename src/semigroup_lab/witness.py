@@ -82,10 +82,11 @@ class WitnessCertificate:
 
     ``witness`` equals the last stage vector; ``witness_log_values`` and
     ``witness_errors`` evaluate every stage's product at that single
-    vector.  ``law`` describes the diagonal generator; dense builds
-    store the matrix instead.
+    vector.  ``a`` is the generator the ladder was built on; files store
+    it as a ``generator`` section, in the format of configs and reports.
     """
 
+    a: Generator
     eps: float
     p: float
     functional: np.ndarray
@@ -96,8 +97,6 @@ class WitnessCertificate:
     witness_errors: tuple[float, ...]
     j_max: int
     build_seed: int
-    law: GrowthLaw | None = None
-    dense_matrix: np.ndarray | None = None
 
     @property
     def stage_count(self) -> int:
@@ -108,11 +107,7 @@ class WitnessCertificate:
         return self.functional.size
 
     def generator(self) -> Generator:
-        if self.dense_matrix is not None:
-            return Generator(kind="dense", matrix=self.dense_matrix)
-        if self.law is None:
-            raise ValueError("certificate carries no generator description")
-        return Generator(kind="diagonal", entries=law_entries(self.law, self.dim), law=self.law)
+        return self.a
 
     def functional_obj(self) -> Functional:
         return Functional(self.functional, self.p)
@@ -184,12 +179,12 @@ def _seed_with_meta(a: Generator, f: Functional, z: CVec):
     if abs(denom) < 0.5:
         raise ArithmeticError(f"seed denominator {abs(denom):.6g} fell below 1/2")
     coords = (base.coords + oriented.coords) / denom
-    meta = {
-        "radius": radius,
-        "target": target,
+    bump = {
+        "bump_radius": radius,
+        "search_target": target,
         "direction_index": int(np.argmax(np.abs(raw.coords))) + 1,
     }
-    return CVec(coords, z.p), meta
+    return CVec(coords, z.p), bump
 
 
 def seed_vector(a: Generator, f: Functional, z: CVec) -> CVec:
@@ -242,6 +237,8 @@ def _radius_log_bound(log_step_abs: float, n: int, lip: float, delta: float) -> 
     Takes log|c| rather than |c|: near n = 2^53 and beyond, |c| rounds to
     1.0 and the (n-1) log|c| term it carries would be lost.
     """
+    if lip * delta == 0.0:
+        return -math.inf
     log_move = math.log(lip * delta)
     hi, lo = max(log_step_abs, log_move), min(log_step_abs, log_move)
     return math.log(n) + (n - 1) * (hi + math.log1p(math.exp(lo - hi))) + log_move
@@ -265,14 +262,15 @@ def stability_radius(
     rechecked in log space, from log|c| = Re log(c^n) / n, and the radius
     halved until it holds.  The radius is additionally capped at
     1/(n L), at min(1, 1/(2L)) and at half the anchor norm so the ladder
-    stays in a bounded region.
+    stays in a bounded region.  At L = 0 the value cannot move, and the
+    caps that divide by L drop out (their L -> 0 limit).
     """
     L = _step_lipschitz(a, f, n)
     log_step_abs = product_log_value(a, f, x, n).real / n
     power_log = (n - 1) * log_step_abs
-    leading = 0.0 if power_log > 690.0 else eps / (math.e * n * L * math.exp(power_log))
-    cap = min(1.0, 1.0 / (2.0 * L))
-    delta = min(leading, 1.0 / (n * L), cap, anchor_norm / 2.0)
+    scale = math.inf if power_log > 690.0 else math.e * n * L * math.exp(power_log)
+    lip_caps = (1.0 / (n * L), 1.0 / (2.0 * L)) if L > 0.0 else ()
+    delta = min(eps / scale if scale > 0.0 else math.inf, *lip_caps, 1.0, anchor_norm / 2.0)
     log_eps = math.log(eps)
     while delta >= UNDERFLOW_FLOOR:
         if _radius_log_bound(log_step_abs, n, L, delta) <= log_eps:
@@ -312,6 +310,41 @@ def validate_stability(
         log_value = product_log_value(a, f, shifted, n)
         worst = max(worst, limit_gap_error(limit_log, log_value))
     return worst
+
+
+def _certified_stage(
+    a: Generator,
+    f: Functional,
+    x: CVec,
+    index: int,
+    eps: float,
+    anchor_norm: float,
+    j_max: int,
+    rng: np.random.Generator,
+    validation_samples: int,
+    **bump,
+) -> WitnessStage:
+    """Check Re f(Ax) >= index, choose the step count, certify and sample
+    the stability radius, and record the stage with its ``bump`` fields."""
+    label = f"stage {index}" if index else "seed stage"
+    drift = pairing(f, apply_generator(a, x))
+    if drift.real < float(index):
+        raise ArithmeticError(f"{label} reached Re f(Ax) = {drift.real:.6g} < {index}")
+    steps, err, log_value = choose_step_count(a, f, x, eps, j_max=j_max)
+    delta = stability_radius(a, f, x, steps, eps, anchor_norm, stage=index)
+    worst = validate_stability(a, f, x, steps, delta, rng, samples=validation_samples)
+    if worst >= 2.0 * eps:
+        raise ArithmeticError(f"{label} sampled deviation {worst:.3g} breaks the 2*eps bound")
+    return WitnessStage(
+        index=index,
+        vector=x.coords.copy(),
+        generator_pairing=drift,
+        steps=steps,
+        limit_error=err,
+        stability_radius=delta,
+        log_value=log_value,
+        **bump,
+    )
 
 
 def extend(
@@ -357,26 +390,8 @@ def extend(
         raise ArithmeticError(
             f"stage {new_index} moved {step:.3g}, past the chain bound {chain:.3g}"
         )
-    new_drift = pairing(f, apply_generator(a, vector))
-    if new_drift.real < float(new_index):
-        raise ArithmeticError(
-            f"stage {new_index} reached Re f(Ax) = {new_drift.real:.6g} < {new_index}"
-        )
-    steps, err, log_value = choose_step_count(a, f, vector, eps, j_max=j_max)
-    delta = stability_radius(a, f, vector, steps, eps, anchor_norm, stage=new_index)
-    worst = validate_stability(a, f, vector, steps, delta, rng, samples=validation_samples)
-    if worst >= 2.0 * eps:
-        raise ArithmeticError(
-            f"stage {new_index} sampled deviation {worst:.3g} breaks the 2*eps bound"
-        )
-    return WitnessStage(
-        index=new_index,
-        vector=coords,
-        generator_pairing=new_drift,
-        steps=steps,
-        limit_error=err,
-        stability_radius=delta,
-        log_value=log_value,
+    return _certified_stage(
+        a, f, vector, new_index, eps, anchor_norm, j_max, rng, validation_samples,
         bump_radius=gamma / 2.0,
         search_target=target,
         direction_index=int(np.argmax(np.abs(raw.coords))) + 1,
@@ -400,13 +415,8 @@ def _assemble(
         lv = product_log_value(a, f, y, st.steps)
         log_values.append(lv)
         errors.append(limit_gap_error(st.generator_pairing, lv))
-    law = a.law if a.kind == "diagonal" else None
-    if a.kind == "diagonal" and law is None and np.all(np.diff(np.abs(a.entries)) >= 0.0):
-        # raw-entry generators that satisfy the modulus contract get a
-        # table law so the certificate can rebuild its generator during
-        # verification; half-filled design tables stay law-free
-        law = GrowthLaw("table", values=tuple(complex(e) for e in a.entries))
     return WitnessCertificate(
+        a=a,
         eps=eps,
         p=f.p,
         functional=f.coords.copy(),
@@ -417,8 +427,6 @@ def _assemble(
         witness_errors=tuple(errors),
         j_max=j_max,
         build_seed=build_seed,
-        law=law,
-        dense_matrix=None if a.kind == "diagonal" else np.asarray(a.matrix),
     )
 
 
@@ -446,30 +454,11 @@ def build_certificate(
     rng = np.random.default_rng(seed)
     stages: list[WitnessStage] = []
     try:
-        x0, meta = _seed_with_meta(a, f, z)
-        drift = pairing(f, apply_generator(a, x0))
-        if drift.real < 0.0:
-            raise ArithmeticError(f"seed stage has Re f(Ax) = {drift.real:.6g} < 0")
+        x0, bump = _seed_with_meta(a, f, z)
         anchor_norm = norm(x0)
-        steps, err, log_value = choose_step_count(a, f, x0, eps, j_max=j_max)
-        delta = stability_radius(a, f, x0, steps, eps, anchor_norm, stage=0)
-        worst = validate_stability(a, f, x0, steps, delta, rng, samples=validation_samples)
-        if worst >= 2.0 * eps:
-            raise ArithmeticError(
-                f"seed stage sampled deviation {worst:.3g} breaks the 2*eps bound"
-            )
         stages.append(
-            WitnessStage(
-                index=0,
-                vector=x0.coords.copy(),
-                generator_pairing=drift,
-                steps=steps,
-                limit_error=err,
-                stability_radius=delta,
-                log_value=log_value,
-                bump_radius=meta["radius"],
-                search_target=meta["target"],
-                direction_index=meta["direction_index"],
+            _certified_stage(
+                a, f, x0, 0, eps, anchor_norm, j_max, rng, validation_samples, **bump
             )
         )
         for _ in range(stage_goal):
@@ -508,10 +497,7 @@ def verify_certificate(cert: WitnessCertificate, strict_goal: int | None = None)
         failures.append(f"eps {cert.eps} outside (0, 1/2)")
     if not cert.stages:
         raise InvalidCertificate(failures + ["stages: certificate has no stages"])
-    try:
-        a = cert.generator()
-    except Exception as exc:
-        raise InvalidCertificate(failures + [f"generator rebuild failed: {exc}"])
+    a = cert.a
     vectors = {"functional": cert.functional, "initial": cert.initial, "witness": cert.witness}
     vectors.update((f"stages[{k}].vector", st.vector) for k, st in enumerate(cert.stages))
     mismatched = [

@@ -19,9 +19,19 @@ from semigroup_lab.cli import (
     EXIT_TRUNCATION,
     main,
 )
-from semigroup_lab.serialize import CONFIG_SCHEMA
+from semigroup_lab.serialize import (
+    CONFIG_SCHEMA,
+    cert_from_dict,
+    cert_to_dict,
+    dumps_canonical,
+    load_json,
+)
 
 FINAL_ERR_BOUND = 1e-3
+
+# Artifacts written by the shipped configs at commit 7371cd3, the last to
+# write certificates under schema semigroup-lab/cert/1.
+V1_DATA = Path(__file__).parent / "data"
 
 
 def read_csv(path: Path):
@@ -135,6 +145,24 @@ def test_verify_rejects_unknown_payload(tmp_path):
     assert main(["verify", str(bogus)]) == EXIT_INVALID
     missing = tmp_path / "missing.json"
     assert main(["verify", str(missing)]) == EXIT_INVALID
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["blowup_k5.cert.json", "bounded_contrapositive.cert.json", "split_renorm.report.json"],
+)
+def test_v1_artifacts_pass_verify(name):
+    assert main(["verify", str(V1_DATA / name)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("config", ["blowup_k5", "bounded_contrapositive"])
+def test_v1_certificate_reencodes_to_a_fresh_build(tmp_path, config):
+    main(["witness", "--config", config, "--out", str(tmp_path)])
+    fresh = (tmp_path / f"{config}.cert.json").read_text()
+    old = load_json(V1_DATA / f"{config}.cert.json")
+    assert old["schema"] == "semigroup-lab/cert/1"
+    assert json.loads(fresh)["schema"] == "semigroup-lab/cert/2"
+    assert dumps_canonical(cert_to_dict(cert_from_dict(old))) == fresh
 
 
 def test_bad_config_exits_with_config_code(tmp_path):

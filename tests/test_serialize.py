@@ -13,6 +13,7 @@ from semigroup_lab import (
     InvalidCertificate,
     dense_generator,
     diagonal_generator,
+    diagonal_generator_from_entries,
     dumps_canonical,
     law_from_dict,
     law_to_dict,
@@ -128,6 +129,14 @@ def test_generator_roundtrip(generator):
     assert generator_to_dict(back) == generator_to_dict(generator)
 
 
+def test_lawless_diagonal_generator_is_described_by_a_table_law():
+    a = diagonal_generator_from_entries([0.0, 0.5j, complex(-2.0, 1e-300)])
+    desc = decode(json.loads(json.dumps(generator_to_dict(a))))
+    assert desc["law"]["kind"] == "table"
+    back = generator_from_dict(desc, a.dim)
+    assert np.array_equal(back.entries, a.entries)
+
+
 def test_unknown_generator_source_is_invalid():
     with pytest.raises(InvalidCertificate) as info:
         generator_from_dict({"kind": "diagonal", "entries": [1.0]}, 1)
@@ -161,3 +170,34 @@ def test_malformed_report_names_the_field():
         with pytest.raises(InvalidCertificate) as info:
             _rebuild_report(report_from_dict(broken))
         assert info.value.failures == [message]
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        (None, "seed", 1.5, "seed: expected an integer, got 1.5"),
+        (None, "vector_samples", "4", "vector_samples: expected an integer, got '4'"),
+        (None, "time_samples", True, "time_samples: expected an integer, got True"),
+        (None, "passed", "no", "passed: expected true or false, got 'no'"),
+        ("parameters", "dim", 3.0, "parameters.dim: expected an integer, got 3.0"),
+        ("parameters", "grid_points", "9", "parameters.grid_points: expected an integer, got '9'"),
+        (
+            "parameters",
+            "time_samples_requested",
+            2.5,
+            "parameters.time_samples_requested: expected an integer, got 2.5",
+        ),
+    ],
+    ids=["seed", "vector_samples", "time_samples", "passed", "dim", "grid_points",
+         "time_samples_requested"],
+)
+def test_report_integer_and_bool_fields_are_strict(section, key, value, message):
+    a = diagonal_generator(GrowthLaw("poly", 1.0), 3)
+    report = quasi_contractivity_audit(
+        "classical", a=a, omega=0.5, vector_samples=4, time_samples=2, grid_points=9
+    )
+    payload = report_to_dict(replace(report, source={"generator": generator_to_dict(a)}))
+    (payload if section is None else payload[section])[key] = value
+    with pytest.raises(InvalidCertificate) as info:
+        _rebuild_report(report_from_dict(payload))
+    assert info.value.failures == [message]

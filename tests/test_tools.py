@@ -1,0 +1,33 @@
+"""Repository tooling: the shipped configs regenerate from their script."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+SCRIPT = REPO / "tools" / "make_shipped_configs.py"
+SHIPPED = REPO / "src" / "semigroup_lab" / "configs"
+NAMES = sorted(p.name for p in SHIPPED.glob("*.config.json"))
+
+
+@pytest.fixture(scope="module")
+def regenerated(tmp_path_factory):
+    # the blow-up configs come from the law designer, whose builds run the
+    # whole certificate pipeline
+    spec = importlib.util.spec_from_file_location("make_shipped_configs", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.OUT = tmp_path_factory.mktemp("configs")
+    script.main()
+    return script.OUT
+
+
+def test_script_writes_every_shipped_config(regenerated):
+    assert len(NAMES) == 7
+    assert sorted(p.name for p in regenerated.iterdir()) == NAMES
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_shipped_config_regenerates_byte_for_byte(regenerated, name):
+    assert (regenerated / name).read_bytes() == (SHIPPED / name).read_bytes()

@@ -40,6 +40,7 @@ from semigroup_lab.errors import (
     WitnessBuildError,
     ZeroPairing,
 )
+from semigroup_lab.serialize import encode
 from semigroup_lab.witness import _step_lipschitz, product_log_value
 
 PAIRING_TOL = 1e-10
@@ -150,6 +151,16 @@ def test_stability_radius_certifies_its_bound():
     assert moved <= eps
     assert delta <= 1.0 / (n * lip)
     assert delta <= norm(x) / 2.0
+
+
+def test_stability_radius_with_zero_lipschitz_constant():
+    # exp(A)^T e1 underflows to 0, so the product value cannot move: the
+    # caps 1/(nL) and 1/(2L) drop out and only min(1, |x|/2) binds
+    a = diagonal_generator_from_entries([-1000.0, -1000.0])
+    f = Functional([1.0, 0.0], 2.0)
+    x = CVec([1.0, 0.0], 2.0)
+    assert _step_lipschitz(a, f, 1) == 0.0
+    assert stability_radius(a, f, x, 1, 0.1, 1.0) == 0.5
 
 
 def test_stability_radius_underflow():
@@ -317,7 +328,10 @@ def truncate(payload, key, size):
     [
         (lambda payload: payload.pop("eps"), "eps: "),
         (lambda payload: payload.update(stages=[]), "stages: "),
-        (lambda payload: payload["law"].update(kind="no_such_law"), "law: "),
+        (
+            lambda payload: payload["generator"]["law"].update(kind="no_such_law"),
+            "generator.law: ",
+        ),
         (
             lambda payload: truncate(payload["stages"][2], "vector", 3),
             "stages[2].vector: dimension 3, expected 7",
@@ -332,3 +346,45 @@ def test_malformed_certificate_names_the_field(k5_certificate, mutate, prefix):
     with pytest.raises(InvalidCertificate) as info:
         verify_certificate(cert_from_dict(payload))
     assert info.value.failures[-1].startswith(prefix)
+
+
+def test_verify_zero_functional_lists_the_pairing_failure(k5_certificate):
+    payload = cert_to_dict(k5_certificate)
+    payload["functional"] = encode(np.zeros(7, dtype=np.complex128))
+    with pytest.raises(InvalidCertificate) as info:
+        verify_certificate(cert_from_dict(payload))
+    assert info.value.failures[0] == "stage 0: pairing 0+0j strays from 1"
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            lambda payload: payload["stages"][0].update(steps=payload["stages"][0]["steps"] + 0.9),
+            "stages[0].steps: expected an integer, got 1.9",
+        ),
+        (
+            lambda payload: payload.update(j_max="160"),
+            "j_max: expected an integer, got '160'",
+        ),
+        (
+            lambda payload: payload["stages"][3].update(index=3.0),
+            "stages[3].index: expected an integer, got 3.0",
+        ),
+        (
+            lambda payload: payload.update(build_seed=True),
+            "build_seed: expected an integer, got True",
+        ),
+        (
+            lambda payload: payload["stages"][1].update(direction_index="2"),
+            "stages[1].direction_index: expected an integer, got '2'",
+        ),
+    ],
+    ids=["fractional_steps", "string_j_max", "float_index", "bool_build_seed", "string_direction"],
+)
+def test_certificate_integer_fields_are_integers(k5_certificate, mutate, message):
+    payload = cert_to_dict(k5_certificate)
+    mutate(payload)
+    with pytest.raises(InvalidCertificate) as info:
+        cert_from_dict(payload)
+    assert info.value.failures == [message]
