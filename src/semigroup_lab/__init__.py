@@ -26,7 +26,6 @@ from .spaces import (
     Functional,
     Generator,
     GrowthLaw,
-    adjoint_defect,
     apply_generator,
     dense_generator,
     diagonal_generator,
@@ -41,7 +40,6 @@ from .spaces import (
 from .projections import (
     DenseProjection,
     RankOneProjection,
-    complement_apply,
     make_rank_one,
     project,
     projection_norm,
@@ -51,8 +49,6 @@ from .trotter import (
     TrotterRecord,
     bounded_limit_oracle,
     dense_trotter_apply,
-    dyadic_schedule,
-    limit_check,
     scalar_trotter_value,
     step_derivative,
     step_pairing,
@@ -66,7 +62,6 @@ from .witness import (
     extend,
     find_direction,
     rotate_nonneg,
-    seed_vector,
     stability_radius,
     validate_stability,
     verify_certificate,

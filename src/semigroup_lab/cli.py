@@ -59,6 +59,13 @@ EXIT_TRUNCATION = 4
 EXIT_UNDERFLOW = 5
 EXIT_INVALID = 6
 
+# Exit codes of a failed witness build, by the type of its cause.
+BUILD_EXITS = (
+    (TruncationInsufficient, EXIT_TRUNCATION),
+    (UnderflowRadius, EXIT_UNDERFLOW),
+    (SemigroupOverflow, EXIT_OVERFLOW),
+)
+
 LIMIT_CSV_SCHEMA = "semigroup-lab/limit-csv/1"
 SWEEP_CSV_SCHEMA = "semigroup-lab/sweep-csv/1"
 
@@ -144,24 +151,30 @@ def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     return code
 
 
-def run_witness(cfg: ExperimentConfig, out_dir: Path) -> int:
+def _build_from_config(cfg: ExperimentConfig):
+    """Build the config's witness certificate.  A WitnessBuildError goes up
+    to ``main``, which maps its cause to the exit code."""
     a = cfg.generator()
     f = cfg.functional()
     z = cfg.vector(f)
     params = cfg.witness_params()
+    return build_certificate(
+        a,
+        f,
+        z,
+        eps=params.eps,
+        stage_goal=params.stages,
+        j_max=params.j_max,
+        seed=cfg.seed,
+        margin=params.margin,
+        validation_samples=params.validation_samples,
+    )
+
+
+def run_witness(cfg: ExperimentConfig, out_dir: Path) -> int:
     cert_path = out_dir / f"{cfg.name}.cert.json"
     try:
-        cert = build_certificate(
-            a,
-            f,
-            z,
-            eps=params.eps,
-            stage_goal=params.stages,
-            j_max=params.j_max,
-            seed=cfg.seed,
-            margin=params.margin,
-            validation_samples=params.validation_samples,
-        )
+        cert = _build_from_config(cfg)
     except WitnessBuildError as failure:
         if failure.partial is not None:
             save_json(cert_path, cert_to_dict(failure.partial))
@@ -170,15 +183,7 @@ def run_witness(cfg: ExperimentConfig, out_dir: Path) -> int:
                 f"-> {cert_path}",
                 file=sys.stderr,
             )
-        print(f"witness build failed: {failure.cause}", file=sys.stderr)
-        cause = failure.cause
-        if isinstance(cause, TruncationInsufficient):
-            return EXIT_TRUNCATION
-        if isinstance(cause, UnderflowRadius):
-            return EXIT_UNDERFLOW
-        if isinstance(cause, SemigroupOverflow):
-            return EXIT_OVERFLOW
-        return EXIT_FAIL
+        raise
     verify_certificate(cert)
     save_json(cert_path, cert_to_dict(cert))
     for st in cert.stages:
@@ -216,18 +221,7 @@ def run_renorm_audit(cfg: ExperimentConfig, out_dir: Path, config_dir: Path) -> 
                 cert_path = config_dir / cert_path
             cert = cert_from_dict(load_json(cert_path))
         else:
-            witness = cfg.witness_params()
-            cert = build_certificate(
-                cfg.generator(),
-                cfg.functional(),
-                cfg.vector(),
-                eps=witness.eps,
-                stage_goal=witness.stages,
-                j_max=witness.j_max,
-                seed=cfg.seed,
-                margin=witness.margin,
-                validation_samples=witness.validation_samples,
-            )
+            cert = _build_from_config(cfg)
         verify_certificate(cert)
         report = quasi_contractivity_audit(
             "split",
@@ -409,6 +403,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except WitnessBuildError as failure:
+        print(f"witness build failed: {failure.cause}", file=sys.stderr)
+        return next(
+            (code for kind, code in BUILD_EXITS if isinstance(failure.cause, kind)), EXIT_FAIL
+        )
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -109,11 +109,6 @@ def projection_matrix(proj: Projection) -> np.ndarray:
     return np.asarray(proj.matrix)
 
 
-def complement_apply(proj: Projection, z: CVec) -> CVec:
-    """(I - P) z, computed from the same application path as project."""
-    return CVec(z.coords - project(proj, z).coords, z.p)
-
-
 def projection_norm(proj: Projection) -> float:
     """The induced operator norm of the projection.
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidCertificate, SemigroupOverflow
 from .renorm import RenormReport
-from .spaces import Generator, GrowthLaw, dense_generator, diagonal_generator
+from .spaces import Generator, GrowthLaw, dense_generator, diagonal_generator, law_entries
 from .witness import WitnessCertificate, WitnessStage
 
 CERT_SCHEMA = "semigroup-lab/cert/2"
@@ -94,10 +94,13 @@ def law_from_dict(data: dict) -> GrowthLaw:
 
 def generator_to_dict(a: Generator) -> dict:
     """The ``generator`` section of configs, reports and certificates; a
-    diagonal generator without a law becomes a ``table`` law of its entries."""
+    diagonal generator without a law becomes a ``table`` law of its entries.
+    A law that :func:`generator_from_dict` would refuse (table moduli that
+    decrease) raises ValueError here instead of reaching a file."""
     if a.kind == "dense":
         return {"kind": "dense", "matrix": encode(a.matrix)}
     law = a.law or GrowthLaw("table", values=tuple(complex(e) for e in a.entries))
+    law_entries(law, a.dim)
     return {"kind": "diagonal", "law": law_to_dict(law)}
 
 

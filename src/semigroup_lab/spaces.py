@@ -315,18 +315,3 @@ def semigroup_apply(a: Generator, t: float, v: CVec) -> CVec:
     """Evaluate ``exp(t A) v``."""
     _check_dims(a.dim, v.dim, "semigroup_apply")
     return CVec(semigroup_matrix(a, t) @ v.coords, v.p)
-
-
-def adjoint_defect(a: Generator, f: Functional) -> float:
-    """The size of the composed functional v -> f(A v).
-
-    For diagonal generators with an unbounded law this grows without
-    bound as the truncation dimension increases; the growth curve is the
-    evidence that the functional escapes the adjoint's domain.
-    """
-    _check_dims(a.dim, f.dim, "adjoint_defect")
-    if a.kind == "diagonal":
-        composed = a.entries * f.coords
-    else:
-        composed = a.matrix.T @ f.coords
-    return dual_norm(Functional(composed, f.p))

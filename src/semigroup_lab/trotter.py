@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -35,10 +34,6 @@ from .spaces import (
 # inside the double range; beyond that the log-domain fields carry on.
 MATERIALIZE_LOG_BOUND = 700.0
 
-# Below this distance from 1 the per-step logarithm is single-valued and
-# the log route is preferred; above it the power route takes over.
-LOG_ROUTE_RADIUS = 0.5
-
 _NORMALIZED_SLACK = 1e-9
 
 
@@ -46,10 +41,11 @@ _NORMALIZED_SLACK = 1e-9
 class TrotterRecord:
     """One row of a product-formula run at a fixed step count.
 
-    ``value`` is None when the product magnitude cannot be represented;
-    ``log_value`` is always present.  ``branch_ambiguous`` marks rows
-    whose per-step logarithm left the principal disc, making the
-    recorded log a branch choice rather than a continuation.
+    ``value`` is exp(log_value), or None when the product magnitude
+    cannot be represented; ``log_value`` is always present, and ``path``
+    is always "log".  ``branch_ambiguous`` marks rows whose step offset
+    |c - 1| exceeds 1/2: there the recorded log is a branch choice rather
+    than a continuation, though for integer n its exponential is not.
     """
 
     steps: int
@@ -117,23 +113,6 @@ def product_log_value(a: Generator, f: Functional, x: CVec, n: int) -> complex:
     return _log_power(step_derivative(a, f, x, 1.0, n) / float(n), n)
 
 
-def _binary_power(base: complex, exponent: int) -> complex | None:
-    result = 1.0 + 0.0j
-    square = base
-    e = exponent
-    while e:
-        if e & 1:
-            result *= square
-        e >>= 1
-        if e:
-            square *= square
-        if not (math.isfinite(result.real) and math.isfinite(result.imag)):
-            return None
-        if e and not (math.isfinite(square.real) and math.isfinite(square.imag)):
-            return None
-    return result
-
-
 def scalar_trotter_value(
     a: Generator, f: Functional, x: CVec, t: float, n: int
 ) -> TrotterRecord:
@@ -152,10 +131,9 @@ def scalar_trotter_value(
     offset = deriv / float(n)
     step_value = 1.0 + offset
     log_value = _log_power(offset, n)
-    path = "log" if abs(offset) <= LOG_ROUTE_RADIUS else "pow"
     value = None
     if abs(log_value.real) < MATERIALIZE_LOG_BOUND:
-        value = cmath.exp(log_value) if path == "log" else _binary_power(step_value, n)
+        value = cmath.exp(log_value)
     drift = pairing(f, apply_generator(a, x))
     err = limit_gap_error(t * drift, log_value)
     return TrotterRecord(
@@ -165,8 +143,8 @@ def scalar_trotter_value(
         log_value=log_value,
         value=value,
         err_vs_limit=err,
-        path=path,
-        branch_ambiguous=path == "pow",
+        path="log",
+        branch_ambiguous=bool(abs(offset) > 0.5),
     )
 
 
@@ -206,17 +184,6 @@ def dense_trotter_apply(
     return CVec(coords, x.p)
 
 
-def limit_check(
-    a: Generator,
-    f: Functional,
-    x: CVec,
-    t: float,
-    schedule: Iterable[int],
-) -> list[TrotterRecord]:
-    """Scalar records along a step-count schedule, in the given order."""
-    return [scalar_trotter_value(a, f, x, t, n) for n in schedule]
-
-
 def _generator_matrix(a: Generator) -> np.ndarray:
     if a.kind == "diagonal":
         return np.diag(a.entries)
@@ -234,9 +201,3 @@ def bounded_limit_oracle(a: Generator, proj: Projection, t: float) -> np.ndarray
     compressed = p_mat @ _generator_matrix(a) @ p_mat
     return scipy.linalg.expm(t * compressed) @ p_mat
 
-
-def dyadic_schedule(j_min: int, j_max: int) -> Sequence[int]:
-    """Step counts 2^j for j_min <= j <= j_max."""
-    if j_min < 0 or j_max < j_min:
-        raise ValueError("need 0 <= j_min <= j_max")
-    return [2**j for j in range(j_min, j_max + 1)]

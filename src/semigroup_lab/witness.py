@@ -166,36 +166,34 @@ def rotate_nonneg(a: Generator, f: Functional, v: CVec) -> CVec:
     return CVec(cmath.exp(-1j * cmath.phase(gain)) * v.coords, v.p)
 
 
+def _bump(a: Generator, f: Functional, base: CVec, target: float, radius: float, stage: int):
+    """One bump step: a direction of norm ``radius`` whose pairing reaches
+    ``target``, rotated so f(A v) >= 0, added to ``base`` and regauged by
+    1 + f(bump).  Returns the new vector and the stage's bump fields."""
+    raw = find_direction(a, f, target, radius, stage=stage)
+    oriented = rotate_nonneg(a, f, raw)
+    denom = 1.0 + pairing(f, oriented)
+    if abs(denom) < 0.5:
+        raise ArithmeticError(f"stage {stage} bump denominator {abs(denom):.6g} fell below 1/2")
+    bump = {
+        "bump_radius": radius,
+        "search_target": target,
+        "direction_index": int(np.argmax(np.abs(raw.coords))) + 1,
+    }
+    return CVec((base.coords + oriented.coords) / denom, base.p), bump
+
+
 def _seed_with_meta(a: Generator, f: Functional, z: CVec):
+    """The stage-0 vector and its bump fields: z regauged to f(z) = 1 and
+    nudged inside the ball of radius 1/(2|f|) with pairing target
+    4 |f(A z)|, so Re f(A x_0) >= 0."""
     gauge = pairing(f, z)
     if abs(gauge) < 1e-12:
         raise DegeneratePair(f"seed pairing {abs(gauge):.3g} is negligible")
     base = CVec(z.coords / gauge, z.p)
     radius = 1.0 / (2.0 * dual_norm(f))
     target = 4.0 * abs(pairing(f, apply_generator(a, base)))
-    raw = find_direction(a, f, target, radius, stage=0)
-    oriented = rotate_nonneg(a, f, raw)
-    denom = 1.0 + pairing(f, oriented)
-    if abs(denom) < 0.5:
-        raise ArithmeticError(f"seed denominator {abs(denom):.6g} fell below 1/2")
-    coords = (base.coords + oriented.coords) / denom
-    bump = {
-        "bump_radius": radius,
-        "search_target": target,
-        "direction_index": int(np.argmax(np.abs(raw.coords))) + 1,
-    }
-    return CVec(coords, z.p), bump
-
-
-def seed_vector(a: Generator, f: Functional, z: CVec) -> CVec:
-    """The stage-0 vector: z regauged and nudged so Re f(A x_0) >= 0.
-
-    The nudge direction is found inside the ball of radius 1/(2|f|)
-    with pairing target 4 |f(A z)|, then rotated to align its pairing
-    with the positive real axis.
-    """
-    x0, _ = _seed_with_meta(a, f, z)
-    return x0
+    return _bump(a, f, base, target, radius, stage=0)
 
 
 def choose_step_count(
@@ -373,28 +371,22 @@ def extend(
     phi_norm = dual_norm(f)
     chain = min(st.stability_radius / 2.0 ** (new_index - st.index) for st in stages)
     prev = stages[-1]
-    prev_norm = norm(CVec(prev.vector, f.p))
+    prev_vec = CVec(prev.vector, f.p)
+    prev_norm = norm(prev_vec)
     gamma = min(chain / (2.0 * (prev_norm * phi_norm + 1.0)), 1.0 / (2.0 * phi_norm))
     eta = phi_norm * gamma
     drift = prev.generator_pairing
     target = (new_index - drift.real + eta * abs(drift) + margin) / (1.0 - eta)
     if target <= 0.0:
         target = margin
-    raw = find_direction(a, f, target, gamma / 2.0, stage=new_index)
-    bump = rotate_nonneg(a, f, raw)
-    denom = 1.0 + pairing(f, bump)
-    coords = (prev.vector + bump.coords) / denom
-    vector = CVec(coords, f.p)
-    step = norm(CVec(coords - prev.vector, f.p))
+    vector, bump = _bump(a, f, prev_vec, target, gamma / 2.0, stage=new_index)
+    step = norm(CVec(vector.coords - prev.vector, f.p))
     if step > chain:
         raise ArithmeticError(
             f"stage {new_index} moved {step:.3g}, past the chain bound {chain:.3g}"
         )
     return _certified_stage(
-        a, f, vector, new_index, eps, anchor_norm, j_max, rng, validation_samples,
-        bump_radius=gamma / 2.0,
-        search_target=target,
-        direction_index=int(np.argmax(np.abs(raw.coords))) + 1,
+        a, f, vector, new_index, eps, anchor_norm, j_max, rng, validation_samples, **bump
     )
 
 

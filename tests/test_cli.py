@@ -112,6 +112,22 @@ def test_witness_truncation_saves_partial(tmp_path, capsys):
     assert main(["verify", str(partial)]) == EXIT_OK
 
 
+def test_split_audit_build_failure_exits_with_its_cause(tmp_path, capsys):
+    # a split audit that builds its own certificate on the bounded dense
+    # generator stops at stage 1, like the witness command, and writes no report
+    data = json.loads(
+        (Path(semigroup_lab.__file__).parent / "configs" / "bounded_contrapositive.config.json")
+        .read_text()
+    )
+    data["renorm"] = {"kind": "split", "vector_samples": 100}
+    cfg = tmp_path / "split_bounded.config.json"
+    cfg.write_text(json.dumps(data))
+    rc = main(["renorm-audit", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == EXIT_TRUNCATION
+    assert "witness build failed: direction search at stage 1" in capsys.readouterr().err
+    assert not (tmp_path / "split_bounded.report.json").exists()
+
+
 def test_witness_and_verify_roundtrip(tmp_path, capsys):
     rc = main(["witness", "--config", "blowup_k5", "--out", str(tmp_path)])
     assert rc == EXIT_OK
@@ -188,16 +204,20 @@ def test_witness_without_witness_section_fails_cleanly(tmp_path):
     assert rc == EXIT_CONFIG
 
 
-def run_cli_subprocess(args, blas_threads):
-    """Run the CLI in a fresh interpreter with OPENBLAS_NUM_THREADS set or unset."""
+def run_python(args, blas_threads=None):
+    """Run a fresh interpreter on the package with OPENBLAS_NUM_THREADS set or unset."""
     unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
     env = {k: v for k, v in os.environ.items() if k not in unset}
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
     package_root = str(Path(semigroup_lab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    cmd = [sys.executable, "-m", "semigroup_lab.cli", *args]
+    cmd = [sys.executable, *args]
     return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+
+
+def run_cli_subprocess(args, blas_threads):
+    return run_python(["-m", "semigroup_lab.cli", *args], blas_threads)
 
 
 def test_dense_report_replays_across_blas_threads(tmp_path):
@@ -321,3 +341,12 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, command, overrides
     assert rc == EXIT_CONFIG
     assert f"config error: {field}: " in capsys.readouterr().err
 
+
+def test_readme_library_sketch_runs(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    sketch = readme.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    script = tmp_path / "sketch.py"
+    script.write_text(sketch)
+    done = run_python([str(script)])
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout.split()[-1]) < 2e-6

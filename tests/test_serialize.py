@@ -9,8 +9,12 @@ import numpy as np
 import pytest
 
 from semigroup_lab import (
+    CVec,
+    Functional,
     GrowthLaw,
     InvalidCertificate,
+    build_certificate,
+    cert_to_dict,
     dense_generator,
     diagonal_generator,
     diagonal_generator_from_entries,
@@ -19,6 +23,7 @@ from semigroup_lab import (
     law_to_dict,
     quasi_contractivity_audit,
     report_to_dict,
+    verify_certificate,
 )
 from semigroup_lab.cli import _rebuild_report
 from semigroup_lab.serialize import (
@@ -135,6 +140,17 @@ def test_lawless_diagonal_generator_is_described_by_a_table_law():
     assert desc["law"]["kind"] == "table"
     back = generator_from_dict(desc, a.dim)
     assert np.array_equal(back.entries, a.entries)
+
+
+def test_writer_refuses_a_table_law_the_reader_refuses():
+    # the entry moduli 0.1, 50, 1 decrease, so generator_from_dict refuses the
+    # table law; the certificate verifies in memory but is never written
+    a = diagonal_generator_from_entries([0.1j, 50j, 1j])
+    f = Functional([1.0, 1.0, 1.0], 2.0)
+    cert = build_certificate(a, f, CVec([1.0, 0.0, 0.0], 2.0), eps=0.1, stage_goal=0)
+    verify_certificate(cert)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        cert_to_dict(cert)
 
 
 def test_unknown_generator_source_is_invalid():

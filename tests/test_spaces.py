@@ -15,7 +15,6 @@ from semigroup_lab import (
     Functional,
     GrowthLaw,
     SemigroupOverflow,
-    adjoint_defect,
     apply_generator,
     dense_generator,
     diagonal_generator,
@@ -253,17 +252,6 @@ def test_clog1p_matches_mpmath():
             assert err <= 1e-14 * abs(ref), z
         else:
             assert err <= 1e-15 * max(1.0, abs(ref)), z
-
-
-def test_adjoint_defect_values():
-    a = diagonal_generator_from_entries([0.0, 2.0])
-    f = Functional([0.5, 0.5], 2.0)
-    # composed coords (0, 1), Euclidean dual norm 1
-    assert abs(adjoint_defect(a, f) - 1.0) <= EXACT_TOL
-    m = np.array([[0.0, 3.0], [0.0, 0.0]])
-    g = dense_generator(m)
-    # m.T applied to (0.5, 0.5) gives (0, 1.5)
-    assert abs(adjoint_defect(g, Functional([0.5, 0.5], 2.0)) - 1.5) <= EXACT_TOL
 
 
 def test_vector_coords_are_read_only():

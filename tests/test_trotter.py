@@ -17,8 +17,6 @@ from semigroup_lab import (
     dense_generator,
     dense_trotter_apply,
     diagonal_generator_from_entries,
-    dyadic_schedule,
-    limit_check,
     make_rank_one,
     pairing,
     random_oblique_projection,
@@ -27,6 +25,7 @@ from semigroup_lab import (
     step_derivative,
     step_pairing,
 )
+from semigroup_lab.config import load_config
 from semigroup_lab.trotter import limit_gap_error, product_log_value
 
 DERIV_TOL = 1e-12
@@ -91,7 +90,7 @@ def test_scalar_record_pow_path_flags_branch():
     f = Functional([0.5, 0.5], 2.0)
     x = CVec([1.0, 1.0], 2.0)
     rec = scalar_trotter_value(a, f, x, 1.0, 1)
-    assert rec.path == "pow"
+    assert rec.path == "log"
     assert rec.branch_ambiguous
     expected = (1.0 + math.exp(40.0)) / 2.0
     assert rec.value == pytest.approx(expected, rel=1e-12)
@@ -103,6 +102,44 @@ def test_log_route_agrees_with_direct_powering():
         rec = scalar_trotter_value(a, f, x, 1.0, n)
         direct = complex(rec.step_value) ** n
         assert abs(cmath.exp(rec.log_value) - direct) <= PATH_AGREE_TOL * abs(direct)
+
+
+def mp_product_value(a, f, x, t, n):
+    """f(exp((t/n) A) x)^n at 50 digits, the exponential from mpmath."""
+    with mpmath.workdps(50):
+        h = mpmath.mpf(t) / n
+        if a.kind == "diagonal":
+            step = mpmath.diag([mpmath.exp(h * mpmath.mpc(complex(e))) for e in a.entries])
+        else:
+            matrix = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in a.matrix])
+            step = mpmath.expm(h * matrix)
+        moved = step * mpmath.matrix([mpmath.mpc(complex(v)) for v in x.coords])
+        c = mpmath.fsum(mpmath.mpc(complex(fm)) * moved[m] for m, fm in enumerate(f.coords))
+        return complex(c**n)
+
+
+def config_case(name):
+    cfg = load_config(name)
+    f = cfg.functional()
+    return cfg.generator(), f, cfg.vector(f)
+
+
+@pytest.mark.parametrize(
+    "case, n",
+    [("two_point", 1), ("two_point", 2), ("bounded_oracle", 1), ("bounded_oracle", 2),
+     ("bounded_oracle", 4), ("diag_0_40", 1)],
+)
+def test_branch_ambiguous_rows_match_mpmath(case, n):
+    # the rows with |c - 1| > 1/2: their value is exp(log_value) like every row
+    if case == "diag_0_40":
+        a = diagonal_generator_from_entries([0.0, 40.0])
+        f, x = Functional([0.5, 0.5], 2.0), CVec([1.0, 1.0], 2.0)
+    else:
+        a, f, x = config_case(case)
+    rec = scalar_trotter_value(a, f, x, 1.0, n)
+    assert rec.branch_ambiguous is True
+    ref = mp_product_value(a, f, x, 1.0, n)
+    assert abs(rec.value - ref) <= 1e-15 * (1.0 + abs(rec.log_value)) * abs(ref)
 
 
 def test_scalar_route_requires_unit_pairing():
@@ -202,16 +239,9 @@ def test_dense_product_overflow_detection():
         dense_trotter_apply(dense_generator([[800.0]]), proj, CVec([1.0], 2.0), 1.0, 2)
 
 
-def test_dyadic_schedule_contents():
-    assert list(dyadic_schedule(0, 3)) == [1, 2, 4, 8]
-    assert list(dyadic_schedule(4, 4)) == [16]
-    with pytest.raises(ValueError):
-        dyadic_schedule(3, 1)
-
-
 def test_limit_check_errors_shrink_along_schedule():
     a, f, x = two_point()
-    records = limit_check(a, f, x, 1.0, dyadic_schedule(4, 10))
+    records = [scalar_trotter_value(a, f, x, 1.0, 2**j) for j in range(4, 11)]
     errs = [rec.err_vs_limit for rec in records]
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     assert errs[-1] <= 3e-3

@@ -27,7 +27,6 @@ from semigroup_lab import (
     norm,
     pairing,
     rotate_nonneg,
-    seed_vector,
     stability_radius,
     validate_stability,
     verify_certificate,
@@ -41,7 +40,7 @@ from semigroup_lab.errors import (
     ZeroPairing,
 )
 from semigroup_lab.serialize import encode
-from semigroup_lab.witness import _step_lipschitz, product_log_value
+from semigroup_lab.witness import _seed_with_meta, _step_lipschitz, product_log_value
 
 PAIRING_TOL = 1e-10
 RECOMPUTE_TOL = 1e-9
@@ -115,7 +114,7 @@ def test_rotate_nonneg_rejects_zero_pairing():
 def test_seed_vector_gauges_pairing_to_one():
     cfg = load_config("blowup_k5")
     a, f = cfg.generator(), cfg.functional()
-    x0 = seed_vector(a, f, cfg.vector(f))
+    x0, _ = _seed_with_meta(a, f, cfg.vector(f))
     assert pairing(f, x0) == pytest.approx(1.0, abs=1e-12)
     drift = pairing(f, apply_generator(a, x0))
     assert drift.real >= 0.0
