@@ -27,6 +27,7 @@ from .errors import (
     ConfigError,
     InvalidCertificate,
     SemigroupOverflow,
+    SpectralBoundViolated,
     TruncationInsufficient,
     UnderflowRadius,
     WitnessBuildError,
@@ -37,6 +38,7 @@ from .serialize import (
     CERT_SCHEMAS,
     REPORT_SCHEMA,
     _field,
+    _float,
     _int,
     cert_from_dict,
     cert_to_dict,
@@ -48,7 +50,12 @@ from .serialize import (
     save_json,
 )
 from .spaces import CVec, Generator, norm
-from .trotter import bounded_limit_oracle, dense_trotter_apply, scalar_trotter_value
+from .trotter import (
+    bounded_limit_oracle,
+    dense_trotter_apply,
+    require_unit_pairing,
+    scalar_trotter_value,
+)
 from .witness import build_certificate, verify_certificate
 
 EXIT_OK = 0
@@ -75,9 +82,6 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, float):
-        # numpy scalars subclass float, but their repr is "np.float64(x)"
-        return repr(float(value))
     return str(value)
 
 
@@ -92,6 +96,10 @@ def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     a = cfg.generator()
     f = cfg.functional()
     x = cfg.vector(f)
+    try:
+        require_unit_pairing(f, x)
+    except ValueError as exc:
+        raise ConfigError(f"vector: {exc}") from exc
     oracle_vec = None
     proj = None
     if cfg.projection_spec is not None:
@@ -202,24 +210,31 @@ def run_renorm_audit(cfg: ExperimentConfig, out_dir: Path, config_dir: Path) -> 
     params = cfg.renorm_params()
     if params.kind == "classical":
         a = cfg.generator()
-        report = quasi_contractivity_audit(
-            "classical",
-            a=a,
-            omega=params.omega,
-            p=cfg.p,
-            seed=cfg.seed,
-            vector_samples=params.vector_samples,
-            time_samples=params.time_samples,
-            grid_points=params.grid_points,
-            tol=params.tol,
-        )
+        try:
+            report = quasi_contractivity_audit(
+                "classical",
+                a=a,
+                omega=params.omega,
+                p=cfg.p,
+                seed=cfg.seed,
+                vector_samples=params.vector_samples,
+                time_samples=params.time_samples,
+                grid_points=params.grid_points,
+                tol=params.tol,
+            )
+        except SpectralBoundViolated as exc:
+            raise ConfigError(f"renorm.omega: {exc}") from exc
         report = replace(report, source={"generator": generator_to_dict(a)})
     else:
         if params.certificate is not None:
             cert_path = Path(params.certificate)
             if not cert_path.is_absolute():
                 cert_path = config_dir / cert_path
-            cert = cert_from_dict(load_json(cert_path))
+            try:
+                payload = load_json(cert_path)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"renorm.certificate: cannot read {cert_path}: {exc}") from exc
+            cert = cert_from_dict(payload)
         else:
             cert = _build_from_config(cfg)
         verify_certificate(cert)
@@ -255,20 +270,20 @@ def _rebuild_report(report):
             cert=cert,
             seed=report.seed,
             vector_samples=report.vector_samples,
-            slack=param("slack", float),
+            slack=param("slack", _float),
         )
     elif "generator" in src:
         a = generator_from_dict(src["generator"], param("dim", _int))
         fresh = quasi_contractivity_audit(
             "classical",
             a=a,
-            omega=param("omega", float),
-            p=param("p", float),
+            omega=param("omega", _float),
+            p=param("p", _float),
             seed=report.seed,
             vector_samples=report.vector_samples,
             time_samples=param("time_samples_requested", _int),
             grid_points=param("grid_points", _int),
-            tol=param("tol", float),
+            tol=param("tol", _float),
         )
     else:
         raise InvalidCertificate(["report embeds no source to re-run"])
@@ -403,6 +418,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except InvalidCertificate as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INVALID
     except WitnessBuildError as failure:
         print(f"witness build failed: {failure.cause}", file=sys.stderr)
         return next(

@@ -20,16 +20,20 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InvalidCertificate
+from .renorm import DEFAULT_GRID_POINTS, DEFAULT_SLACK, DEFAULT_TOL
 from .serialize import (
     CONFIG_SCHEMA,
     READ_ERRORS,
+    _bool,
     _float,
     _int,
     _matrix,
     _vector,
     generator_from_dict,
+    record_from_dict,
 )
 from .spaces import CVec, Functional, Generator
+from .witness import DEFAULT_J_MAX
 
 
 def _read(convert, raw, where: str):
@@ -39,12 +43,18 @@ def _read(convert, raw, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _num(raw, where: str) -> float:
-    return _read(_float, raw, where)
+def _decoded(read, *args):
+    """``read(*args)`` with InvalidCertificate, which names the field, turned
+    into ConfigError."""
+    try:
+        return read(*args)
+    except InvalidCertificate as exc:
+        raise ConfigError("; ".join(exc.failures)) from exc
 
 
-def _integer(raw, where: str) -> int:
-    return _read(_int, raw, where)
+def _check(ok: bool, where: str, what: str) -> None:
+    if not ok:
+        raise ConfigError(f"{where}: {what}")
 
 
 def _section(data: dict, key: str, required: bool = False) -> dict | None:
@@ -62,31 +72,31 @@ def _section(data: dict, key: str, required: bool = False) -> dict | None:
 class WitnessParams:
     eps: float
     stages: int
-    j_max: int
-    margin: float
-    validation_samples: int
+    j_max: int = DEFAULT_J_MAX
+    margin: float = 0.3
+    validation_samples: int = 100
 
 
 @dataclass(frozen=True)
 class RenormParams:
     kind: str
-    omega: float | None
-    vector_samples: int
-    time_samples: int
-    grid_points: int
-    slack: float
-    tol: float
-    certificate: str | None
+    omega: float | None = None
+    vector_samples: int = 1000
+    time_samples: int = 8
+    grid_points: int = DEFAULT_GRID_POINTS
+    slack: float = DEFAULT_SLACK
+    tol: float = DEFAULT_TOL
+    certificate: str | None = None
 
 
 @dataclass(frozen=True)
 class SweepParams:
-    trials: int
-    dim_min: int
-    dim_max: int
-    generator_norm: float
-    projection_norm_cap: float
-    times: tuple[float, ...]
+    trials: int = 20
+    dim_min: int = 2
+    dim_max: int = 8
+    generator_norm: float = 2.0
+    projection_norm_cap: float = 5.0
+    times: tuple[float, ...] = (0.5, 1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -117,10 +127,7 @@ class ExperimentConfig:
     def generator(self) -> Generator:
         if self.generator_spec is None:
             raise ConfigError("config declares no generator")
-        try:
-            return generator_from_dict(self.generator_spec, self.dim)
-        except InvalidCertificate as exc:
-            raise ConfigError("; ".join(exc.failures)) from exc
+        return _decoded(generator_from_dict, self.generator_spec, self.dim)
 
     def functional(self) -> Functional:
         spec = self.functional_spec
@@ -128,8 +135,8 @@ class ExperimentConfig:
             raise ConfigError("config declares no functional")
         kind = spec.get("kind")
         if kind == "geometric":
-            scale = _num(spec.get("scale", 1.0), "functional.scale")
-            base = _num(spec.get("base", 2.0), "functional.base")
+            scale = _read(_float, spec.get("scale", 1.0), "functional.scale")
+            base = _read(_float, spec.get("base", 2.0), "functional.base")
             if base <= 1.0 or scale == 0.0:
                 raise ConfigError("functional.geometric needs base > 1 and scale != 0")
             coords = scale * base ** (-np.arange(self.dim, dtype=np.float64))
@@ -147,12 +154,11 @@ class ExperimentConfig:
             raise ConfigError("config declares no vector")
         kind = spec.get("kind")
         if kind == "basis":
-            index = _integer(spec.get("index", 1), "vector.index")
+            index = _read(_int, spec.get("index", 1), "vector.index")
             if not 1 <= index <= self.dim:
                 raise ConfigError(f"vector.index {index} outside 1..{self.dim}")
             coords = np.zeros(self.dim, dtype=np.complex128)
-            gauge = spec.get("gauge", True)
-            if gauge:
+            if _read(_bool, spec.get("gauge", True), "vector.gauge"):
                 if f is None:
                     f = self.functional()
                 weight = f.coords[index - 1]
@@ -174,78 +180,37 @@ class ExperimentConfig:
     def schedule(self) -> list[int]:
         return [2**j for j in range(self.j_min, self.j_max + 1)]
 
-    def witness_params(self) -> WitnessParams:
-        spec = self.witness_spec
+    def _params(self, cls, spec: dict | None, section: str):
         if spec is None:
-            raise ConfigError("config declares no witness section")
-        if "eps" not in spec:
-            raise ConfigError("witness.eps is required")
-        if "stages" not in spec:
-            raise ConfigError("witness.stages is required")
-        eps = _num(spec["eps"], "witness.eps")
-        if not 0.0 < eps < 0.5:
-            raise ConfigError(f"witness.eps must lie in (0, 1/2), got {eps}")
-        stages = _integer(spec["stages"], "witness.stages")
-        if stages < 0:
-            raise ConfigError("witness.stages must be nonnegative")
-        return WitnessParams(
-            eps=eps,
-            stages=stages,
-            j_max=_integer(spec.get("j_max", 40), "witness.j_max"),
-            margin=_num(spec.get("margin", 0.3), "witness.margin"),
-            validation_samples=_integer(
-                spec.get("validation_samples", 100), "witness.validation_samples"
-            ),
-        )
+            raise ConfigError(f"config declares no {section} section")
+        return _decoded(record_from_dict, cls, spec, f"{section}.")
+
+    def witness_params(self) -> WitnessParams:
+        params = self._params(WitnessParams, self.witness_spec, "witness")
+        _check(0.0 < params.eps < 0.5, "witness.eps", f"must lie in (0, 1/2), got {params.eps}")
+        _check(params.stages >= 0, "witness.stages", "must be nonnegative")
+        _check(params.j_max >= 0, "witness.j_max", "must be nonnegative")
+        _check(params.validation_samples >= 1, "witness.validation_samples", "must be positive")
+        return params
 
     def renorm_params(self) -> RenormParams:
-        spec = self.renorm_spec
-        if spec is None:
-            raise ConfigError("config declares no renorm section")
-        kind = spec.get("kind")
-        if kind not in ("classical", "split"):
-            raise ConfigError(f"renorm.kind {kind!r} is not classical or split")
-        omega = None
-        if kind == "classical":
-            if "omega" not in spec:
-                raise ConfigError("renorm.omega is required for the classical audit")
-            omega = _num(spec["omega"], "renorm.omega")
-        certificate = spec.get("certificate")
-        if certificate is not None and not isinstance(certificate, str):
-            raise ConfigError("renorm.certificate must be a path string")
-        return RenormParams(
-            kind=kind,
-            omega=omega,
-            vector_samples=_integer(
-                spec.get("vector_samples", 1000), "renorm.vector_samples"
-            ),
-            time_samples=_integer(spec.get("time_samples", 8), "renorm.time_samples"),
-            grid_points=_integer(spec.get("grid_points", 257), "renorm.grid_points"),
-            slack=_num(spec.get("slack", 1e-10), "renorm.slack"),
-            tol=_num(spec.get("tol", 1e-9), "renorm.tol"),
-            certificate=certificate,
-        )
+        params = self._params(RenormParams, self.renorm_spec, "renorm")
+        if params.kind not in ("classical", "split"):
+            raise ConfigError(f"renorm.kind: {params.kind!r} is not classical or split")
+        _check(params.kind == "split" or params.omega is not None, "renorm.omega", "missing")
+        _check(params.vector_samples >= 1, "renorm.vector_samples", "must be positive")
+        _check(params.time_samples >= 1, "renorm.time_samples", "must be positive")
+        _check(params.grid_points >= 2, "renorm.grid_points", "must be at least 2")
+        return params
 
     def sweep_params(self) -> SweepParams:
-        spec = self.sweep_spec
-        if spec is None:
-            raise ConfigError("config declares no sweep section")
-        params = SweepParams(
-            trials=_integer(spec.get("trials", 20), "sweep.trials"),
-            dim_min=_integer(spec.get("dim_min", 2), "sweep.dim_min"),
-            dim_max=_integer(spec.get("dim_max", 8), "sweep.dim_max"),
-            generator_norm=_num(spec.get("generator_norm", 2.0), "sweep.generator_norm"),
-            projection_norm_cap=_num(
-                spec.get("projection_norm_cap", 5.0), "sweep.projection_norm_cap"
-            ),
-            times=_read(
-                lambda raw: tuple(_float(t) for t in raw),
-                spec.get("times", [0.5, 1.0, 2.0]),
-                "sweep.times",
-            ),
-        )
+        params = self._params(SweepParams, self.sweep_spec, "sweep")
         if not 2 <= params.dim_min <= params.dim_max:
             raise ConfigError("sweep needs 2 <= dim_min <= dim_max")
+        _check(params.trials >= 1, "sweep.trials", "must be positive")
+        _check(bool(params.times), "sweep.times", "must not be empty")
+        # a nonzero projection has norm >= 1, so a cap <= 1 is never met
+        _check(params.projection_norm_cap > 1.0, "sweep.projection_norm_cap", "must exceed 1")
         return params
 
     def projection(self, f: Functional | None = None, x: CVec | None = None):
@@ -287,27 +252,27 @@ def parse_config(data: dict, name: str = "config") -> ExperimentConfig:
     if schema != CONFIG_SCHEMA:
         raise ConfigError(f"unsupported schema {schema!r}")
     space = _section(data, "space", required=True)
-    dim = _integer(space.get("dim"), "space.dim")
+    dim = _read(_int, space.get("dim"), "space.dim")
     if dim < 1:
         raise ConfigError("space.dim must be positive")
-    p = _num(space.get("p", 2.0), "space.p")
+    p = _read(_float, space.get("p", 2.0), "space.p")
     if p not in (1.0, 2.0, math.inf):
         raise ConfigError("space.p must be 1, 2, or inf")
     schedule = _section(data, "schedule") or {}
-    j_min = _integer(schedule.get("j_min", 0), "schedule.j_min")
-    j_max = _integer(schedule.get("j_max", 20), "schedule.j_max")
+    j_min = _read(_int, schedule.get("j_min", 0), "schedule.j_min")
+    j_max = _read(_int, schedule.get("j_max", 20), "schedule.j_max")
     if j_min < 0 or j_max < j_min:
         raise ConfigError("schedule needs 0 <= j_min <= j_max")
     return ExperimentConfig(
         name=name,
-        seed=_integer(data.get("seed", 0), "seed"),
-        tolerance=_num(data.get("tolerance", 1e-3), "tolerance"),
+        seed=_read(_int, data.get("seed", 0), "seed"),
+        tolerance=_read(_float, data.get("tolerance", 1e-3), "tolerance"),
         dim=dim,
         p=p,
         generator_spec=_section(data, "generator"),
         functional_spec=_section(data, "functional"),
         vector_spec=_section(data, "vector"),
-        time=_num(data.get("time", 1.0), "time"),
+        time=_read(_float, data.get("time", 1.0), "time"),
         j_min=j_min,
         j_max=j_max,
         witness_spec=_section(data, "witness"),

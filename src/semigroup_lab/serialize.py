@@ -6,12 +6,17 @@ tagged nested lists.  Decoding restores bit-identical values, which the
 replay and verification paths rely on.  The readers here serve configs,
 certificates and reports alike: a real is a plain number, a tagged float,
 a ``0x`` hex string or ``"inf"`` (decimal strings are refused), and a
-complex entry may also be an ``[re, im]`` pair.
+complex entry may also be an ``[re, im]`` pair.  Certificates, stages,
+reports and config sections are written and read field by field from
+their dataclasses (:func:`record_to_dict`, :func:`record_from_dict`).
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import typing
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -192,57 +197,79 @@ def _matrix(raw, dim: int | None = None) -> np.ndarray:
     return np.array([_vector(row, dim) for row in _items(raw, dim, "rows")], dtype=np.complex128)
 
 
-def _stage_to_dict(stage: WitnessStage) -> dict:
+def _string(raw) -> str:
+    if not isinstance(raw, str):
+        raise TypeError(f"expected a string, got {raw!r}")
+    return raw
+
+
+# The reader of each declared field type.
+READERS = {
+    int: _int,
+    int | None: _int,
+    float: _float,
+    float | None: _float,
+    complex: _complex,
+    bool: _bool,
+    str: _string,
+    str | None: _string,
+    dict: decode,
+    np.ndarray: _vector,
+    tuple[float, ...]: lambda raw: tuple(_float(v) for v in raw),
+    tuple[complex, ...]: lambda raw: tuple(_complex(v) for v in raw),
+    tuple[tuple, ...]: lambda raw: tuple(tuple(row) for row in decode(raw)),
+}
+
+
+@functools.cache
+def _record_fields(cls, overridden: frozenset) -> tuple:
+    """``(name, reader, optional)`` for every field of the dataclass ``cls``;
+    a field with no reader for its type and no override is refused here."""
+    hints = typing.get_type_hints(cls)
+    table = []
+    for fld in fields(cls):
+        read = READERS.get(hints[fld.name])
+        if read is None and fld.name not in overridden:
+            raise TypeError(f"{cls.__name__}.{fld.name}: no reader for {hints[fld.name]}")
+        optional = fld.default is not MISSING or fld.default_factory is not MISSING
+        table.append((fld.name, read, optional))
+    return tuple(table)
+
+
+def record_to_dict(record, **writers) -> dict:
+    """Every field of the dataclass ``record`` under its own name, through
+    :func:`encode` or ``writers[name]``."""
     return {
-        "index": stage.index,
-        "vector": encode(stage.vector),
-        "generator_pairing": encode(stage.generator_pairing),
-        "steps": stage.steps,
-        "limit_error": encode(stage.limit_error),
-        "stability_radius": encode(stage.stability_radius),
-        "log_value": encode(stage.log_value),
-        "bump_radius": encode(stage.bump_radius),
-        "search_target": encode(stage.search_target),
-        "direction_index": stage.direction_index,
+        fld.name: writers.get(fld.name, encode)(getattr(record, fld.name))
+        for fld in fields(record)
     }
 
 
-def _stage_from_dict(k: int, data: dict) -> WitnessStage:
-    path = f"stages[{k}]."
-    return WitnessStage(
-        index=_field(data, "index", _int, path),
-        vector=_field(data, "vector", _vector, path),
-        generator_pairing=_field(data, "generator_pairing", _complex, path),
-        steps=_field(data, "steps", _int, path),
-        limit_error=_field(data, "limit_error", _float, path),
-        stability_radius=_field(data, "stability_radius", _float, path),
-        log_value=_field(data, "log_value", _complex, path),
-        bump_radius=_field(data, "bump_radius", _float, path, optional=True),
-        search_target=_field(data, "search_target", _float, path, optional=True),
-        direction_index=_field(data, "direction_index", _int, path, optional=True),
-    )
+def record_from_dict(cls, data: dict, path: str = "", **readers):
+    """Invert :func:`record_to_dict`: each field through the reader of its
+    declared type or ``readers[name]``.  A field with a default may be
+    missing; anything malformed raises InvalidCertificate naming the field."""
+    values = {}
+    for name, read, optional in _record_fields(cls, frozenset(readers)):
+        value = _field(data, name, readers.get(name, read), path, optional)
+        if value is not None:
+            values[name] = value
+    return cls(**values)
 
 
 def cert_to_dict(cert: WitnessCertificate) -> dict:
-    return {
-        "schema": CERT_SCHEMA,
-        "eps": encode(cert.eps),
-        "p": encode(cert.p),
-        "generator": generator_to_dict(cert.a),
-        "functional": encode(cert.functional),
-        "initial": encode(cert.initial),
-        "stages": [_stage_to_dict(st) for st in cert.stages],
-        "witness": encode(cert.witness),
-        "witness_log_values": [encode(v) for v in cert.witness_log_values],
-        "witness_errors": [encode(v) for v in cert.witness_errors],
-        "j_max": cert.j_max,
-        "build_seed": cert.build_seed,
-    }
+    payload = record_to_dict(
+        cert,
+        a=generator_to_dict,
+        stages=lambda stages: [record_to_dict(st) for st in stages],
+    )
+    payload["generator"] = payload.pop("a")
+    return {"schema": CERT_SCHEMA, **payload}
 
 
 def cert_from_dict(data: dict) -> WitnessCertificate:
     """Decode a certificate; a malformed payload raises InvalidCertificate."""
-    schema = data.get("schema")
+    schema = data.get("schema") if isinstance(data, dict) else None
     if schema not in CERT_SCHEMAS:
         raise InvalidCertificate([f"schema: not a certificate ({schema!r})"])
     if schema != CERT_SCHEMA:  # /1 kept its generator in ``law`` or ``dense_matrix``
@@ -250,61 +277,27 @@ def cert_from_dict(data: dict) -> WitnessCertificate:
         if data.get("dense_matrix") is not None:
             legacy = {"kind": "dense", "matrix": data["dense_matrix"]}
         data = {**data, "generator": legacy}
+    # the functional sizes the generator, which files keep under ``generator``
     functional = _field(data, "functional", _vector)
-    return WitnessCertificate(
-        a=_field(data, "generator", lambda raw: generator_from_dict(raw, functional.size)),
-        eps=_field(data, "eps", _float),
-        p=_field(data, "p", _float),
-        functional=functional,
-        initial=_field(data, "initial", _vector),
-        stages=_field(
-            data,
-            "stages",
-            lambda raw: tuple(_stage_from_dict(k, st) for k, st in enumerate(raw)),
+    a = _field(data, "generator", lambda raw: generator_from_dict(raw, functional.size))
+    return record_from_dict(
+        WitnessCertificate,
+        {**data, "a": a, "functional": functional},
+        a=lambda raw: raw,
+        functional=lambda raw: raw,
+        stages=lambda raw: tuple(
+            record_from_dict(WitnessStage, st, f"stages[{k}].") for k, st in enumerate(raw)
         ),
-        witness=_field(data, "witness", _vector),
-        witness_log_values=_field(
-            data, "witness_log_values", lambda raw: tuple(_complex(v) for v in raw)
-        ),
-        witness_errors=_field(
-            data, "witness_errors", lambda raw: tuple(_float(v) for v in raw)
-        ),
-        j_max=_field(data, "j_max", _int),
-        build_seed=_field(data, "build_seed", _int),
     )
 
 
 def report_to_dict(report: RenormReport) -> dict:
-    return {
-        "schema": REPORT_SCHEMA,
-        "kind": report.kind,
-        "seed": report.seed,
-        "vector_samples": report.vector_samples,
-        "time_samples": report.time_samples,
-        "parameters": encode(report.parameters),
-        "summary": encode(report.summary),
-        "lambdas": [encode(v) for v in report.lambdas],
-        "violations": encode([list(row) for row in report.violations]),
-        "passed": report.passed,
-        "source": encode(report.source),
-    }
+    return {"schema": REPORT_SCHEMA, **record_to_dict(report)}
 
 
 def report_from_dict(data: dict) -> RenormReport:
     """Decode a report; a malformed payload raises InvalidCertificate."""
-    if data.get("schema") != REPORT_SCHEMA:
-        raise InvalidCertificate([f"schema: not a report ({data.get('schema')!r})"])
-    return RenormReport(
-        kind=_field(data, "kind", str),
-        seed=_field(data, "seed", _int),
-        vector_samples=_field(data, "vector_samples", _int),
-        time_samples=_field(data, "time_samples", _int),
-        parameters=_field(data, "parameters", decode),
-        summary=_field(data, "summary", decode),
-        lambdas=_field(data, "lambdas", lambda raw: tuple(_float(v) for v in raw)),
-        violations=_field(
-            data, "violations", lambda raw: tuple(tuple(row) for row in decode(raw))
-        ),
-        passed=_field(data, "passed", _bool),
-        source=_field(data, "source", decode, optional=True) or {},
-    )
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if schema != REPORT_SCHEMA:
+        raise InvalidCertificate([f"schema: not a report ({schema!r})"])
+    return record_from_dict(RenormReport, data)

@@ -95,7 +95,7 @@ def step_derivative(a: Generator, f: Functional, x: CVec, t: float, n: int) -> c
             if fm == 0.0 or xm == 0.0:
                 continue
             total += fm * xm * cexpm1(complex(h * am))
-        return float(n) * total
+        return complex(float(n) * total)
     defect = semigroup_defect(a, h)
     return float(n) * complex(np.dot(f.coords, defect @ x.coords))
 
@@ -113,6 +113,13 @@ def product_log_value(a: Generator, f: Functional, x: CVec, n: int) -> complex:
     return _log_power(step_derivative(a, f, x, 1.0, n) / float(n), n)
 
 
+def require_unit_pairing(f: Functional, x: CVec) -> None:
+    """Raise ValueError unless f(x) = 1, the gauge the scalar reduction closes in."""
+    gauge = pairing(f, x)
+    if abs(gauge - 1.0) > _NORMALIZED_SLACK:
+        raise ValueError(f"scalar route needs f(x) = 1, got {gauge:.6g}")
+
+
 def scalar_trotter_value(
     a: Generator, f: Functional, x: CVec, t: float, n: int
 ) -> TrotterRecord:
@@ -122,9 +129,7 @@ def scalar_trotter_value(
     that gauge).  The error against the limit exp(t f(A x)) is evaluated
     in log space so it stays meaningful when the value itself overflows.
     """
-    gauge = pairing(f, x)
-    if abs(gauge - 1.0) > _NORMALIZED_SLACK:
-        raise ValueError(f"scalar route needs f(x) = 1, got {gauge:.6g}")
+    require_unit_pairing(f, x)
     if n < 1:
         raise ValueError("step count must be positive")
     deriv = step_derivative(a, f, x, t, n)
@@ -144,7 +149,7 @@ def scalar_trotter_value(
         value=value,
         err_vs_limit=err,
         path="log",
-        branch_ambiguous=bool(abs(offset) > 0.5),
+        branch_ambiguous=abs(offset) > 0.5,
     )
 
 

@@ -34,6 +34,15 @@ FINAL_ERR_BOUND = 1e-3
 V1_DATA = Path(__file__).parent / "data"
 
 
+def shipped_config(name):
+    return json.loads(
+        (Path(semigroup_lab.__file__).parent / "configs" / f"{name}.config.json").read_text()
+    )
+
+
+K5_CONFIG = shipped_config("blowup_k5")
+
+
 def read_csv(path: Path):
     lines = path.read_text().splitlines()
     header = lines[1].split(",")
@@ -115,10 +124,7 @@ def test_witness_truncation_saves_partial(tmp_path, capsys):
 def test_split_audit_build_failure_exits_with_its_cause(tmp_path, capsys):
     # a split audit that builds its own certificate on the bounded dense
     # generator stops at stage 1, like the witness command, and writes no report
-    data = json.loads(
-        (Path(semigroup_lab.__file__).parent / "configs" / "bounded_contrapositive.config.json")
-        .read_text()
-    )
+    data = shipped_config("bounded_contrapositive")
     data["renorm"] = {"kind": "split", "vector_samples": 100}
     cfg = tmp_path / "split_bounded.config.json"
     cfg.write_text(json.dumps(data))
@@ -284,13 +290,20 @@ def test_limit_check_zero_step_pairing(tmp_path):
 
 
 def test_limit_csv_numeric_cells_parse_as_floats(tmp_path):
-    assert main(["limit-check", "--config", "two_point", "--out", str(tmp_path)]) == EXIT_OK
-    _, header, rows = read_csv(tmp_path / "two_point.limit.csv")
-    numeric = [name for name in header if name != "path"]
-    for row in rows:
-        for name in numeric:
-            if row[name]:
-                float(row[name])
+    runs = [
+        ("limit-check", "two_point", "limit"),
+        ("limit-check", "bounded_oracle", "limit"),
+        ("sweep", "sweep_bounded", "sweep"),
+    ]
+    for command, config, suffix in runs:
+        assert main([command, "--config", config, "--out", str(tmp_path)]) == EXIT_OK
+        _, header, rows = read_csv(tmp_path / f"{config}.{suffix}.csv")
+        assert rows, config
+        numeric = [name for name in header if name != "path"]
+        for row in rows:
+            for name in numeric:
+                if row[name]:
+                    float(row[name])
 
 
 @pytest.mark.parametrize(
@@ -321,6 +334,50 @@ def test_limit_csv_numeric_cells_parse_as_floats(tmp_path):
         ("sweep", {"sweep": {"trials": "x"}}, "sweep.trials"),
         ("sweep", {"sweep": {"times": 3}}, "sweep.times"),
         ("sweep", {"sweep": {"generator_norm": "2.0"}}, "sweep.generator_norm"),
+        (
+            "renorm-audit",
+            {"renorm": {"kind": "classical", "omega": 3.0, "grid_points": 1}},
+            "renorm.grid_points",
+        ),
+        (
+            "renorm-audit",
+            {"renorm": {"kind": "classical", "omega": 3.0, "time_samples": 0}},
+            "renorm.time_samples",
+        ),
+        ("renorm-audit", {"renorm": {"kind": "classical", "omega": 2.0}}, "renorm.omega"),
+        (
+            "renorm-audit",
+            {"renorm": {"kind": "classical", "omega": 3.0, "vector_samples": 0}},
+            "renorm.vector_samples",
+        ),
+        (
+            "witness",
+            {**K5_CONFIG, "witness": {"eps": 0.1, "stages": 0, "validation_samples": -1}},
+            "witness.validation_samples",
+        ),
+        (
+            "witness",
+            {**K5_CONFIG, "witness": {"eps": 0.1, "stages": 0, "j_max": -3}},
+            "witness.j_max",
+        ),
+        ("sweep", {"sweep": {"trials": -2}}, "sweep.trials"),
+        ("sweep", {"sweep": {"times": []}}, "sweep.times"),
+        (
+            "sweep",
+            {"sweep": {"trials": 1, "projection_norm_cap": 0.5}},
+            "sweep.projection_norm_cap",
+        ),
+        (
+            "limit-check",
+            {"vector": {"kind": "basis", "index": 1, "gauge": "no"}},
+            "vector.gauge",
+        ),
+        (
+            "limit-check",
+            {"vector": {"kind": "basis", "index": 1, "gauge": False}},
+            "vector",
+        ),
+        ("limit-check", {"vector": {"kind": "values", "values": [3.0, 1.0]}}, "vector"),
     ],
     ids=[
         "decimal_string",
@@ -333,6 +390,18 @@ def test_limit_csv_numeric_cells_parse_as_floats(tmp_path):
         "sweep_trials",
         "sweep_times",
         "sweep_decimal_string",
+        "grid_points_one",
+        "time_samples_zero",
+        "omega_at_spectral_bound",
+        "vector_samples_zero",
+        "validation_samples_negative",
+        "witness_j_max_negative",
+        "sweep_trials_negative",
+        "sweep_times_empty",
+        "projection_norm_cap_below_one",
+        "gauge_string",
+        "ungauged_basis_vector",
+        "vector_pairing_not_one",
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, overrides, field):
@@ -340,6 +409,48 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, command, overrides
     rc = main([command, "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
     assert f"config error: {field}: " in capsys.readouterr().err
+
+
+def drop_eps(path):
+    payload = load_json(V1_DATA / "blowup_k5.cert.json")
+    del payload["eps"]
+    path.write_text(json.dumps(payload))
+
+
+def inflate_radius(path):
+    payload = load_json(V1_DATA / "blowup_k5.cert.json")
+    radius = float.fromhex(payload["stages"][3]["stability_radius"]["~f"])
+    payload["stages"][3]["stability_radius"] = {"~f": (100.0 * radius).hex()}
+    path.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "prepare, code, message",
+    [
+        (None, EXIT_CONFIG, "config error: renorm.certificate: cannot read "),
+        (
+            lambda path: path.write_text("{not json"),
+            EXIT_CONFIG,
+            "config error: renorm.certificate: cannot read ",
+        ),
+        (drop_eps, EXIT_INVALID, "certificate invalid: eps: missing"),
+        (inflate_radius, EXIT_INVALID, "stability radius fails its certificate"),
+    ],
+    ids=["missing_file", "not_json", "missing_eps", "inflated_radius"],
+)
+def test_split_audit_certificate_file_errors(tmp_path, capsys, prepare, code, message):
+    cert = tmp_path / "given.cert.json"
+    if prepare is not None:
+        prepare(cert)
+    renorm = {"kind": "split", "certificate": cert.name, "vector_samples": 10}
+    cfg = write_config(tmp_path, "given_cert", renorm=renorm)
+    rc = main(["renorm-audit", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert message in err
+    if code == EXIT_INVALID:
+        assert err.startswith("certificate invalid: ")
+    assert not (tmp_path / "given_cert.report.json").exists()
 
 
 def test_readme_library_sketch_runs(tmp_path):

@@ -3,7 +3,7 @@
 import copy
 import json
 import math
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -26,13 +26,18 @@ from semigroup_lab import (
     verify_certificate,
 )
 from semigroup_lab.cli import _rebuild_report
+from semigroup_lab.renorm import RenormReport
 from semigroup_lab.serialize import (
+    cert_from_dict,
     decode,
     encode,
     generator_from_dict,
     generator_to_dict,
+    record_from_dict,
+    record_to_dict,
     report_from_dict,
 )
+from semigroup_lab.witness import WitnessCertificate, WitnessStage
 
 AWKWARD_FLOATS = [
     0.1,
@@ -178,7 +183,7 @@ def test_malformed_report_names_the_field():
         (lambda params: params.pop("dim"), "parameters.dim: missing"),
         (
             lambda params: params.update(omega="x"),
-            "parameters.omega: could not convert string to float: 'x'",
+            "parameters.omega: cannot read 'x' as a number (use a 0x hex string or 'inf')",
         ),
     ]:
         broken = copy.deepcopy(payload)
@@ -195,6 +200,7 @@ def test_malformed_report_names_the_field():
         (None, "vector_samples", "4", "vector_samples: expected an integer, got '4'"),
         (None, "time_samples", True, "time_samples: expected an integer, got True"),
         (None, "passed", "no", "passed: expected true or false, got 'no'"),
+        (None, "kind", 5, "kind: expected a string, got 5"),
         ("parameters", "dim", 3.0, "parameters.dim: expected an integer, got 3.0"),
         ("parameters", "grid_points", "9", "parameters.grid_points: expected an integer, got '9'"),
         (
@@ -204,7 +210,7 @@ def test_malformed_report_names_the_field():
             "parameters.time_samples_requested: expected an integer, got 2.5",
         ),
     ],
-    ids=["seed", "vector_samples", "time_samples", "passed", "dim", "grid_points",
+    ids=["seed", "vector_samples", "time_samples", "passed", "kind", "dim", "grid_points",
          "time_samples_requested"],
 )
 def test_report_integer_and_bool_fields_are_strict(section, key, value, message):
@@ -217,3 +223,59 @@ def test_report_integer_and_bool_fields_are_strict(section, key, value, message)
     with pytest.raises(InvalidCertificate) as info:
         _rebuild_report(report_from_dict(payload))
     assert info.value.failures == [message]
+
+
+def both_reports(cert):
+    a = diagonal_generator(GrowthLaw("poly", 1.0), 3)
+    classical = quasi_contractivity_audit(
+        "classical", a=a, omega=0.5, vector_samples=4, time_samples=2, grid_points=9
+    )
+    split = quasi_contractivity_audit("split", cert=cert, seed=9, vector_samples=50)
+    return [
+        replace(classical, source={"generator": generator_to_dict(a)}),
+        replace(split, source={"certificate": cert_to_dict(cert)}),
+    ]
+
+
+def field_names(cls):
+    return {fld.name for fld in fields(cls)}
+
+
+def test_every_record_field_is_written(k5_certificate):
+    payload = cert_to_dict(k5_certificate)
+    assert set(payload) == field_names(WitnessCertificate) - {"a"} | {"generator", "schema"}
+    for stage in payload["stages"]:
+        assert set(stage) == field_names(WitnessStage)
+    for report in both_reports(k5_certificate):
+        assert set(report_to_dict(report)) == field_names(RenormReport) | {"schema"}
+
+
+def test_records_roundtrip_bit_for_bit(k5_certificate):
+    # hex floats make equal encodings bit-identical values
+    def through_json(payload):
+        return json.loads(json.dumps(payload))
+
+    for stage in k5_certificate.stages:
+        back = record_from_dict(WitnessStage, through_json(record_to_dict(stage)))
+        assert record_to_dict(back) == record_to_dict(stage)
+    payload = cert_to_dict(k5_certificate)
+    assert cert_to_dict(cert_from_dict(through_json(payload))) == payload
+    # a report's ``source`` is read as a plain dict, where arrays come back as
+    # lists: compare with array tags dropped, floats still in hex
+    def untagged(payload):
+        return encode(decode(payload))
+
+    for report in both_reports(k5_certificate):
+        back = record_from_dict(RenormReport, through_json(record_to_dict(report)))
+        assert untagged(record_to_dict(back)) == untagged(record_to_dict(report))
+
+
+def test_record_field_without_reader_is_refused():
+    @dataclass
+    class Odd:
+        count: int
+        shape: set
+
+    with pytest.raises(TypeError, match="Odd.shape"):
+        record_from_dict(Odd, {"count": 1, "shape": [2]})
+    assert record_from_dict(Odd, {"count": 1, "shape": [2]}, shape=set).shape == {2}

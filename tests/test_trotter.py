@@ -66,6 +66,19 @@ def test_step_derivative_frozen_values():
     )
 
 
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_scalar_route_returns_python_complex(kind):
+    a, f, x = two_point()
+    if kind == "dense":
+        a = dense_generator(np.diag(a.entries))
+    assert type(step_derivative(a, f, x, 1.0, 10)) is complex
+    rec = scalar_trotter_value(a, f, x, 1.0, 10)
+    for name in ("step_value", "derivative", "log_value", "value"):
+        assert type(getattr(rec, name)) is complex, name
+    assert type(rec.err_vs_limit) is float
+    assert type(rec.branch_ambiguous) is bool
+
+
 def test_derivative_gap_halves():
     a, f, x = two_point()
     limit = pairing(f, CVec([0.0, 2.0], 2.0)) * 0.5 + 0.5  # f(Ax) = 1
