@@ -85,8 +85,6 @@ from .serialize import (
     cert_from_dict,
     cert_to_dict,
     dumps_canonical,
-    law_from_dict,
-    law_to_dict,
     load_json,
     report_from_dict,
     report_to_dict,

@@ -73,6 +73,10 @@ BUILD_EXITS = (
     (SemigroupOverflow, EXIT_OVERFLOW),
 )
 
+# What ends a CSV subcommand with its partial CSV and EXIT_OVERFLOW: a value
+# out of range, or a step count too large to divide a time by.
+OVERFLOWS = (SemigroupOverflow, OverflowError)
+
 LIMIT_CSV_SCHEMA = "semigroup-lab/limit-csv/1"
 SWEEP_CSV_SCHEMA = "semigroup-lab/sweep-csv/1"
 
@@ -146,7 +150,7 @@ def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
                 product = dense_trotter_apply(a, proj, x, cfg.time, n)
                 row.append(norm(CVec(product.coords - oracle_vec, x.p)))
             rows.append(row)
-    except (SemigroupOverflow, OverflowError) as exc:
+    except OVERFLOWS as exc:
         print(f"overflow after {len(rows)} rows: {exc}", file=sys.stderr)
         code = EXIT_OVERFLOW
     out_path = out_dir / f"{cfg.name}.limit.csv"
@@ -257,11 +261,7 @@ def run_renorm_audit(cfg: ExperimentConfig, out_dir: Path, config_dir: Path) -> 
 
 
 def _rebuild_report(report):
-    src = report.source
-
-    def param(key, convert):
-        return _field(report.parameters, key, convert, "parameters.")
-
+    src, params = report.source, report.parameters
     if "certificate" in src:
         cert = cert_from_dict(src["certificate"])
         verify_certificate(cert)
@@ -270,20 +270,20 @@ def _rebuild_report(report):
             cert=cert,
             seed=report.seed,
             vector_samples=report.vector_samples,
-            slack=param("slack", _float),
+            slack=_field(params, "slack", _float, "parameters."),
         )
     elif "generator" in src:
-        a = generator_from_dict(src["generator"], param("dim", _int))
+        a = generator_from_dict(src["generator"], _field(params, "dim", _int, "parameters."))
         fresh = quasi_contractivity_audit(
             "classical",
             a=a,
-            omega=param("omega", _float),
-            p=param("p", _float),
+            omega=_field(params, "omega", _float, "parameters."),
+            p=_field(params, "p", _float, "parameters."),
             seed=report.seed,
             vector_samples=report.vector_samples,
-            time_samples=param("time_samples_requested", _int),
-            grid_points=param("grid_points", _int),
-            tol=param("tol", _float),
+            time_samples=_field(params, "time_samples_requested", _int, "parameters."),
+            grid_points=_field(params, "grid_points", _int, "parameters."),
+            tol=_field(params, "tol", _float, "parameters."),
         )
     else:
         raise InvalidCertificate(["report embeds no source to re-run"])
@@ -351,7 +351,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
                 rows.append(
                     [trial, dim, rank, t, steps, gap, projection_norm(proj), params.generator_norm]
                 )
-        except SemigroupOverflow:
+        except OVERFLOWS:
             overflowed = True
     fields = [
         "trial",

@@ -28,6 +28,8 @@ from .spaces import CVec, Generator, dual_norm, norm, semigroup_apply, semigroup
 from .witness import WitnessCertificate
 
 DEFAULT_GRID_POINTS = 257
+DEFAULT_VECTOR_SAMPLES = 1000
+DEFAULT_TIME_SAMPLES = 8
 DEFAULT_SLACK = 1e-10
 DEFAULT_TOL = 1e-9
 
@@ -79,7 +81,7 @@ def _split_norms(proj: Projection, cols: np.ndarray, p: float) -> tuple[np.ndarr
 def equivalence_audit(
     proj: Projection,
     seed: int = 0,
-    samples: int = 1000,
+    samples: int = DEFAULT_VECTOR_SAMPLES,
     slack: float = DEFAULT_SLACK,
 ) -> tuple[float, float, list[tuple]]:
     """Sample the ratio split_norm/norm and check it stays in [1, 2|P|+1].
@@ -99,7 +101,7 @@ def equivalence_audit(
 def projection_contractivity_check(
     proj: Projection,
     seed: int = 0,
-    samples: int = 1000,
+    samples: int = DEFAULT_VECTOR_SAMPLES,
     slack: float = DEFAULT_SLACK,
 ) -> tuple[float, list[tuple]]:
     """Check split_norm(P z) <= split_norm(z) on random samples.
@@ -299,8 +301,8 @@ def quasi_contractivity_audit(
     omega: float | None = None,
     p: float = 2.0,
     seed: int = 0,
-    vector_samples: int = 1000,
-    time_samples: int = 8,
+    vector_samples: int = DEFAULT_VECTOR_SAMPLES,
+    time_samples: int = DEFAULT_TIME_SAMPLES,
     grid_points: int = DEFAULT_GRID_POINTS,
     slack: float = DEFAULT_SLACK,
     tol: float = DEFAULT_TOL,

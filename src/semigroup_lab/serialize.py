@@ -6,9 +6,11 @@ tagged nested lists.  Decoding restores bit-identical values, which the
 replay and verification paths rely on.  The readers here serve configs,
 certificates and reports alike: a real is a plain number, a tagged float,
 a ``0x`` hex string or ``"inf"`` (decimal strings are refused), and a
-complex entry may also be an ``[re, im]`` pair.  Certificates, stages,
-reports and config sections are written and read field by field from
-their dataclasses (:func:`record_to_dict`, :func:`record_from_dict`).
+complex entry may also be an ``[re, im]`` pair.  Every field of a config,
+certificate or report is read through :func:`_field`; certificates, stages,
+growth laws, reports and config sections are written and read field by
+field from their dataclasses (:func:`record_to_dict`,
+:func:`record_from_dict`).
 """
 
 from __future__ import annotations
@@ -81,22 +83,6 @@ def load_json(path: str | Path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def law_to_dict(law: GrowthLaw) -> dict:
-    return {
-        "kind": law.kind,
-        "param": encode(law.param),
-        "values": [encode(v) for v in law.values],
-    }
-
-
-def law_from_dict(data: dict) -> GrowthLaw:
-    return GrowthLaw(
-        kind=data.get("kind"),
-        param=_float(data.get("param", 0.0)),
-        values=tuple(_complex(v) for v in data.get("values", [])),
-    )
-
-
 def generator_to_dict(a: Generator) -> dict:
     """The ``generator`` section of configs, reports and certificates; a
     diagonal generator without a law becomes a ``table`` law of its entries.
@@ -106,7 +92,7 @@ def generator_to_dict(a: Generator) -> dict:
         return {"kind": "dense", "matrix": encode(a.matrix)}
     law = a.law or GrowthLaw("table", values=tuple(complex(e) for e in a.entries))
     law_entries(law, a.dim)
-    return {"kind": "diagonal", "law": law_to_dict(law)}
+    return {"kind": "diagonal", "law": record_to_dict(law)}
 
 
 def generator_from_dict(desc: dict, dim: int) -> Generator:
@@ -115,7 +101,10 @@ def generator_from_dict(desc: dict, dim: int) -> Generator:
     kind = _field(desc, "kind", str, "generator.")
     if kind == "diagonal":
         return _field(
-            desc, "law", lambda raw: diagonal_generator(law_from_dict(raw), dim), "generator."
+            desc,
+            "law",
+            lambda raw: diagonal_generator(record_from_dict(GrowthLaw, raw, "generator.law."), dim),
+            "generator.",
         )
     if kind == "dense":
         return _field(
@@ -129,15 +118,19 @@ READ_ERRORS = (KeyError, IndexError, TypeError, ValueError, AttributeError, Over
                DimensionMismatch, SemigroupOverflow)
 
 
-def _field(data: dict, key: str, convert, path: str = "", optional: bool = False):
-    """``convert(data[key])``, raising InvalidCertificate that names the field
-    when it is malformed, or missing and not ``optional``."""
+_REQUIRED = object()
+
+
+def _field(data: dict, key: str, convert, path: str = "", default=_REQUIRED):
+    """``convert(data[key])``, or ``default`` when the field is missing or
+    null.  A malformed field, or a missing one without a ``default``, raises
+    InvalidCertificate naming the field."""
     try:
         raw = data.get(key)
         if raw is None:
-            if optional:
-                return None
-            raise ValueError("missing")
+            if default is _REQUIRED:
+                raise ValueError("missing")
+            return default
         return convert(raw)
     except READ_ERRORS as exc:
         raise InvalidCertificate([f"{path}{key}: {exc}"]) from exc
@@ -203,6 +196,13 @@ def _string(raw) -> str:
     return raw
 
 
+def _object(raw) -> dict:
+    """A JSON object, kept as written."""
+    if not isinstance(raw, dict):
+        raise TypeError(f"expected an object, got {raw!r}")
+    return raw
+
+
 # The reader of each declared field type.
 READERS = {
     int: _int,
@@ -223,16 +223,17 @@ READERS = {
 
 @functools.cache
 def _record_fields(cls, overridden: frozenset) -> tuple:
-    """``(name, reader, optional)`` for every field of the dataclass ``cls``;
-    a field with no reader for its type and no override is refused here."""
+    """``(name, reader, default)`` for every field of the dataclass ``cls``,
+    ``default`` None for a field with a dataclass default; a field with no
+    reader for its type and no override is refused here."""
     hints = typing.get_type_hints(cls)
     table = []
     for fld in fields(cls):
         read = READERS.get(hints[fld.name])
         if read is None and fld.name not in overridden:
             raise TypeError(f"{cls.__name__}.{fld.name}: no reader for {hints[fld.name]}")
-        optional = fld.default is not MISSING or fld.default_factory is not MISSING
-        table.append((fld.name, read, optional))
+        required = fld.default is MISSING and fld.default_factory is MISSING
+        table.append((fld.name, read, _REQUIRED if required else None))
     return tuple(table)
 
 
@@ -249,9 +250,10 @@ def record_from_dict(cls, data: dict, path: str = "", **readers):
     """Invert :func:`record_to_dict`: each field through the reader of its
     declared type or ``readers[name]``.  A field with a default may be
     missing; anything malformed raises InvalidCertificate naming the field."""
+    data = _object(data)
     values = {}
-    for name, read, optional in _record_fields(cls, frozenset(readers)):
-        value = _field(data, name, readers.get(name, read), path, optional)
+    for name, read, default in _record_fields(cls, frozenset(readers)):
+        value = _field(data, name, readers.get(name, read), path, default)
         if value is not None:
             values[name] = value
     return cls(**values)
@@ -296,8 +298,10 @@ def report_to_dict(report: RenormReport) -> dict:
 
 
 def report_from_dict(data: dict) -> RenormReport:
-    """Decode a report; a malformed payload raises InvalidCertificate."""
+    """Decode a report; a malformed payload raises InvalidCertificate.
+    ``source`` holds file sections (a written generator or certificate) and
+    is kept as written."""
     schema = data.get("schema") if isinstance(data, dict) else None
     if schema != REPORT_SCHEMA:
         raise InvalidCertificate([f"schema: not a report ({schema!r})"])
-    return record_from_dict(RenormReport, data)
+    return record_from_dict(RenormReport, data, source=_object)

@@ -44,6 +44,8 @@ from .spaces import (
 from .trotter import limit_gap_error, product_log_value
 
 DEFAULT_J_MAX = 40
+DEFAULT_MARGIN = 0.3
+DEFAULT_VALIDATION_SAMPLES = 100
 UNDERFLOW_FLOOR = 1e-300
 ZERO_PAIRING_FLOOR = 1e-14
 
@@ -284,7 +286,7 @@ def validate_stability(
     n: int,
     delta: float,
     rng: np.random.Generator,
-    samples: int = 100,
+    samples: int = DEFAULT_VALIDATION_SAMPLES,
 ) -> float:
     """Worst sampled deviation |value(h) - exp(f(Ax))| on the delta-slice.
 
@@ -353,8 +355,8 @@ def extend(
     anchor_norm: float,
     j_max: int,
     rng: np.random.Generator,
-    margin: float = 0.3,
-    validation_samples: int = 100,
+    margin: float = DEFAULT_MARGIN,
+    validation_samples: int = DEFAULT_VALIDATION_SAMPLES,
 ) -> WitnessStage:
     """Build the next stage of the ladder from the stages so far.
 
@@ -430,8 +432,8 @@ def build_certificate(
     stage_goal: int,
     j_max: int = DEFAULT_J_MAX,
     seed: int = 0,
-    margin: float = 0.3,
-    validation_samples: int = 100,
+    margin: float = DEFAULT_MARGIN,
+    validation_samples: int = DEFAULT_VALIDATION_SAMPLES,
 ) -> WitnessCertificate:
     """Run the full ladder to ``stage_goal`` and certify it.
 
@@ -579,7 +581,7 @@ def design_blowup_law(
     pad: float = 1.02,
     j_max: int = 160,
     seed: int = 0,
-    margin: float = 0.3,
+    margin: float = DEFAULT_MARGIN,
 ) -> GrowthLaw:
     """Tune a tabulated imaginary law that carries the ladder to the goal.
 

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from semigroup_lab import build_certificate, load_config
+from semigroup_lab import load_config
+from semigroup_lab.cli import _build_from_config
 
 settings.register_profile(
     "repo",
@@ -16,20 +17,7 @@ settings.load_profile("repo")
 
 def build_from_config(name):
     """Build a witness certificate exactly the way the CLI does."""
-    cfg = load_config(name)
-    f = cfg.functional()
-    params = cfg.witness_params()
-    return build_certificate(
-        cfg.generator(),
-        f,
-        cfg.vector(f),
-        eps=params.eps,
-        stage_goal=params.stages,
-        j_max=params.j_max,
-        seed=cfg.seed,
-        margin=params.margin,
-        validation_samples=params.validation_samples,
-    )
+    return _build_from_config(load_config(name))
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, CSV layout, artifact verification."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -108,6 +109,21 @@ def test_limit_check_overflow_keeps_csv_header(tmp_path, capsys):
     schema_line, header, rows = read_csv(tmp_path / "overflowing.limit.csv")
     assert schema_line == "# schema=semigroup-lab/limit-csv/1"
     assert header[-1] == "product_gap"
+    assert rows == []
+
+
+def test_sweep_overflow_keeps_csv_header(tmp_path):
+    # 2^1024 steps is too large a count to divide a time by, in every trial
+    cfg = write_config(
+        tmp_path,
+        "huge_steps",
+        schedule={"j_min": 1024, "j_max": 1024},
+        sweep={"trials": 2, "times": [1.0]},
+    )
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OVERFLOW
+    schema_line, header, rows = read_csv(tmp_path / "huge_steps.sweep.csv")
+    assert schema_line == "# schema=semigroup-lab/sweep-csv/1"
+    assert header[0] == "trial"
     assert rows == []
 
 
@@ -378,6 +394,36 @@ def test_limit_csv_numeric_cells_parse_as_floats(tmp_path):
             "vector",
         ),
         ("limit-check", {"vector": {"kind": "values", "values": [3.0, 1.0]}}, "vector"),
+        ("sweep", {"seed": -1, "sweep": {"trials": 1}}, "seed"),
+        ("renorm-audit", {"renorm": {"kind": "classical", "omega": "inf"}}, "renorm.omega"),
+        (
+            "renorm-audit",
+            {"renorm": {"kind": "classical", "omega": math.nan, "tol": -1.0}},
+            "renorm.omega",
+        ),
+        (
+            "renorm-audit",
+            {"renorm": {"kind": "classical", "omega": 3.0, "tol": math.nan}},
+            "renorm.tol",
+        ),
+        (
+            "renorm-audit",
+            {**K5_CONFIG, "renorm": {"kind": "split", "slack": math.nan, "vector_samples": 10}},
+            "renorm.slack",
+        ),
+        ("sweep", {"sweep": {"trials": 1, "generator_norm": math.nan}}, "sweep.generator_norm"),
+        ("sweep", {"sweep": {"trials": 1, "times": [1.0, math.nan]}}, "sweep.times"),
+        ("sweep", {"sweep": {"trials": 1, "generator_norm": -1.0}}, "sweep.generator_norm"),
+        (
+            "witness",
+            {**K5_CONFIG, "witness": {**K5_CONFIG["witness"], "margin": -5.0}},
+            "witness.margin",
+        ),
+        (
+            "witness",
+            {**K5_CONFIG, "witness": {**K5_CONFIG["witness"], "margin": math.nan}},
+            "witness.margin",
+        ),
     ],
     ids=[
         "decimal_string",
@@ -402,6 +448,16 @@ def test_limit_csv_numeric_cells_parse_as_floats(tmp_path):
         "gauge_string",
         "ungauged_basis_vector",
         "vector_pairing_not_one",
+        "seed_negative",
+        "omega_inf",
+        "omega_nan",
+        "tol_nan",
+        "slack_nan",
+        "generator_norm_nan",
+        "sweep_time_nan",
+        "generator_norm_negative",
+        "margin_negative",
+        "margin_nan",
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, overrides, field):
@@ -409,6 +465,12 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, command, overrides
     rc = main([command, "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
     assert f"config error: {field}: " in capsys.readouterr().err
+
+
+def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
+    rc = main(["witness", "--config", "blowup_k5", "--out", str(tmp_path), "--seed", "-3"])
+    assert rc == EXIT_CONFIG
+    assert "config error: seed: " in capsys.readouterr().err
 
 
 def drop_eps(path):
