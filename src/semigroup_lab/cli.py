@@ -40,6 +40,7 @@ from .serialize import (
     _field,
     _float,
     _int,
+    _object,
     cert_from_dict,
     cert_to_dict,
     generator_from_dict,
@@ -300,8 +301,8 @@ def run_verify(paths: list[str]) -> int:
             print(f"FAIL {path}: unreadable ({exc})")
             code = EXIT_INVALID
             continue
-        schema = data.get("schema")
         try:
+            schema = _object(data).get("schema")
             if schema in CERT_SCHEMAS:
                 cert = cert_from_dict(data)
                 verify_certificate(cert)

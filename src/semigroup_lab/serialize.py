@@ -172,10 +172,20 @@ def _complex(raw) -> complex:
     return complex(_float(raw))
 
 
+def _list(raw) -> list:
+    """A JSON list, kept as written."""
+    if not isinstance(raw, list):
+        raise TypeError(f"expected a list, got {raw!r}")
+    return raw
+
+
+def _tuple(read):
+    """The reader of a tuple field: a JSON list, each entry through ``read``."""
+    return lambda raw: tuple(read(v) for v in _list(raw))
+
+
 def _items(raw, dim: int | None, what: str) -> list:
-    items = decode(raw)
-    if not isinstance(items, list):
-        raise TypeError(f"expected a list of {what}, got {items!r}")
+    items = _list(decode(raw))
     if dim is not None and len(items) != dim:
         raise ValueError(f"{len(items)} {what}, space is {dim}")
     return items
@@ -213,11 +223,11 @@ READERS = {
     bool: _bool,
     str: _string,
     str | None: _string,
-    dict: decode,
+    dict: lambda raw: _object(decode(raw)),
     np.ndarray: _vector,
-    tuple[float, ...]: lambda raw: tuple(_float(v) for v in raw),
-    tuple[complex, ...]: lambda raw: tuple(_complex(v) for v in raw),
-    tuple[tuple, ...]: lambda raw: tuple(tuple(row) for row in decode(raw)),
+    tuple[float, ...]: _tuple(_float),
+    tuple[complex, ...]: _tuple(_complex),
+    tuple[tuple, ...]: _tuple(lambda row: tuple(decode(_list(row)))),
 }
 
 
@@ -288,7 +298,8 @@ def cert_from_dict(data: dict) -> WitnessCertificate:
         a=lambda raw: raw,
         functional=lambda raw: raw,
         stages=lambda raw: tuple(
-            record_from_dict(WitnessStage, st, f"stages[{k}].") for k, st in enumerate(raw)
+            record_from_dict(WitnessStage, st, f"stages[{k}].")
+            for k, st in enumerate(_list(raw))
         ),
     )
 

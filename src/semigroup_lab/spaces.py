@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, SemigroupOverflow
 
@@ -270,6 +269,15 @@ def clog1p(z: complex) -> complex:
     return total
 
 
+def _expm(matrix: np.ndarray) -> np.ndarray:
+    """scipy's ``expm`` (Al-Mohy & Higham 2009), the lab's one matrix
+    exponential.  scipy is imported here, on the first call, so runs with
+    diagonal generators never load it."""
+    import scipy.linalg
+
+    return scipy.linalg.expm(matrix)
+
+
 def _dense_defect(matrix: np.ndarray) -> np.ndarray:
     """exp(M) - I as M phi1(M), with no subtraction of I from exp(M).
 
@@ -282,7 +290,7 @@ def _dense_defect(matrix: np.ndarray) -> np.ndarray:
         raise SemigroupOverflow(f"dense orbit with |tA| = {scale:.3g} overflows")
     dim = matrix.shape[0]
     zero = np.zeros((dim, dim))
-    phi1 = scipy.linalg.expm(np.block([[matrix, np.eye(dim)], [zero, zero]]))[:dim, dim:]
+    phi1 = _expm(np.block([[matrix, np.eye(dim)], [zero, zero]]))[:dim, dim:]
     return matrix @ phi1
 
 

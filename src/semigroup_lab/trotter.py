@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SemigroupOverflow
 from .projections import Projection, projection_matrix
@@ -23,6 +22,7 @@ from .spaces import (
     CVec,
     Functional,
     Generator,
+    _expm,
     apply_generator,
     cexpm1,
     clog1p,
@@ -198,11 +198,11 @@ def _generator_matrix(a: Generator) -> np.ndarray:
 def bounded_limit_oracle(a: Generator, proj: Projection, t: float) -> np.ndarray:
     """The strong limit of the alternating products for bounded A.
 
-    Returns the matrix exp(t P A P) P from scipy's ``expm``.  The product
-    routes' defect calls ``expm`` on another matrix; its 50-digit mpmath
-    test is what keeps this comparison from being circular.
+    Returns the matrix exp(t P A P) P from ``spaces._expm``.  The product
+    routes' defect calls it on another matrix; the 50-digit mpmath tests
+    of both are what keep this comparison from being circular.
     """
     p_mat = projection_matrix(proj)
     compressed = p_mat @ _generator_matrix(a) @ p_mat
-    return scipy.linalg.expm(t * compressed) @ p_mat
+    return _expm(t * compressed) @ p_mat
 

@@ -185,6 +185,14 @@ def test_verify_rejects_unknown_payload(tmp_path):
     assert main(["verify", str(missing)]) == EXIT_INVALID
 
 
+@pytest.mark.parametrize("payload", [[1, 2], 5], ids=["array", "number"])
+def test_verify_refuses_a_payload_that_is_not_an_object(tmp_path, capsys, payload):
+    path = tmp_path / "not_an_object.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().out == f"FAIL {path}: expected an object, got {payload!r}\n"
+
+
 @pytest.mark.parametrize(
     "name",
     ["blowup_k5.cert.json", "bounded_contrapositive.cert.json", "split_renorm.report.json"],
@@ -240,6 +248,31 @@ def run_python(args, blas_threads=None):
 
 def run_cli_subprocess(args, blas_threads):
     return run_python(["-m", "semigroup_lab.cli", *args], blas_threads)
+
+
+SCIPY_PROBE = """
+import sys
+from semigroup_lab.cli import main
+
+def run(*args):
+    main([*args])
+    print("scipy" in sys.modules)
+
+out = sys.argv[1]
+run("witness", "--config", "blowup_k5", "--out", out)
+run("verify", out + "/blowup_k5.cert.json")
+run("renorm-audit", "--config", "split_renorm", "--out", out)
+run("limit-check", "--config", "bounded_oracle", "--out", out)
+"""
+
+
+def test_diagonal_runs_never_import_scipy(tmp_path):
+    # only a dense generator's matrix exponential loads scipy; the dense
+    # limit-check at the end shows the probe can see the import
+    result = run_python(["-c", SCIPY_PROBE, str(tmp_path)])
+    assert result.returncode == 0, result.stderr
+    flags = [line for line in result.stdout.splitlines() if line in ("True", "False")]
+    assert flags == ["False", "False", "False", "True"]
 
 
 def test_dense_report_replays_across_blas_threads(tmp_path):
@@ -424,6 +457,8 @@ def test_limit_csv_numeric_cells_parse_as_floats(tmp_path):
             {**K5_CONFIG, "witness": {**K5_CONFIG["witness"], "margin": math.nan}},
             "witness.margin",
         ),
+        ("sweep", {"sweep": {"trials": 1, "times": {"0x1p0": 5, "0x1p1": 7}}}, "sweep.times"),
+        ("sweep", {"sweep": {"trials": 1, "times": "0x1p0"}}, "sweep.times"),
     ],
     ids=[
         "decimal_string",
@@ -458,6 +493,8 @@ def test_limit_csv_numeric_cells_parse_as_floats(tmp_path):
         "generator_norm_negative",
         "margin_negative",
         "margin_nan",
+        "sweep_times_object",
+        "sweep_times_string",
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, overrides, field):

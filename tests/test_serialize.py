@@ -225,6 +225,31 @@ def test_report_integer_and_bool_fields_are_strict(section, key, value, message)
     assert info.value.failures == [message]
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("lambdas", {}, "lambdas: expected a list, got {}"),
+        ("lambdas", "0x1p0", "lambdas: expected a list, got '0x1p0'"),
+        ("violations", {"0": [1, 2.0]}, "violations: expected a list, got {'0': [1, 2.0]}"),
+        ("violations", [{"0": 1}], "violations: expected a list, got {'0': 1}"),
+        ("parameters", [1], "parameters: expected an object, got [1]"),
+        ("summary", 5, "summary: expected an object, got 5"),
+    ],
+    ids=["lambdas_object", "lambdas_string", "violations_object", "violation_row_object",
+         "parameters_list", "summary_number"],
+)
+def test_report_container_fields_are_strict(key, value, message):
+    a = diagonal_generator(GrowthLaw("poly", 1.0), 3)
+    report = quasi_contractivity_audit(
+        "classical", a=a, omega=0.5, vector_samples=4, time_samples=2, grid_points=9
+    )
+    payload = report_to_dict(replace(report, source={"generator": generator_to_dict(a)}))
+    payload[key] = value
+    with pytest.raises(InvalidCertificate) as info:
+        report_from_dict(payload)
+    assert info.value.failures == [message]
+
+
 def both_reports(cert):
     a = diagonal_generator(GrowthLaw("poly", 1.0), 3)
     classical = quasi_contractivity_audit(

@@ -1,4 +1,5 @@
-"""Repository tooling: the shipped configs regenerate from their script."""
+"""Repository tooling: the shipped configs regenerate from their script,
+and scipy is named in one module only."""
 
 import importlib.util
 from pathlib import Path
@@ -31,3 +32,16 @@ def test_script_writes_every_shipped_config(regenerated):
 @pytest.mark.parametrize("name", NAMES)
 def test_shipped_config_regenerates_byte_for_byte(regenerated, name):
     assert (regenerated / name).read_bytes() == (SHIPPED / name).read_bytes()
+
+
+def test_only_spaces_names_scipy():
+    # scipy is imported inside spaces._expm on first use; a name anywhere
+    # else would put the import back on every run's start-up
+    sources = [REPO / "src" / "semigroup_lab", REPO / "tools"]
+    naming = {
+        path.relative_to(REPO).as_posix()
+        for root in sources
+        for path in root.rglob("*")
+        if path.is_file() and "__pycache__" not in path.parts and "scipy" in path.read_text()
+    }
+    assert naming == {"src/semigroup_lab/spaces.py"}

@@ -243,6 +243,33 @@ def test_bounded_product_approaches_oracle():
     assert errs[1] < errs[0]
 
 
+ORACLE_REF_TOL = 1e-12
+
+
+def mpmath_oracle(a, proj, t):
+    """exp(t P A P) P at 50 digits, the exponential from mpmath."""
+    with mpmath.workdps(50):
+        p = mpmath.matrix(proj.matrix.tolist())
+        exact = mpmath.expm(mpmath.mpf(t) * (p * mpmath.matrix(a.matrix.tolist()) * p)) * p
+        return np.array(exact.tolist(), dtype=np.complex128)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("norm_cap", [2.0, 5.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bounded_limit_oracle_matches_mpmath(seed, norm_cap, t):
+    # drawn like a sweep trial with the default sizes: dimension 2..8, a
+    # dense generator of norm 2, an oblique projection of random rank
+    rng = np.random.default_rng([seed, int(norm_cap)])
+    d = int(rng.integers(2, 9))
+    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    a = dense_generator(raw * (2.0 / np.linalg.norm(raw, 2)))
+    proj = random_oblique_projection(d, int(rng.integers(1, d)), rng, norm_cap=norm_cap)
+    ref = mpmath_oracle(a, proj, t)
+    got = bounded_limit_oracle(a, proj, t)
+    assert np.linalg.norm(got - ref, 2) <= ORACLE_REF_TOL * np.linalg.norm(ref, 2)
+
+
 def test_dense_product_overflow_detection():
     a = diagonal_generator_from_entries([800.0])
     proj = make_rank_one(Functional([1.0], 2.0), CVec([1.0], 2.0))

@@ -336,8 +336,21 @@ def truncate(payload, key, size):
             "stages[2].vector: dimension 3, expected 7",
         ),
         (lambda payload: truncate(payload, "witness", 6), "witness: dimension 6, expected 7"),
+        (
+            lambda payload: payload.update(stages=dict(enumerate(payload["stages"]))),
+            "stages: expected a list, got {0: ",
+        ),
+        (
+            lambda payload: payload.update(witness_errors={}),
+            "witness_errors: expected a list, got {}",
+        ),
+        (
+            lambda payload: payload.update(witness_log_values="0x1p0"),
+            "witness_log_values: expected a list, got '0x1p0'",
+        ),
     ],
-    ids=["missing_eps", "empty_stages", "unknown_law", "short_stage_vector", "short_witness"],
+    ids=["missing_eps", "empty_stages", "unknown_law", "short_stage_vector", "short_witness",
+         "stages_object", "witness_errors_object", "witness_log_values_string"],
 )
 def test_malformed_certificate_names_the_field(k5_certificate, mutate, prefix):
     payload = cert_to_dict(k5_certificate)
