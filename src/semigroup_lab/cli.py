@@ -261,10 +261,18 @@ def run_renorm_audit(cfg: ExperimentConfig, out_dir: Path, config_dir: Path) -> 
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
+def _named(prefix: str, read, *args):
+    """``read(*args)``, with each decoding failure named under ``prefix``."""
+    try:
+        return read(*args)
+    except InvalidCertificate as exc:
+        raise InvalidCertificate([prefix + line for line in exc.failures]) from exc
+
+
 def _rebuild_report(report):
     src, params = report.source, report.parameters
     if "certificate" in src:
-        cert = cert_from_dict(src["certificate"])
+        cert = _named("source.certificate.", cert_from_dict, src["certificate"])
         verify_certificate(cert)
         fresh = quasi_contractivity_audit(
             "split",
@@ -274,7 +282,8 @@ def _rebuild_report(report):
             slack=_field(params, "slack", _float, "parameters."),
         )
     elif "generator" in src:
-        a = generator_from_dict(src["generator"], _field(params, "dim", _int, "parameters."))
+        dim = _field(params, "dim", _int, "parameters.")
+        a = _named("source.", generator_from_dict, src["generator"], dim)
         fresh = quasi_contractivity_audit(
             "classical",
             a=a,

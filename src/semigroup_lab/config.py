@@ -114,8 +114,10 @@ class ExperimentConfig:
     sweep_spec: dict | None
 
     def __post_init__(self) -> None:
-        # here so that a --seed override is checked too
+        # here so that --seed and --tolerance overrides are checked too
         _check(self.seed >= 0, "seed", f"must be nonnegative, got {self.seed}")
+        # a NaN or inf tolerance is never exceeded
+        _check(math.isfinite(self.tolerance), "tolerance", f"must be finite, got {self.tolerance}")
 
     @_config_errors()
     def generator(self) -> Generator:

@@ -22,10 +22,13 @@ from .spaces import (
     CVec,
     Functional,
     Generator,
+    _complex,
     _expm,
     apply_generator,
     cexpm1,
+    cexpm1_array,
     clog1p,
+    clog1p_array,
     pairing,
     semigroup_defect,
 )
@@ -35,6 +38,9 @@ from .spaces import (
 MATERIALIZE_LOG_BOUND = 700.0
 
 _NORMALIZED_SLACK = 1e-9
+
+# One ulp of 1.0: the unit of a batched error's rounding spread.
+_ROUNDING = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,70 @@ def _log_power(offset: complex, n: int) -> complex:
 def product_log_value(a: Generator, f: Functional, x: CVec, n: int) -> complex:
     """log of the unit-time n-step scalar product value, via the drift carrier."""
     return _log_power(step_derivative(a, f, x, 1.0, n) / float(n), n)
+
+
+@dataclass(frozen=True)
+class StepBatch:
+    """The unit-time scalar carrier over a batch: row i is step count
+    ``steps[i]``, column j is ``vectors[j]``.
+
+    ``log_values`` holds n log(1 + offset), ``errors`` the limit gap of
+    each against one limit log, and ``spreads`` a first-order rounding
+    scale of each error.  The scalar carrier (``product_log_value`` with
+    ``limit_gap_error``) sums and rounds in another order; the two differ
+    by a modest multiple of the spread.
+    """
+
+    log_values: np.ndarray
+    errors: np.ndarray
+    spreads: np.ndarray
+
+
+def _pullbacks(a: Generator, f: Functional, steps) -> tuple[np.ndarray, np.ndarray]:
+    """Per step count n, the functional g with g(v) = f((exp(A/n) - I) v)
+    and a bound on the moduli its rounding scales with (one row each)."""
+    if a.kind == "diagonal":
+        h = np.array([1.0 / float(n) for n in steps])
+        z = h[:, None] * a.entries
+        defect = cexpm1_array(z)
+        # the versine half of Re cexpm1 is at most |defect| + |expm1(Re z)|
+        weight = np.abs(f.coords) * (np.abs(defect) + 2.0 * np.abs(np.expm1(z.real)))
+        return f.coords * defect, weight
+    defects = [semigroup_defect(a, 1.0 / float(n)) for n in steps]
+    pull = np.array([d.T @ f.coords for d in defects])
+    weight = np.array([np.abs(d).T @ np.abs(f.coords) for d in defects])
+    return pull, weight
+
+
+def batched_log_values(
+    a: Generator, f: Functional, vectors: np.ndarray, steps, limit_log: complex
+) -> StepBatch:
+    """The scalar carrier for many vectors and step counts at once.
+
+    For each step count n the functional is pulled back through one
+    defect exp(A/n) - I (one ``cexpm1_array`` call for a diagonal
+    generator, one ``semigroup_defect`` matrix for a dense one), and one
+    matmul gives every vector's step offset.  The log power goes through
+    ``clog1p_array`` and the limit gap through ``cexpm1_array``, the same
+    formulas as the scalar carrier.
+    """
+    n = np.array([float(k) for k in steps])[:, None]
+    pull, weight = _pullbacks(a, f, steps)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        offsets = pull @ vectors.T
+        logs = clog1p_array(offsets)
+        log_values = _complex(n * logs.real, n * logs.imag)
+        gap = log_values - limit_log
+        scale = float(np.exp(limit_log.real))
+        errors = scale * np.abs(cexpm1_array(gap))
+        errors[gap.real > 690.0] = math.inf
+        if scale == math.inf:
+            errors[:] = math.inf
+        moduli = n * (weight @ np.abs(vectors).T) / np.abs(1.0 + offsets)
+        spreads = _ROUNDING * (
+            errors + (scale + errors) * (moduli + np.abs(log_values) + abs(limit_log))
+        )
+    return StepBatch(log_values, errors, spreads)
 
 
 def require_unit_pairing(f: Functional, x: CVec) -> None:

@@ -459,6 +459,7 @@ def test_limit_csv_numeric_cells_parse_as_floats(tmp_path):
         ),
         ("sweep", {"sweep": {"trials": 1, "times": {"0x1p0": 5, "0x1p1": 7}}}, "sweep.times"),
         ("sweep", {"sweep": {"trials": 1, "times": "0x1p0"}}, "sweep.times"),
+        ("limit-check", {"tolerance": math.nan}, "tolerance"),
     ],
     ids=[
         "decimal_string",
@@ -495,6 +496,7 @@ def test_limit_csv_numeric_cells_parse_as_floats(tmp_path):
         "margin_nan",
         "sweep_times_object",
         "sweep_times_string",
+        "tolerance_nan",
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, overrides, field):
@@ -508,6 +510,30 @@ def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
     rc = main(["witness", "--config", "blowup_k5", "--out", str(tmp_path), "--seed", "-3"])
     assert rc == EXIT_CONFIG
     assert "config error: seed: " in capsys.readouterr().err
+
+
+def test_nan_tolerance_override_is_a_config_error(tmp_path, capsys):
+    rc = main(["limit-check", "--config", "two_point", "--out", str(tmp_path), "--tolerance", "nan"])
+    assert rc == EXIT_CONFIG
+    assert "config error: tolerance: " in capsys.readouterr().err
+    assert not (tmp_path / "two_point.limit.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "source, failure",
+    [
+        ({"certificate": [1]}, "source.certificate.schema: not a certificate (None)"),
+        ({"generator": {"kind": "x"}}, "source.generator.kind: 'x' is not diagonal or dense"),
+    ],
+    ids=["certificate", "generator"],
+)
+def test_verify_names_the_report_source_field(tmp_path, capsys, source, failure):
+    payload = load_json(V1_DATA / "split_renorm.report.json")
+    payload["source"] = source
+    path = tmp_path / "bad_source.report.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", str(path)]) == EXIT_INVALID
+    assert f"  - {failure}\n" in capsys.readouterr().out
 
 
 def drop_eps(path):

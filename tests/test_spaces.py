@@ -27,7 +27,7 @@ from semigroup_lab import (
     semigroup_defect,
 )
 from semigroup_lab.errors import DimensionMismatch
-from semigroup_lab.spaces import cexpm1, clog1p
+from semigroup_lab.spaces import cexpm1, cexpm1_array, clog1p, clog1p_array
 
 EXACT_TOL = 1e-12
 SEMIGROUP_TOL = 1e-9
@@ -252,6 +252,39 @@ def test_clog1p_matches_mpmath():
             assert err <= 1e-14 * abs(ref), z
         else:
             assert err <= 1e-15 * max(1.0, abs(ref)), z
+
+
+def test_clog1p_array_matches_mpmath():
+    # the batched carrier's log, on the moduli the step offsets take
+    rng = np.random.default_rng(43)
+    moduli = 10.0 ** rng.uniform(-40.0, math.log10(0.5), 2000)
+    points = moduli * np.exp(1j * rng.uniform(-math.pi, math.pi, moduli.size))
+    # offsets of rotations, e^(i theta) - 1, where |1 + z| = 1 exactly
+    points = np.concatenate([points, np.exp(1j * 10.0 ** np.linspace(-20.0, -0.4, 200)) - 1.0])
+    logs = clog1p_array(points)
+    for z, got in zip(map(complex, points), logs):
+        ref = clog1p_reference(z)
+        assert abs(got - ref) <= 1e-14 * abs(ref), z
+    # np.log1p returns a real part of 0 at this point
+    assert clog1p_array(np.array([1e-19 + 1e-19j]))[0].real == pytest.approx(1e-19, rel=1e-14)
+
+
+def test_clog1p_array_edges():
+    z = np.array([-1.0 + 0.0j, 1e200 + 1e200j, -2.0 + 0.0j, 0.0j])
+    got = clog1p_array(z)
+    assert got[0] == complex(-math.inf, 0.0)
+    assert got[1] == pytest.approx(cmath.log(1e200 + 1e200j), rel=1e-15)
+    assert got[2] == pytest.approx(clog1p(-2.0 + 0.0j), rel=1e-15)
+    assert got[3] == 0.0
+
+
+def test_cexpm1_array_agrees_with_scalar_carrier():
+    rng = np.random.default_rng(44)
+    moduli = 10.0 ** rng.uniform(-40.0, 1.0, 2000)
+    z = moduli * np.exp(1j * rng.uniform(-math.pi, math.pi, moduli.size))
+    for w, got in zip(map(complex, z), cexpm1_array(z)):
+        ref = cexpm1(w)
+        assert abs(got - ref) <= CARRIER_TOL * max(abs(ref), abs(w)), w
 
 
 def test_vector_coords_are_read_only():

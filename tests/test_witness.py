@@ -39,7 +39,9 @@ from semigroup_lab.errors import (
     WitnessBuildError,
     ZeroPairing,
 )
+from semigroup_lab.cli import _build_from_config
 from semigroup_lab.serialize import encode
+from semigroup_lab.trotter import limit_gap_error
 from semigroup_lab.witness import _seed_with_meta, _step_lipschitz, product_log_value
 
 PAIRING_TOL = 1e-10
@@ -400,3 +402,133 @@ def test_certificate_integer_fields_are_integers(k5_certificate, mutate, message
     with pytest.raises(InvalidCertificate) as info:
         cert_from_dict(payload)
     assert info.value.failures == [message]
+
+
+def scalar_step_scan(a, f, x, eps, j_max):
+    """The step-count scan as a plain loop over the scalar carrier."""
+    limit_log = pairing(f, apply_generator(a, x))
+    best = math.inf
+    for j in range(j_max + 1):
+        log_value = product_log_value(a, f, x, 2**j)
+        err = limit_gap_error(limit_log, log_value)
+        if err < eps:
+            return 2**j, err, log_value
+        best = min(best, err)
+    raise ScheduleExhausted(j_max=j_max, best_error=best, target=eps)
+
+
+def scalar_validation(a, f, x, n, delta, rng, samples):
+    """Stability validation as a per-sample loop over the scalar carrier."""
+    limit_log = pairing(f, apply_generator(a, x))
+    anchor = np.conj(f.coords)
+    anchor_gain = complex(np.dot(f.coords, anchor))
+    worst = 0.0
+    for _ in range(samples):
+        raw = rng.standard_normal(x.dim) + 1j * rng.standard_normal(x.dim)
+        kernel = raw - complex(np.dot(f.coords, raw)) / anchor_gain * anchor
+        size = norm(CVec(kernel, x.p))
+        if size == 0.0:
+            continue
+        shifted = CVec(x.coords + (delta / size) * kernel, x.p)
+        worst = max(worst, limit_gap_error(limit_log, product_log_value(a, f, shifted, n)))
+    return worst
+
+
+def shipped_stages(name, seed):
+    """The certificate (or partial one) the CLI builds from a shipped config."""
+    cfg = load_config(name).with_overrides(seed=seed)
+    try:
+        return _build_from_config(cfg), cfg
+    except WitnessBuildError as failure:
+        return failure.partial, cfg
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", ["blowup_k5", "bounded_contrapositive"])
+def test_batched_carrier_matches_scalar_loops(name, seed, monkeypatch):
+    cert, cfg = shipped_stages(name, seed)
+    a, f = cert.a, cert.functional_obj()
+    samples = cfg.witness_params().validation_samples
+    # a block that does not divide the sample count, to cross block edges
+    monkeypatch.setattr("semigroup_lab.witness._SAMPLE_BLOCK", 7 if seed % 2 else 4096)
+    for st in cert.stages:
+        x = CVec(st.vector, cert.p)
+        chosen = choose_step_count(a, f, x, cert.eps, cert.j_max)
+        assert chosen == scalar_step_scan(a, f, x, cert.eps, cert.j_max)
+        assert chosen == (st.steps, st.limit_error, st.log_value)
+        batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+        worst = validate_stability(a, f, x, st.steps, st.stability_radius, batched, samples)
+        ref = scalar_validation(a, f, x, st.steps, st.stability_radius, looped, samples)
+        assert abs(worst - ref) <= 1e-12 * ref
+        assert batched.bit_generator.state == looped.bit_generator.state
+        assert batched.standard_normal() == looped.standard_normal()
+
+
+def test_step_scan_exhaustion_matches_scalar_loop(k5_certificate):
+    cert = k5_certificate
+    a, f = cert.a, cert.functional_obj()
+    for st in cert.stages[1:]:
+        x = CVec(st.vector, cert.p)
+        j_max = st.steps.bit_length() - 2
+        with pytest.raises(ScheduleExhausted) as batched:
+            choose_step_count(a, f, x, cert.eps, j_max)
+        with pytest.raises(ScheduleExhausted) as looped:
+            scalar_step_scan(a, f, x, cert.eps, j_max)
+        assert batched.value.best_error == looped.value.best_error
+        assert batched.value.j_max == looped.value.j_max == j_max
+
+
+def replace_stage(cert, k, **changes):
+    stages = list(cert.stages)
+    stages[k] = dataclasses.replace(stages[k], **changes)
+    return dataclasses.replace(cert, stages=tuple(stages))
+
+
+def replace_entry(cert, field, k, value):
+    values = list(getattr(cert, field))
+    values[k] = value
+    return dataclasses.replace(cert, **{field: tuple(values)})
+
+
+@pytest.mark.parametrize(
+    "mutate, failure",
+    [
+        (
+            lambda cert: replace_stage(cert, 2, stability_radius=math.nan),
+            "stage 2: stability radius nan is under 1e-300",
+        ),
+        (
+            lambda cert: replace_stage(cert, 2, log_value=complex(math.nan, 0.0)),
+            "stage 2: stored log value does not recompute",
+        ),
+        (
+            lambda cert: replace_entry(cert, "witness_log_values", 2, complex(math.nan, 0.0)),
+            "stage 2 at witness: stored log value does not recompute",
+        ),
+        (
+            lambda cert: replace_entry(cert, "witness_errors", 2, math.nan),
+            "stage 2 at witness: stored deviation does not recompute",
+        ),
+        (
+            lambda cert: replace_stage(cert, 2, limit_error=-1.0),
+            "stage 2: stored limit error -1 does not recompute",
+        ),
+        (
+            lambda cert: replace_stage(cert, 2, limit_error=1e308),
+            "stage 2: stored limit error 1e+308 does not recompute",
+        ),
+        (
+            lambda cert: dataclasses.replace(cert, witness_errors=()),
+            "witness evaluations do not cover every stage",
+        ),
+        (lambda cert: dataclasses.replace(cert, eps=0.6), "eps 0.6 outside (0, 1/2)"),
+        (lambda cert: dataclasses.replace(cert, eps=-1.0), "eps -1.0 outside (0, 1/2)"),
+    ],
+    ids=["nan_radius", "nan_log_value", "nan_witness_log_value", "nan_witness_error",
+         "negative_limit_error", "huge_limit_error", "empty_witness_errors", "eps_above_half",
+         "eps_negative"],
+)
+def test_verify_rejects_stored_numbers_it_cannot_recompute(k5_certificate, mutate, failure):
+    with pytest.raises(InvalidCertificate) as info:
+        verify_certificate(mutate(k5_certificate))
+    assert failure in info.value.failures
