@@ -269,6 +269,15 @@ def _named(prefix: str, read, *args):
         raise InvalidCertificate([prefix + line for line in exc.failures]) from exc
 
 
+def _bound(raw) -> float:
+    """An audit bound read back from a report.  A NaN or infinite one is
+    never exceeded, so it would switch the replayed check off."""
+    value = _float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
+
+
 def _rebuild_report(report):
     src, params = report.source, report.parameters
     if "certificate" in src:
@@ -279,7 +288,7 @@ def _rebuild_report(report):
             cert=cert,
             seed=report.seed,
             vector_samples=report.vector_samples,
-            slack=_field(params, "slack", _float, "parameters."),
+            slack=_field(params, "slack", _bound, "parameters."),
         )
     elif "generator" in src:
         dim = _field(params, "dim", _int, "parameters.")
@@ -293,7 +302,7 @@ def _rebuild_report(report):
             vector_samples=report.vector_samples,
             time_samples=_field(params, "time_samples_requested", _int, "parameters."),
             grid_points=_field(params, "grid_points", _int, "parameters."),
-            tol=_field(params, "tol", _float, "parameters."),
+            tol=_field(params, "tol", _bound, "parameters."),
         )
     else:
         raise InvalidCertificate(["report embeds no source to re-run"])

@@ -197,6 +197,9 @@ class ExperimentConfig:
         for name in ("omega", "tol", "slack"):  # a NaN or inf bound is never exceeded
             value = getattr(params, name)
             _check(value is None or math.isfinite(value), f"renorm.{name}", "must be finite")
+        # shift 0 is always audited and its excess is exactly 0, so a negative
+        # tol would fail every classical audit
+        _check(params.tol >= 0.0, "renorm.tol", "must be nonnegative")
         _check(params.vector_samples >= 1, "renorm.vector_samples", "must be positive")
         _check(params.time_samples >= 1, "renorm.time_samples", "must be positive")
         _check(params.grid_points >= 2, "renorm.grid_points", "must be at least 2")

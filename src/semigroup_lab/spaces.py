@@ -7,8 +7,9 @@ the conjugate exponent.  The pairing is bilinear, not sesquilinear:
 
 Generators come in two flavours.  Diagonal ones are built from a growth
 law and act coordinatewise; dense ones are explicit matrices.  Orbits
-``exp(t A) v`` go through one propagator, ``semigroup_matrix``; a dense
-one is ``I + (exp(t A) - I)`` with the defect read off Van Loan's block
+``exp(t A) v`` go through one propagator, ``semigroup_matrices``, which
+stacks ``exp(t A)`` over a list of times.  A dense one is
+``I + (exp(t A) - I)`` with the defect read off Van Loan's block
 exponential, so small-time drifts are not lost to cancellation.
 """
 
@@ -95,7 +96,8 @@ class GrowthLaw:
     table          values[m-1] verbatim
 
     Entry moduli must be nondecreasing in m; ``law_entries`` enforces
-    this for every kind, including explicit tables.
+    this for every kind, including explicit tables.  A table law's
+    ``param`` must be 0, its default.
     """
 
     kind: str
@@ -107,6 +109,9 @@ class GrowthLaw:
             raise ValueError(f"unknown growth law kind {self.kind!r}")
         if self.kind == "table" and not self.values:
             raise ValueError("table law needs explicit values")
+        if self.kind == "table" and self.param != 0.0:
+            # nothing reads it, so a file could carry any value unchecked
+            raise ValueError(f"table law takes no param (got {self.param!r})")
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
 
 
@@ -328,10 +333,14 @@ def _dense_defect(matrix: np.ndarray) -> np.ndarray:
     return matrix @ phi1
 
 
-def _scaled_entries(a: Generator, t: float) -> np.ndarray:
-    scaled = t * a.entries
-    if np.max(scaled.real) > EXP_OVERFLOW:
-        raise SemigroupOverflow(f"diagonal orbit at t = {t:.3g} overflows")
+def _scaled_entries(a: Generator, times) -> np.ndarray:
+    """``t * entries``, one row per time; raises at the first t whose
+    diagonal orbit overflows."""
+    times = np.asarray(times, dtype=np.float64)
+    scaled = np.multiply.outer(times, a.entries)
+    over = np.flatnonzero(np.max(scaled.real, axis=1) > EXP_OVERFLOW)
+    if over.size:
+        raise SemigroupOverflow(f"diagonal orbit at t = {times[over[0]]:.3g} overflows")
     return scaled
 
 
@@ -342,15 +351,32 @@ def semigroup_defect(a: Generator, t: float):
     full matrix for a dense one.
     """
     if a.kind == "diagonal":
-        return np.array([cexpm1(complex(z)) for z in _scaled_entries(a, t)], dtype=np.complex128)
+        scaled = _scaled_entries(a, (t,))[0]
+        return np.array([cexpm1(complex(z)) for z in scaled], dtype=np.complex128)
     return _dense_defect(t * a.matrix)
+
+
+def semigroup_matrices(a: Generator, times) -> np.ndarray:
+    """``exp(t A)`` for every t in ``times``, stacked into a (G, d, d) array.
+
+    A diagonal generator takes one exponential of the (G, d) table of
+    scaled entries; a dense one takes one defect per time, in order, so an
+    overflow names the first time that overflows for either kind.
+    """
+    out = np.zeros((len(times), a.dim, a.dim), dtype=np.complex128)
+    if a.kind == "diagonal":
+        diag = np.arange(a.dim)
+        out[:, diag, diag] = np.exp(_scaled_entries(a, times))
+        return out
+    eye = np.eye(a.dim, dtype=np.complex128)
+    for k, t in enumerate(times):
+        out[k] = eye + semigroup_defect(a, float(t))
+    return out
 
 
 def semigroup_matrix(a: Generator, t: float) -> np.ndarray:
     """``exp(t A)`` as a d x d matrix, for either generator kind."""
-    if a.kind == "diagonal":
-        return np.diag(np.exp(_scaled_entries(a, t)))
-    return np.eye(a.dim, dtype=np.complex128) + semigroup_defect(a, t)
+    return semigroup_matrices(a, (t,))[0]
 
 
 def semigroup_apply(a: Generator, t: float, v: CVec) -> CVec:

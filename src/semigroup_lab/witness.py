@@ -281,8 +281,8 @@ def _radius_log_bound(log_step_abs: float, n: int, lip: float, delta: float) -> 
 def stability_radius(
     a: Generator,
     f: Functional,
-    x: CVec,
     n: int,
+    log_value: complex,
     eps: float,
     anchor_norm: float,
     stage: int = 0,
@@ -290,17 +290,18 @@ def stability_radius(
     """A radius delta such that the n-step product value moves by < eps
     anywhere in the delta-ball around x (within the f(.) = 1 slice).
 
-    Certified through the step-perturbation bound
-    ``n * (|c| + L*delta)^(n-1) * L * delta <= eps`` with c the step
-    value at x and L the per-step Lipschitz constant; the bound is
-    rechecked in log space, from log|c| = Re log(c^n) / n, and the radius
-    halved until it holds.  The radius is additionally capped at
+    ``log_value`` is log(c^n), the n-step product's log value at x, as
+    ``choose_step_count`` returns it.  Certified through the
+    step-perturbation bound ``n * (|c| + L*delta)^(n-1) * L * delta <= eps``
+    with c the step value at x and L the per-step Lipschitz constant; the
+    bound is rechecked in log space, from log|c| = Re log(c^n) / n, and
+    the radius halved until it holds.  The radius is additionally capped at
     1/(n L), at min(1, 1/(2L)) and at half the anchor norm so the ladder
     stays in a bounded region.  At L = 0 the value cannot move, and the
     caps that divide by L drop out (their L -> 0 limit).
     """
     L = _step_lipschitz(a, f, n)
-    log_step_abs = product_log_value(a, f, x, n).real / n
+    log_step_abs = log_value.real / n
     power_log = (n - 1) * log_step_abs
     scale = math.inf if power_log > 690.0 else math.e * n * L * math.exp(power_log)
     lip_caps = (1.0 / (n * L), 1.0 / (2.0 * L)) if L > 0.0 else ()
@@ -371,7 +372,7 @@ def _certified_stage(
     if drift.real < float(index):
         raise ArithmeticError(f"{label} reached Re f(Ax) = {drift.real:.6g} < {index}")
     steps, err, log_value = choose_step_count(a, f, x, eps, j_max=j_max)
-    delta = stability_radius(a, f, x, steps, eps, anchor_norm, stage=index)
+    delta = stability_radius(a, f, steps, log_value, eps, anchor_norm, stage=index)
     worst = validate_stability(a, f, x, steps, delta, rng, samples=validation_samples)
     if not worst < 2.0 * eps:
         raise ArithmeticError(f"{label} sampled deviation {worst:.3g} breaks the 2*eps bound")

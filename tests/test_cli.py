@@ -31,7 +31,8 @@ from semigroup_lab.serialize import (
 FINAL_ERR_BOUND = 1e-3
 
 # Artifacts written by the shipped configs at commit 7371cd3, the last to
-# write certificates under schema semigroup-lab/cert/1.
+# write certificates under schema semigroup-lab/cert/1, and the
+# classical_renorm report as commit 4add2e4 wrote it.
 V1_DATA = Path(__file__).parent / "data"
 
 
@@ -195,10 +196,21 @@ def test_verify_refuses_a_payload_that_is_not_an_object(tmp_path, capsys, payloa
 
 @pytest.mark.parametrize(
     "name",
-    ["blowup_k5.cert.json", "bounded_contrapositive.cert.json", "split_renorm.report.json"],
+    [
+        "blowup_k5.cert.json",
+        "bounded_contrapositive.cert.json",
+        "split_renorm.report.json",
+        "classical_renorm.report.json",
+    ],
 )
 def test_v1_artifacts_pass_verify(name):
     assert main(["verify", str(V1_DATA / name)]) == EXIT_OK
+
+
+def test_shipped_classical_report_is_unchanged(tmp_path):
+    assert main(["renorm-audit", "--config", "classical_renorm", "--out", str(tmp_path)]) == EXIT_OK
+    written = (tmp_path / "classical_renorm.report.json").read_bytes()
+    assert written == (V1_DATA / "classical_renorm.report.json").read_bytes()
 
 
 @pytest.mark.parametrize("config", ["blowup_k5", "bounded_contrapositive"])
@@ -460,6 +472,11 @@ def test_limit_csv_numeric_cells_parse_as_floats(tmp_path):
         ("sweep", {"sweep": {"trials": 1, "times": {"0x1p0": 5, "0x1p1": 7}}}, "sweep.times"),
         ("sweep", {"sweep": {"trials": 1, "times": "0x1p0"}}, "sweep.times"),
         ("limit-check", {"tolerance": math.nan}, "tolerance"),
+        (
+            "renorm-audit",
+            {"renorm": {"kind": "classical", "omega": 3.0, "tol": -1e-12}},
+            "renorm.tol",
+        ),
     ],
     ids=[
         "decimal_string",
@@ -497,6 +514,7 @@ def test_limit_csv_numeric_cells_parse_as_floats(tmp_path):
         "sweep_times_object",
         "sweep_times_string",
         "tolerance_nan",
+        "tol_negative",
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, overrides, field):
@@ -534,6 +552,28 @@ def test_verify_names_the_report_source_field(tmp_path, capsys, source, failure)
     path.write_text(json.dumps(payload))
     assert main(["verify", str(path)]) == EXIT_INVALID
     assert f"  - {failure}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name, section, key, value, failure",
+    [
+        ("classical_renorm", "parameters", "tol", math.nan, "parameters.tol: must be finite"),
+        ("split_renorm", "parameters", "slack", math.nan, "parameters.slack: must be finite"),
+        ("classical_renorm", "parameters", "p", 3.0, "p must be one of 1, 2, inf"),
+        ("blowup_k5", "law", "param", -1.0, "law: table law takes no param"),
+    ],
+    ids=["nan_tol", "nan_slack", "p_three", "table_param"],
+)
+def test_verify_refuses_values_that_switch_a_check_off(
+    tmp_path, capsys, name, section, key, value, failure
+):
+    stored = next(V1_DATA.glob(f"{name}.*.json"))
+    payload = load_json(stored)
+    payload[section][key] = value
+    path = tmp_path / stored.name
+    path.write_text(json.dumps(payload))
+    assert main(["verify", str(path)]) == EXIT_INVALID
+    assert failure in capsys.readouterr().out
 
 
 def drop_eps(path):

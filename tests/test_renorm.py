@@ -30,7 +30,7 @@ from semigroup_lab import (
 from semigroup_lab.errors import SpectralBoundViolated
 from semigroup_lab.projections import random_oblique_projection
 from semigroup_lab.renorm import _draw, _weighted_sups
-from semigroup_lab.spaces import dense_generator, semigroup_apply, semigroup_matrix
+from semigroup_lab.spaces import dense_generator, semigroup_apply, semigroup_matrices
 
 RATIO_SLACK = 1e-10
 BATCH_REF_TOL = 1e-13
@@ -186,8 +186,7 @@ def test_batched_sups_match_per_vector_reference(make, p):
     a = make()
     grid = renorm_time_grid(a, 0.5, 65)
     draws = _draw(21, 40, a.dim)
-    propagators = [semigroup_matrix(a, float(t)) for t in grid]
-    sups = _weighted_sups(grid, propagators, 0.5, draws.T, p)
+    sups = _weighted_sups(grid, semigroup_matrices(a, grid), 0.5, draws.T, p)
     argmaxes = []
     for row, batched in zip(draws, sups):
         ref, argmax = classical_renorm_value(a, 0.5, CVec(row, p), grid)
@@ -197,6 +196,89 @@ def test_batched_sups_match_per_vector_reference(make, p):
         assert max(argmaxes) > 0.0
     else:
         assert max(argmaxes) == 0.0
+
+
+def late_crossing_dense():
+    """A 3 x 3 Jordan block at -0.2: at weight 0.5 its bound
+    exp(-0.5 t) |exp(tA)| stays above 1 until t is about 11, deep inside
+    the grid, and falls below 1 after."""
+    return dense_generator(-0.2 * np.eye(3) + 5.0 * np.eye(3, k=1))
+
+
+def unpruned_sups(grid, propagators, omega, cols, p):
+    """The weighted sups with every grid time evaluated."""
+    sups = np.full(cols.shape[1], -math.inf)
+    for t, prop in zip(grid, propagators):
+        norms = np.linalg.norm(prop @ cols, ord=p, axis=0)
+        sups = np.maximum(sups, math.exp(-omega * float(t)) * norms)
+    return sups
+
+
+def weighted_bounds(grid, propagators, omega):
+    """exp(-omega t) times the larger of the greatest column and row sums
+    of |exp(tA)|, per grid time."""
+    mags = np.abs(propagators)
+    sums = np.maximum(mags.sum(axis=1).max(axis=1), mags.sum(axis=2).max(axis=1))
+    return np.exp(-omega * np.asarray(grid)) * sums
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["p1", "p2", "pinf"])
+@pytest.mark.parametrize(
+    "make",
+    [dissipative_diagonal, transient_dense, late_crossing_dense],
+    ids=["diagonal", "dense", "late_crossing"],
+)
+def test_pruned_sups_equal_the_unpruned_loop_bit_for_bit(make, p):
+    a = make()
+    grid = renorm_time_grid(a, 0.5)
+    stack = semigroup_matrices(a, grid)
+    draws = _draw(22, 300, a.dim).T
+    # the audit's columns: draws, and draws moved by a shift
+    cols = np.concatenate([draws, stack[64] @ draws], axis=1)
+    sups = _weighted_sups(grid, stack, 0.5, cols, p)
+    assert sups.tobytes() == unpruned_sups(grid, stack, 0.5, cols, p).tobytes()
+    # the bound leaves times to skip, so the comparison is not vacuous
+    assert (weighted_bounds(grid, stack, 0.5)[1:] < 1.0).any()
+
+
+def test_late_crossing_bound_crosses_one_inside_the_grid():
+    a = late_crossing_dense()
+    grid = renorm_time_grid(a, 0.5)
+    above = weighted_bounds(grid, semigroup_matrices(a, grid), 0.5) > 1.0
+    crossing = int(np.argmin(above[1:])) + 1
+    assert above[1:crossing].all() and not above[crossing:].any()
+    assert 5.0 < grid[crossing] < grid[-1] / 2.0
+
+
+def non_finite_columns(cols):
+    cols[1, 0] = math.inf
+    cols[0, 1] = math.nan
+    cols[2, 2] = complex(-math.inf, 1.0)
+    return cols
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["p1", "p2", "pinf"])
+@pytest.mark.parametrize(
+    "make, omega, prepare",
+    [
+        (dissipative_diagonal, 0.5, non_finite_columns),
+        (transient_dense, 0.5, non_finite_columns),
+        # squares of entries near 1e-161 are subnormal and round by percents
+        (dissipative_diagonal, 0.5, lambda cols: cols * 1e-161),
+        # |exp(tA) z| passes 1e154 inside the grid, so the squares of a
+        # 2-norm overflow and the unpruned sups are inf
+        (lambda: diagonal_generator_from_entries([-0.5, 1.0]), 1.075, lambda cols: cols),
+    ],
+    ids=["non_finite_diagonal", "non_finite_dense", "subnormal_squares", "overflowing_norms"],
+)
+def test_pruned_sups_keep_extreme_columns_unpruned(make, omega, prepare, p):
+    a = make()
+    grid = renorm_time_grid(a, omega)
+    stack = semigroup_matrices(a, grid)
+    cols = prepare(_draw(23, 8, a.dim).T.copy())
+    with np.errstate(over="ignore", invalid="ignore"):
+        sups = _weighted_sups(grid, stack, omega, cols, p)
+        assert sups.tobytes() == unpruned_sups(grid, stack, omega, cols, p).tobytes()
 
 
 def per_vector_violations(a, omega, p, seed, vectors, shifts, grid_points, tol):

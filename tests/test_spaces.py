@@ -27,7 +27,14 @@ from semigroup_lab import (
     semigroup_defect,
 )
 from semigroup_lab.errors import DimensionMismatch
-from semigroup_lab.spaces import cexpm1, cexpm1_array, clog1p, clog1p_array
+from semigroup_lab.spaces import (
+    cexpm1,
+    cexpm1_array,
+    clog1p,
+    clog1p_array,
+    semigroup_matrices,
+    semigroup_matrix,
+)
 
 EXACT_TOL = 1e-12
 SEMIGROUP_TOL = 1e-9
@@ -205,6 +212,50 @@ def test_dense_defect_overflow_guard():
     a = dense_generator(m)
     with pytest.raises(SemigroupOverflow):
         semigroup_defect(a, 1.0)
+
+
+def per_time_propagator(a, t):
+    """exp(tA) formed for one time on its own, as the audit once did."""
+    if a.kind == "diagonal":
+        return np.diag(np.exp(t * a.entries))
+    return np.eye(a.dim, dtype=np.complex128) + semigroup_defect(a, t)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_semigroup_matrices_match_per_time_propagators(kind):
+    rng = np.random.default_rng(61)
+    horizon, points = (40.0, 64) if kind == "diagonal" else (2.0, 8)
+    times = np.concatenate(([0.0], np.geomspace(1e-5, horizon, points)))
+    for _ in range(200 if kind == "diagonal" else 4):
+        dim = int(rng.integers(1, 9))
+        raw = rng.standard_normal(dim) * 3.0 - 1.5 + 1j * rng.standard_normal(dim) * 30.0
+        if kind == "diagonal":
+            a = diagonal_generator_from_entries(raw[np.argsort(np.abs(raw))])
+        else:
+            a = dense_generator(np.diag(raw) + rng.standard_normal((dim, dim)))
+        stack = semigroup_matrices(a, times)
+        assert stack.shape == (times.size, dim, dim)
+        for t, prop in zip(times, stack):
+            assert prop.tobytes() == per_time_propagator(a, float(t)).tobytes()
+            assert prop.tobytes() == semigroup_matrix(a, float(t)).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_semigroup_matrices_overflow_names_the_first_time(kind):
+    if kind == "diagonal":
+        a = diagonal_generator_from_entries([-1.0, 10.0 + 1j])
+        times, first = [0.0, 50.0, 70.9, 80.0, 100.0], 80.0
+        message = "diagonal orbit at t = 80 overflows"
+    else:
+        a = dense_generator(np.diag([10.0, -1.0]))
+        times, first = [0.0, 50.0, 69.0, 70.0, 100.0], 70.0
+        message = "dense orbit with |tA| = 700 overflows"
+    with pytest.raises(SemigroupOverflow) as stacked:
+        semigroup_matrices(a, times)
+    with pytest.raises(SemigroupOverflow) as single:
+        semigroup_matrix(a, first)
+    assert str(stacked.value) == str(single.value) == message
+    semigroup_matrices(a, [t for t in times if t < first])
 
 
 def test_cexpm1_matches_library_midrange():

@@ -145,7 +145,7 @@ def test_choose_step_count_exhaustion():
 def test_stability_radius_certifies_its_bound():
     a, f, x = two_point()
     n, eps = 16, 0.01
-    delta = stability_radius(a, f, x, n, eps, anchor_norm=norm(x))
+    delta = stability_radius(a, f, n, product_log_value(a, f, x, n), eps, anchor_norm=norm(x))
     lip = _step_lipschitz(a, f, n)
     step_abs = (1.0 + math.exp(2.0 / n)) / 2.0
     moved = n * (step_abs + lip * delta) ** (n - 1) * lip * delta
@@ -161,20 +161,21 @@ def test_stability_radius_with_zero_lipschitz_constant():
     f = Functional([1.0, 0.0], 2.0)
     x = CVec([1.0, 0.0], 2.0)
     assert _step_lipschitz(a, f, 1) == 0.0
-    assert stability_radius(a, f, x, 1, 0.1, 1.0) == 0.5
+    assert stability_radius(a, f, 1, product_log_value(a, f, x, 1), 0.1, 1.0) == 0.5
 
 
 def test_stability_radius_underflow():
     a, f, x = two_point()
+    n = 2**40
     with pytest.raises(UnderflowRadius):
-        stability_radius(a, f, x, 2**40, 1e-295, anchor_norm=norm(x))
+        stability_radius(a, f, n, product_log_value(a, f, x, n), 1e-295, anchor_norm=norm(x))
 
 
 def test_validate_stability_stays_within_budget():
     a, f, x = two_point()
     eps = 0.05
-    n, _, _ = choose_step_count(a, f, x, eps)
-    delta = stability_radius(a, f, x, n, eps, anchor_norm=norm(x))
+    n, _, log_value = choose_step_count(a, f, x, eps)
+    delta = stability_radius(a, f, n, log_value, eps, anchor_norm=norm(x))
     worst = validate_stability(
         a, f, x, n, delta, np.random.default_rng(0), samples=50
     )
