@@ -7,9 +7,9 @@ certificate), renorm-audit (split or classical renorming audit), verify
 bounded-convergence trials, run in order of their trial index).
 
 Exit codes: 0 success, 2 configuration problems, 3 overflow with a
-partial CSV written, 4 direction search exhausted the truncation,
-5 stability radius underflow, 6 certificate or report verification
-failure, 1 anything else.
+partial CSV written, 4 direction search exhausted the truncation or no
+step count of the schedule met the accuracy target, 5 stability radius
+underflow, 6 certificate or report verification failure, 1 anything else.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .config import ExperimentConfig, load_config, resolve_config_path
 from .errors import (
     ConfigError,
     InvalidCertificate,
+    ScheduleExhausted,
     SemigroupOverflow,
     SpectralBoundViolated,
     TruncationInsufficient,
@@ -50,7 +51,7 @@ from .serialize import (
     report_to_dict,
     save_json,
 )
-from .spaces import CVec, Generator, norm
+from .spaces import CVec, Generator, norm, semigroup_defects
 from .trotter import (
     bounded_limit_oracle,
     dense_trotter_apply,
@@ -70,6 +71,7 @@ EXIT_INVALID = 6
 # Exit codes of a failed witness build, by the type of its cause.
 BUILD_EXITS = (
     (TruncationInsufficient, EXIT_TRUNCATION),
+    (ScheduleExhausted, EXIT_TRUNCATION),
     (UnderflowRadius, EXIT_UNDERFLOW),
     (SemigroupOverflow, EXIT_OVERFLOW),
 )
@@ -95,6 +97,23 @@ def _write_csv(path: Path, schema: str, fields: list[str], rows: list[list]) -> 
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _ladder_defects(a: Generator, t: float, schedule: list[int]) -> np.ndarray | tuple:
+    """The dense defects exp((t/n) A) - I of a ladder, one stacked call, for
+    the step counts n before the first too large to divide a time by (that
+    row raises on its own, after the rows before it are written).  The
+    times t/n shrink along the ladder, so an overflowing |(t/n) A| can only
+    be the first row's.  A diagonal generator needs none."""
+    if a.kind != "dense":
+        return ()
+    times: list[float] = []
+    for n in schedule:
+        try:
+            times.append(t / float(n))
+        except OverflowError:
+            break
+    return semigroup_defects(a, times)
 
 
 def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -129,9 +148,13 @@ def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     rows: list[list] = []
     code = EXIT_OK
     last_err = math.inf
+    schedule = cfg.schedule()
     try:
-        for n in cfg.schedule():
-            rec = scalar_trotter_value(a, f, x, cfg.time, n)
+        # the scalar record and the dense product of a row share one defect
+        defects = _ladder_defects(a, cfg.time, schedule)
+        for k, n in enumerate(schedule):
+            defect = defects[k] if k < len(defects) else None
+            rec = scalar_trotter_value(a, f, x, cfg.time, n, defect=defect)
             last_err = rec.err_vs_limit
             row = [
                 rec.steps,
@@ -148,7 +171,7 @@ def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
                 rec.branch_ambiguous,
             ]
             if proj is not None:
-                product = dense_trotter_apply(a, proj, x, cfg.time, n)
+                product = dense_trotter_apply(a, proj, x, cfg.time, n, defect=defect)
                 row.append(norm(CVec(product.coords - oracle_vec, x.p)))
             rows.append(row)
     except OVERFLOWS as exc:

@@ -38,7 +38,7 @@ from .serialize import (
     generator_from_dict,
     record_from_dict,
 )
-from .spaces import CVec, Functional, Generator, _check_p
+from .spaces import CVec, Functional, Generator, _check_p, dual_norm
 from .witness import DEFAULT_J_MAX, DEFAULT_MARGIN, DEFAULT_VALIDATION_SAMPLES
 
 
@@ -137,11 +137,16 @@ class ExperimentConfig:
             if base <= 1.0 or scale == 0.0:
                 raise ConfigError("functional.geometric needs base > 1 and scale != 0")
             coords = scale * base ** (-np.arange(self.dim, dtype=np.float64))
-            return Functional(coords, self.p)
-        if kind == "values":
+        elif kind == "values":
             coords = _field(spec, "values", lambda raw: _vector(raw, self.dim), "functional.")
-            return Functional(coords, self.p)
-        raise ConfigError(f"functional.kind: {kind!r} is not geometric or values")
+        else:
+            raise ConfigError(f"functional.kind: {kind!r} is not geometric or values")
+        f = Functional(coords, self.p)
+        with np.errstate(over="ignore"):
+            size = dual_norm(f)
+        # radii and search targets are measured against it
+        _check(math.isfinite(size), "functional", f"dual norm {size} is not finite")
+        return f
 
     @_config_errors()
     def vector(self, f: Functional | None = None) -> CVec:

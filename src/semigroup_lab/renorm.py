@@ -158,7 +158,11 @@ def renorm_time_grid(
     the weighted orbit has decayed below any tolerance in use.  Raises
     SpectralBoundViolated when omega does not dominate the bound.
     """
-    bound = spectral_bound(a)
+    return _time_grid(spectral_bound(a), omega, points)
+
+
+def _time_grid(bound: float, omega: float, points: int) -> np.ndarray:
+    """``renorm_time_grid`` for a generator whose spectral bound is ``bound``."""
     if not omega > bound:  # a NaN weight dominates nothing
         raise SpectralBoundViolated(
             f"weight {omega:.6g} does not exceed the spectral bound {bound:.6g}"
@@ -249,7 +253,8 @@ def _classical_audit(
     tol: float,
 ) -> RenormReport:
     _check_p(p)  # the skip in _weighted_sups is proven for these norms only
-    grid = renorm_time_grid(a, omega, grid_points)
+    bound = spectral_bound(a)
+    grid = _time_grid(bound, omega, grid_points)
     draws = _draw(seed, vector_samples, a.dim)
     shift_idx = np.unique(
         np.round(np.linspace(0, grid.size - 1, time_samples)).astype(int)
@@ -281,7 +286,7 @@ def _classical_audit(
             "grid_points": grid_points,
             "time_samples_requested": time_samples,
             "tol": tol,
-            "spectral_bound": spectral_bound(a),
+            "spectral_bound": bound,
         },
         summary={"worst_excess": worst_excess, "horizon": float(grid[-1])},
         lambdas=(),

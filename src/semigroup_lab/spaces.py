@@ -9,8 +9,10 @@ Generators come in two flavours.  Diagonal ones are built from a growth
 law and act coordinatewise; dense ones are explicit matrices.  Orbits
 ``exp(t A) v`` go through one propagator, ``semigroup_matrices``, which
 stacks ``exp(t A)`` over a list of times.  A dense one is
-``I + (exp(t A) - I)`` with the defect read off Van Loan's block
-exponential, so small-time drifts are not lost to cancellation.
+``I + (exp(t A) - I)``, and ``semigroup_defects`` reads every time's
+defect off Van Loan's block exponential with one stacked ``expm`` call,
+so small-time drifts are not lost to cancellation.  The single-time
+``semigroup_defect`` is that stack at one time.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ from .errors import DimensionMismatch, SemigroupOverflow
 
 # exp() overflows just above 709.78; leave a little headroom.
 EXP_OVERFLOW = 709.0
+
+# Van Loan blocks per ``_expm`` call in ``semigroup_defects``: bounds the
+# (chunk, 2d, 2d) transient of a long list of times.
+_DEFECT_CHUNK = 64
 
 _LAW_KINDS = ("poly", "imag_poly", "geom", "factorial", "imag_double_exp", "table")
 _P_VALUES = (1.0, 2.0, math.inf)
@@ -317,22 +323,6 @@ def _expm(matrix: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(matrix)
 
 
-def _dense_defect(matrix: np.ndarray) -> np.ndarray:
-    """exp(M) - I as M phi1(M), with no subtraction of I from exp(M).
-
-    phi1(M) = (exp(M) - I) / M is the top-right block of the exponential
-    of [[M, I], [0, 0]] (Van Loan, IEEE TAC 1978), so a small defect keeps
-    its relative accuracy instead of cancelling against I.
-    """
-    scale = float(np.linalg.norm(matrix, 2))
-    if scale > 690.0:
-        raise SemigroupOverflow(f"dense orbit with |tA| = {scale:.3g} overflows")
-    dim = matrix.shape[0]
-    zero = np.zeros((dim, dim))
-    phi1 = _expm(np.block([[matrix, np.eye(dim)], [zero, zero]]))[:dim, dim:]
-    return matrix @ phi1
-
-
 def _scaled_entries(a: Generator, times) -> np.ndarray:
     """``t * entries``, one row per time; raises at the first t whose
     diagonal orbit overflows."""
@@ -344,34 +334,63 @@ def _scaled_entries(a: Generator, times) -> np.ndarray:
     return scaled
 
 
+def semigroup_defects(a: Generator, times) -> np.ndarray:
+    """``exp(t A) - I`` for every t in ``times``, stacked into a (G, d, d)
+    array, for a dense generator.
+
+    Each defect is M phi1(M) with M = tA, never exp(M) - I by subtraction:
+    phi1(M) = (exp(M) - I) / M is the top-right block of the exponential of
+    [[M, I], [0, 0]] (Van Loan, IEEE TAC 1978), so a small defect keeps its
+    relative accuracy instead of cancelling against I.  The blocks go to
+    ``_expm`` as one stack, ``_DEFECT_CHUNK`` times at a time; scipy's expm
+    treats each slice as it treats a single matrix.  Before any exponential,
+    an overflow names the first t with |tA|_2 > 690.
+    """
+    if a.kind != "dense":
+        raise ValueError("semigroup_defects needs a dense generator")
+    scaled = np.multiply.outer(np.asarray(times, dtype=np.float64), a.matrix)
+    count, dim = scaled.shape[0], a.dim
+    scales = np.linalg.norm(scaled, 2, axis=(1, 2))
+    over = np.flatnonzero(scales > 690.0)
+    if over.size:
+        raise SemigroupOverflow(f"dense orbit with |tA| = {scales[over[0]]:.3g} overflows")
+    defects = np.empty_like(scaled)
+    blocks = np.zeros((min(count, _DEFECT_CHUNK), 2 * dim, 2 * dim), dtype=np.complex128)
+    blocks[:, np.arange(dim), np.arange(dim, 2 * dim)] = 1.0
+    for start in range(0, count, _DEFECT_CHUNK):
+        part = scaled[start : start + _DEFECT_CHUNK]
+        chunk = blocks[: part.shape[0]]
+        chunk[:, :dim, :dim] = part
+        phi1 = _expm(chunk)[:, :dim, dim:]
+        np.matmul(part, phi1, out=defects[start : start + part.shape[0]])
+    return defects
+
+
 def semigroup_defect(a: Generator, t: float):
     """The drift ``exp(t A) - I`` of the orbit map at time t.
 
     Returns a vector of diagonal drifts for a diagonal generator and a
-    full matrix for a dense one.
+    full matrix (``semigroup_defects`` at the one time) for a dense one.
     """
     if a.kind == "diagonal":
         scaled = _scaled_entries(a, (t,))[0]
         return np.array([cexpm1(complex(z)) for z in scaled], dtype=np.complex128)
-    return _dense_defect(t * a.matrix)
+    return semigroup_defects(a, (t,))[0]
 
 
 def semigroup_matrices(a: Generator, times) -> np.ndarray:
     """``exp(t A)`` for every t in ``times``, stacked into a (G, d, d) array.
 
     A diagonal generator takes one exponential of the (G, d) table of
-    scaled entries; a dense one takes one defect per time, in order, so an
+    scaled entries, a dense one I plus its ``semigroup_defects``; an
     overflow names the first time that overflows for either kind.
     """
-    out = np.zeros((len(times), a.dim, a.dim), dtype=np.complex128)
     if a.kind == "diagonal":
+        out = np.zeros((len(times), a.dim, a.dim), dtype=np.complex128)
         diag = np.arange(a.dim)
         out[:, diag, diag] = np.exp(_scaled_entries(a, times))
         return out
-    eye = np.eye(a.dim, dtype=np.complex128)
-    for k, t in enumerate(times):
-        out[k] = eye + semigroup_defect(a, float(t))
-    return out
+    return np.eye(a.dim, dtype=np.complex128) + semigroup_defects(a, times)
 
 
 def semigroup_matrix(a: Generator, t: float) -> np.ndarray:

@@ -31,6 +31,7 @@ from .spaces import (
     clog1p_array,
     pairing,
     semigroup_defect,
+    semigroup_defects,
 )
 
 # Materialize product values only while the log-magnitude is safely
@@ -88,11 +89,14 @@ def step_pairing(a: Generator, f: Functional, x: CVec, t: float, n: int) -> comp
     return pairing(f, x) + step_derivative(a, f, x, t, n) / float(n)
 
 
-def step_derivative(a: Generator, f: Functional, x: CVec, t: float, n: int) -> complex:
+def step_derivative(
+    a: Generator, f: Functional, x: CVec, t: float, n: int, *, defect: np.ndarray | None = None
+) -> complex:
     """n * f((exp((t/n) A) - I) x), the discrete drift of the step pairing.
 
     Computed through the orbit defect so nothing is lost to cancellation
-    even when t/n is far below the resolution of 1 + t/n.
+    even when t/n is far below the resolution of 1 + t/n.  A caller that
+    already holds a dense generator's defect at t/n passes it as ``defect``.
     """
     h = t / float(n)
     if a.kind == "diagonal":
@@ -102,7 +106,8 @@ def step_derivative(a: Generator, f: Functional, x: CVec, t: float, n: int) -> c
                 continue
             total += fm * xm * cexpm1(complex(h * am))
         return complex(float(n) * total)
-    defect = semigroup_defect(a, h)
+    if defect is None:
+        defect = semigroup_defect(a, h)
     return float(n) * complex(np.dot(f.coords, defect @ x.coords))
 
 
@@ -146,10 +151,8 @@ def _pullbacks(a: Generator, f: Functional, steps) -> tuple[np.ndarray, np.ndarr
         # the versine half of Re cexpm1 is at most |defect| + |expm1(Re z)|
         weight = np.abs(f.coords) * (np.abs(defect) + 2.0 * np.abs(np.expm1(z.real)))
         return f.coords * defect, weight
-    defects = [semigroup_defect(a, 1.0 / float(n)) for n in steps]
-    pull = np.array([d.T @ f.coords for d in defects])
-    weight = np.array([np.abs(d).T @ np.abs(f.coords) for d in defects])
-    return pull, weight
+    adjoints = semigroup_defects(a, [1.0 / float(n) for n in steps]).transpose(0, 2, 1)
+    return adjoints @ f.coords, np.abs(adjoints) @ np.abs(f.coords)
 
 
 def batched_log_values(
@@ -159,7 +162,7 @@ def batched_log_values(
 
     For each step count n the functional is pulled back through one
     defect exp(A/n) - I (one ``cexpm1_array`` call for a diagonal
-    generator, one ``semigroup_defect`` matrix for a dense one), and one
+    generator, one ``semigroup_defects`` stack for a dense one), and one
     matmul gives every vector's step offset.  The log power goes through
     ``clog1p_array`` and the limit gap through ``cexpm1_array``, the same
     formulas as the scalar carrier.
@@ -191,18 +194,19 @@ def require_unit_pairing(f: Functional, x: CVec) -> None:
 
 
 def scalar_trotter_value(
-    a: Generator, f: Functional, x: CVec, t: float, n: int
+    a: Generator, f: Functional, x: CVec, t: float, n: int, *, defect: np.ndarray | None = None
 ) -> TrotterRecord:
     """The full scalar record for the n-step product pairing.
 
     Requires the pairing f(x) = 1 (the scalar reduction only closes in
     that gauge).  The error against the limit exp(t f(A x)) is evaluated
     in log space so it stays meaningful when the value itself overflows.
+    ``defect`` is passed on to ``step_derivative``.
     """
     require_unit_pairing(f, x)
     if n < 1:
         raise ValueError("step count must be positive")
-    deriv = step_derivative(a, f, x, t, n)
+    deriv = step_derivative(a, f, x, t, n, defect=defect)
     offset = deriv / float(n)
     step_value = 1.0 + offset
     log_value = _log_power(offset, n)
@@ -224,7 +228,7 @@ def scalar_trotter_value(
 
 
 def dense_trotter_apply(
-    a: Generator, proj: Projection, x: CVec, t: float, n: int
+    a: Generator, proj: Projection, x: CVec, t: float, n: int, *, defect: np.ndarray | None = None
 ) -> CVec:
     """The alternating product (exp((t/n) A) P)^n x.
 
@@ -240,7 +244,8 @@ def dense_trotter_apply(
     the gap to the limit oracle falls with the Trotter error to 1.6e-7
     at n = 2^30, rises again to 1.8e-4 at n = 2^40, is meaningless at
     n = 2^60 and overflows by n = 2^80.  Overflow of the powered matrix
-    or of the result raises SemigroupOverflow.
+    or of the result raises SemigroupOverflow.  A caller that already
+    holds a dense generator's defect at t/n passes it as ``defect``.
     """
     if n < 1:
         raise ValueError("step count must be positive")
@@ -249,7 +254,9 @@ def dense_trotter_apply(
     if a.kind == "diagonal":
         step = np.exp(h * a.entries)[:, None] * p_mat
     else:
-        step = p_mat + semigroup_defect(a, h) @ p_mat
+        if defect is None:
+            defect = semigroup_defect(a, h)
+        step = p_mat + defect @ p_mat
     # overflow is caught by the finiteness checks, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         power = np.linalg.matrix_power(step, n)

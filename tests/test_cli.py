@@ -31,8 +31,9 @@ from semigroup_lab.serialize import (
 FINAL_ERR_BOUND = 1e-3
 
 # Artifacts written by the shipped configs at commit 7371cd3, the last to
-# write certificates under schema semigroup-lab/cert/1, and the
-# classical_renorm report as commit 4add2e4 wrote it.
+# write certificates under schema semigroup-lab/cert/1, the
+# classical_renorm report as commit 4add2e4 wrote it, and the two dense
+# CSVs as commit b482aef wrote them, each defect from its own expm call.
 V1_DATA = Path(__file__).parent / "data"
 
 
@@ -113,6 +114,21 @@ def test_limit_check_overflow_keeps_csv_header(tmp_path, capsys):
     assert rows == []
 
 
+def test_dense_ladder_keeps_rows_before_an_undividable_step_count(tmp_path, capsys):
+    # t / 2^1024 is the first time the ladder cannot form; the dense defects
+    # of the rows before it still come from one stacked call
+    cfg = write_config(
+        tmp_path,
+        "dense_huge_steps",
+        generator={"kind": "dense", "matrix": [[-1.0, 2.0], [0.5, -0.25]]},
+        schedule={"j_min": 1020, "j_max": 1026},
+    )
+    assert main(["limit-check", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OVERFLOW
+    assert "overflow after 4 rows: int too large to convert to float" in capsys.readouterr().err
+    _, _, rows = read_csv(tmp_path / "dense_huge_steps.limit.csv")
+    assert [int(row["steps"]) for row in rows] == [2**j for j in range(1020, 1024)]
+
+
 def test_sweep_overflow_keeps_csv_header(tmp_path):
     # 2^1024 steps is too large a count to divide a time by, in every trial
     cfg = write_config(
@@ -135,6 +151,17 @@ def test_witness_truncation_saves_partial(tmp_path, capsys):
     assert "witness build failed" in err
     partial = tmp_path / "bounded_contrapositive.cert.json"
     assert partial.exists()
+    assert main(["verify", str(partial)]) == EXIT_OK
+
+
+def test_witness_exhausted_schedule_saves_partial(tmp_path, capsys):
+    # stage 0 needs no step count; stage 1 finds none with j <= 0
+    witness = {**K5_CONFIG["witness"], "j_max": 0}
+    cfg = write_config(tmp_path, "j_max_zero", **{**K5_CONFIG, "witness": witness})
+    assert main(["witness", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_TRUNCATION
+    assert "witness build failed: no step count 2^j with j <= 0" in capsys.readouterr().err
+    partial = tmp_path / "j_max_zero.cert.json"
+    assert len(load_json(partial)["stages"]) == 1
     assert main(["verify", str(partial)]) == EXIT_OK
 
 
@@ -211,6 +238,16 @@ def test_shipped_classical_report_is_unchanged(tmp_path):
     assert main(["renorm-audit", "--config", "classical_renorm", "--out", str(tmp_path)]) == EXIT_OK
     written = (tmp_path / "classical_renorm.report.json").read_bytes()
     assert written == (V1_DATA / "classical_renorm.report.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("limit-check", "bounded_oracle.limit.csv"), ("sweep", "sweep_bounded.sweep.csv")],
+)
+def test_shipped_dense_csv_is_unchanged(tmp_path, command, name):
+    config = name.split(".")[0]
+    assert main([command, "--config", config, "--out", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / name).read_bytes() == (V1_DATA / name).read_bytes()
 
 
 @pytest.mark.parametrize("config", ["blowup_k5", "bounded_contrapositive"])
@@ -473,6 +510,11 @@ def test_limit_csv_numeric_cells_parse_as_floats(tmp_path):
         ("sweep", {"sweep": {"trials": 1, "times": "0x1p0"}}, "sweep.times"),
         ("limit-check", {"tolerance": math.nan}, "tolerance"),
         (
+            "witness",
+            {**K5_CONFIG, "functional": {"kind": "geometric", "scale": 1e308, "base": 2.0}},
+            "functional",
+        ),
+        (
             "renorm-audit",
             {"renorm": {"kind": "classical", "omega": 3.0, "tol": -1e-12}},
             "renorm.tol",
@@ -514,6 +556,7 @@ def test_limit_csv_numeric_cells_parse_as_floats(tmp_path):
         "sweep_times_object",
         "sweep_times_string",
         "tolerance_nan",
+        "functional_dual_norm_overflow",
         "tol_negative",
     ],
 )

@@ -6,6 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -28,10 +29,12 @@ from semigroup_lab import (
 )
 from semigroup_lab.errors import DimensionMismatch
 from semigroup_lab.spaces import (
+    _DEFECT_CHUNK,
     cexpm1,
     cexpm1_array,
     clog1p,
     clog1p_array,
+    semigroup_defects,
     semigroup_matrices,
     semigroup_matrix,
 )
@@ -214,11 +217,52 @@ def test_dense_defect_overflow_guard():
         semigroup_defect(a, 1.0)
 
 
+def van_loan_defect(m):
+    """exp(M) - I for one matrix on its own: M times the top-right block of
+    expm([[M, I], [0, 0]]), written here independently of the package."""
+    dim = m.shape[0]
+    zero = np.zeros((dim, dim))
+    return m @ scipy.linalg.expm(np.block([[m, np.eye(dim)], [zero, zero]]))[:dim, dim:]
+
+
 def per_time_propagator(a, t):
     """exp(tA) formed for one time on its own, as the audit once did."""
     if a.kind == "diagonal":
         return np.diag(np.exp(t * a.entries))
-    return np.eye(a.dim, dtype=np.complex128) + semigroup_defect(a, t)
+    return np.eye(a.dim, dtype=np.complex128) + van_loan_defect(t * a.matrix)
+
+
+@pytest.mark.parametrize("count", [1, 33, 2 * _DEFECT_CHUNK + 5])
+def test_semigroup_defects_match_per_time_van_loan(count):
+    # one stacked expm call (chunked past _DEFECT_CHUNK) gives each time the
+    # bits of its own expm call; the upper triangular generator takes
+    # scipy's triangular branch
+    rng = np.random.default_rng([29, count])
+    times = np.geomspace(1e-9, 3.0, count) if count > 1 else np.array([0.7])
+    for dim in (1, 3, 8):
+        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for a in (dense_generator(raw), dense_generator(np.triu(raw))):
+            defects = semigroup_defects(a, times)
+            props = semigroup_matrices(a, times)
+            assert defects.shape == props.shape == (count, dim, dim)
+            for t, defect, prop in zip(times, defects, props):
+                ref = van_loan_defect(float(t) * a.matrix)
+                assert defect.tobytes() == ref.tobytes()
+                assert prop.tobytes() == (np.eye(dim, dtype=np.complex128) + ref).tobytes()
+                assert semigroup_defect(a, float(t)).tobytes() == ref.tobytes()
+
+
+def test_semigroup_defects_overflow_names_the_first_time():
+    a = dense_generator(np.array([[10.0, 1.0], [0.0, -1.0]]))
+    times = np.concatenate((np.linspace(0.0, 60.0, 2 * _DEFECT_CHUNK), [75.0, 68.0, 90.0]))
+    first = np.linalg.norm(75.0 * a.matrix, 2)
+    assert first > 690.0 > np.linalg.norm(68.0 * a.matrix, 2)
+    with pytest.raises(SemigroupOverflow) as stacked:
+        semigroup_defects(a, times)
+    assert str(stacked.value) == f"dense orbit with |tA| = {first:.3g} overflows"
+    with pytest.raises(ValueError, match="dense generator"):
+        semigroup_defects(diagonal_generator_from_entries([0.0, 1.0]), times)
+    assert semigroup_defects(a, []).shape == (0, 2, 2)
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "dense"])
