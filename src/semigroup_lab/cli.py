@@ -15,6 +15,7 @@ underflow, 6 certificate or report verification failure, 1 anything else.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -415,7 +416,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OVERFLOW if overflowed else EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call of a process and
+    reused by every later one (``parse_args`` keeps no state between calls)."""
     parser = argparse.ArgumentParser(
         prog="semigroup-lab",
         description="Product-formula limits, blow-up witnesses, renorming audits.",
@@ -437,8 +441,11 @@ def main(argv: list[str] | None = None) -> int:
     verify_parser = sub.add_parser("verify", help="recheck certificates and reports")
     verify_parser.add_argument("paths", nargs="+", help="cert/report JSON files")
     with_common(sub.add_parser("sweep", help="randomized bounded-convergence trials"))
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "verify":
         return run_verify(args.paths)
     try:
@@ -448,7 +455,10 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed, tolerance=getattr(args, "tolerance", None)
         )
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file, or a path under one
+            raise ConfigError(f"--out: {exc}") from exc
         if args.command == "limit-check":
             return run_limit_check(cfg, out_dir)
         if args.command == "witness":

@@ -118,6 +118,8 @@ class ExperimentConfig:
         _check(self.seed >= 0, "seed", f"must be nonnegative, got {self.seed}")
         # a NaN or inf tolerance is never exceeded
         _check(math.isfinite(self.tolerance), "tolerance", f"must be finite, got {self.tolerance}")
+        # no error is below a negative one, so every run would read "above"
+        _check(self.tolerance >= 0.0, "tolerance", f"must be nonnegative, got {self.tolerance}")
 
     @_config_errors()
     def generator(self) -> Generator:

@@ -150,7 +150,11 @@ def _bool(raw) -> bool:
 
 
 def _float(raw) -> float:
-    raw = decode(raw)
+    return _real(decode(raw))
+
+
+def _real(raw) -> float:
+    """:func:`_float` of an already decoded value."""
     if isinstance(raw, str):
         bare = raw.lstrip("+-").lower()
         if not bare.startswith("0x") and bare != "inf":
@@ -162,14 +166,18 @@ def _float(raw) -> float:
 
 
 def _complex(raw) -> complex:
-    raw = decode(raw)
+    return _entry(decode(raw))
+
+
+def _entry(raw) -> complex:
+    """:func:`_complex` of an already decoded value."""
     if isinstance(raw, complex):
         return raw
     if isinstance(raw, list):
         if len(raw) != 2:
             raise ValueError(f"complex entries are [re, im] pairs, got {raw!r}")
-        return complex(_float(raw[0]), _float(raw[1]))
-    return complex(_float(raw))
+        return complex(_real(raw[0]), _real(raw[1]))
+    return complex(_real(raw))
 
 
 def _list(raw) -> list:
@@ -184,20 +192,27 @@ def _tuple(read):
     return lambda raw: tuple(read(v) for v in _list(raw))
 
 
-def _items(raw, dim: int | None, what: str) -> list:
-    items = _list(decode(raw))
+def _items(items, dim: int | None, what: str) -> list:
+    items = _list(items)
     if dim is not None and len(items) != dim:
         raise ValueError(f"{len(items)} {what}, space is {dim}")
     return items
 
 
+def _entries(items, dim: int | None) -> np.ndarray:
+    """Complex entries of an already decoded list, ``dim`` of them if given."""
+    return np.array([_entry(v) for v in _items(items, dim, "entries")], dtype=np.complex128)
+
+
 def _vector(raw, dim: int | None = None) -> np.ndarray:
-    return np.array([_complex(v) for v in _items(raw, dim, "entries")], dtype=np.complex128)
+    return _entries(decode(raw), dim)
 
 
 def _matrix(raw, dim: int | None = None) -> np.ndarray:
-    """Rows of complex entries, ``dim`` x ``dim`` when ``dim`` is given."""
-    return np.array([_vector(row, dim) for row in _items(raw, dim, "rows")], dtype=np.complex128)
+    """Rows of complex entries, ``dim`` x ``dim`` when ``dim`` is given.  The
+    whole matrix is decoded once; rows and entries are read as decoded."""
+    rows = _items(decode(raw), dim, "rows")
+    return np.array([_entries(row, dim) for row in rows], dtype=np.complex128)
 
 
 def _string(raw) -> str:

@@ -519,6 +519,7 @@ def test_limit_csv_numeric_cells_parse_as_floats(tmp_path):
             {"renorm": {"kind": "classical", "omega": 3.0, "tol": -1e-12}},
             "renorm.tol",
         ),
+        ("limit-check", {"tolerance": -1.0}, "tolerance"),
     ],
     ids=[
         "decimal_string",
@@ -558,6 +559,7 @@ def test_limit_csv_numeric_cells_parse_as_floats(tmp_path):
         "tolerance_nan",
         "functional_dual_norm_overflow",
         "tol_negative",
+        "tolerance_negative",
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, overrides, field):
@@ -578,6 +580,79 @@ def test_nan_tolerance_override_is_a_config_error(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     assert "config error: tolerance: " in capsys.readouterr().err
     assert not (tmp_path / "two_point.limit.csv").exists()
+
+
+def test_negative_tolerance_override_is_a_config_error(tmp_path, capsys):
+    rc = main(["limit-check", "--config", "two_point", "--out", str(tmp_path), "--tolerance", "-1"])
+    assert rc == EXIT_CONFIG
+    assert "config error: tolerance: must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "two_point.limit.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, out",
+    [
+        ("witness", "blowup_k5", "taken"),
+        ("limit-check", "two_point", "taken/sub"),
+    ],
+    ids=["file", "under_a_file"],
+)
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, command, config, out):
+    (tmp_path / "taken").write_text("kept\n")
+    rc = main([command, "--config", config, "--out", str(tmp_path / out)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --out: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert (tmp_path / "taken").read_text() == "kept\n"
+
+
+PARSER_COUNT_PROBE = """
+import argparse, sys
+
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counting_init(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting_init
+from semigroup_lab.cli import main
+print(len(built))
+main(["verify", *sys.argv[1:]])
+print(len(built))
+main(["verify", *sys.argv[1:]])
+print(len(built))
+"""
+
+
+def test_parser_is_built_once_on_the_first_call():
+    # importing the CLI builds nothing; the first call builds the parser and
+    # its five subparsers, later calls reuse them
+    result = run_python(["-c", PARSER_COUNT_PROBE, str(V1_DATA / "blowup_k5.cert.json")])
+    assert result.returncode == 0, result.stderr
+    counts = [line for line in result.stdout.splitlines() if line.isdigit()]
+    assert counts == ["0", "6", "6"]
+
+
+def test_parser_reuse_leaks_nothing_between_calls(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["limit-check"])
+    assert info.value.code == EXIT_CONFIG
+    assert "--config" in capsys.readouterr().err
+    args = ["limit-check", "--config", "two_point", "--out", str(out)]
+    assert main([*args, "--tolerance", "0.5", "--seed", "3"]) == EXIT_OK
+    capsys.readouterr()
+    code = main(args)
+    stdout = capsys.readouterr().out
+    csv = (out / "two_point.limit.csv").read_bytes()
+    fresh = run_cli_subprocess(args, blas_threads=None)
+    assert (code, stdout, csv) == (
+        fresh.returncode,
+        fresh.stdout,
+        (out / "two_point.limit.csv").read_bytes(),
+    )
 
 
 @pytest.mark.parametrize(

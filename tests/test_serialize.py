@@ -304,3 +304,47 @@ def test_record_field_without_reader_is_refused():
     with pytest.raises(TypeError, match="Odd.shape"):
         record_from_dict(Odd, {"count": 1, "shape": [2]})
     assert record_from_dict(Odd, {"count": 1, "shape": [2]}, shape=set).shape == {2}
+
+
+# Each malformed dense matrix with the message it has always been refused
+# with; the matrix is decoded once, then read row by row and entry by entry.
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[1.0, 0.0], [0.0]], "1 entries, space is 2"),
+        ([[1.0, True], [0.0, 1.0]], "expected a number, got True"),
+        (
+            [[1.0, "0.5"], [0.0, 1.0]],
+            "cannot read '0.5' as a number (use a 0x hex string or 'inf')",
+        ),
+        (
+            [[1.0, [0.0, 1.0, 2.0]], [0.0, 1.0]],
+            "complex entries are [re, im] pairs, got [0.0, 1.0, 2.0]",
+        ),
+        (
+            {"~a": [{"~c": ["0x1p+0", "0x0p+0"]}, {"~c": ["0x0p+0", "0x1p+0"]}]},
+            "expected a list, got (1+0j)",
+        ),
+    ],
+    ids=["row_length", "bool_entry", "decimal_string", "three_item_pair", "tagged_complex_rows"],
+)
+def test_malformed_dense_matrix_messages(matrix, message):
+    with pytest.raises(InvalidCertificate) as info:
+        generator_from_dict({"kind": "dense", "matrix": matrix}, 2)
+    assert info.value.failures == [f"generator.matrix: {message}"]
+
+
+def test_dense_matrix_forms_decode_alike():
+    matrix = np.array([[1.5, complex(0.25, -2.0)], [-0.0, complex(1e-300, math.inf)]])
+    forms = [
+        [[1.5, [0.25, -2.0]], [-0.0, [1e-300, "inf"]]],
+        [
+            ["0x1.8p+0", ["0x1p-2", "-0x1p+1"]],
+            ["-0x0p+0", [(1e-300).hex(), "inf"]],
+        ],
+        encode(matrix),
+    ]
+    for form in forms:
+        back = generator_from_dict({"kind": "dense", "matrix": form}, 2).matrix
+        assert back.dtype == np.complex128
+        assert back.tobytes() == matrix.tobytes()
