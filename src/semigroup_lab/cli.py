@@ -18,6 +18,7 @@ import argparse
 import functools
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
 from pathlib import Path
 
@@ -57,7 +58,7 @@ from .trotter import (
     bounded_limit_oracle,
     dense_trotter_apply,
     require_unit_pairing,
-    scalar_trotter_value,
+    scalar_trotter_values,
 )
 from .witness import build_certificate, verify_certificate
 
@@ -85,22 +86,16 @@ LIMIT_CSV_SCHEMA = "semigroup-lab/limit-csv/1"
 SWEEP_CSV_SCHEMA = "semigroup-lab/sweep-csv/1"
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return str(value)
+def _write_csv(path: Path, schema: str, fields: list[str], lines: list[str]) -> None:
+    """Write a CSV from its already formatted rows: each row gives a float as
+    its repr (the shortest string that reads back to it), a missing value
+    as "" and a flag as 1 or 0."""
+    path.write_text(
+        "\n".join([f"# schema={schema}", ",".join(fields), *lines]) + "\n", encoding="utf-8"
+    )
 
 
-def _write_csv(path: Path, schema: str, fields: list[str], rows: list[list]) -> None:
-    lines = [f"# schema={schema}", ",".join(fields)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _ladder_defects(a: Generator, t: float, schedule: list[int]) -> np.ndarray | tuple:
+def _ladder_defects(a: Generator, t: float, schedule: Iterable[int]) -> np.ndarray | tuple:
     """The dense defects exp((t/n) A) - I of a ladder, one stacked call, for
     the step counts n before the first too large to divide a time by (that
     row raises on its own, after the rows before it are written).  The
@@ -146,43 +141,35 @@ def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     ]
     if proj is not None:
         fields.append("product_gap")
-    rows: list[list] = []
+    lines: list[str] = []
     code = EXIT_OK
     last_err = math.inf
-    schedule = cfg.schedule()
     try:
         # the scalar record and the dense product of a row share one defect
-        defects = _ladder_defects(a, cfg.time, schedule)
-        for k, n in enumerate(schedule):
-            defect = defects[k] if k < len(defects) else None
-            rec = scalar_trotter_value(a, f, x, cfg.time, n, defect=defect)
+        defects = _ladder_defects(a, cfg.time, cfg.schedule())
+        records = scalar_trotter_values(a, f, x, cfg.time, cfg.schedule(), defects)
+        for k, rec in enumerate(records):
             last_err = rec.err_vs_limit
-            row = [
-                rec.steps,
-                rec.step_value.real,
-                rec.step_value.imag,
-                rec.derivative.real,
-                rec.derivative.imag,
-                rec.log_value.real,
-                rec.log_value.imag,
-                None if rec.value is None else rec.value.real,
-                None if rec.value is None else rec.value.imag,
-                rec.err_vs_limit,
-                rec.path,
-                rec.branch_ambiguous,
-            ]
+            step, deriv, log, value = rec.step_value, rec.derivative, rec.log_value, rec.value
+            line = (
+                f"{rec.steps},{step.real!r},{step.imag!r},{deriv.real!r},{deriv.imag!r},"
+                f"{log.real!r},{log.imag!r},"
+                + ("," if value is None else f"{value.real!r},{value.imag!r}")
+                + f",{rec.err_vs_limit!r},{rec.path},{1 if rec.branch_ambiguous else 0}"
+            )
             if proj is not None:
-                product = dense_trotter_apply(a, proj, x, cfg.time, n, defect=defect)
-                row.append(norm(CVec(product.coords - oracle_vec, x.p)))
-            rows.append(row)
+                defect = defects[k] if k < len(defects) else None
+                product = dense_trotter_apply(a, proj, x, cfg.time, rec.steps, defect=defect)
+                line += f",{norm(CVec(product.coords - oracle_vec, x.p))!r}"
+            lines.append(line)
     except OVERFLOWS as exc:
-        print(f"overflow after {len(rows)} rows: {exc}", file=sys.stderr)
+        print(f"overflow after {len(lines)} rows: {exc}", file=sys.stderr)
         code = EXIT_OVERFLOW
     out_path = out_dir / f"{cfg.name}.limit.csv"
-    _write_csv(out_path, LIMIT_CSV_SCHEMA, fields, rows)
+    _write_csv(out_path, LIMIT_CSV_SCHEMA, fields, lines)
     verdict = "within" if last_err <= cfg.tolerance else "above"
     print(
-        f"limit-check {cfg.name}: {len(rows)} rows -> {out_path}; "
+        f"limit-check {cfg.name}: {len(lines)} rows -> {out_path}; "
         f"final error {last_err:.3g} {verdict} tolerance {cfg.tolerance:.3g}"
     )
     return code
@@ -374,8 +361,9 @@ def run_verify(paths: list[str]) -> int:
 
 def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     params = cfg.sweep_params()
-    steps = cfg.schedule()[-1]
-    rows: list[list] = []
+    steps = 2**cfg.j_max
+    lines: list[str] = []
+    gaps: list[float] = []
     overflowed = False
     for trial in range(params.trials):
         rng = np.random.default_rng([cfg.seed, trial])
@@ -391,8 +379,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
                 target = bounded_limit_oracle(a, proj, t) @ x.coords
                 product = dense_trotter_apply(a, proj, x, t, steps)
                 gap = norm(CVec(product.coords - target, x.p))
-                rows.append(
-                    [trial, dim, rank, t, steps, gap, projection_norm(proj), params.generator_norm]
+                gaps.append(gap)
+                lines.append(
+                    f"{trial},{dim},{rank},{t!r},{steps},{gap!r},{projection_norm(proj)!r},"
+                    f"{params.generator_norm!r}"
                 )
         except OVERFLOWS:
             overflowed = True
@@ -407,10 +397,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         "generator_norm",
     ]
     out_path = out_dir / f"{cfg.name}.sweep.csv"
-    _write_csv(out_path, SWEEP_CSV_SCHEMA, fields, rows)
-    worst = max((row[5] for row in rows), default=math.nan)
+    _write_csv(out_path, SWEEP_CSV_SCHEMA, fields, lines)
+    worst = max(gaps, default=math.nan)
     print(
-        f"sweep {cfg.name}: {len(rows)} rows over {params.trials} trials -> {out_path}; "
+        f"sweep {cfg.name}: {len(lines)} rows over {params.trials} trials -> {out_path}; "
         f"worst gap {worst:.3g} vs tolerance {cfg.tolerance:.3g}"
     )
     return EXIT_OVERFLOW if overflowed else EXIT_OK

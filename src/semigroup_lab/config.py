@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -120,6 +121,8 @@ class ExperimentConfig:
         _check(math.isfinite(self.tolerance), "tolerance", f"must be finite, got {self.tolerance}")
         # no error is below a negative one, so every run would read "above"
         _check(self.tolerance >= 0.0, "tolerance", f"must be nonnegative, got {self.tolerance}")
+        # a NaN or inf time makes every row of a ladder NaN
+        _check(math.isfinite(self.time), "time", f"must be finite, got {self.time}")
 
     @_config_errors()
     def generator(self) -> Generator:
@@ -178,8 +181,11 @@ class ExperimentConfig:
             return CVec(coords, self.p)
         raise ConfigError(f"vector.kind: {kind!r} is not basis or values")
 
-    def schedule(self) -> list[int]:
-        return [2**j for j in range(self.j_min, self.j_max + 1)]
+    def schedule(self) -> Iterator[int]:
+        """The step counts 2^j, j_min <= j <= j_max, formed one at a time: a
+        ladder stops at 2^1024, the first count too large to divide a time
+        by, however large j_max is."""
+        return (2**j for j in range(self.j_min, self.j_max + 1))
 
     @_config_errors()
     def _params(self, cls, spec: dict | None, section: str):

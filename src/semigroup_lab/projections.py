@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,10 +51,12 @@ class RankOneProjection:
 
 @dataclass(frozen=True, eq=False)
 class DenseProjection:
-    """An explicit idempotent matrix, checked on construction."""
+    """An explicit idempotent matrix, checked on construction, which also
+    forms its induced norm ``size``."""
 
     matrix: np.ndarray
     p: float = 2.0
+    size: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=np.complex128)
@@ -64,6 +66,7 @@ class DenseProjection:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         size = _induced_norm(mat, self.p)
+        object.__setattr__(self, "size", size)
         drift = _induced_norm(mat @ mat - mat, self.p)
         if drift > IDEMPOTENCY_SLACK * (1.0 + size**2):
             raise ValueError(
@@ -113,11 +116,11 @@ def projection_norm(proj: Projection) -> float:
     """The induced operator norm of the projection.
 
     Exact for rank-one pairs (the norm factorizes as |f| * |x|) and an
-    induced matrix norm for dense projections.
+    induced matrix norm for dense projections, formed on construction.
     """
     if isinstance(proj, RankOneProjection):
         return dual_norm(proj.functional) * norm(proj.vector)
-    return _induced_norm(proj.matrix, proj.p)
+    return proj.size
 
 
 def random_oblique_projection(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,46 @@ def step_pairing(a: Generator, f: Functional, x: CVec, t: float, n: int) -> comp
     return pairing(f, x) + step_derivative(a, f, x, t, n) / float(n)
 
 
+def _drifts(
+    a: Generator,
+    f: Functional,
+    x: CVec,
+    t: float,
+    steps: Iterable[int],
+    defects: Sequence[np.ndarray] = (),
+) -> Iterator[tuple[int, complex]]:
+    """(n, n * f((exp((t/n) A) - I) x)) for each step count n of ``steps``,
+    taken lazily, so every drift before an undividable count is yielded.
+
+    A diagonal generator's nonzero terms (f_m x_m, a_m) are formed once, as
+    Python numbers: CPython's complex product is numpy's formula, so each
+    drift has the bits of a loop over numpy scalars.  A float enters each
+    product as complex(h, 0.0), the operand numpy promotes it to.  A dense
+    generator's defect at t/n is ``defects[k]`` for the k-th count when the
+    caller holds it, and is formed here otherwise.  A count below 1 raises
+    ValueError.
+    """
+    if a.kind == "diagonal":
+        terms = [
+            (fm * xm, am)
+            for fm, xm, am in zip(f.coords.tolist(), x.coords.tolist(), a.entries.tolist())
+            if not (fm == 0.0 or xm == 0.0)
+        ]
+    for k, n in enumerate(steps):
+        if n < 1:
+            raise ValueError("step count must be positive")
+        h = t / float(n)
+        if a.kind == "diagonal":
+            h = complex(h, 0.0)
+            total = 0.0 + 0.0j
+            for w, am in terms:
+                total += w * cexpm1(h * am)
+            yield n, complex(float(n), 0.0) * total
+        else:
+            defect = defects[k] if k < len(defects) else semigroup_defect(a, h)
+            yield n, float(n) * complex(np.dot(f.coords, defect @ x.coords))
+
+
 def step_derivative(
     a: Generator, f: Functional, x: CVec, t: float, n: int, *, defect: np.ndarray | None = None
 ) -> complex:
@@ -98,17 +139,7 @@ def step_derivative(
     even when t/n is far below the resolution of 1 + t/n.  A caller that
     already holds a dense generator's defect at t/n passes it as ``defect``.
     """
-    h = t / float(n)
-    if a.kind == "diagonal":
-        total = 0.0 + 0.0j
-        for fm, xm, am in zip(f.coords, x.coords, a.entries):
-            if fm == 0.0 or xm == 0.0:
-                continue
-            total += fm * xm * cexpm1(complex(h * am))
-        return complex(float(n) * total)
-    if defect is None:
-        defect = semigroup_defect(a, h)
-    return float(n) * complex(np.dot(f.coords, defect @ x.coords))
+    return next(_drifts(a, f, x, t, (n,), () if defect is None else (defect,)))[1]
 
 
 def _log_power(offset: complex, n: int) -> complex:
@@ -193,38 +224,49 @@ def require_unit_pairing(f: Functional, x: CVec) -> None:
         raise ValueError(f"scalar route needs f(x) = 1, got {gauge:.6g}")
 
 
+def scalar_trotter_values(
+    a: Generator,
+    f: Functional,
+    x: CVec,
+    t: float,
+    steps: Iterable[int],
+    defects: Sequence[np.ndarray] = (),
+) -> Iterator[TrotterRecord]:
+    """The full scalar record for the n-step product pairing, for each step
+    count n of ``steps`` in turn.
+
+    Requires the pairing f(x) = 1 (the scalar reduction only closes in
+    that gauge); it and the limit exp(t f(A x)) are formed once.  The error
+    against the limit is evaluated in log space so it stays meaningful when
+    the value itself overflows.  Step counts are taken lazily: a count too
+    large to divide t by raises OverflowError after the records before it.
+    ``defects`` is passed on to the drift, as in ``step_derivative``.
+    """
+    require_unit_pairing(f, x)
+    limit_log = t * pairing(f, apply_generator(a, x))
+    for n, deriv in _drifts(a, f, x, t, steps, defects):
+        offset = deriv / float(n)
+        log_value = _log_power(offset, n)
+        value = None
+        if abs(log_value.real) < MATERIALIZE_LOG_BOUND:
+            value = cmath.exp(log_value)
+        yield TrotterRecord(
+            steps=n,
+            step_value=1.0 + offset,
+            derivative=deriv,
+            log_value=log_value,
+            value=value,
+            err_vs_limit=limit_gap_error(limit_log, log_value),
+            path="log",
+            branch_ambiguous=abs(offset) > 0.5,
+        )
+
+
 def scalar_trotter_value(
     a: Generator, f: Functional, x: CVec, t: float, n: int, *, defect: np.ndarray | None = None
 ) -> TrotterRecord:
-    """The full scalar record for the n-step product pairing.
-
-    Requires the pairing f(x) = 1 (the scalar reduction only closes in
-    that gauge).  The error against the limit exp(t f(A x)) is evaluated
-    in log space so it stays meaningful when the value itself overflows.
-    ``defect`` is passed on to ``step_derivative``.
-    """
-    require_unit_pairing(f, x)
-    if n < 1:
-        raise ValueError("step count must be positive")
-    deriv = step_derivative(a, f, x, t, n, defect=defect)
-    offset = deriv / float(n)
-    step_value = 1.0 + offset
-    log_value = _log_power(offset, n)
-    value = None
-    if abs(log_value.real) < MATERIALIZE_LOG_BOUND:
-        value = cmath.exp(log_value)
-    drift = pairing(f, apply_generator(a, x))
-    err = limit_gap_error(t * drift, log_value)
-    return TrotterRecord(
-        steps=n,
-        step_value=step_value,
-        derivative=deriv,
-        log_value=log_value,
-        value=value,
-        err_vs_limit=err,
-        path="log",
-        branch_ambiguous=abs(offset) > 0.5,
-    )
+    """The scalar record of one step count: see ``scalar_trotter_values``."""
+    return next(scalar_trotter_values(a, f, x, t, (n,), () if defect is None else (defect,)))
 
 
 def dense_trotter_apply(

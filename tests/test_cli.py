@@ -32,9 +32,55 @@ FINAL_ERR_BOUND = 1e-3
 
 # Artifacts written by the shipped configs at commit 7371cd3, the last to
 # write certificates under schema semigroup-lab/cert/1, the
-# classical_renorm report as commit 4add2e4 wrote it, and the two dense
-# CSVs as commit b482aef wrote them, each defect from its own expm call.
+# classical_renorm report as commit 4add2e4 wrote it, the two dense
+# CSVs as commit b482aef wrote them, each defect from its own expm call,
+# and the two diagonal ladders as commit 566179d wrote them, each row's
+# drift from a loop over numpy scalars.
 V1_DATA = Path(__file__).parent / "data"
+
+# A deep imaginary ladder shaped like perfbench's ladder-scalar-122: entries
+# i theta_m up to 2^92, real weights f_m x_m of mixed signs summing to 1,
+# step counts 2^0 .. 2^122.
+IMAG_LADDER_122 = {
+    "seed": 0,
+    "tolerance": 1e-8,
+    "space": {"dim": 5, "p": 2},
+    "generator": {
+        "kind": "diagonal",
+        "law": {
+            "kind": "table",
+            "values": [
+                [0.0, 1.4126762884975603],
+                [0.0, 9125228.450365318],
+                [0.0, 83653816070559.36],
+                [0.0, 6.520739027892925e20],
+                [0.0, 6.988275940243721e27],
+            ],
+        },
+    },
+    "functional": {
+        "kind": "values",
+        "values": [
+            0.7118900813699944,
+            1.7656116147749372,
+            1.2558868351652994,
+            0.8731363006371201,
+            1.3678059509517557,
+        ],
+    },
+    "vector": {
+        "kind": "values",
+        "values": [
+            1.4047110933371811,
+            5.973163384526946e-08,
+            -4.911526540376881e-15,
+            1.4364444796942092e-21,
+            -8.546348407085627e-29,
+        ],
+    },
+    "time": 1.0,
+    "schedule": {"j_min": 0, "j_max": 122},
+}
 
 
 def shipped_config(name):
@@ -248,6 +294,31 @@ def test_shipped_dense_csv_is_unchanged(tmp_path, command, name):
     config = name.split(".")[0]
     assert main([command, "--config", config, "--out", str(tmp_path)]) == EXIT_OK
     assert (tmp_path / name).read_bytes() == (V1_DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["two_point", "imag_ladder_122"])
+def test_diagonal_ladder_csv_is_unchanged(tmp_path, name):
+    config = name
+    if name == "imag_ladder_122":
+        config = str(write_config(tmp_path, name, **IMAG_LADDER_122))
+    assert main(["limit-check", "--config", config, "--out", str(tmp_path)]) == EXIT_OK
+    written = (tmp_path / f"{name}.limit.csv").read_bytes()
+    assert written == (V1_DATA / f"{name}.limit.csv").read_bytes()
+
+
+def test_ladder_past_2_1024_is_lazy(tmp_path, capsys):
+    # no step count past 2^1023 divides a time, so j_max = 20000 writes the
+    # rows of j_max = 1100 and stops at 2^1024 without forming the rest
+    written = []
+    for j_max in (1100, 20000):
+        cfg = write_config(
+            tmp_path, "two_point", **{**shipped_config("two_point"), "schedule": {"j_max": j_max}}
+        )
+        out = tmp_path / str(j_max)
+        assert main(["limit-check", "--config", str(cfg), "--out", str(out)]) == EXIT_OVERFLOW
+        assert "overflow after 1024 rows: int too large to convert to float" in capsys.readouterr().err
+        written.append((out / "two_point.limit.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("config", ["blowup_k5", "bounded_contrapositive"])
@@ -520,6 +591,8 @@ def test_limit_csv_numeric_cells_parse_as_floats(tmp_path):
             "renorm.tol",
         ),
         ("limit-check", {"tolerance": -1.0}, "tolerance"),
+        ("limit-check", {"time": math.nan}, "time"),
+        ("limit-check", {"time": math.inf}, "time"),
     ],
     ids=[
         "decimal_string",
@@ -560,6 +633,8 @@ def test_limit_csv_numeric_cells_parse_as_floats(tmp_path):
         "functional_dual_norm_overflow",
         "tol_negative",
         "tolerance_negative",
+        "time_nan",
+        "time_inf",
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, overrides, field):

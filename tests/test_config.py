@@ -55,7 +55,7 @@ def minimal(**overrides):
 def test_parse_minimal():
     cfg = parse_config(minimal())
     assert cfg.dim == 2
-    assert cfg.schedule() == [1, 2, 4]
+    assert list(cfg.schedule()) == [1, 2, 4]
 
 
 def test_rejects_wrong_schema():

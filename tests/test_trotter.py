@@ -7,6 +7,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from semigroup_lab import (
     CVec,
@@ -26,7 +28,8 @@ from semigroup_lab import (
     step_pairing,
 )
 from semigroup_lab.config import load_config
-from semigroup_lab.trotter import limit_gap_error, product_log_value
+from semigroup_lab.spaces import cexpm1
+from semigroup_lab.trotter import _drifts, limit_gap_error, product_log_value
 
 DERIV_TOL = 1e-12
 PATH_AGREE_TOL = 1e-9
@@ -305,3 +308,61 @@ def test_product_log_value_at_2_122_matches_mpmath(k5_certificate):
         )
         ref = complex(n * mpmath.log(1 + offset))
     assert abs(lv - ref) <= 1e-14 * abs(ref)
+
+
+def numpy_scalar_drift(a, f, x, t, n):
+    """The diagonal drift as a loop over numpy scalars, each float promoted
+    to complex128 by numpy: the formula the Python-number carrier must
+    reproduce bit for bit."""
+    h = t / float(n)
+    total = 0.0 + 0.0j
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fm, xm, am in zip(f.coords, x.coords, a.entries):
+            if fm == 0.0 or xm == 0.0:
+                continue
+            total += fm * xm * cexpm1(complex(h * am))
+        return complex(float(n) * total)
+
+
+def bits(z: complex) -> tuple[str, str]:
+    # float.hex keeps the sign of a zero and reads every NaN as "nan"
+    return z.real.hex(), z.imag.hex()
+
+
+# zeros of both signs, moderate, tiny and huge weights: a huge one times
+# exp(700) overflows, so infinite and NaN drifts are compared too
+WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e3, 1e3),
+    st.floats(-1e-300, 1e-300),
+    st.floats(-1e300, 1e300),
+)
+# |h a| from 1e-300 to 700, along an axis or at a drawn angle
+SCALED_ENTRIES = st.tuples(
+    st.floats(-300.0, math.log10(700.0)),
+    st.one_of(
+        st.sampled_from([1.0, 1j, -1.0, -1j]),
+        st.floats(-math.pi, math.pi).map(lambda phi: cmath.rect(1.0, phi)),
+    ),
+)
+TOP = math.log10(700.0)
+
+
+@example(terms=[(1e300, 0.0, 1.0, 0.0, (TOP, 1.0))], t=1.0, j=0)
+@example(terms=[(1e300, 0.0, 1.0, 0.0, (TOP, 1.0)), (-1e300, 0.0, 1.0, 0.0, (TOP, 1.0))], t=1.0, j=0)
+@example(terms=[(0.0, 1e300, -1.0, 0.0, (TOP, 1.0)), (-0.0, 1.0, 1.0, 1.0, (1.0, 1j))], t=1.0, j=3)
+@given(
+    terms=st.lists(st.tuples(WEIGHTS, WEIGHTS, WEIGHTS, WEIGHTS, SCALED_ENTRIES), min_size=1, max_size=8),
+    t=st.floats(0.125, 8.0),
+    j=st.integers(0, 122),
+)
+def test_diagonal_drift_matches_numpy_scalar_loop_bit_for_bit(terms, t, j):
+    steps = [2**j, 2 ** (j + 1), 3 * 2**j + 1]
+    h = t / float(steps[0])
+    entries = [10.0**log_mag / h * direction for *_, (log_mag, direction) in terms]
+    a = diagonal_generator_from_entries(entries)
+    f = Functional([complex(re, im) for re, im, *_ in terms], 2.0)
+    x = CVec([complex(re, im) for _, _, re, im, _ in terms], 2.0)
+    drifts = [drift for _, drift in _drifts(a, f, x, t, steps)]
+    assert [bits(d) for d in drifts] == [bits(numpy_scalar_drift(a, f, x, t, n)) for n in steps]
+    assert bits(step_derivative(a, f, x, t, steps[0])) == bits(drifts[0])
