@@ -95,21 +95,28 @@ def _write_csv(path: Path, schema: str, fields: list[str], lines: list[str]) -> 
     )
 
 
-def _ladder_defects(a: Generator, t: float, schedule: Iterable[int]) -> np.ndarray | tuple:
-    """The dense defects exp((t/n) A) - I of a ladder, one stacked call, for
-    the step counts n before the first too large to divide a time by (that
-    row raises on its own, after the rows before it are written).  The
+def _dividable(schedule: Iterable[int]) -> tuple[list[int], OverflowError | None]:
+    """The step counts of a ladder before the first too large to divide a
+    time by, and that count's OverflowError (None when there is none).  The
+    counts are taken lazily, so a ladder stops at 2^1024 however long its
+    schedule is."""
+    counts: list[int] = []
+    for n in schedule:
+        try:
+            float(n)
+        except OverflowError as exc:
+            return counts, exc
+        counts.append(n)
+    return counts, None
+
+
+def _ladder_defects(a: Generator, t: float, counts: list[int]) -> np.ndarray | None:
+    """The dense defects exp((t/n) A) - I of a ladder, one stacked call.  The
     times t/n shrink along the ladder, so an overflowing |(t/n) A| can only
     be the first row's.  A diagonal generator needs none."""
     if a.kind != "dense":
-        return ()
-    times: list[float] = []
-    for n in schedule:
-        try:
-            times.append(t / float(n))
-        except OverflowError:
-            break
-    return semigroup_defects(a, times)
+        return None
+    return semigroup_defects(a, [t / float(n) for n in counts])
 
 
 def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -145,9 +152,10 @@ def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     code = EXIT_OK
     last_err = math.inf
     try:
+        counts, undividable = _dividable(cfg.schedule())
         # the scalar record and the dense product of a row share one defect
-        defects = _ladder_defects(a, cfg.time, cfg.schedule())
-        records = scalar_trotter_values(a, f, x, cfg.time, cfg.schedule(), defects)
+        defects = _ladder_defects(a, cfg.time, counts)
+        records = scalar_trotter_values(a, f, x, cfg.time, counts, defects)
         for k, rec in enumerate(records):
             last_err = rec.err_vs_limit
             step, deriv, log, value = rec.step_value, rec.derivative, rec.log_value, rec.value
@@ -158,10 +166,12 @@ def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
                 + f",{rec.err_vs_limit!r},{rec.path},{1 if rec.branch_ambiguous else 0}"
             )
             if proj is not None:
-                defect = defects[k] if k < len(defects) else None
+                defect = None if defects is None else defects[k]
                 product = dense_trotter_apply(a, proj, x, cfg.time, rec.steps, defect=defect)
                 line += f",{norm(CVec(product.coords - oracle_vec, x.p))!r}"
             lines.append(line)
+        if undividable is not None:
+            raise undividable
     except OVERFLOWS as exc:
         print(f"overflow after {len(lines)} rows: {exc}", file=sys.stderr)
         code = EXIT_OVERFLOW

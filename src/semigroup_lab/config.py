@@ -30,6 +30,7 @@ from .serialize import (
     CONFIG_SCHEMA,
     _bool,
     _field,
+    _finite,
     _float,
     _int,
     _matrix,
@@ -128,7 +129,12 @@ class ExperimentConfig:
     def generator(self) -> Generator:
         if self.generator_spec is None:
             raise ConfigError("config declares no generator")
-        return generator_from_dict(self.generator_spec, self.dim)
+        a = generator_from_dict(self.generator_spec, self.dim)
+        # the codec reads any dense matrix (a table law's values are checked
+        # as they are read); a run needs finite entries
+        finite = a.kind != "dense" or bool(np.isfinite(a.matrix).all())
+        _check(finite, "generator.matrix", "must be finite")
+        return a
 
     @_config_errors()
     def functional(self) -> Functional:
@@ -177,7 +183,9 @@ class ExperimentConfig:
                 coords[index - 1] = 1.0
             return CVec(coords, self.p)
         if kind == "values":
-            coords = _field(spec, "values", lambda raw: _vector(raw, self.dim), "vector.")
+            coords = _field(
+                spec, "values", lambda raw: _finite(_vector(raw, self.dim)), "vector."
+            )
             return CVec(coords, self.p)
         raise ConfigError(f"vector.kind: {kind!r} is not basis or values")
 

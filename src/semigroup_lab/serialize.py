@@ -100,10 +100,16 @@ def generator_from_dict(desc: dict, dim: int) -> Generator:
     sizes a diagonal law and fixes the shape of a dense matrix."""
     kind = _field(desc, "kind", str, "generator.")
     if kind == "diagonal":
+        values = _tuple(_complex)
         return _field(
             desc,
             "law",
-            lambda raw: diagonal_generator(record_from_dict(GrowthLaw, raw, "generator.law."), dim),
+            lambda raw: diagonal_generator(
+                record_from_dict(
+                    GrowthLaw, raw, "generator.law.", values=lambda v: _finite(values(v))
+                ),
+                dim,
+            ),
             "generator.",
         )
     if kind == "dense":
@@ -178,6 +184,14 @@ def _entry(raw) -> complex:
             raise ValueError(f"complex entries are [re, im] pairs, got {raw!r}")
         return complex(_real(raw[0]), _real(raw[1]))
     return complex(_real(raw))
+
+
+def _finite(values):
+    """``values`` (numbers, or an array of them) unless one is NaN or
+    infinite: such an entry turns every product it enters into NaN."""
+    if not np.isfinite(values).all():
+        raise ValueError("must be finite")
+    return values
 
 
 def _list(raw) -> list:

@@ -288,21 +288,23 @@ def cexpm1_array(z: np.ndarray) -> np.ndarray:
 
 
 def clog1p_array(z: np.ndarray) -> np.ndarray:
-    """log(1 + z) elementwise, accurate for small |z|.
+    """log(1 + z) elementwise, accurate for small |z|: :func:`clog1p` on an
+    array, with the same split at |z| = 1/2.
 
     ``np.log1p`` is not: on complex input it returns a real part of 0 once
-    |z| is near 1e-19.  Here the real part is 0.5 log1p(2x + x^2 + y^2),
-    half the log of |1 + z|^2, and the imaginary part atan2(y, 1 + x);
-    against mpmath the error is at most 1e-14 relative for |z| <= 1/2.
-    Where |z| is so large that x^2 + y^2 overflows, the direct logarithm
-    takes over.  A step value of exactly 0 (z = -1) gives -inf.
+    |z| is near 1e-19.  Here, for |z| <= 1/2, the real part is
+    0.5 log1p(2x + x^2 + y^2), half the log of |1 + z|^2, and the imaginary
+    part atan2(y, 1 + x); against mpmath the error is at most 1e-14
+    relative.  Beyond 1/2 the direct logarithm takes over, since
+    2x + x^2 + y^2 cancels where 1 + z is near 0; there the error is
+    absolute, as :func:`clog1p` states.  A step value of exactly 0 (z = -1)
+    gives -inf.
     """
     x, y = z.real, z.imag
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        log_abs = 0.5 * np.log1p(x * (2.0 + x) + y * y)
-        out = _complex(log_abs, np.arctan2(y, 1.0 + x))
-        huge = np.isinf(log_abs) & (log_abs > 0.0)
-        out[huge] = np.log(1.0 + z[huge])
+        out = _complex(0.5 * np.log1p(x * (2.0 + x) + y * y), np.arctan2(y, 1.0 + x))
+        far = np.abs(z) > 0.5
+        out[far] = np.log(1.0 + z[far])
     return out
 
 
@@ -373,8 +375,7 @@ def semigroup_defect(a: Generator, t: float):
     full matrix (``semigroup_defects`` at the one time) for a dense one.
     """
     if a.kind == "diagonal":
-        scaled = _scaled_entries(a, (t,))[0]
-        return np.array([cexpm1(complex(z)) for z in scaled], dtype=np.complex128)
+        return cexpm1_array(_scaled_entries(a, (t,))[0])
     return semigroup_defects(a, (t,))[0]
 
 

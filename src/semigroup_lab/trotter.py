@@ -1,18 +1,19 @@
-"""Product-formula experiments: step pairings, scalar carriers, matrix products.
+"""Product-formula experiments: step pairings, the log-domain carrier, matrix products.
 
-The scalar route tracks the pairing of a single product step and raises
-it to the n-th power in log space, so step values that differ from 1 by
-only 1e-40 still produce fully resolved powers.  The matrix route powers
-the one-step matrix exp((t/n) A) P by repeated squaring.  The two share
-no code beyond the orbit defect; comparisons between them are the
-point of the module.
+The scalar route raises the step value 1 + f((exp((t/n) A) - I) x) to the
+n-th power in log space, so step values that differ from 1 by only 1e-40
+still produce fully resolved powers.  One function, ``batched_log_values``,
+forms that log power for a batch of vectors and step counts; every other
+scalar helper here is a view of it.  The matrix route powers the one-step
+matrix exp((t/n) A) P by repeated squaring.  The two share no code beyond
+the orbit defect; comparisons between them are the point of the module.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,6 @@ from .spaces import (
     apply_generator,
     cexpm1,
     cexpm1_array,
-    clog1p,
     clog1p_array,
     pairing,
     semigroup_defect,
@@ -40,9 +40,6 @@ from .spaces import (
 MATERIALIZE_LOG_BOUND = 700.0
 
 _NORMALIZED_SLACK = 1e-9
-
-# One ulp of 1.0: the unit of a batched error's rounding spread.
-_ROUNDING = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -86,48 +83,98 @@ def limit_gap_error(limit_log: complex, log_value: complex) -> float:
 
 
 def step_pairing(a: Generator, f: Functional, x: CVec, t: float, n: int) -> complex:
-    """The pairing of one product step: f(exp((t/n) A) x)."""
-    return pairing(f, x) + step_derivative(a, f, x, t, n) / float(n)
+    """The pairing of one product step: f(exp((t/n) A) x) = f(x) + offset."""
+    return pairing(f, x) + _one_row(a, f, x, t, n).offsets.item()
 
 
-def _drifts(
-    a: Generator,
-    f: Functional,
-    x: CVec,
-    t: float,
-    steps: Iterable[int],
-    defects: Sequence[np.ndarray] = (),
-) -> Iterator[tuple[int, complex]]:
-    """(n, n * f((exp((t/n) A) - I) x)) for each step count n of ``steps``,
-    taken lazily, so every drift before an undividable count is yielded.
+@dataclass(frozen=True)
+class StepBatch:
+    """The log-domain carrier over a batch: row i is step count ``steps[i]``,
+    column j is ``vectors[j]``.
 
-    A diagonal generator's nonzero terms (f_m x_m, a_m) are formed once, as
-    Python numbers: CPython's complex product is numpy's formula, so each
-    drift has the bits of a loop over numpy scalars.  A float enters each
-    product as complex(h, 0.0), the operand numpy promotes it to.  A dense
-    generator's defect at t/n is ``defects[k]`` for the k-th count when the
-    caller holds it, and is formed here otherwise.  A count below 1 raises
-    ValueError.
+    ``offsets`` holds the step offsets f((exp((t/n) A) - I) v),
+    ``log_values`` n log(1 + offset), and ``errors`` the gap
+    |exp(log_value) - exp(limit_log)| of each against one limit log, or
+    None when no limit was given.
+    """
+
+    offsets: np.ndarray
+    log_values: np.ndarray
+    errors: np.ndarray | None
+
+
+def _offsets(
+    a: Generator, f: Functional, vectors: np.ndarray, times: np.ndarray, defects
+) -> np.ndarray:
+    """f((exp(hA) - I) v) for each time h (rows) and vector v (columns).
+
+    A diagonal term is grouped (f_m v_m)(exp(h a_m) - 1), over the
+    coordinates some f_m v_m weights; a defect there that overflows raises
+    SemigroupOverflow.  A dense generator pulls f back through ``defects``,
+    or through one ``semigroup_defects`` stack when the caller holds none.
     """
     if a.kind == "diagonal":
-        terms = [
-            (fm * xm, am)
-            for fm, xm, am in zip(f.coords.tolist(), x.coords.tolist(), a.entries.tolist())
-            if not (fm == 0.0 or xm == 0.0)
-        ]
-    for k, n in enumerate(steps):
-        if n < 1:
-            raise ValueError("step count must be positive")
-        h = t / float(n)
-        if a.kind == "diagonal":
-            h = complex(h, 0.0)
-            total = 0.0 + 0.0j
-            for w, am in terms:
-                total += w * cexpm1(h * am)
-            yield n, complex(float(n), 0.0) * total
-        else:
-            defect = defects[k] if k < len(defects) else semigroup_defect(a, h)
-            yield n, float(n) * complex(np.dot(f.coords, defect @ x.coords))
+        weights = vectors * f.coords
+        defect = cexpm1_array(np.multiply.outer(times, a.entries))
+        defect[:, ~weights.any(axis=0)] = 0.0
+        over = np.flatnonzero(np.isinf(defect).any(axis=1))
+        if over.size:
+            raise SemigroupOverflow(f"diagonal orbit at t = {times[over[0]]:.3g} overflows")
+        return defect @ weights.T
+    if defects is None:
+        defects = semigroup_defects(a, times)
+    return (defects.transpose(0, 2, 1) @ f.coords) @ vectors.T
+
+
+def batched_log_values(
+    a: Generator,
+    f: Functional,
+    vectors: np.ndarray,
+    steps: Sequence[int],
+    limit_log: complex | None = None,
+    *,
+    t: float = 1.0,
+    defects: np.ndarray | None = None,
+) -> StepBatch:
+    """The one log-domain carrier: for every step count n of ``steps`` and
+    every row v of ``vectors``, the step offset f((exp((t/n) A) - I) v), the
+    log power n log(1 + offset), and, given ``limit_log``, the gap to
+    exp(limit_log).
+
+    Every product value the lab stores or checks comes from here.  The log
+    goes through ``clog1p_array`` (a step value of exactly 0 gives -inf)
+    and the gap through ``cexpm1_array``, so nothing is lost to
+    cancellation when the offset is far below the resolution of 1 + offset.
+    A dense generator's defects at the times t/n are ``defects`` when the
+    caller holds them.  A count below 1 raises ValueError, and one too large
+    to divide t by raises OverflowError.
+    """
+    if any(k < 1 for k in steps):
+        raise ValueError("step count must be positive")
+    n = np.array([float(k) for k in steps])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        offsets = _offsets(a, f, vectors, t / n, defects)
+        logs = clog1p_array(offsets)
+        log_values = _complex(n[:, None] * logs.real, n[:, None] * logs.imag)
+        if limit_log is None:
+            return StepBatch(offsets, log_values, None)
+        # limit_gap_error's formula, elementwise
+        gap = log_values - limit_log
+        scale = float(np.exp(limit_log.real))
+        errors = scale * np.abs(cexpm1_array(gap))
+        errors[gap.real > 690.0] = math.inf
+        if scale == math.inf:
+            errors[:] = math.inf
+    return StepBatch(offsets, log_values, errors)
+
+
+def _one_row(
+    a: Generator, f: Functional, x: CVec, t: float, n: int, defect: np.ndarray | None = None
+) -> StepBatch:
+    """The carrier at one vector and one step count."""
+    return batched_log_values(
+        a, f, x.coords[None, :], (n,), t=t, defects=None if defect is None else defect[None]
+    )
 
 
 def step_derivative(
@@ -139,88 +186,24 @@ def step_derivative(
     even when t/n is far below the resolution of 1 + t/n.  A caller that
     already holds a dense generator's defect at t/n passes it as ``defect``.
     """
-    return next(_drifts(a, f, x, t, (n,), () if defect is None else (defect,)))[1]
+    return _drift(n, _one_row(a, f, x, t, n, defect).offsets.item())
 
 
-def _log_power(offset: complex, n: int) -> complex:
-    """n log(1 + offset), the log of the n-th power of the step value: the one
-    log-domain power carrier.  A step value of exactly 0 gives -inf."""
-    if offset == -1.0:
-        return complex(-math.inf, 0.0)
-    return float(n) * clog1p(offset)
+def _drift(n: int, offset: complex) -> complex:
+    """n * offset, part by part (no 0 * inf term turns a part into NaN)."""
+    return complex(float(n) * offset.real, float(n) * offset.imag)
 
 
 def product_log_value(a: Generator, f: Functional, x: CVec, n: int) -> complex:
-    """log of the unit-time n-step scalar product value, via the drift carrier."""
-    return _log_power(step_derivative(a, f, x, 1.0, n) / float(n), n)
-
-
-@dataclass(frozen=True)
-class StepBatch:
-    """The unit-time scalar carrier over a batch: row i is step count
-    ``steps[i]``, column j is ``vectors[j]``.
-
-    ``log_values`` holds n log(1 + offset), ``errors`` the limit gap of
-    each against one limit log, and ``spreads`` a first-order rounding
-    scale of each error.  The scalar carrier (``product_log_value`` with
-    ``limit_gap_error``) sums and rounds in another order; the two differ
-    by a modest multiple of the spread.
-    """
-
-    log_values: np.ndarray
-    errors: np.ndarray
-    spreads: np.ndarray
-
-
-def _pullbacks(a: Generator, f: Functional, steps) -> tuple[np.ndarray, np.ndarray]:
-    """Per step count n, the functional g with g(v) = f((exp(A/n) - I) v)
-    and a bound on the moduli its rounding scales with (one row each)."""
-    if a.kind == "diagonal":
-        h = np.array([1.0 / float(n) for n in steps])
-        z = h[:, None] * a.entries
-        defect = cexpm1_array(z)
-        # the versine half of Re cexpm1 is at most |defect| + |expm1(Re z)|
-        weight = np.abs(f.coords) * (np.abs(defect) + 2.0 * np.abs(np.expm1(z.real)))
-        return f.coords * defect, weight
-    adjoints = semigroup_defects(a, [1.0 / float(n) for n in steps]).transpose(0, 2, 1)
-    return adjoints @ f.coords, np.abs(adjoints) @ np.abs(f.coords)
-
-
-def batched_log_values(
-    a: Generator, f: Functional, vectors: np.ndarray, steps, limit_log: complex
-) -> StepBatch:
-    """The scalar carrier for many vectors and step counts at once.
-
-    For each step count n the functional is pulled back through one
-    defect exp(A/n) - I (one ``cexpm1_array`` call for a diagonal
-    generator, one ``semigroup_defects`` stack for a dense one), and one
-    matmul gives every vector's step offset.  The log power goes through
-    ``clog1p_array`` and the limit gap through ``cexpm1_array``, the same
-    formulas as the scalar carrier.
-    """
-    n = np.array([float(k) for k in steps])[:, None]
-    pull, weight = _pullbacks(a, f, steps)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        offsets = pull @ vectors.T
-        logs = clog1p_array(offsets)
-        log_values = _complex(n * logs.real, n * logs.imag)
-        gap = log_values - limit_log
-        scale = float(np.exp(limit_log.real))
-        errors = scale * np.abs(cexpm1_array(gap))
-        errors[gap.real > 690.0] = math.inf
-        if scale == math.inf:
-            errors[:] = math.inf
-        moduli = n * (weight @ np.abs(vectors).T) / np.abs(1.0 + offsets)
-        spreads = _ROUNDING * (
-            errors + (scale + errors) * (moduli + np.abs(log_values) + abs(limit_log))
-        )
-    return StepBatch(log_values, errors, spreads)
+    """log of the unit-time n-step scalar product value: the carrier's one row."""
+    return _one_row(a, f, x, 1.0, n).log_values.item()
 
 
 def require_unit_pairing(f: Functional, x: CVec) -> None:
-    """Raise ValueError unless f(x) = 1, the gauge the scalar reduction closes in."""
+    """Raise ValueError unless f(x) = 1, the gauge the scalar reduction closes in.
+    Written so that a NaN pairing fails it."""
     gauge = pairing(f, x)
-    if abs(gauge - 1.0) > _NORMALIZED_SLACK:
+    if not abs(gauge - 1.0) <= _NORMALIZED_SLACK:
         raise ValueError(f"scalar route needs f(x) = 1, got {gauge:.6g}")
 
 
@@ -229,44 +212,46 @@ def scalar_trotter_values(
     f: Functional,
     x: CVec,
     t: float,
-    steps: Iterable[int],
-    defects: Sequence[np.ndarray] = (),
-) -> Iterator[TrotterRecord]:
+    steps: Sequence[int],
+    defects: np.ndarray | None = None,
+) -> list[TrotterRecord]:
     """The full scalar record for the n-step product pairing, for each step
-    count n of ``steps`` in turn.
+    count n of ``steps``, from one carrier call.
 
     Requires the pairing f(x) = 1 (the scalar reduction only closes in
-    that gauge); it and the limit exp(t f(A x)) are formed once.  The error
-    against the limit is evaluated in log space so it stays meaningful when
-    the value itself overflows.  Step counts are taken lazily: a count too
-    large to divide t by raises OverflowError after the records before it.
-    ``defects`` is passed on to the drift, as in ``step_derivative``.
+    that gauge).  The error against the limit exp(t f(A x)) is evaluated in
+    log space so it stays meaningful when the value itself overflows.
+    ``defects`` is passed on to the carrier.
     """
     require_unit_pairing(f, x)
     limit_log = t * pairing(f, apply_generator(a, x))
-    for n, deriv in _drifts(a, f, x, t, steps, defects):
-        offset = deriv / float(n)
-        log_value = _log_power(offset, n)
-        value = None
-        if abs(log_value.real) < MATERIALIZE_LOG_BOUND:
-            value = cmath.exp(log_value)
-        yield TrotterRecord(
+    batch = batched_log_values(a, f, x.coords[None, :], steps, limit_log, t=t, defects=defects)
+    rows = zip(
+        steps,
+        batch.offsets[:, 0].tolist(),
+        batch.log_values[:, 0].tolist(),
+        batch.errors[:, 0].tolist(),
+    )
+    return [
+        TrotterRecord(
             steps=n,
             step_value=1.0 + offset,
-            derivative=deriv,
+            derivative=_drift(n, offset),
             log_value=log_value,
-            value=value,
-            err_vs_limit=limit_gap_error(limit_log, log_value),
+            value=cmath.exp(log_value) if abs(log_value.real) < MATERIALIZE_LOG_BOUND else None,
+            err_vs_limit=err,
             path="log",
             branch_ambiguous=abs(offset) > 0.5,
         )
+        for n, offset, log_value, err in rows
+    ]
 
 
 def scalar_trotter_value(
     a: Generator, f: Functional, x: CVec, t: float, n: int, *, defect: np.ndarray | None = None
 ) -> TrotterRecord:
     """The scalar record of one step count: see ``scalar_trotter_values``."""
-    return next(scalar_trotter_values(a, f, x, t, (n,), () if defect is None else (defect,)))
+    return scalar_trotter_values(a, f, x, t, (n,), None if defect is None else defect[None])[0]
 
 
 def dense_trotter_apply(

@@ -7,9 +7,11 @@ each vector, and the evaluation of every stage at the final vector y.
 The final vector therefore witnesses every stage at once: the n_k-step
 product at y has modulus at least e^k - 2*eps for all k.
 
-All product values are handled in log space through the drift carrier
-from :mod:`semigroup_lab.trotter`, so stages whose step counts are far
-beyond 2^53 lose nothing to rounding.
+Every product value is formed in log space by the one carrier,
+:func:`semigroup_lab.trotter.batched_log_values`, so stages whose step
+counts are far beyond 2^53 lose nothing to rounding.  The scan, the
+stability validation, the certificate's witness row and ``verify`` each
+evaluate a whole batch of step counts or vectors per call.
 """
 
 from __future__ import annotations
@@ -41,7 +43,10 @@ from .spaces import (
     pairing,
     semigroup_matrix,
 )
-from .trotter import batched_log_values, limit_gap_error, product_log_value
+from .trotter import batched_log_values, limit_gap_error
+# re-exported: the tests and perfbench's tracer name the carrier's one-row
+# view in this module
+from .trotter import product_log_value  # noqa: F401
 
 DEFAULT_J_MAX = 40
 DEFAULT_MARGIN = 0.3
@@ -52,10 +57,8 @@ ZERO_PAIRING_FLOOR = 1e-14
 # Slack demanded of the stage pairings before rounding is blamed.
 _PAIRING_SLACK = 1e-10
 
-# Step counts per batched call of the step-count scan (diagonal generators).
+# Step counts per carrier call of the step-count scan (diagonal generators).
 _SCAN_BLOCK = 32
-# A batched scan error is trusted only this many rounding spreads from eps.
-_SCAN_GUARD = 2.0**20
 # Validation samples per batched call, which bounds the memory a call takes.
 _SAMPLE_BLOCK = 4096
 
@@ -216,46 +219,24 @@ def choose_step_count(
 
     Scans n = 2^j upward and returns (n, error, log_value) for the first
     n with |value - exp(f(Ax))| < eps, the error measured in log space.
-    Raises ScheduleExhausted when the scan runs out.
-
-    The scan runs on the batched carrier, ``_SCAN_BLOCK`` step counts per
-    call for a diagonal generator (a dense one pays an exponential per
-    step count, so it goes one at a time).  A batched error is trusted
-    only when it clears eps by more than ``_SCAN_GUARD`` times its
-    rounding spread; every other step count is decided by the scalar
-    carrier, ``product_log_value`` with ``limit_gap_error``, which also
-    supplies every number returned or raised.  They are therefore those
-    of a scalar scan, bit for bit.
+    Raises ScheduleExhausted, carrying the smallest error seen, when the
+    scan runs out.  The scan reads the carrier ``batched_log_values``,
+    ``_SCAN_BLOCK`` step counts per call for a diagonal generator (a dense
+    one pays an exponential per step count, so it goes one at a time).
     """
     if not 0.0 < eps:
         raise ValueError("eps must be positive")
     limit_log = pairing(f, apply_generator(a, x))
-
-    def scalar(j: int) -> tuple[int, float, complex]:
-        log_value = product_log_value(a, f, x, 2**j)
-        return 2**j, limit_gap_error(limit_log, log_value), log_value
-
     block = _SCAN_BLOCK if a.kind == "diagonal" else 1
-    skipped: dict[int, tuple[float, float]] = {}
-    exact: dict[int, float] = {}
-    for start in range(0, j_max + 1, block):
-        js = range(start, min(start + block, j_max + 1))
-        batch = batched_log_values(a, f, x.coords[None, :], [2**j for j in js], limit_log)
-        for j, err, spread in zip(js, batch.errors[:, 0], batch.spreads[:, 0]):
-            band = _SCAN_GUARD * float(spread)
-            if float(err) - band > eps:
-                skipped[j] = (float(err) - band, float(err) + band)
-                continue
-            n, exact[j], log_value = scalar(j)
-            if exact[j] < eps:
-                return n, exact[j], log_value
-    # the smallest error can only sit where a batched interval reaches down
-    # to the lowest upper end; those step counts are recomputed exactly
-    reach = min((hi for _, hi in skipped.values()), default=math.inf)
-    exact.update((j, scalar(j)[1]) for j, (lo, _) in skipped.items() if lo <= reach)
     best = math.inf
-    for err in exact.values():
-        best = min(best, err)
+    for start in range(0, j_max + 1, block):
+        steps = [2**j for j in range(start, min(start + block, j_max + 1))]
+        batch = batched_log_values(a, f, x.coords[None, :], steps, limit_log)
+        rows = zip(steps, batch.errors[:, 0].tolist(), batch.log_values[:, 0].tolist())
+        for n, err, log_value in rows:
+            if err < eps:
+                return n, err, log_value
+            best = min(best, err)
     raise ScheduleExhausted(j_max=j_max, best_error=best, target=eps)
 
 
@@ -443,13 +424,9 @@ def _assemble(
     build_seed: int,
 ) -> WitnessCertificate:
     witness = stages[-1].vector
-    y = CVec(witness, f.p)
-    log_values = []
-    errors = []
-    for st in stages:
-        lv = product_log_value(a, f, y, st.steps)
-        log_values.append(lv)
-        errors.append(limit_gap_error(st.generator_pairing, lv))
+    steps = [st.steps for st in stages]
+    log_values = batched_log_values(a, f, witness[None, :], steps).log_values[:, 0].tolist()
+    errors = [limit_gap_error(st.generator_pairing, lv) for st, lv in zip(stages, log_values)]
     return WitnessCertificate(
         a=a,
         eps=eps,
@@ -549,9 +526,13 @@ def verify_certificate(cert: WitnessCertificate, strict_goal: int | None = None)
     if not np.array_equal(cert.witness, cert.stages[-1].vector):
         failures.append("witness vector differs from the last stage vector")
     two_eps = 2.0 * cert.eps
+    steps = [st.steps for st in cert.stages]
+    # each stage vector at its own step count: the diagonal of one batch
+    stage_vectors = np.array([st.vector for st in cert.stages])
+    stage_logs = np.diagonal(batched_log_values(a, f, stage_vectors, steps).log_values)
     prev_index = -1
     # every check is written "not (holds)", so a NaN anywhere fails it
-    for st in cert.stages:
+    for st, lv in zip(cert.stages, stage_logs.tolist()):
         tag = f"stage {st.index}"
         if st.index != prev_index + 1:
             failures.append(f"{tag}: index out of order")
@@ -571,7 +552,6 @@ def verify_certificate(cert: WitnessCertificate, strict_goal: int | None = None)
             failures.append(f"{tag}: step count {st.steps} is not a power of two")
         elif st.steps > 2**cert.j_max:
             failures.append(f"{tag}: step count exceeds the declared schedule")
-        lv = product_log_value(a, f, x, st.steps)
         if not abs(lv - st.log_value) <= 1e-9 * (1.0 + abs(lv)):
             failures.append(f"{tag}: stored log value does not recompute")
         err = limit_gap_error(st.generator_pairing, lv)
@@ -598,12 +578,11 @@ def verify_certificate(cert: WitnessCertificate, strict_goal: int | None = None)
     if counts != {len(cert.stages)}:
         failures.append("witness evaluations do not cover every stage")
     else:
-        y = CVec(cert.witness, cert.p)
-        for st, lv_stored, err_stored in zip(
-            cert.stages, cert.witness_log_values, cert.witness_errors
+        witness_logs = batched_log_values(a, f, cert.witness[None, :], steps).log_values
+        for st, lv, lv_stored, err_stored in zip(
+            cert.stages, witness_logs[:, 0].tolist(), cert.witness_log_values, cert.witness_errors
         ):
             tag = f"stage {st.index} at witness"
-            lv = product_log_value(a, f, y, st.steps)
             if not abs(lv - lv_stored) <= 1e-9 * (1.0 + abs(lv)):
                 failures.append(f"{tag}: stored log value does not recompute")
             err = limit_gap_error(st.generator_pairing, lv)

@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 import semigroup_lab
+from semigroup_lab import load_config
 from semigroup_lab.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -32,10 +34,11 @@ FINAL_ERR_BOUND = 1e-3
 
 # Artifacts written by the shipped configs at commit 7371cd3, the last to
 # write certificates under schema semigroup-lab/cert/1, the
-# classical_renorm report as commit 4add2e4 wrote it, the two dense
-# CSVs as commit b482aef wrote them, each defect from its own expm call,
-# and the two diagonal ladders as commit 566179d wrote them, each row's
-# drift from a loop over numpy scalars.
+# classical_renorm report as commit 4add2e4 wrote it, the sweep CSV as
+# commit b482aef wrote it, each defect from its own expm call, and the
+# bounded_oracle CSV, the two diagonal ladders and the /2 K = 5
+# certificate as written once every stored product value came from the
+# one log-domain carrier, trotter.batched_log_values.
 V1_DATA = Path(__file__).parent / "data"
 
 # A deep imaginary ladder shaped like perfbench's ladder-scalar-122: entries
@@ -306,6 +309,40 @@ def test_diagonal_ladder_csv_is_unchanged(tmp_path, name):
     assert written == (V1_DATA / f"{name}.limit.csv").read_bytes()
 
 
+# Worst deviation of the pinned diagonal ladders from 50-digit mpmath, in
+# units of u = 2^-52: log parts 1.3 u of |log|, limit errors 4.0 u of
+# |exp(limit)| (the parent's scalar carrier: 1.5 u and 2.5 u).
+LADDER_LOG_ROUNDING = 4 * 2.0**-52
+LADDER_ERROR_ROUNDING = 8 * 2.0**-52
+
+
+@pytest.mark.parametrize("name", ["two_point", "imag_ladder_122"])
+def test_diagonal_ladder_csv_matches_mpmath(tmp_path, name):
+    config = "two_point"
+    if name == "imag_ladder_122":
+        config = write_config(tmp_path, name, **IMAG_LADDER_122)
+    cfg = load_config(config)
+    a, f = cfg.generator(), cfg.functional()
+    x = cfg.vector(f)
+    _, _, rows = read_csv(V1_DATA / f"{name}.limit.csv")
+    with mpmath.workdps(50):
+        terms = [
+            (mpmath.mpc(complex(fm)) * mpmath.mpc(complex(xm)), mpmath.mpc(complex(am)))
+            for fm, xm, am in zip(f.coords, x.coords, a.entries)
+        ]
+        limit = cfg.time * mpmath.fsum(w * am for w, am in terms)
+        for row in rows:
+            n = int(row["steps"])
+            h = mpmath.mpf(cfg.time) / n
+            log = n * mpmath.log1p(mpmath.fsum(w * mpmath.expm1(h * am) for w, am in terms))
+            got = complex(float(row["log_re"]), float(row["log_im"]))
+            assert abs(got.real - log.real) <= LADDER_LOG_ROUNDING * abs(log), n
+            assert abs(got.imag - log.imag) <= LADDER_LOG_ROUNDING * abs(log), n
+            err = abs(mpmath.exp(log) - mpmath.exp(limit))
+            bound = LADDER_ERROR_ROUNDING * abs(mpmath.exp(limit))
+            assert abs(float(row["err_vs_limit"]) - err) <= bound, n
+
+
 def test_ladder_past_2_1024_is_lazy(tmp_path, capsys):
     # no step count past 2^1023 divides a time, so j_max = 20000 writes the
     # rows of j_max = 1100 and stops at 2^1024 without forming the rest
@@ -321,6 +358,12 @@ def test_ladder_past_2_1024_is_lazy(tmp_path, capsys):
     assert written[0] == written[1]
 
 
+# Fresh /2 builds pinned on their own: the one log-domain carrier moved the
+# last bits of the K = 5 ladder's numbers, and of two rungs of its tuned law,
+# so the /1 certificate no longer re-encodes to them.
+FRESH_V2 = {"blowup_k5": "blowup_k5.v2.cert.json"}
+
+
 @pytest.mark.parametrize("config", ["blowup_k5", "bounded_contrapositive"])
 def test_v1_certificate_reencodes_to_a_fresh_build(tmp_path, config):
     main(["witness", "--config", config, "--out", str(tmp_path)])
@@ -328,7 +371,13 @@ def test_v1_certificate_reencodes_to_a_fresh_build(tmp_path, config):
     old = load_json(V1_DATA / f"{config}.cert.json")
     assert old["schema"] == "semigroup-lab/cert/1"
     assert json.loads(fresh)["schema"] == "semigroup-lab/cert/2"
-    assert dumps_canonical(cert_to_dict(cert_from_dict(old))) == fresh
+    reencoded = dumps_canonical(cert_to_dict(cert_from_dict(old)))
+    assert json.loads(reencoded)["schema"] == "semigroup-lab/cert/2"
+    assert dumps_canonical(cert_to_dict(cert_from_dict(json.loads(reencoded)))) == reencoded
+    if config in FRESH_V2:
+        assert fresh == (V1_DATA / FRESH_V2[config]).read_text()
+    else:
+        assert reencoded == fresh
 
 
 def test_bad_config_exits_with_config_code(tmp_path):
@@ -456,6 +505,24 @@ def test_limit_check_zero_step_pairing(tmp_path):
     assert float(rows[0]["step_re"]) == 0.0
     assert rows[0]["log_re"] == "-inf"
     assert all(row["value_re"] == row["value_im"] == "" for row in rows)
+
+
+def test_diagonal_overflow_counts_only_weighted_entries(tmp_path, capsys):
+    # exp(1000/n) overflows for n = 1; a coordinate that f(x) never weights
+    # drops out of every row, one it weights stops the ladder before a row
+    ladder = {
+        "generator": {"kind": "diagonal", "law": {"kind": "table", "values": [0.0, 1000.0]}},
+        "schedule": {"j_min": 0, "j_max": 4},
+    }
+    unweighted = write_config(
+        tmp_path, "unweighted", functional={"kind": "values", "values": [1.0, 0.0]}, **ladder
+    )
+    assert main(["limit-check", "--config", str(unweighted), "--out", str(tmp_path)]) == EXIT_OK
+    _, _, rows = read_csv(tmp_path / "unweighted.limit.csv")
+    assert [row["log_re"] for row in rows] == ["0.0"] * 5
+    weighted = write_config(tmp_path, "weighted", **ladder)
+    assert main(["limit-check", "--config", str(weighted), "--out", str(tmp_path)]) == EXIT_OVERFLOW
+    assert "overflow after 0 rows: diagonal orbit at t = 1 overflows" in capsys.readouterr().err
 
 
 def test_limit_csv_numeric_cells_parse_as_floats(tmp_path):
@@ -593,6 +660,27 @@ def test_limit_csv_numeric_cells_parse_as_floats(tmp_path):
         ("limit-check", {"tolerance": -1.0}, "tolerance"),
         ("limit-check", {"time": math.nan}, "time"),
         ("limit-check", {"time": math.inf}, "time"),
+        ("limit-check", {"vector": {"kind": "values", "values": [math.nan, 1.0]}}, "vector.values"),
+        (
+            "witness",
+            {**K5_CONFIG, "vector": {"kind": "values", "values": [math.nan] + [0.0] * 6}},
+            "vector.values",
+        ),
+        (
+            "limit-check",
+            {"generator": {"kind": "diagonal", "law": {"kind": "table", "values": [0.0, math.inf]}}},
+            "generator.law.values",
+        ),
+        (
+            "limit-check",
+            {"generator": {"kind": "diagonal", "law": {"kind": "table", "values": [math.nan, 2.0]}}},
+            "generator.law.values",
+        ),
+        (
+            "limit-check",
+            {"generator": {"kind": "dense", "matrix": [[math.nan, 0.0], [0.0, 2.0]]}},
+            "generator.matrix",
+        ),
     ],
     ids=[
         "decimal_string",
@@ -635,6 +723,11 @@ def test_limit_csv_numeric_cells_parse_as_floats(tmp_path):
         "tolerance_negative",
         "time_nan",
         "time_inf",
+        "vector_nan",
+        "k5_vector_nan",
+        "table_inf",
+        "table_nan",
+        "matrix_nan",
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, command, overrides, field):
