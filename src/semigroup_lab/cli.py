@@ -56,6 +56,7 @@ from .serialize import (
 from .spaces import CVec, Generator, norm, semigroup_defects
 from .trotter import (
     bounded_limit_oracle,
+    bounded_limit_oracles,
     dense_trotter_apply,
     require_unit_pairing,
     scalar_trotter_values,
@@ -369,6 +370,18 @@ def run_verify(paths: list[str]) -> int:
     return code
 
 
+def _sweep_defects(a: Generator, steps: list[float]) -> list:
+    """A trial's dense defects exp(hA) - I at the steps h = t/n, one stacked
+    call.  When some |hA| overflows, each step meets the overflow check on
+    its own inside ``dense_trotter_apply`` (None here), so the rows before
+    the first such time are still written; those steps get the bits they
+    would get from the stack."""
+    try:
+        return list(semigroup_defects(a, steps))
+    except SemigroupOverflow:
+        return [None] * len(steps)
+
+
 def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     params = cfg.sweep_params()
     steps = 2**cfg.j_max
@@ -385,15 +398,14 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         proj = random_oblique_projection(dim, rank, rng, norm_cap=params.projection_norm_cap)
         x = CVec(rng.standard_normal(dim) + 1j * rng.standard_normal(dim), 2.0)
         try:
-            for t in params.times:
-                target = bounded_limit_oracle(a, proj, t) @ x.coords
-                product = dense_trotter_apply(a, proj, x, t, steps)
+            targets = bounded_limit_oracles(a, proj, params.times) @ x.coords
+            defects = _sweep_defects(a, [t / float(steps) for t in params.times])
+            tail = f"{projection_norm(proj)!r},{params.generator_norm!r}"
+            for t, target, defect in zip(params.times, targets, defects):
+                product = dense_trotter_apply(a, proj, x, t, steps, defect=defect)
                 gap = norm(CVec(product.coords - target, x.p))
                 gaps.append(gap)
-                lines.append(
-                    f"{trial},{dim},{rank},{t!r},{steps},{gap!r},{projection_norm(proj)!r},"
-                    f"{params.generator_norm!r}"
-                )
+                lines.append(f"{trial},{dim},{rank},{t!r},{steps},{gap!r},{tail}")
         except OVERFLOWS:
             overflowed = True
     fields = [

@@ -9,10 +9,11 @@ Generators come in two flavours.  Diagonal ones are built from a growth
 law and act coordinatewise; dense ones are explicit matrices.  Orbits
 ``exp(t A) v`` go through one propagator, ``semigroup_matrices``, which
 stacks ``exp(t A)`` over a list of times.  A dense one is
-``I + (exp(t A) - I)``, and ``semigroup_defects`` reads every time's
-defect off Van Loan's block exponential with one stacked ``expm`` call,
-so small-time drifts are not lost to cancellation.  The single-time
-``semigroup_defect`` is that stack at one time.
+``I + (exp(t A) - I)``, and ``semigroup_defects`` forms every time's
+defect with one call of the lab's one matrix exponential,
+``matrix_expm1``, which returns exp(X) - I directly, so small-time drifts
+are not lost to cancellation.  The single-time ``semigroup_defect`` is
+that stack at one time.
 """
 
 from __future__ import annotations
@@ -28,9 +29,22 @@ from .errors import DimensionMismatch, SemigroupOverflow
 # exp() overflows just above 709.78; leave a little headroom.
 EXP_OVERFLOW = 709.0
 
-# Van Loan blocks per ``_expm`` call in ``semigroup_defects``: bounds the
-# (chunk, 2d, 2d) transient of a long list of times.
+# Times per ``matrix_expm1`` call in ``semigroup_defects``: bounds the
+# (chunk, d, d) transients of a long list of times.
 _DEFECT_CHUNK = 64
+
+# ``matrix_expm1``'s Taylor degree m and the largest 1-norm theta it takes
+# unscaled: at theta the remainder sum_{k > m} theta^k / k! is 2^-53 theta,
+# a forward bound relative to the leading term.
+_TAYLOR_DEGREE = 18
+_TAYLOR_THETA = 1.1518049568703574
+# Paterson-Stockmeyer blocks B_j = sum_i c_(4j+i) Y^i (i = 0 .. 3) of the
+# Taylor coefficients c_k = 1/k! of exp(y) - 1 (c_0 = 0, and 0 past m),
+# shaped to broadcast over the (4, G, d, d) stack of I, Y, Y^2, Y^3.
+_PS_COEFFS = np.array(
+    [[0.0 if k == 0 or k > _TAYLOR_DEGREE else 1.0 / math.factorial(k) for k in range(j, j + 4)]
+     for j in range(0, _TAYLOR_DEGREE + 1, 4)]
+)[:, :, None, None, None]
 
 _LAW_KINDS = ("poly", "imag_poly", "geom", "factorial", "imag_double_exp", "table")
 _P_VALUES = (1.0, 2.0, math.inf)
@@ -316,13 +330,57 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expm(matrix: np.ndarray) -> np.ndarray:
-    """scipy's ``expm`` (Al-Mohy & Higham 2009), the lab's one matrix
-    exponential.  scipy is imported here, on the first call, so runs with
-    diagonal generators never load it."""
-    import scipy.linalg
+def matrix_expm1(stack: np.ndarray) -> np.ndarray:
+    """exp(X) - I for every slice X of a (G, d, d) stack: the lab's one
+    matrix exponential.
 
-    return scipy.linalg.expm(matrix)
+    Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005) with
+    a Taylor polynomial in place of Pade, so no linear solve (Bader, Blanes
+    & Casas, Mathematics 7, 2019).  Each slice takes its own scaling 2^-s,
+    the least s >= 0 with |X / 2^s|_1 < theta.  Then
+    D = Y p(Y), with Y = X / 2^s and p the degree m - 1 Taylor polynomial
+    of (e^y - 1) / y, is evaluated over the whole stack by
+    Paterson-Stockmeyer, and s doublings D <- D D + 2 D undo the scaling.
+    No identity is added and none cancels, so a small defect keeps its
+    relative accuracy.  Every operation acts slice by slice, so a slice
+    gets the same bits in any stack as on its own.  A slice whose
+    exponential overflows comes back inf or NaN, with no warning.
+    """
+    stack = np.asarray(stack, dtype=np.complex128)
+    if stack.shape[0] == 0:
+        return stack.copy()
+    # frexp: |X|_1 / theta < 2^e, and e = 0 for inf or NaN
+    shifts = np.maximum(np.frexp(np.abs(stack).sum(axis=1).max(axis=1) / _TAYLOR_THETA)[1], 0)
+    most = int(shifts.max())
+    powers = np.empty((4, *stack.shape), dtype=np.complex128)
+    powers[0] = np.eye(stack.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if most:
+            np.multiply(stack, np.ldexp(1.0, -shifts)[:, None, None], out=powers[1])
+        else:
+            powers[1] = stack
+        _, y, y2, y3 = powers
+        np.matmul(y, y, out=y2)
+        np.matmul(y2, y, out=y3)
+        top = y2 @ y2
+        # summed term by term, not by a reduction, whose order can depend on
+        # the shape; the zero c_0 adds +0 to B_0, which leaves every nonzero
+        # entry as it is
+        terms = _PS_COEFFS * powers
+        blocks = terms[:, 0] + terms[:, 1]
+        blocks += terms[:, 2]
+        blocks += terms[:, 3]
+        defect = blocks[-1]
+        for block in blocks[-2::-1]:
+            defect = block + top @ defect
+        for k in range(most):
+            live = shifts > k
+            if live.all():
+                defect = defect @ defect + 2.0 * defect
+            else:
+                part = defect[live]
+                defect[live] = part @ part + 2.0 * part
+    return defect
 
 
 def _scaled_entries(a: Generator, times) -> np.ndarray:
@@ -340,32 +398,22 @@ def semigroup_defects(a: Generator, times) -> np.ndarray:
     """``exp(t A) - I`` for every t in ``times``, stacked into a (G, d, d)
     array, for a dense generator.
 
-    Each defect is M phi1(M) with M = tA, never exp(M) - I by subtraction:
-    phi1(M) = (exp(M) - I) / M is the top-right block of the exponential of
-    [[M, I], [0, 0]] (Van Loan, IEEE TAC 1978), so a small defect keeps its
-    relative accuracy instead of cancelling against I.  The blocks go to
-    ``_expm`` as one stack, ``_DEFECT_CHUNK`` times at a time; scipy's expm
-    treats each slice as it treats a single matrix.  Before any exponential,
-    an overflow names the first t with |tA|_2 > 690.
+    The stack of t A goes to ``matrix_expm1``, ``_DEFECT_CHUNK`` times at a
+    time; each defect has the bits of its own single-time call.  Before any
+    exponential, an overflow names the first t with |tA|_2 > 690.
     """
     if a.kind != "dense":
         raise ValueError("semigroup_defects needs a dense generator")
     scaled = np.multiply.outer(np.asarray(times, dtype=np.float64), a.matrix)
-    count, dim = scaled.shape[0], a.dim
     scales = np.linalg.norm(scaled, 2, axis=(1, 2))
     over = np.flatnonzero(scales > 690.0)
     if over.size:
         raise SemigroupOverflow(f"dense orbit with |tA| = {scales[over[0]]:.3g} overflows")
-    defects = np.empty_like(scaled)
-    blocks = np.zeros((min(count, _DEFECT_CHUNK), 2 * dim, 2 * dim), dtype=np.complex128)
-    blocks[:, np.arange(dim), np.arange(dim, 2 * dim)] = 1.0
-    for start in range(0, count, _DEFECT_CHUNK):
-        part = scaled[start : start + _DEFECT_CHUNK]
-        chunk = blocks[: part.shape[0]]
-        chunk[:, :dim, :dim] = part
-        phi1 = _expm(chunk)[:, :dim, dim:]
-        np.matmul(part, phi1, out=defects[start : start + part.shape[0]])
-    return defects
+    count = scaled.shape[0]
+    if count <= _DEFECT_CHUNK:
+        return matrix_expm1(scaled)
+    starts = range(0, count, _DEFECT_CHUNK)
+    return np.concatenate([matrix_expm1(scaled[k : k + _DEFECT_CHUNK]) for k in starts])
 
 
 def semigroup_defect(a: Generator, t: float):

@@ -25,11 +25,11 @@ from .spaces import (
     Functional,
     Generator,
     _complex,
-    _expm,
     apply_generator,
     cexpm1,
     cexpm1_array,
     clog1p_array,
+    matrix_expm1,
     pairing,
     semigroup_defect,
     semigroup_defects,
@@ -67,19 +67,19 @@ def limit_gap_error(limit_log: complex, log_value: complex) -> float:
     """|exp(log_value) - exp(limit_log)| evaluated without leaving log space.
 
     Uses the factorization exp(Re limit) * |exp(gap) - 1|, which stays
-    finite and meaningful when either exponential alone would overflow;
-    an overflowing comparison comes back as inf rather than an exception.
+    finite and meaningful when either exponential alone would overflow.
+    Past a gap of 690, where exp(gap) would overflow, exp(log_value)
+    dominates and the factorization exp(Re log_value) * |1 - exp(-gap)|
+    takes over.  An overflowing comparison comes back as inf rather than
+    an exception.
     """
     gap = log_value - limit_log
-    if not math.isfinite(gap.real) and gap.real > 0.0:
-        return math.inf
-    if gap.real > 690.0:
-        return math.inf
     try:
-        scale = math.exp(limit_log.real)
+        if gap.real > 690.0:
+            return math.exp(log_value.real) * abs(cexpm1(-gap))
+        return math.exp(limit_log.real) * abs(cexpm1(gap))
     except OverflowError:
         return math.inf
-    return scale * abs(cexpm1(gap))
 
 
 def step_pairing(a: Generator, f: Functional, x: CVec, t: float, n: int) -> complex:
@@ -162,9 +162,11 @@ def batched_log_values(
         gap = log_values - limit_log
         scale = float(np.exp(limit_log.real))
         errors = scale * np.abs(cexpm1_array(gap))
-        errors[gap.real > 690.0] = math.inf
         if scale == math.inf:
             errors[:] = math.inf
+        far = gap.real > 690.0
+        if far.any():
+            errors[far] = np.exp(log_values.real[far]) * np.abs(cexpm1_array(-gap[far]))
     return StepBatch(offsets, log_values, errors)
 
 
@@ -299,14 +301,22 @@ def _generator_matrix(a: Generator) -> np.ndarray:
     return np.asarray(a.matrix)
 
 
-def bounded_limit_oracle(a: Generator, proj: Projection, t: float) -> np.ndarray:
-    """The strong limit of the alternating products for bounded A.
+def bounded_limit_oracles(a: Generator, proj: Projection, times) -> np.ndarray:
+    """The strong limits of the alternating products for bounded A, at every
+    t of ``times``: the (G, d, d) stack of exp(t P A P) P.
 
-    Returns the matrix exp(t P A P) P from ``spaces._expm``.  The product
-    routes' defect calls it on another matrix; the 50-digit mpmath tests
-    of both are what keep this comparison from being circular.
+    Each is P + (exp(t P A P) - I) P, from one ``matrix_expm1`` call over
+    the stack, and has the bits of its own single-time call.  The product
+    routes' defects come from the same kernel on another matrix; the
+    50-digit mpmath tests of both are what keep this comparison from being
+    circular.  An exponential that overflows gives inf or NaN entries.
     """
     p_mat = projection_matrix(proj)
     compressed = p_mat @ _generator_matrix(a) @ p_mat
-    return _expm(t * compressed) @ p_mat
+    scaled = np.multiply.outer(np.asarray(times, dtype=np.float64), compressed)
+    return p_mat + matrix_expm1(scaled) @ p_mat
 
+
+def bounded_limit_oracle(a: Generator, proj: Projection, t: float) -> np.ndarray:
+    """The strong limit exp(t P A P) P at one time: see ``bounded_limit_oracles``."""
+    return bounded_limit_oracles(a, proj, (t,))[0]

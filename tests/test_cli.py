@@ -34,11 +34,11 @@ FINAL_ERR_BOUND = 1e-3
 
 # Artifacts written by the shipped configs at commit 7371cd3, the last to
 # write certificates under schema semigroup-lab/cert/1, the
-# classical_renorm report as commit 4add2e4 wrote it, the sweep CSV as
-# commit b482aef wrote it, each defect from its own expm call, and the
-# bounded_oracle CSV, the two diagonal ladders and the /2 K = 5
-# certificate as written once every stored product value came from the
-# one log-domain carrier, trotter.batched_log_values.
+# classical_renorm report as commit 4add2e4 wrote it, the two diagonal
+# ladders and the /2 K = 5 certificate as written once every stored product
+# value came from the one log-domain carrier, trotter.batched_log_values,
+# and the bounded_oracle and sweep CSVs as written once every dense
+# exponential came from spaces.matrix_expm1.
 V1_DATA = Path(__file__).parent / "data"
 
 # A deep imaginary ladder shaped like perfbench's ladder-scalar-122: entries
@@ -191,6 +191,23 @@ def test_sweep_overflow_keeps_csv_header(tmp_path):
     assert schema_line == "# schema=semigroup-lab/sweep-csv/1"
     assert header[0] == "trial"
     assert rows == []
+
+
+def test_sweep_overflow_keeps_the_rows_before_it(tmp_path):
+    # with one step, |hA| = 800 at t = 400 fails the overflow check of the
+    # trial's stacked defects; each trial still writes its row at t = 1, has
+    # none at t = 2, and exits 3
+    one_step = {"j_min": 0, "j_max": 0}
+    sweep = {"trials": 3, "generator_norm": 2.0}
+    short = write_config(tmp_path, "short", schedule=one_step, sweep=dict(sweep, times=[1.0]))
+    long = write_config(
+        tmp_path, "long", schedule=one_step, sweep=dict(sweep, times=[1.0, 400.0, 2.0])
+    )
+    assert main(["sweep", "--config", str(short), "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["sweep", "--config", str(long), "--out", str(tmp_path)]) == EXIT_OVERFLOW
+    _, _, rows = read_csv(tmp_path / "long.sweep.csv")
+    assert [(row["trial"], row["time"]) for row in rows] == [(str(k), "1.0") for k in range(3)]
+    assert read_csv(tmp_path / "long.sweep.csv") == read_csv(tmp_path / "short.sweep.csv")
 
 
 def test_witness_truncation_saves_partial(tmp_path, capsys):
@@ -420,28 +437,45 @@ def run_cli_subprocess(args, blas_threads):
 
 
 SCIPY_PROBE = """
+import json
 import sys
 from semigroup_lab.cli import main
 
-def run(*args):
-    main([*args])
+for args in json.loads(sys.argv[1]):
+    main(args)
     print("scipy" in sys.modules)
-
-out = sys.argv[1]
-run("witness", "--config", "blowup_k5", "--out", out)
-run("verify", out + "/blowup_k5.cert.json")
-run("renorm-audit", "--config", "split_renorm", "--out", out)
-run("limit-check", "--config", "bounded_oracle", "--out", out)
 """
 
 
-def test_diagonal_runs_never_import_scipy(tmp_path):
-    # only a dense generator's matrix exponential loads scipy; the dense
-    # limit-check at the end shows the probe can see the import
-    result = run_python(["-c", SCIPY_PROBE, str(tmp_path)])
+def scipy_flags(runs):
+    """Whether scipy is loaded after each CLI run of ``runs``, in one fresh
+    interpreter."""
+    result = run_python(["-c", SCIPY_PROBE, json.dumps(runs)])
     assert result.returncode == 0, result.stderr
-    flags = [line for line in result.stdout.splitlines() if line in ("True", "False")]
-    assert flags == ["False", "False", "False", "True"]
+    return [line for line in result.stdout.splitlines() if line in ("True", "False")]
+
+
+def test_diagonal_runs_never_import_scipy(tmp_path):
+    out = str(tmp_path)
+    runs = [
+        ["witness", "--config", "blowup_k5", "--out", out],
+        ["verify", out + "/blowup_k5.cert.json"],
+        ["renorm-audit", "--config", "split_renorm", "--out", out],
+        ["renorm-audit", "--config", "classical_renorm", "--out", out],
+    ]
+    assert scipy_flags(runs) == ["False"] * len(runs)
+
+
+def test_dense_runs_never_import_scipy(tmp_path):
+    # every dense exponential (defects, propagators, the bounded oracle)
+    # comes from the package's own kernel
+    out = str(tmp_path)
+    runs = [
+        ["limit-check", "--config", "bounded_oracle", "--out", out],
+        ["sweep", "--config", "sweep_bounded", "--out", out],
+        ["verify", str(V1_DATA / "bounded_contrapositive.cert.json")],
+    ]
+    assert scipy_flags(runs) == ["False"] * len(runs)
 
 
 def test_dense_report_replays_across_blas_threads(tmp_path):

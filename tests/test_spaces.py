@@ -6,7 +6,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -30,10 +29,12 @@ from semigroup_lab import (
 from semigroup_lab.errors import DimensionMismatch
 from semigroup_lab.spaces import (
     _DEFECT_CHUNK,
+    _TAYLOR_THETA,
     cexpm1,
     cexpm1_array,
     clog1p,
     clog1p_array,
+    matrix_expm1,
     semigroup_defects,
     semigroup_matrices,
     semigroup_matrix,
@@ -217,26 +218,54 @@ def test_dense_defect_overflow_guard():
         semigroup_defect(a, 1.0)
 
 
-def van_loan_defect(m):
-    """exp(M) - I for one matrix on its own: M times the top-right block of
-    expm([[M, I], [0, 0]]), written here independently of the package."""
-    dim = m.shape[0]
-    zero = np.zeros((dim, dim))
-    return m @ scipy.linalg.expm(np.block([[m, np.eye(dim)], [zero, zero]]))[:dim, dim:]
+# Worst deviation of matrix_expm1 from 50-digit mpmath over the matrices of
+# the tests below, in the 2-norm relative to |exp(X) - I| and in units of
+# u = 2^-52 times max(1, |X|_1): 0.91 u (scipy's expm on Van Loan blocks,
+# which it replaced, reached 6.0 u on the threshold matrices).
+KERNEL_ROUNDING = 2 * 2.0**-52
+
+
+def assert_near_mpmath(got, m, ref):
+    """|got - ref| <= KERNEL_ROUNDING * max(1, |m|_1) * |ref| in the 2-norm."""
+    bound = KERNEL_ROUNDING * max(1.0, np.abs(m).sum(axis=0).max())
+    assert np.linalg.norm(got - ref, 2) <= bound * np.linalg.norm(ref, 2)
+
+
+def mpmath_defect(m, digits=50):
+    """exp(M) - I at ``digits`` digits, from mpmath's expm."""
+    with mpmath.workdps(digits):
+        exact = mpmath.expm(mpmath.matrix(m.tolist())) - mpmath.eye(m.shape[0])
+        return np.array(exact.tolist(), dtype=np.complex128)
+
+
+def mpmath_defects(matrix, times):
+    """exp(tM) - I at 50 digits for every t, as V diag(expm1(t lambda)) V^-1
+    from one mpmath eigendecomposition M = V diag(lambda) V^-1 (the
+    generators here have distinct eigenvalues), so each time costs two
+    small mpmath products instead of an mpmath expm."""
+    out = []
+    with mpmath.workdps(50):
+        eigenvalues, v = mpmath.eig(mpmath.matrix(matrix.tolist()))
+        v_inv = v**-1
+        for t in times:
+            drift = mpmath.diag([mpmath.expm1(mpmath.mpf(float(t)) * lam) for lam in eigenvalues])
+            out.append(np.array((v * drift * v_inv).tolist(), dtype=np.complex128))
+    return out
 
 
 def per_time_propagator(a, t):
-    """exp(tA) formed for one time on its own, as the audit once did."""
+    """exp(tA) formed for one time on its own: the entries' exponentials for
+    a diagonal generator, I plus the kernel on tA alone for a dense one."""
     if a.kind == "diagonal":
         return np.diag(np.exp(t * a.entries))
-    return np.eye(a.dim, dtype=np.complex128) + van_loan_defect(t * a.matrix)
+    return np.eye(a.dim, dtype=np.complex128) + matrix_expm1((t * a.matrix)[None])[0]
 
 
 @pytest.mark.parametrize("count", [1, 33, 2 * _DEFECT_CHUNK + 5])
-def test_semigroup_defects_match_per_time_van_loan(count):
-    # one stacked expm call (chunked past _DEFECT_CHUNK) gives each time the
-    # bits of its own expm call; the upper triangular generator takes
-    # scipy's triangular branch
+def test_semigroup_defects_match_per_time_calls(count):
+    # one stacked call (chunked past _DEFECT_CHUNK) gives each time the bits
+    # of its own single-time call, for general and upper triangular
+    # generators; mpmath checks every fourth time
     rng = np.random.default_rng([29, count])
     times = np.geomspace(1e-9, 3.0, count) if count > 1 else np.array([0.7])
     for dim in (1, 3, 8):
@@ -246,10 +275,50 @@ def test_semigroup_defects_match_per_time_van_loan(count):
             props = semigroup_matrices(a, times)
             assert defects.shape == props.shape == (count, dim, dim)
             for t, defect, prop in zip(times, defects, props):
-                ref = van_loan_defect(float(t) * a.matrix)
-                assert defect.tobytes() == ref.tobytes()
-                assert prop.tobytes() == (np.eye(dim, dtype=np.complex128) + ref).tobytes()
-                assert semigroup_defect(a, float(t)).tobytes() == ref.tobytes()
+                single = semigroup_defect(a, float(t))
+                assert defect.tobytes() == single.tobytes()
+                assert defect.tobytes() == matrix_expm1((float(t) * a.matrix)[None])[0].tobytes()
+                assert prop.tobytes() == (np.eye(dim, dtype=np.complex128) + single).tobytes()
+            sampled = times[::4]
+            for t, defect, ref in zip(sampled, defects[::4], mpmath_defects(a.matrix, sampled)):
+                assert_near_mpmath(defect, float(t) * a.matrix, ref)
+
+
+THRESHOLD_SIDES = (1.0 - 2.0**-30, 1.0 + 2.0**-30)
+
+
+@pytest.mark.parametrize("side", THRESHOLD_SIDES, ids=["below", "above"])
+@pytest.mark.parametrize("kind", ["triangular", "general"])
+@pytest.mark.parametrize("k", range(11))
+def test_matrix_expm1_matches_mpmath_at_each_scaling_threshold(k, kind, side):
+    # |X|_1 just below and just above theta 2^k, where the scaling moves
+    # from 2^-k to 2^-(k+1); both kinds are non-normal, the triangular one
+    # with an imaginary spectrum
+    rng = np.random.default_rng([k, kind == "general", side > 1.0])
+    raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    if kind == "triangular":
+        raw = np.triu(raw, 1) + 1j * np.diag(raw.real.diagonal())
+    m = raw * (_TAYLOR_THETA * 2.0**k * side / np.abs(raw).sum(axis=0).max())
+    assert_near_mpmath(matrix_expm1(m[None])[0], m, mpmath_defect(m, digits=60))
+
+
+@pytest.mark.parametrize("kind", ["triangular", "general", "growing"])
+def test_dense_defect_near_the_overflow_guard_matches_mpmath(kind):
+    # |tA|_2 a hair below 690 passes the guard and keeps the kernel's
+    # accuracy; a hair above raises
+    rng = np.random.default_rng([41, len(kind)])
+    raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    if kind == "triangular":
+        raw = np.triu(raw, 1) + 1j * np.diag(raw.real.diagonal())
+    elif kind == "growing":
+        # exp(tA) near 1e280: a large real eigenvalue and a non-normal part
+        raw = np.triu(raw, 1) + np.diag([3.0, 1.0, -2.0])
+    a = dense_generator(raw)
+    t = 689.9 / np.linalg.norm(raw, 2)
+    defect = semigroup_defect(a, t)
+    assert_near_mpmath(defect, t * raw, mpmath_defect(t * raw, digits=60))
+    with pytest.raises(SemigroupOverflow):
+        semigroup_defect(a, t * (690.1 / 689.9))
 
 
 def test_semigroup_defects_overflow_names_the_first_time():
@@ -267,6 +336,9 @@ def test_semigroup_defects_overflow_names_the_first_time():
 
 @pytest.mark.parametrize("kind", ["diagonal", "dense"])
 def test_semigroup_matrices_match_per_time_propagators(kind):
+    # each time of the stack has the bits of exp(tA) formed on its own; a
+    # dense generator's defects also lie within the kernel's rounding of
+    # 50-digit mpmath
     rng = np.random.default_rng(61)
     horizon, points = (40.0, 64) if kind == "diagonal" else (2.0, 8)
     times = np.concatenate(([0.0], np.geomspace(1e-5, horizon, points)))
@@ -282,6 +354,10 @@ def test_semigroup_matrices_match_per_time_propagators(kind):
         for t, prop in zip(times, stack):
             assert prop.tobytes() == per_time_propagator(a, float(t)).tobytes()
             assert prop.tobytes() == semigroup_matrix(a, float(t)).tobytes()
+        if kind == "dense":
+            defects = semigroup_defects(a, times)
+            for t, defect, ref in zip(times, defects, mpmath_defects(a.matrix, times)):
+                assert_near_mpmath(defect, float(t) * a.matrix, ref)
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "dense"])

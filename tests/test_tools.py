@@ -1,5 +1,5 @@
 """Repository tooling: the shipped configs regenerate from their script,
-and scipy is named in one module only."""
+and nothing in the package or its tools names scipy."""
 
 import importlib.util
 from pathlib import Path
@@ -34,14 +34,14 @@ def test_shipped_config_regenerates_byte_for_byte(regenerated, name):
     assert (regenerated / name).read_bytes() == (SHIPPED / name).read_bytes()
 
 
-def test_only_spaces_names_scipy():
-    # scipy is imported inside spaces._expm on first use; a name anywhere
-    # else would put the import back on every run's start-up
-    sources = [REPO / "src" / "semigroup_lab", REPO / "tools"]
+def test_nothing_names_scipy():
+    # the package's matrix exponential is its own; a scipy name anywhere
+    # would put a dependency and its import cost back
+    sources = [REPO / "src" / "semigroup_lab", REPO / "tools", REPO / "pyproject.toml"]
     naming = {
         path.relative_to(REPO).as_posix()
         for root in sources
-        for path in root.rglob("*")
+        for path in ([root] if root.is_file() else root.rglob("*"))
         if path.is_file() and "__pycache__" not in path.parts and "scipy" in path.read_text()
     }
-    assert naming == {"src/semigroup_lab/spaces.py"}
+    assert naming == set()

@@ -3,6 +3,7 @@ a library-exponential oracle."""
 
 import cmath
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -173,6 +174,48 @@ def test_limit_gap_error_identities():
     # far beyond the double range the gap is reported as infinite
     assert limit_gap_error(800.0 + 0.0j, 0.0j) == math.inf
     assert limit_gap_error(0.0j, 800.0 + 0.0j) == math.inf
+
+
+# (limit_log, log_value) pairs on both sides of the gap of 690 past which
+# exp(gap) would overflow: both exponentials representable, the value
+# beyond the double range, and the limit far below the value.
+GAP_CASES = [
+    (-100.0 + 0.0j, 595.0 + 0.0j),
+    (-300.0 + 0.0j, 500.0 + 1.0j),
+    (-1000.0 + 0.5j, 709.0 - 2.0j),
+    (5.0 - 1.0j, 695.5 + 3.0j),
+    (-10.0 + 0.0j, 679.0 + 0.25j),
+    (2.0 + 1.0j, 1.0 + 3.0j),
+    (400.0 + 0.0j, 300.0 + 0.0j),
+    (0.0j, 710.0 + 0.0j),
+    (-50.0 + 0.0j, 745.0 + 0.0j),
+]
+
+
+@pytest.mark.parametrize("limit_log, log_value", GAP_CASES)
+def test_limit_gap_error_matches_mpmath(limit_log, log_value):
+    # |exp(log_value) - exp(limit_log)| is finite whenever exp(log_value) is,
+    # however far below it the limit lies; the carrier's elementwise copy
+    # of the formula agrees
+    with mpmath.workdps(50):
+        exact = abs(mpmath.exp(mpmath.mpc(log_value)) - mpmath.exp(mpmath.mpc(limit_log)))
+    got = limit_gap_error(limit_log, log_value)
+    if exact > sys.float_info.max:
+        assert got == math.inf
+    else:
+        assert abs(got - exact) <= 4e-15 * exact
+    if log_value.real > 709.0:
+        return
+    # one coordinate with entry log_value: the carrier's log value at n = 1
+    batch = batched_log_values(
+        diagonal_generator_from_entries([log_value]),
+        Functional([1.0], 2.0),
+        np.ones((1, 1), dtype=np.complex128),
+        [1],
+        limit_log,
+    )
+    stored = batch.log_values.item()
+    assert batch.errors.item() == pytest.approx(limit_gap_error(limit_log, stored), rel=4e-15)
 
 
 def literal_product(a, proj, x, t, n):
