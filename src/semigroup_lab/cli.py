@@ -111,13 +111,14 @@ def _dividable(schedule: Iterable[int]) -> tuple[list[int], OverflowError | None
     return counts, None
 
 
-def _ladder_defects(a: Generator, t: float, counts: list[int]) -> np.ndarray | None:
-    """The dense defects exp((t/n) A) - I of a ladder, one stacked call.  The
-    times t/n shrink along the ladder, so an overflowing |(t/n) A| can only
-    be the first row's.  A diagonal generator needs none."""
-    if a.kind != "dense":
+def _step_defects(a: Generator, steps: list[float]) -> np.ndarray | None:
+    """The dense defects exp(hA) - I at the steps h, from one stacked call, or
+    None for a diagonal generator or when some |hA| fails the overflow check;
+    then each row meets that check itself, once the rows before it are written."""
+    try:
+        return semigroup_defects(a, steps) if a.kind == "dense" else None
+    except SemigroupOverflow:
         return None
-    return semigroup_defects(a, [t / float(n) for n in counts])
 
 
 def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -155,7 +156,7 @@ def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     try:
         counts, undividable = _dividable(cfg.schedule())
         # the scalar record and the dense product of a row share one defect
-        defects = _ladder_defects(a, cfg.time, counts)
+        defects = _step_defects(a, [cfg.time / float(n) for n in counts])
         records = scalar_trotter_values(a, f, x, cfg.time, counts, defects)
         for k, rec in enumerate(records):
             last_err = rec.err_vs_limit
@@ -370,18 +371,6 @@ def run_verify(paths: list[str]) -> int:
     return code
 
 
-def _sweep_defects(a: Generator, steps: list[float]) -> list:
-    """A trial's dense defects exp(hA) - I at the steps h = t/n, one stacked
-    call.  When some |hA| overflows, each step meets the overflow check on
-    its own inside ``dense_trotter_apply`` (None here), so the rows before
-    the first such time are still written; those steps get the bits they
-    would get from the stack."""
-    try:
-        return list(semigroup_defects(a, steps))
-    except SemigroupOverflow:
-        return [None] * len(steps)
-
-
 def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     params = cfg.sweep_params()
     steps = 2**cfg.j_max
@@ -399,9 +388,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         x = CVec(rng.standard_normal(dim) + 1j * rng.standard_normal(dim), 2.0)
         try:
             targets = bounded_limit_oracles(a, proj, params.times) @ x.coords
-            defects = _sweep_defects(a, [t / float(steps) for t in params.times])
+            defects = _step_defects(a, [t / float(steps) for t in params.times])
             tail = f"{projection_norm(proj)!r},{params.generator_norm!r}"
-            for t, target, defect in zip(params.times, targets, defects):
+            for k, (t, target) in enumerate(zip(params.times, targets)):
+                defect = None if defects is None else defects[k]
                 product = dense_trotter_apply(a, proj, x, t, steps, defect=defect)
                 gap = norm(CVec(product.coords - target, x.p))
                 gaps.append(gap)

@@ -48,6 +48,11 @@ class RankOneProjection:
     def dim(self) -> int:
         return self.vector.dim
 
+    @property
+    def p(self) -> float:
+        """The norm tag the pair shares, as ``DenseProjection.p``."""
+        return self.functional.p
+
 
 @dataclass(frozen=True, eq=False)
 class DenseProjection:

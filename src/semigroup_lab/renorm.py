@@ -79,10 +79,10 @@ def _norms(cols: np.ndarray, p: float) -> np.ndarray:
     return np.linalg.norm(cols, ord=p, axis=0)
 
 
-def _split_norms(proj: Projection, cols: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+def _split_norms(proj: Projection, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(P z, split_norm(z))`` for every column z, from one ``P @ cols``."""
     image = projection_matrix(proj) @ cols
-    return image, _norms(image, p) + _norms(cols - image, p)
+    return image, _norms(image, proj.p) + _norms(cols - image, proj.p)
 
 
 def equivalence_audit(
@@ -96,10 +96,9 @@ def equivalence_audit(
     Returns (min_ratio, max_ratio, violations); a violation row is
     (sample index, ratio, low bound, high bound).
     """
-    p = proj.functional.p if isinstance(proj, RankOneProjection) else proj.p
     high = 2.0 * projection_norm(proj) + 1.0
     cols = _draw(seed, samples, proj.dim).T
-    ratios = _split_norms(proj, cols, p)[1] / _norms(cols, p)
+    ratios = _split_norms(proj, cols)[1] / _norms(cols, proj.p)
     bad = np.flatnonzero((ratios < 1.0 - slack) | (ratios > high + slack))
     violations = [(int(i), float(ratios[i]), 1.0, high) for i in bad]
     return float(np.min(ratios, initial=math.inf)), float(np.max(ratios, initial=0.0)), violations
@@ -116,9 +115,8 @@ def projection_contractivity_check(
     Returns (max ratio, violations); equality is attained on the range
     of P, so the max should sit at 1 up to rounding.
     """
-    p = proj.functional.p if isinstance(proj, RankOneProjection) else proj.p
-    image, denom = _split_norms(proj, _draw(seed, samples, proj.dim).T, p)
-    ratios = _split_norms(proj, image, p)[1] / denom
+    image, denom = _split_norms(proj, _draw(seed, samples, proj.dim).T)
+    ratios = _split_norms(proj, image)[1] / denom
     bad = np.flatnonzero(ratios > 1.0 + slack)
     violations = [(int(i), float(ratios[i]), 1.0) for i in bad]
     return float(np.max(ratios, initial=0.0)), violations

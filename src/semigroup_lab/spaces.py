@@ -347,18 +347,13 @@ def matrix_expm1(stack: np.ndarray) -> np.ndarray:
     exponential overflows comes back inf or NaN, with no warning.
     """
     stack = np.asarray(stack, dtype=np.complex128)
-    if stack.shape[0] == 0:
-        return stack.copy()
     # frexp: |X|_1 / theta < 2^e, and e = 0 for inf or NaN
     shifts = np.maximum(np.frexp(np.abs(stack).sum(axis=1).max(axis=1) / _TAYLOR_THETA)[1], 0)
-    most = int(shifts.max())
+    most = int(shifts.max(initial=0))
     powers = np.empty((4, *stack.shape), dtype=np.complex128)
     powers[0] = np.eye(stack.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        if most:
-            np.multiply(stack, np.ldexp(1.0, -shifts)[:, None, None], out=powers[1])
-        else:
-            powers[1] = stack
+        np.multiply(stack, np.ldexp(1.0, -shifts)[:, None, None], out=powers[1])
         _, y, y2, y3 = powers
         np.matmul(y, y, out=y2)
         np.matmul(y2, y, out=y3)
@@ -399,21 +394,22 @@ def semigroup_defects(a: Generator, times) -> np.ndarray:
     array, for a dense generator.
 
     The stack of t A goes to ``matrix_expm1``, ``_DEFECT_CHUNK`` times at a
-    time; each defect has the bits of its own single-time call.  Before any
-    exponential, an overflow names the first t with |tA|_2 > 690.
+    time; each defect has the bits of its own single-time call, and an empty
+    list of times gives a (0, d, d) stack.  Before any exponential, an
+    overflow names the first t with |t| |A|_2 > 690, from one 2-norm of A.
     """
     if a.kind != "dense":
         raise ValueError("semigroup_defects needs a dense generator")
-    scaled = np.multiply.outer(np.asarray(times, dtype=np.float64), a.matrix)
-    scales = np.linalg.norm(scaled, 2, axis=(1, 2))
+    times = np.asarray(times, dtype=np.float64)
+    scales = np.abs(times) * np.linalg.norm(a.matrix, 2)
     over = np.flatnonzero(scales > 690.0)
     if over.size:
         raise SemigroupOverflow(f"dense orbit with |tA| = {scales[over[0]]:.3g} overflows")
-    count = scaled.shape[0]
-    if count <= _DEFECT_CHUNK:
-        return matrix_expm1(scaled)
-    starts = range(0, count, _DEFECT_CHUNK)
-    return np.concatenate([matrix_expm1(scaled[k : k + _DEFECT_CHUNK]) for k in starts])
+    scaled = np.multiply.outer(times, a.matrix)
+    defects = np.empty_like(scaled)
+    for k in range(0, len(times), _DEFECT_CHUNK):
+        defects[k : k + _DEFECT_CHUNK] = matrix_expm1(scaled[k : k + _DEFECT_CHUNK])
+    return defects
 
 
 def semigroup_defect(a: Generator, t: float):

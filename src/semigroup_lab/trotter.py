@@ -70,16 +70,22 @@ def limit_gap_error(limit_log: complex, log_value: complex) -> float:
     finite and meaningful when either exponential alone would overflow.
     Past a gap of 690, where exp(gap) would overflow, exp(log_value)
     dominates and the factorization exp(Re log_value) * |1 - exp(-gap)|
-    takes over.  An overflowing comparison comes back as inf rather than
-    an exception.
+    takes over.  Where the exponential factor alone overflows, it goes in
+    as two halves, so a small gap still gives its finite value; an
+    overflowing comparison comes back as inf rather than an exception.
     """
     gap = log_value - limit_log
+    base, gap = (log_value.real, -gap) if gap.real > 690.0 else (limit_log.real, gap)
+    move = abs(cexpm1(gap))
     try:
-        if gap.real > 690.0:
-            return math.exp(log_value.real) * abs(cexpm1(-gap))
-        return math.exp(limit_log.real) * abs(cexpm1(gap))
+        return math.exp(base) * move
+    except OverflowError:
+        pass
+    try:
+        half = math.exp(base / 2.0)
     except OverflowError:
         return math.inf
+    return half * move * half
 
 
 def step_pairing(a: Generator, f: Functional, x: CVec, t: float, n: int) -> complex:
@@ -112,6 +118,7 @@ def _offsets(
     coordinates some f_m v_m weights; a defect there that overflows raises
     SemigroupOverflow.  A dense generator pulls f back through ``defects``,
     or through one ``semigroup_defects`` stack when the caller holds none.
+    Each row has the same bits in a batch of any size.
     """
     if a.kind == "diagonal":
         weights = vectors * f.coords
@@ -120,10 +127,18 @@ def _offsets(
         over = np.flatnonzero(np.isinf(defect).any(axis=1))
         if over.size:
             raise SemigroupOverflow(f"diagonal orbit at t = {times[over[0]]:.3g} overflows")
-        return defect @ weights.T
+        return _by_rows(defect, weights)
     if defects is None:
         defects = semigroup_defects(a, times)
-    return (defects.transpose(0, 2, 1) @ f.coords) @ vectors.T
+    return _by_rows(defects.transpose(0, 2, 1) @ f.coords, vectors)
+
+
+def _by_rows(table: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``table @ vectors.T``.  BLAS takes a lone row by another kernel than a
+    taller table, so it goes in twice: a row has the same bits in any table."""
+    if len(table) == 1:
+        return (np.concatenate((table, table)) @ vectors.T)[:1]
+    return table @ vectors.T
 
 
 def batched_log_values(
@@ -158,37 +173,32 @@ def batched_log_values(
         log_values = _complex(n[:, None] * logs.real, n[:, None] * logs.imag)
         if limit_log is None:
             return StepBatch(offsets, log_values, None)
-        # limit_gap_error's formula, elementwise
+        # limit_gap_error's formula, elementwise; where exp(Re limit) overflows,
+        # limit_gap_error itself
         gap = log_values - limit_log
         scale = float(np.exp(limit_log.real))
-        errors = scale * np.abs(cexpm1_array(gap))
         if scale == math.inf:
-            errors[:] = math.inf
+            errors = np.vectorize(limit_gap_error, otypes=[float])(limit_log, log_values)
+        else:
+            errors = scale * np.abs(cexpm1_array(gap))
         far = gap.real > 690.0
         if far.any():
             errors[far] = np.exp(log_values.real[far]) * np.abs(cexpm1_array(-gap[far]))
     return StepBatch(offsets, log_values, errors)
 
 
-def _one_row(
-    a: Generator, f: Functional, x: CVec, t: float, n: int, defect: np.ndarray | None = None
-) -> StepBatch:
+def _one_row(a: Generator, f: Functional, x: CVec, t: float, n: int) -> StepBatch:
     """The carrier at one vector and one step count."""
-    return batched_log_values(
-        a, f, x.coords[None, :], (n,), t=t, defects=None if defect is None else defect[None]
-    )
+    return batched_log_values(a, f, x.coords[None, :], (n,), t=t)
 
 
-def step_derivative(
-    a: Generator, f: Functional, x: CVec, t: float, n: int, *, defect: np.ndarray | None = None
-) -> complex:
+def step_derivative(a: Generator, f: Functional, x: CVec, t: float, n: int) -> complex:
     """n * f((exp((t/n) A) - I) x), the discrete drift of the step pairing.
 
     Computed through the orbit defect so nothing is lost to cancellation
-    even when t/n is far below the resolution of 1 + t/n.  A caller that
-    already holds a dense generator's defect at t/n passes it as ``defect``.
+    even when t/n is far below the resolution of 1 + t/n.
     """
-    return _drift(n, _one_row(a, f, x, t, n, defect).offsets.item())
+    return _drift(n, _one_row(a, f, x, t, n).offsets.item())
 
 
 def _drift(n: int, offset: complex) -> complex:
@@ -249,11 +259,9 @@ def scalar_trotter_values(
     ]
 
 
-def scalar_trotter_value(
-    a: Generator, f: Functional, x: CVec, t: float, n: int, *, defect: np.ndarray | None = None
-) -> TrotterRecord:
+def scalar_trotter_value(a: Generator, f: Functional, x: CVec, t: float, n: int) -> TrotterRecord:
     """The scalar record of one step count: see ``scalar_trotter_values``."""
-    return scalar_trotter_values(a, f, x, t, (n,), None if defect is None else defect[None])[0]
+    return scalar_trotter_values(a, f, x, t, (n,))[0]
 
 
 def dense_trotter_apply(

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     DegeneratePair,
+    InvalidCertificate,
     ScheduleExhausted,
     TruncationInsufficient,
     UnderflowRadius,
@@ -57,7 +58,7 @@ ZERO_PAIRING_FLOOR = 1e-14
 # Slack demanded of the stage pairings before rounding is blamed.
 _PAIRING_SLACK = 1e-10
 
-# Step counts per carrier call of the step-count scan (diagonal generators).
+# Step counts per carrier call of the scan; it divides 1024, so no block straddles 2^1024.
 _SCAN_BLOCK = 32
 # Validation samples per batched call, which bounds the memory a call takes.
 _SAMPLE_BLOCK = 4096
@@ -221,16 +222,15 @@ def choose_step_count(
     n with |value - exp(f(Ax))| < eps, the error measured in log space.
     Raises ScheduleExhausted, carrying the smallest error seen, when the
     scan runs out.  The scan reads the carrier ``batched_log_values``,
-    ``_SCAN_BLOCK`` step counts per call for a diagonal generator (a dense
-    one pays an exponential per step count, so it goes one at a time).
+    ``_SCAN_BLOCK`` step counts per call, and each count has the bits of its
+    own call (a dense block's defects come from one stacked exponential).
     """
     if not 0.0 < eps:
         raise ValueError("eps must be positive")
     limit_log = pairing(f, apply_generator(a, x))
-    block = _SCAN_BLOCK if a.kind == "diagonal" else 1
     best = math.inf
-    for start in range(0, j_max + 1, block):
-        steps = [2**j for j in range(start, min(start + block, j_max + 1))]
+    for start in range(0, j_max + 1, _SCAN_BLOCK):
+        steps = [2**j for j in range(start, min(start + _SCAN_BLOCK, j_max + 1))]
         batch = batched_log_values(a, f, x.coords[None, :], steps, limit_log)
         rows = zip(steps, batch.errors[:, 0].tolist(), batch.log_values[:, 0].tolist())
         for n, err, log_value in rows:
@@ -502,8 +502,6 @@ def verify_certificate(cert: WitnessCertificate, strict_goal: int | None = None)
     when everything holds.  ``strict_goal`` additionally demands a
     minimum stage count.
     """
-    from .errors import InvalidCertificate
-
     if not 0.0 < cert.eps < 0.5:
         # the stage bounds take log(eps) and log(1 - 2 eps)
         raise InvalidCertificate([f"eps {cert.eps} outside (0, 1/2)"])
@@ -519,6 +517,10 @@ def verify_certificate(cert: WitnessCertificate, strict_goal: int | None = None)
     ]
     if mismatched:
         raise InvalidCertificate(mismatched)
+    # the carrier divides a time by every step count
+    uncountable = [st.index for st in cert.stages if not 1 <= st.steps < 2**1024]
+    if uncountable:
+        raise InvalidCertificate([f"stage {k}: step count outside [1, 2^1024)" for k in uncountable])
     f = cert.functional_obj()
     failures: list[str] = []
     if strict_goal is not None and cert.stage_count < strict_goal:
@@ -548,7 +550,7 @@ def verify_certificate(cert: WitnessCertificate, strict_goal: int | None = None)
             failures.append(
                 f"{tag}: Re f(Ax) = {st.generator_pairing.real:.6g} < {st.index}"
             )
-        if st.steps < 1 or st.steps & (st.steps - 1):
+        if st.steps & (st.steps - 1):
             failures.append(f"{tag}: step count {st.steps} is not a power of two")
         elif st.steps > 2**cert.j_max:
             failures.append(f"{tag}: step count exceeds the declared schedule")

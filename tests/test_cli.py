@@ -857,6 +857,17 @@ def test_parser_reuse_leaks_nothing_between_calls(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("steps, j_max", [(0, 160), (2**1100, 1200)], ids=["zero", "huge"])
+def test_verify_names_a_step_count_the_carrier_cannot_take(tmp_path, capsys, steps, j_max):
+    payload = load_json(V1_DATA / "blowup_k5.v2.cert.json")
+    payload["stages"][1]["steps"] = steps
+    payload["j_max"] = j_max
+    path = tmp_path / "bad_steps.cert.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", str(path)]) == EXIT_INVALID
+    assert "  - stage 1: step count outside [1, 2^1024)\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "source, failure",
     [

@@ -332,6 +332,41 @@ def test_semigroup_defects_overflow_names_the_first_time():
     with pytest.raises(ValueError, match="dense generator"):
         semigroup_defects(diagonal_generator_from_entries([0.0, 1.0]), times)
     assert semigroup_defects(a, []).shape == (0, 2, 2)
+    assert matrix_expm1(np.empty((0, 2, 2))).shape == (0, 2, 2)
+
+
+# Times as multiples of the guard's edge 690 / |A|_2: negative, zero and
+# mixed lists, each at least 1e-9 (far more than the few ulps by which
+# |t| |A|_2 and |tA|_2 may differ) away from the edge, and an empty list.
+GUARD_TIMES = [
+    [0.0, -0.5, 1.0 - 1e-9, -(1.0 - 1e-9)],
+    [-(1.0 + 1e-9), 0.5, 2.0],
+    [0.0, 0.25, -3.0, 1.0 + 1e-9, -(1.0 - 1e-9)],
+    [0.0, 1.5],
+    [],
+]
+
+
+@pytest.mark.parametrize("factors", GUARD_TIMES)
+def test_semigroup_defects_guard_matches_the_per_slice_norm(factors):
+    # the guard scales one 2-norm of A by |t|; it raises for exactly the
+    # times whose own |tA|_2 exceeds 690 and names the first of them
+    raw = np.array([[4.0, 9.0, 0.5j], [0.0, -1.0, 2.0], [0.0, 0.0, 1j]])
+    a = dense_generator(raw)
+    times = [k * 690.0 / np.linalg.norm(raw, 2) for k in factors]
+    over = [n for n in (np.linalg.norm(t * raw, 2) for t in times) if n > 690.0]
+    for t in times:
+        if np.linalg.norm(t * raw, 2) > 690.0:
+            with pytest.raises(SemigroupOverflow):
+                semigroup_defects(a, [t])
+        else:
+            assert semigroup_defects(a, [t]).tobytes() == semigroup_defect(a, t).tobytes()
+    if over:
+        with pytest.raises(SemigroupOverflow) as stacked:
+            semigroup_defects(a, times)
+        assert str(stacked.value) == f"dense orbit with |tA| = {over[0]:.3g} overflows"
+    else:
+        assert semigroup_defects(a, times).shape == (len(times), 3, 3)
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "dense"])

@@ -189,6 +189,10 @@ GAP_CASES = [
     (400.0 + 0.0j, 300.0 + 0.0j),
     (0.0j, 710.0 + 0.0j),
     (-50.0 + 0.0j, 745.0 + 0.0j),
+    # both exponentials beyond the double range, their difference within it
+    (800.0 + 0.0j, 800.0 + 1e-300j),
+    (1000.0 + 2e-300j, 1000.0 - 3e-300j),
+    (1500.0 + 0.0j, 1500.0 + 1e-300j),
 ]
 
 
@@ -216,6 +220,44 @@ def test_limit_gap_error_matches_mpmath(limit_log, log_value):
     )
     stored = batch.log_values.item()
     assert batch.errors.item() == pytest.approx(limit_gap_error(limit_log, stored), rel=4e-15)
+
+
+@pytest.mark.parametrize("level", [800.0, 1000.0])
+def test_batched_gap_past_the_double_range_matches_mpmath(level):
+    # the carrier's log value of an entry `level`, against a limit that
+    # differs from it in the imaginary part alone: exp(Re limit) overflows,
+    # the gap does not, and the carrier's error agrees with the scalar's
+    a, f = diagonal_generator_from_entries([level]), Functional([1.0], 2.0)
+    ones = np.ones((1, 1), dtype=np.complex128)
+    for n in (2**12, 2**20):
+        stored = batched_log_values(a, f, ones, [n]).log_values.item()
+        limit_log = complex(stored.real, stored.imag - 1e-300)
+        got = batched_log_values(a, f, ones, [n], limit_log).errors.item()
+        with mpmath.workdps(50):
+            exact = abs(mpmath.exp(mpmath.mpc(stored)) - mpmath.exp(mpmath.mpc(limit_log)))
+        assert abs(got - exact) <= 4e-15 * exact
+        assert got == pytest.approx(limit_gap_error(limit_log, stored), rel=4e-15)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_carrier_rows_do_not_depend_on_the_batch(kind):
+    # a step count's row has the same bits alone as among other counts,
+    # for one vector and for several
+    rng = np.random.default_rng(23)
+    raw = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    if kind == "diagonal":
+        entries = raw[0] * 3.0
+        a = diagonal_generator_from_entries(entries[np.argsort(np.abs(entries))])
+    else:
+        a = dense_generator(raw)
+    f = Functional(rng.standard_normal(5) + 1j * rng.standard_normal(5), 2.0)
+    steps = [2**j for j in range(1, 12)]
+    for vectors in (raw[1:2], raw[1:]):
+        batch = batched_log_values(a, f, vectors, steps, 0.5 + 0.25j)
+        for k, n in enumerate(steps):
+            row = batched_log_values(a, f, vectors, [n], 0.5 + 0.25j)
+            for name in ("offsets", "log_values", "errors"):
+                assert getattr(row, name).tobytes() == getattr(batch, name)[k : k + 1].tobytes()
 
 
 def literal_product(a, proj, x, t, n):

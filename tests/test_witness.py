@@ -39,9 +39,10 @@ from semigroup_lab.errors import (
     WitnessBuildError,
     ZeroPairing,
 )
+from semigroup_lab import spaces
 from semigroup_lab.cli import _build_from_config
 from semigroup_lab.serialize import encode
-from semigroup_lab.trotter import limit_gap_error
+from semigroup_lab.trotter import batched_log_values, limit_gap_error
 from semigroup_lab.witness import _seed_with_meta, _step_lipschitz, product_log_value
 
 from conftest import scalar_log_value
@@ -507,6 +508,55 @@ def test_step_scan_exhaustion_matches_scalar_loop(k5_certificate):
         assert batched.value.j_max == looped.value.j_max == j_max
 
 
+def dense_scan_pair():
+    """A dense generator with |A|_2 = 1 and a unit pair whose scan error
+    falls like 2^-j, from 0.16 at j = 0 to 4e-14 at j = 42."""
+    rng = np.random.default_rng(3)
+    raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    a = dense_generator(raw / np.linalg.norm(raw, 2))
+    f = Functional(rng.standard_normal(4), 2.0)
+    x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return a, f, CVec(x / pairing(f, CVec(x, 2.0)), 2.0)
+
+
+def looped_step_scan(a, f, x, eps, j_max):
+    """The step-count scan with one carrier call per step count."""
+    limit_log = pairing(f, apply_generator(a, x))
+    best = math.inf
+    for j in range(j_max + 1):
+        batch = batched_log_values(a, f, x.coords[None, :], [2**j], limit_log)
+        err, log_value = batch.errors.item(), batch.log_values.item()
+        if err < eps:
+            return 2**j, err, log_value
+        best = min(best, err)
+    raise ScheduleExhausted(j_max=j_max, best_error=best, target=eps)
+
+
+@pytest.mark.parametrize("eps, j_max", [(1e-11, 40), (1e-13, 44)])
+def test_dense_step_scan_matches_one_count_per_call(eps, j_max, monkeypatch):
+    # a dense scan forms 32 step counts per exponential call (two calls here,
+    # j = 0..31 and 32..j_max), and its hit past the block edge has the bits
+    # of the loop's
+    a, f, x = dense_scan_pair()
+    expected = looped_step_scan(a, f, x, eps, j_max)
+    calls = []
+    kernel = spaces.matrix_expm1
+    monkeypatch.setattr(spaces, "matrix_expm1", lambda stack: calls.append(1) or kernel(stack))
+    got = choose_step_count(a, f, x, eps, j_max)
+    assert got[0] > 2**32
+    assert got == expected
+    assert len(calls) == 2
+
+
+def test_dense_step_scan_exhaustion_matches_one_count_per_call():
+    a, f, x = dense_scan_pair()
+    with pytest.raises(ScheduleExhausted) as looped:
+        looped_step_scan(a, f, x, 1e-17, 40)
+    with pytest.raises(ScheduleExhausted) as batched:
+        choose_step_count(a, f, x, 1e-17, 40)
+    assert batched.value.best_error == looped.value.best_error
+
+
 def replace_stage(cert, k, **changes):
     stages = list(cert.stages)
     stages[k] = dataclasses.replace(stages[k], **changes)
@@ -517,6 +567,18 @@ def replace_entry(cert, field, k, value):
     values = list(getattr(cert, field))
     values[k] = value
     return dataclasses.replace(cert, **{field: tuple(values)})
+
+
+@pytest.mark.parametrize(
+    "steps, j_max", [(0, 160), (-8, 160), (2**1100, 1200)], ids=["zero", "negative", "huge"]
+)
+def test_verify_rejects_step_counts_the_carrier_cannot_take(k5_certificate, steps, j_max):
+    # caught before the carrier runs, which would raise ValueError or
+    # OverflowError on them
+    bad = dataclasses.replace(replace_stage(k5_certificate, 1, steps=steps), j_max=j_max)
+    with pytest.raises(InvalidCertificate) as info:
+        verify_certificate(bad)
+    assert info.value.failures == ["stage 1: step count outside [1, 2^1024)"]
 
 
 @pytest.mark.parametrize(
