@@ -302,6 +302,8 @@ def _bound(raw) -> float:
 
 
 def _rebuild_report(report):
+    """The audit ``report`` records, re-run from its embedded source.  The
+    fresh report carries no source: it was read from the stored one."""
     src, params = report.source, report.parameters
     if "certificate" in src:
         cert = _named("source.certificate.", cert_from_dict, src["certificate"])
@@ -329,7 +331,7 @@ def _rebuild_report(report):
         )
     else:
         raise InvalidCertificate(["report embeds no source to re-run"])
-    return replace(fresh, source=src)
+    return fresh
 
 
 def run_verify(paths: list[str]) -> int:
@@ -354,7 +356,7 @@ def run_verify(paths: list[str]) -> int:
             elif schema == REPORT_SCHEMA:
                 report = report_from_dict(data)
                 fresh = _rebuild_report(report)
-                if report_to_dict(fresh) != report_to_dict(report):
+                if report_to_dict(fresh) != report_to_dict(replace(report, source={})):
                     raise InvalidCertificate(["report does not reproduce from its source"])
                 state = "passed" if report.passed else "recorded violations"
                 print(f"PASS {path}: {report.kind} report reproduces ({state})")

@@ -9,13 +9,17 @@ lambda table extracted from a witness certificate gives per-stage lower
 bounds on any quasi-contractivity exponent a renorming could achieve,
 which is the quantitative obstruction the certificates exist to show.
 
-Both audits take every draw at once, one column each; ``split_norm`` and
-``classical_renorm_value`` are the per-vector references they are tested against.
-The classical audit forms exp(tA) for the whole grid as one stack and
+Both audits treat one draw as one column; ``split_norm`` and
+``classical_renorm_value`` are the per-vector references they are tested
+against.  The split audit draws every sample at once but measures them in
+blocks of ``_SPLIT_BLOCK`` columns through one reused buffer, so its
+temporaries stay near 100 kB whatever the sample count, and its ratios are
+those of the whole batch bit for bit (see ``_split_ratios``).  The
+classical audit forms exp(tA) for the whole grid as one stack and
 evaluates only the grid times that can raise a sup: a time whose weighted
 bound exp(-w t) |exp(tA)| is below 1 cannot beat the t = 0 norm, so it is
 skipped, and the sups are those of the full grid bit for bit (see
-``_weighted_sups``).
+``_weighted_sups``).  Every evaluated time reuses the same buffers.
 """
 
 from __future__ import annotations
@@ -79,10 +83,47 @@ def _norms(cols: np.ndarray, p: float) -> np.ndarray:
     return np.linalg.norm(cols, ord=p, axis=0)
 
 
-def _split_norms(proj: Projection, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(P z, split_norm(z))`` for every column z, from one ``P @ cols``."""
-    image = projection_matrix(proj) @ cols
-    return image, _norms(image, proj.p) + _norms(cols - image, proj.p)
+def _split_norms(matrix: np.ndarray, cols: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(P z, split_norm(z))`` for every column z, from one ``matrix @ cols``."""
+    image = matrix @ cols
+    return image, _norms(image, p) + _norms(cols - image, p)
+
+
+# Columns per block of the split audit.  At d = 7 a block of complex entries
+# is 115 kB, under glibc's default 128 kB mmap threshold, so its temporaries
+# come from the heap instead of fresh mappings faulted in on every call.
+_SPLIT_BLOCK = 1024
+
+
+def _split_ratios(proj: Projection, seed: int, samples: int, of_image: bool) -> np.ndarray:
+    """split_norm(z) / |z| for every draw z of ``_draw(seed, samples, dim)``,
+    or split_norm(P z) / split_norm(z) when ``of_image``.
+
+    The normals are drawn at once, in ``_draw``'s order, and copied into
+    one reused buffer ``_SPLIT_BLOCK`` rows at a time; the buffer's
+    transpose is a block of the batch's columns with the batch's memory
+    layout, so every product and norm sums in the batch's order.  A lone
+    last column would go through BLAS's matrix-vector product, which
+    rounds differently from the matrix-matrix one the batch used, so it
+    joins the block before it.
+    """
+    normals = np.random.default_rng(seed).standard_normal((2, samples, proj.dim))
+    matrix = projection_matrix(proj)
+    ratios = np.empty(samples)
+    rows = np.empty((min(samples, _SPLIT_BLOCK + 1), proj.dim), dtype=complex)
+    start = 0
+    while start < samples:
+        stop = samples if samples - start <= _SPLIT_BLOCK + 1 else start + _SPLIT_BLOCK
+        block = rows[: stop - start]
+        block.real = normals[0, start:stop]
+        block.imag = normals[1, start:stop]
+        image, split = _split_norms(matrix, block.T, proj.p)
+        if of_image:
+            np.divide(_split_norms(matrix, image, proj.p)[1], split, out=ratios[start:stop])
+        else:
+            np.divide(split, _norms(block.T, proj.p), out=ratios[start:stop])
+        start = stop
+    return ratios
 
 
 def equivalence_audit(
@@ -97,8 +138,7 @@ def equivalence_audit(
     (sample index, ratio, low bound, high bound).
     """
     high = 2.0 * projection_norm(proj) + 1.0
-    cols = _draw(seed, samples, proj.dim).T
-    ratios = _split_norms(proj, cols)[1] / _norms(cols, proj.p)
+    ratios = _split_ratios(proj, seed, samples, of_image=False)
     bad = np.flatnonzero((ratios < 1.0 - slack) | (ratios > high + slack))
     violations = [(int(i), float(ratios[i]), 1.0, high) for i in bad]
     return float(np.min(ratios, initial=math.inf)), float(np.max(ratios, initial=0.0)), violations
@@ -115,8 +155,7 @@ def projection_contractivity_check(
     Returns (max ratio, violations); equality is attained on the range
     of P, so the max should sit at 1 up to rounding.
     """
-    image, denom = _split_norms(proj, _draw(seed, samples, proj.dim).T)
-    ratios = _split_norms(proj, image)[1] / denom
+    ratios = _split_ratios(proj, seed, samples, of_image=True)
     bad = np.flatnonzero(ratios > 1.0 + slack)
     violations = [(int(i), float(ratios[i]), 1.0) for i in bad]
     return float(np.max(ratios, initial=0.0)), violations
@@ -227,15 +266,25 @@ def _weighted_sups(grid, propagators, omega: float, cols: np.ndarray, p: float) 
     floors = 1e-140 * np.maximum(weights, 1.0)
     ceilings = 1e140 / np.maximum(bounds, 1.0)
     sups = np.full(cols.shape[1], -math.inf)
+    # Every evaluated time writes into the same two (d, N) buffers and one
+    # row, with the operations of ``_norms`` in its order, so no time maps
+    # and faults in fresh megabytes and the sums round as ``_norms``' do.
+    moved = np.empty(cols.shape, dtype=complex)
+    work = np.empty(cols.shape, dtype=complex)
+    row = np.empty(cols.shape[1])
     lo = hi = math.nan  # nothing is skipped before the first time is evaluated
     for k, prop in enumerate(propagators):
         if idle[k] and floors[k] <= lo and hi < ceilings[k]:
             continue
-        # binding the product keeps the previous one alive until the next is
-        # allocated, so its memory is reused rather than handed back to the
-        # system and faulted in again: 3x faster at d = 6, 9000 columns
-        moved = prop @ cols
-        sups = np.maximum(sups, float(weights[k]) * _norms(moved, p))
+        np.matmul(prop, cols, out=moved)
+        if p == 2.0:
+            np.multiply(np.conjugate(moved, out=work), moved, out=work)
+            np.sqrt(np.add.reduce(work.real, axis=0, out=row), out=row)
+        elif p == 1.0:
+            np.add.reduce(np.abs(moved, out=work.real), axis=0, out=row)
+        else:
+            np.maximum.reduce(np.abs(moved, out=work.real), axis=0, out=row, initial=0.0)
+        np.maximum(sups, np.multiply(row, weights[k], out=row), out=sups)
         lo, hi = sups.min(), sups.max()
     return sups
 

@@ -327,7 +327,10 @@ def cert_from_dict(data: dict) -> WitnessCertificate:
         a=lambda raw: raw,
         functional=lambda raw: raw,
         stages=lambda raw: tuple(
-            record_from_dict(WitnessStage, st, f"stages[{k}].")
+            record_from_dict(
+                WitnessStage, st, f"stages[{k}].",
+                generator_pairing=lambda v: _finite(_complex(v)),
+            )
             for k, st in enumerate(_list(raw))
         ),
     )

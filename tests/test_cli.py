@@ -868,6 +868,17 @@ def test_verify_names_a_step_count_the_carrier_cannot_take(tmp_path, capsys, ste
     assert "  - stage 1: step count outside [1, 2^1024)\n" in capsys.readouterr().out
 
 
+def test_verify_names_a_non_finite_generator_pairing(tmp_path, capsys):
+    payload = load_json(V1_DATA / "blowup_k5.v2.cert.json")
+    payload["stages"][1]["generator_pairing"] = {"~c": [(1.5).hex(), "inf"]}
+    path = tmp_path / "inf_pairing.cert.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", str(path)]) == EXIT_INVALID
+    out = capsys.readouterr().out
+    assert "  - stages[1].generator_pairing: must be finite\n" in out
+    assert "math domain error" not in out
+
+
 @pytest.mark.parametrize(
     "source, failure",
     [

@@ -2,6 +2,7 @@
 classical weighted norm."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,8 +29,10 @@ from semigroup_lab import (
     witness_projection,
 )
 from semigroup_lab.errors import SpectralBoundViolated
-from semigroup_lab.projections import random_oblique_projection
-from semigroup_lab.renorm import _draw, _weighted_sups
+from semigroup_lab.projections import DenseProjection, projection_matrix, random_oblique_projection
+from semigroup_lab.renorm import (
+    DEFAULT_SLACK, _SPLIT_BLOCK, _draw, _split_audit, _split_ratios, _weighted_sups
+)
 from semigroup_lab.spaces import dense_generator, semigroup_apply, semigroup_matrices
 
 RATIO_SLACK = 1e-10
@@ -337,3 +340,61 @@ def test_batched_split_ratios_match_split_norm(kind):
         z = CVec(z, p)
         ref = split_norm(proj, project(proj, z)) / split_norm(proj, z)
         assert abs(row[1] - ref) <= BATCH_REF_TOL * ref
+
+
+def whole_batch_ratios(proj, seed, samples, of_image):
+    """The split audit's ratios with every draw in one batch, as the audit
+    computed them before it streamed its draws in blocks."""
+    def norms(cols):
+        return np.linalg.norm(cols, ord=proj.p, axis=0)
+
+    matrix = projection_matrix(proj)
+    cols = _draw(seed, samples, proj.dim).T
+    image = matrix @ cols
+    split = norms(image) + norms(cols - image)
+    if not of_image:
+        return split / norms(cols)
+    moved = matrix @ image
+    return (norms(moved) + norms(image - moved)) / split
+
+
+def split_projection(kind, dim, p):
+    rng = np.random.default_rng(53)
+    if kind == "rank_one":
+        f, x = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
+        return make_rank_one(Functional(f, p), CVec(x, p))
+    return DenseProjection(random_oblique_projection(dim, 3, rng).matrix, p)
+
+
+SAMPLE_COUNTS = [0, 1, _SPLIT_BLOCK - 1, _SPLIT_BLOCK, _SPLIT_BLOCK + 1, 2 * _SPLIT_BLOCK + 1, 10**4]
+
+
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["p1", "p2", "pinf"])
+@pytest.mark.parametrize("kind", ["rank_one", "dense"])
+@pytest.mark.parametrize("dim", [7, 9])
+def test_blocked_split_ratios_equal_the_whole_batch_bit_for_bit(dim, kind, p, samples):
+    proj = split_projection(kind, dim, p)
+    for of_image in (False, True):
+        blocked = _split_ratios(proj, 31, samples, of_image)
+        assert blocked.tobytes() == whole_batch_ratios(proj, 31, samples, of_image).tobytes()
+
+
+@pytest.mark.parametrize("seed, samples, dim", [(0, 0, 3), (5, 1, 7), (11, 1025, 7), (23, 40, 2)])
+def test_split_draw_is_the_stream_of_draw(seed, samples, dim):
+    normals = np.random.default_rng(seed).standard_normal((2, samples, dim))
+    block = np.empty((samples, dim), dtype=complex)
+    block.real, block.imag = normals
+    assert block.tobytes() == _draw(seed, samples, dim).tobytes()
+
+
+def test_split_audit_memory_stays_under_two_megabytes(k5_certificate):
+    # the whole-batch audit peaked at 4.6 MB here: ten 10^4-column temporaries
+    _split_audit(k5_certificate, 9, 100, DEFAULT_SLACK)
+    tracemalloc.start()
+    try:
+        _split_audit(k5_certificate, 9, 10**4, DEFAULT_SLACK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
