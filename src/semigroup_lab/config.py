@@ -153,10 +153,12 @@ class ExperimentConfig:
         else:
             raise ConfigError(f"functional.kind: {kind!r} is not geometric or values")
         f = Functional(coords, self.p)
-        with np.errstate(over="ignore"):
-            size = dual_norm(f)
-        # radii and search targets are measured against it
+        size = dual_norm(f)
+        # radii and search targets are measured against it and its reciprocal
         _check(math.isfinite(size), "functional", f"dual norm {size} is not finite")
+        _check(
+            size <= 2.0**1022, "functional", f"dual norm {size:.3g} has a subnormal reciprocal"
+        )
         return f
 
     @_config_errors()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import typing
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -71,8 +72,69 @@ def decode(value):
 
 
 def dumps_canonical(payload: dict) -> str:
-    """The canonical textual form: sorted keys, two-space indent."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The canonical textual form: sorted keys, two-space indent, a final
+    newline; the text of ``json.dumps(payload, indent=2, sort_keys=True)``
+    plus ``"\\n"``, written in one pass.
+
+    ``json.dumps`` runs its pure-Python encoder whenever it indents; this
+    emitter writes the same text with less work per value.  Strings go
+    through ``json``'s own ASCII escaper, floats through ``repr`` (NaN and
+    the infinities as ``NaN``, ``Infinity`` and ``-Infinity``), and a key
+    that is not a string raises TypeError.
+    """
+    out: list[str] = []
+    _emit(payload, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+_escape = json.encoder.encode_basestring_ascii
+_FLOAT_WORDS = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def _emit(value, newline: str, write) -> None:
+    """Write ``value`` at the indent that ``newline`` (a newline and the
+    current indent) opens each of its lines with."""
+    if isinstance(value, str):
+        write(_escape(value))
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            write(lead)
+            write(_escape(key))
+            write(": ")
+            _emit(value[key], inner, write)
+            lead = "," + inner
+        write(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = newline + "  "
+        lead = "[" + inner
+        for item in value:
+            write(lead)
+            _emit(item, inner, write)
+            lead = "," + inner
+        write(newline + "]")
+    elif value is None:
+        write("null")
+    elif value is True:
+        write("true")
+    elif value is False:
+        write("false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, float):
+        write("NaN" if value != value else _FLOAT_WORDS.get(value) or float.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def save_json(path: str | Path, payload: dict) -> None:

@@ -232,14 +232,42 @@ def _conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
+def _lp_norm(coords: np.ndarray, p: float) -> float:
+    """``np.linalg.norm(coords, p)``.  Its sums of squares or moduli overflow
+    once an entry nears 1e154, so a result that is not finite although every
+    entry is goes again, scaled by the largest modulus; a finite result is
+    returned as it is."""
+    with np.errstate(over="ignore"):
+        value = float(np.linalg.norm(coords, ord=p))
+        if math.isfinite(value) or not np.isfinite(coords).all():
+            return value
+        scale = float(np.max(np.abs(coords)))
+    if scale == math.inf:  # one modulus alone is out of range
+        return scale
+    return scale * float(np.linalg.norm(coords / scale, ord=p))
+
+
 def norm(v: CVec) -> float:
     """The l^p norm of a vector under its own tag."""
-    return float(np.linalg.norm(v.coords, ord=v.p))
+    return _lp_norm(v.coords, v.p)
 
 
 def dual_norm(f: Functional) -> float:
     """The size of a functional: the l^q norm for the conjugate exponent."""
-    return float(np.linalg.norm(f.coords, ord=_conjugate_exponent(f.p)))
+    return _lp_norm(f.coords, _conjugate_exponent(f.p))
+
+
+def row_norms(rows: np.ndarray, p: float) -> np.ndarray:
+    """The l^p norm of every row of a (G, d) array, each with the bits of
+    :func:`norm` on that row, overflow rescaling included."""
+    with np.errstate(over="ignore"):
+        if p == 2.0:  # np.linalg.norm's own sum for one vector: two dots
+            out = np.sqrt(_row_dots(rows.real, rows.real) + _row_dots(rows.imag, rows.imag))
+        else:
+            out = np.linalg.norm(rows, ord=p, axis=1)
+    for k in np.flatnonzero(~np.isfinite(out)):
+        out[k] = _lp_norm(rows[k], p)
+    return out
 
 
 def _check_dims(a: int, b: int, what: str) -> None:
@@ -251,6 +279,21 @@ def pairing(f: Functional, v: CVec) -> complex:
     """The bilinear pairing sum_m f_m v_m (no conjugation)."""
     _check_dims(f.dim, v.dim, "pairing")
     return complex(np.dot(f.coords, v.coords))
+
+
+def pairings(f: Functional, rows: np.ndarray) -> np.ndarray:
+    """The pairing of f with every row of a (G, d) array, each with the bits
+    of :func:`pairing`."""
+    _check_dims(f.dim, rows.shape[-1], "pairings")
+    return _row_dots(rows, f.coords)
+
+
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_m u_m v_m for each row of u against the matching row of v (or
+    against v itself), as a stack of 1 x d by d x 1 products: numpy takes
+    each by the kernel of ``np.dot`` on one pair of vectors, so a row's bits
+    do not depend on the stack."""
+    return (u[:, None, :] @ v[..., None])[:, 0, 0]
 
 
 def apply_generator(a: Generator, v: CVec) -> CVec:

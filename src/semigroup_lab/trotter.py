@@ -114,16 +114,19 @@ def _offsets(
 ) -> np.ndarray:
     """f((exp(hA) - I) v) for each time h (rows) and vector v (columns).
 
-    A diagonal term is grouped (f_m v_m)(exp(h a_m) - 1), over the
+    ``defects`` holds exp(hA) - I at the times when the caller has them: the
+    (G, d) table of exp(h a_m) - 1 for a diagonal generator, the (G, d, d)
+    stack for a dense one; without them the carrier forms them here.  A
+    diagonal term is grouped (f_m v_m)(exp(h a_m) - 1), over the
     coordinates some f_m v_m weights; a defect there that overflows raises
-    SemigroupOverflow.  A dense generator pulls f back through ``defects``,
-    or through one ``semigroup_defects`` stack when the caller holds none.
+    SemigroupOverflow.  A dense generator pulls f back through its defects.
     Each row has the same bits in a batch of any size.
     """
     if a.kind == "diagonal":
         weights = vectors * f.coords
-        defect = cexpm1_array(np.multiply.outer(times, a.entries))
-        defect[:, ~weights.any(axis=0)] = 0.0
+        if defects is None:
+            defects = cexpm1_array(np.multiply.outer(times, a.entries))
+        defect = np.where(weights.any(axis=0), defects, 0.0)
         over = np.flatnonzero(np.isinf(defect).any(axis=1))
         if over.size:
             raise SemigroupOverflow(f"diagonal orbit at t = {times[over[0]]:.3g} overflows")
@@ -160,9 +163,9 @@ def batched_log_values(
     goes through ``clog1p_array`` (a step value of exactly 0 gives -inf)
     and the gap through ``cexpm1_array``, so nothing is lost to
     cancellation when the offset is far below the resolution of 1 + offset.
-    A dense generator's defects at the times t/n are ``defects`` when the
-    caller holds them.  A count below 1 raises ValueError, and one too large
-    to divide t by raises OverflowError.
+    The defects exp((t/n) A) - I at the counts are ``defects`` when the
+    caller holds them (see ``_offsets``).  A count below 1 raises
+    ValueError, and one too large to divide t by raises OverflowError.
     """
     if any(k < 1 for k in steps):
         raise ValueError("step count must be positive")

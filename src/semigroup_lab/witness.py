@@ -11,7 +11,9 @@ Every product value is formed in log space by the one carrier,
 :func:`semigroup_lab.trotter.batched_log_values`, so stages whose step
 counts are far beyond 2^53 lose nothing to rounding.  The scan, the
 stability validation, the certificate's witness row and ``verify`` each
-evaluate a whole batch of step counts or vectors per call.
+evaluate a whole batch of step counts or vectors per call.  A build forms
+the defects exp(A/2^j) - I of its schedule once, in one table that every
+stage's scan and validation and the witness row read.
 """
 
 from __future__ import annotations
@@ -36,12 +38,18 @@ from .spaces import (
     Functional,
     Generator,
     GrowthLaw,
+    _conjugate_exponent,
     apply_generator,
+    cexpm1_array,
     diagonal_generator_from_entries,
     dual_norm,
     law_entries,
     norm,
     pairing,
+    pairings,
+    row_norms,
+    semigroup_defects,
+    semigroup_matrices,
     semigroup_matrix,
 )
 from .trotter import batched_log_values, limit_gap_error
@@ -209,34 +217,88 @@ def _seed_with_meta(a: Generator, f: Functional, z: CVec):
     return _bump(a, f, base, target, radius, stage=0)
 
 
+class _StepDefects:
+    """The defects exp(A / 2^j) - I of one generator on the dyadic schedule,
+    formed as a scan first reaches them: ``cexpm1_array`` rows of t a for a
+    diagonal generator, ``semigroup_defects`` slices for a dense one.
+
+    Rows come ``_SCAN_BLOCK`` step counts at a time, each block formed as the
+    carrier would form it, so a row has the carrier's own bits.  Nothing is
+    formed that a scan does not reach: a count of 2^1024 raises
+    OverflowError and an overflowing dense orbit SemigroupOverflow only when
+    a scan gets to their block.
+    """
+
+    def __init__(self, a: Generator):
+        self.a = a
+        shape = (0, a.dim) if a.kind == "diagonal" else (0, a.dim, a.dim)
+        self.defects = np.empty(shape, dtype=np.complex128)
+
+    def __len__(self) -> int:
+        return len(self.defects)
+
+    def grow(self, j_max: int) -> None:
+        """Form the next block of step counts, up to 2^j_max."""
+        start = len(self)
+        n = np.array([float(2**j) for j in range(start, min(start + _SCAN_BLOCK, j_max + 1))])
+        times = 1.0 / n
+        # under the carrier's own error state
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if self.a.kind == "diagonal":
+                block = cexpm1_array(np.multiply.outer(times, self.a.entries))
+            else:
+                block = semigroup_defects(self.a, times)
+        self.defects = np.concatenate((self.defects, block))
+
+    def at(self, steps) -> np.ndarray:
+        """The formed defects at the dyadic step counts ``steps``."""
+        return self.defects[[n.bit_length() - 1 for n in steps]]
+
+
 def choose_step_count(
     a: Generator,
     f: Functional,
     x: CVec,
     eps: float,
     j_max: int = DEFAULT_J_MAX,
+    *,
+    _table: _StepDefects | None = None,
 ) -> tuple[int, float, complex]:
     """The smallest dyadic step count whose product value lands within eps.
 
     Scans n = 2^j upward and returns (n, error, log_value) for the first
     n with |value - exp(f(Ax))| < eps, the error measured in log space.
     Raises ScheduleExhausted, carrying the smallest error seen, when the
-    scan runs out.  The scan reads the carrier ``batched_log_values``,
-    ``_SCAN_BLOCK`` step counts per call, and each count has the bits of its
-    own call (a dense block's defects come from one stacked exponential).
+    scan runs out; a NaN error is passed over.  The defects come from a
+    table of the schedule (``build_certificate`` shares one across its
+    stages; a call on its own forms its own): the counts the table already
+    holds go through the carrier ``batched_log_values`` in one call, then
+    each block of ``_SCAN_BLOCK`` counts the scan reaches past them is formed
+    and scanned in one more.  Every count has the bits of a call of the
+    carrier on that count alone.
     """
     if not 0.0 < eps:
         raise ValueError("eps must be positive")
+    table = _StepDefects(a) if _table is None else _table
     limit_log = pairing(f, apply_generator(a, x))
     best = math.inf
-    for start in range(0, j_max + 1, _SCAN_BLOCK):
-        steps = [2**j for j in range(start, min(start + _SCAN_BLOCK, j_max + 1))]
-        batch = batched_log_values(a, f, x.coords[None, :], steps, limit_log)
-        rows = zip(steps, batch.errors[:, 0].tolist(), batch.log_values[:, 0].tolist())
-        for n, err, log_value in rows:
-            if err < eps:
-                return n, err, log_value
-            best = min(best, err)
+    start = 0
+    while start <= j_max:
+        if start == len(table):
+            table.grow(j_max)
+        stop = min(len(table), j_max + 1)
+        steps = [2**j for j in range(start, stop)]
+        batch = batched_log_values(
+            a, f, x.coords[None, :], steps, limit_log, defects=table.defects[start:stop]
+        )
+        errors = batch.errors[:, 0]
+        hits = np.flatnonzero(errors < eps)
+        if hits.size:
+            k = hits[0]
+            return steps[k], errors[k].item(), batch.log_values[k, 0].item()
+        # fmin passes over NaN, as the comparisons above do
+        best = min(best, np.fmin.reduce(errors).item())
+        start = stop
     raise ScheduleExhausted(j_max=j_max, best_error=best, target=eps)
 
 
@@ -244,6 +306,15 @@ def _step_lipschitz(a: Generator, f: Functional, n: int) -> float:
     """The Lipschitz constant of x -> f(exp(A/n) x): the composed dual norm."""
     composed = semigroup_matrix(a, 1.0 / float(n)).T @ f.coords
     return dual_norm(Functional(composed, f.p))
+
+
+def _step_lipschitzes(a: Generator, f: Functional, steps) -> np.ndarray:
+    """:func:`_step_lipschitz` for every step count of ``steps`` from one
+    ``semigroup_matrices`` call, each with the bits of its one-count call.
+    ``verify`` takes every stage's at once; a build, one count at a time,
+    goes the cheaper way of ``_step_lipschitz``."""
+    matrices = semigroup_matrices(a, [1.0 / float(n) for n in steps])
+    return row_norms(matrices.transpose(0, 2, 1) @ f.coords, _conjugate_exponent(f.p))
 
 
 def _radius_log_bound(log_step_abs: float, n: int, lip: float, delta: float) -> float:
@@ -303,6 +374,8 @@ def validate_stability(
     delta: float,
     rng: np.random.Generator,
     samples: int = DEFAULT_VALIDATION_SAMPLES,
+    *,
+    _table: _StepDefects | None = None,
 ) -> float:
     """Worst sampled deviation |value(h) - exp(f(Ax))| on the delta-slice.
 
@@ -315,8 +388,11 @@ def validate_stability(
     loop would, so the generator ends in the same state; the draws come
     ``_SAMPLE_BLOCK`` samples at a time and go through the batched
     carrier together.  A direction with no kernel part is skipped, and a
-    NaN deviation comes back as NaN.
+    NaN deviation comes back as NaN.  The defect at n is the row of
+    ``build_certificate``'s schedule table when it passes one; a call on its
+    own leaves the carrier to form it.
     """
+    defects = None if _table is None else _table.at([n])
     limit_log = pairing(f, apply_generator(a, x))
     anchor = np.conj(f.coords)
     anchor_gain = complex(np.dot(f.coords, anchor))
@@ -330,7 +406,8 @@ def validate_stability(
         if not kept.any():
             continue
         shifted = x.coords + (delta / size[kept])[:, None] * kernel[kept]
-        worst.append(np.max(batched_log_values(a, f, shifted, [n], limit_log).errors))
+        batch = batched_log_values(a, f, shifted, [n], limit_log, defects=defects)
+        worst.append(np.max(batch.errors))
     return float(np.max(worst))
 
 
@@ -344,17 +421,21 @@ def _certified_stage(
     j_max: int,
     rng: np.random.Generator,
     validation_samples: int,
+    table: _StepDefects,
     **bump,
 ) -> WitnessStage:
     """Check Re f(Ax) >= index, choose the step count, certify and sample
-    the stability radius, and record the stage with its ``bump`` fields."""
+    the stability radius, and record the stage with its ``bump`` fields.
+    Both the scan and the sampling read their defects from ``table``."""
     label = f"stage {index}" if index else "seed stage"
     drift = pairing(f, apply_generator(a, x))
     if drift.real < float(index):
         raise ArithmeticError(f"{label} reached Re f(Ax) = {drift.real:.6g} < {index}")
-    steps, err, log_value = choose_step_count(a, f, x, eps, j_max=j_max)
+    steps, err, log_value = choose_step_count(a, f, x, eps, j_max=j_max, _table=table)
     delta = stability_radius(a, f, steps, log_value, eps, anchor_norm, stage=index)
-    worst = validate_stability(a, f, x, steps, delta, rng, samples=validation_samples)
+    worst = validate_stability(
+        a, f, x, steps, delta, rng, samples=validation_samples, _table=table
+    )
     if not worst < 2.0 * eps:
         raise ArithmeticError(f"{label} sampled deviation {worst:.3g} breaks the 2*eps bound")
     return WitnessStage(
@@ -379,6 +460,8 @@ def extend(
     rng: np.random.Generator,
     margin: float = DEFAULT_MARGIN,
     validation_samples: int = DEFAULT_VALIDATION_SAMPLES,
+    *,
+    _table: _StepDefects | None = None,
 ) -> WitnessStage:
     """Build the next stage of the ladder from the stages so far.
 
@@ -387,7 +470,8 @@ def extend(
     The bump direction is searched at half the bump radius with a
     pairing target large enough that the new stage satisfies
     Re f(A x_new) >= index even after the regauging denominator; that
-    inequality is still checked after the fact.
+    inequality is still checked after the fact.  ``build_certificate``
+    passes its schedule table; a call on its own forms its own.
     """
     if not stages:
         raise ValueError("extend needs at least the seed stage")
@@ -409,8 +493,9 @@ def extend(
         raise ArithmeticError(
             f"stage {new_index} moved {step:.3g}, past the chain bound {chain:.3g}"
         )
+    table = _StepDefects(a) if _table is None else _table
     return _certified_stage(
-        a, f, vector, new_index, eps, anchor_norm, j_max, rng, validation_samples, **bump
+        a, f, vector, new_index, eps, anchor_norm, j_max, rng, validation_samples, table, **bump
     )
 
 
@@ -422,10 +507,14 @@ def _assemble(
     stages: list[WitnessStage],
     j_max: int,
     build_seed: int,
+    table: _StepDefects,
 ) -> WitnessCertificate:
+    """The certificate of ``stages``, with every stage evaluated at the last
+    stage vector through the defects its scan left in ``table``."""
     witness = stages[-1].vector
     steps = [st.steps for st in stages]
-    log_values = batched_log_values(a, f, witness[None, :], steps).log_values[:, 0].tolist()
+    batch = batched_log_values(a, f, witness[None, :], steps, defects=table.at(steps))
+    log_values = batch.log_values[:, 0].tolist()
     errors = [limit_gap_error(st.generator_pairing, lv) for st, lv in zip(stages, log_values)]
     return WitnessCertificate(
         a=a,
@@ -464,13 +553,14 @@ def build_certificate(
     if stage_goal < 0:
         raise ValueError("stage goal must be nonnegative")
     rng = np.random.default_rng(seed)
+    table = _StepDefects(a)
     stages: list[WitnessStage] = []
     try:
         x0, bump = _seed_with_meta(a, f, z)
         anchor_norm = norm(x0)
         stages.append(
             _certified_stage(
-                a, f, x0, 0, eps, anchor_norm, j_max, rng, validation_samples, **bump
+                a, f, x0, 0, eps, anchor_norm, j_max, rng, validation_samples, table, **bump
             )
         )
         for _ in range(stage_goal):
@@ -485,14 +575,15 @@ def build_certificate(
                     rng,
                     margin=margin,
                     validation_samples=validation_samples,
+                    _table=table,
                 )
             )
     except Exception as exc:
         partial = (
-            _assemble(a, f, z, eps, stages, j_max, seed) if stages else None
+            _assemble(a, f, z, eps, stages, j_max, seed, table) if stages else None
         )
         raise WitnessBuildError(partial=partial, cause=exc) from exc
-    return _assemble(a, f, z, eps, stages, j_max, seed)
+    return _assemble(a, f, z, eps, stages, j_max, seed, table)
 
 
 def verify_certificate(cert: WitnessCertificate, strict_goal: int | None = None) -> None:
@@ -501,6 +592,13 @@ def verify_certificate(cert: WitnessCertificate, strict_goal: int | None = None)
     Raises InvalidCertificate listing all failed checks; returns None
     when everything holds.  ``strict_goal`` additionally demands a
     minimum stage count.
+
+    Each quantity is recomputed for all stages at once: the log values at
+    the stage vectors and at the witness from one carrier call each, every
+    stage's exp(A/n) from one ``semigroup_matrices`` call, and the stage
+    pairings, the drifts f(A x_k) and the witness gaps from one array
+    operation each, every number with the bits of its one-stage form.  The
+    limit errors go through the scalar ``limit_gap_error``.
     """
     if not 0.0 < cert.eps < 0.5:
         # the stage bounds take log(eps) and log(1 - 2 eps)
@@ -529,21 +627,32 @@ def verify_certificate(cert: WitnessCertificate, strict_goal: int | None = None)
         failures.append("witness vector differs from the last stage vector")
     two_eps = 2.0 * cert.eps
     steps = [st.steps for st in cert.stages]
-    # each stage vector at its own step count: the diagonal of one batch
     stage_vectors = np.array([st.vector for st in cert.stages])
+    # each stage vector at its own step count: the diagonal of one batch
     stage_logs = np.diagonal(batched_log_values(a, f, stage_vectors, steps).log_values)
+    gauges = pairings(f, stage_vectors)
+    if a.kind == "diagonal":
+        moved = stage_vectors * a.entries
+    else:
+        moved = (a.matrix @ stage_vectors[:, :, None])[:, :, 0]
+    drifts = pairings(f, moved)
+    gaps = row_norms(cert.witness - stage_vectors, cert.p)
+    # the radius certificates, of the stages whose radius is worth checking
+    lips = iter(
+        _step_lipschitzes(
+            a, f, [st.steps for st in cert.stages if st.stability_radius >= UNDERFLOW_FLOOR]
+        ).tolist()
+    )
     prev_index = -1
     # every check is written "not (holds)", so a NaN anywhere fails it
-    for st, lv in zip(cert.stages, stage_logs.tolist()):
+    rows = zip(cert.stages, stage_logs.tolist(), gauges.tolist(), drifts.tolist(), gaps.tolist())
+    for st, lv, gauge, drift, gap in rows:
         tag = f"stage {st.index}"
         if st.index != prev_index + 1:
             failures.append(f"{tag}: index out of order")
         prev_index = st.index
-        x = CVec(st.vector, cert.p)
-        gauge = pairing(f, x)
         if not abs(gauge - 1.0) <= _PAIRING_SLACK:
             failures.append(f"{tag}: pairing {gauge:.3g} strays from 1")
-        drift = pairing(f, apply_generator(a, x))
         if not abs(drift - st.generator_pairing) <= 1e-9 * (1.0 + abs(drift)):
             failures.append(f"{tag}: stored generator pairing does not recompute")
         if not st.generator_pairing.real >= float(st.index):
@@ -566,11 +675,9 @@ def verify_certificate(cert: WitnessCertificate, strict_goal: int | None = None)
                 f"{tag}: stability radius {st.stability_radius:.3g} is under {UNDERFLOW_FLOOR:.3g}"
             )
         else:
-            L = _step_lipschitz(a, f, st.steps)
-            lhs = _radius_log_bound(lv.real / st.steps, st.steps, L, st.stability_radius)
+            lhs = _radius_log_bound(lv.real / st.steps, st.steps, next(lips), st.stability_radius)
             if not lhs <= math.log(cert.eps) + 1e-9:
                 failures.append(f"{tag}: stability radius fails its certificate")
-        gap = norm(CVec(cert.witness - st.vector, cert.p))
         if not gap <= st.stability_radius * (1.0 + 1e-12):
             failures.append(
                 f"{tag}: witness sits {gap:.3g} away, outside radius "

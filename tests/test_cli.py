@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import semigroup_lab
-from semigroup_lab import load_config
+from semigroup_lab import dual_norm, load_config
 from semigroup_lab.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -37,8 +37,9 @@ FINAL_ERR_BOUND = 1e-3
 # classical_renorm report as commit 4add2e4 wrote it, the two diagonal
 # ladders and the /2 K = 5 certificate as written once every stored product
 # value came from the one log-domain carrier, trotter.batched_log_values,
-# and the bounded_oracle and sweep CSVs as written once every dense
-# exponential came from spaces.matrix_expm1.
+# the bounded_oracle and sweep CSVs as written once every dense exponential
+# came from spaces.matrix_expm1, and the /2 split_renorm report as commit
+# 4aaab96 wrote it.
 V1_DATA = Path(__file__).parent / "data"
 
 # A deep imaginary ladder shaped like perfbench's ladder-scalar-122: entries
@@ -304,6 +305,14 @@ def test_shipped_classical_report_is_unchanged(tmp_path):
     assert main(["renorm-audit", "--config", "classical_renorm", "--out", str(tmp_path)]) == EXIT_OK
     written = (tmp_path / "classical_renorm.report.json").read_bytes()
     assert written == (V1_DATA / "classical_renorm.report.json").read_bytes()
+
+
+def test_fresh_split_report_is_unchanged(tmp_path):
+    # one run holds the certificate build, its verify, the split audit and
+    # the canonical writer to the bytes they wrote before
+    assert main(["renorm-audit", "--config", "split_renorm", "--out", str(tmp_path)]) == EXIT_OK
+    written = (tmp_path / "split_renorm.report.json").read_bytes()
+    assert written == (V1_DATA / "split_renorm.v2.report.json").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -769,6 +778,14 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, command, overrides
     rc = main([command, "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
     assert f"config error: {field}: " in capsys.readouterr().err
+
+
+def test_functional_past_the_sum_of_squares_range_is_no_config_error(tmp_path):
+    # |f|_2 = 1e160 sqrt(4/3 (1 - 4^-7)) is a double, though its sum of
+    # squares is not; the config check measures it
+    big = {"kind": "geometric", "scale": 1e160, "base": 2.0}
+    f = load_config(write_config(tmp_path, "big", **{**K5_CONFIG, "functional": big})).functional()
+    assert dual_norm(f) == pytest.approx(1e160 * math.sqrt(4.0 / 3.0 * (1.0 - 4.0**-7)), rel=1e-15)
 
 
 def test_negative_seed_override_is_a_config_error(tmp_path, capsys):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from semigroup_lab import (
     CVec,
@@ -363,3 +365,62 @@ def test_dense_matrix_forms_decode_alike():
         back = generator_from_dict({"kind": "dense", "matrix": form}, 2).matrix
         assert back.dtype == np.complex128
         assert back.tobytes() == matrix.tobytes()
+
+
+# dumps_canonical writes the text of json.dumps(indent=2, sort_keys=True)
+# plus a newline in one pass; json.dumps stays the reference here.
+
+def reference_dump(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, 5e-324])
+    | st.text()
+    | st.sampled_from(["", "é", "\u2603 snow", "\ud83d\ude00", "\x00\x1f", '"\\/\b\f\n\r\t', "~f"])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@given(JSON_VALUES)
+@example({})
+@example([])
+@example({"b": [{}, [], {"~f": "0x1.8p+1"}], "a": -0.0, "é": [math.nan, -math.inf]})
+def test_canonical_dump_is_the_indented_json_text(payload):
+    assert dumps_canonical(payload) == reference_dump(payload)
+
+
+def test_canonical_dump_writes_tuples_as_lists():
+    assert dumps_canonical({"t": (1, (2.5, "x"))}) == reference_dump({"t": [1, [2.5, "x"]]})
+
+
+@pytest.mark.parametrize("key", [1, 2.5, None, True, (1,)], ids=repr)
+def test_canonical_dump_refuses_keys_that_are_not_strings(key):
+    with pytest.raises(TypeError):
+        dumps_canonical({key: 1})
+    with pytest.raises(TypeError):
+        dumps_canonical({"a": [{key: 1}]})
+
+
+def test_canonical_dump_refuses_values_json_cannot_write():
+    for value in (1j, np.float32(1.0), {1, 2}, b"x"):
+        with pytest.raises(TypeError):
+            dumps_canonical({"v": value})
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).parent / "data").glob("*.json")), ids=lambda p: p.name
+)
+def test_every_json_file_in_the_test_data_redumps_to_its_own_bytes(path):
+    text = path.read_text(encoding="utf-8")
+    assert dumps_canonical(json.loads(text)) == text

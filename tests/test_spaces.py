@@ -35,6 +35,8 @@ from semigroup_lab.spaces import (
     clog1p,
     clog1p_array,
     matrix_expm1,
+    pairings,
+    row_norms,
     semigroup_defects,
     semigroup_matrices,
     semigroup_matrix,
@@ -59,6 +61,74 @@ def test_dual_norm_uses_conjugate_exponent():
     # p = 1 vectors pair against sup-norm functionals and vice versa
     assert dual_norm(Functional([3.0, 4.0], 1.0)) == 4.0
     assert dual_norm(Functional([3.0, 4.0], math.inf)) == 7.0
+
+
+def mpmath_norm(coords, p):
+    """The l^p norm at 50 digits."""
+    with mpmath.workdps(50):
+        moduli = [abs(mpmath.mpc(complex(z))) for z in coords]
+        if p == math.inf:
+            return float(max(moduli))
+        if p == 1.0:
+            return float(mpmath.fsum(moduli))
+        return float(mpmath.sqrt(mpmath.fsum(m * m for m in moduli)))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize(
+    "coords",
+    [
+        [1e160, 1e160j],
+        [1e200 + 3e199j, -2e199, 5.0],
+        [1e308, 1e308],
+        [1.5e308, -1.5e308j, 1e-300],
+        [1e-170, 1e300 - 1e300j],
+    ],
+    ids=["1e160", "mixed_1e200", "1e308_pair", "1.5e308", "wide_range"],
+)
+def test_norms_past_the_sum_of_squares_range_match_mpmath(coords, p):
+    # np.linalg.norm sums squares (or moduli) and overflows here although
+    # the norm itself is a double; no overflow warning may leak out
+    exact = mpmath_norm(coords, p)
+    q = {1.0: math.inf, 2.0: 2.0, math.inf: 1.0}[p]
+    for got in (norm(CVec(coords, p)), dual_norm(Functional(coords, q)),
+                row_norms(np.array([coords, coords], dtype=complex), p)[1]):
+        if exact == math.inf:
+            assert got == math.inf
+        else:
+            assert got == pytest.approx(exact, rel=4e-16)
+
+
+def test_norm_of_a_vector_with_an_infinite_modulus_is_infinite():
+    # every entry finite, but |1.5e308 (1 + i)| is not
+    assert norm(CVec([1.5e308 + 1.5e308j, 1.0], 2.0)) == math.inf
+    assert norm(CVec([math.inf, 1.0], 1.0)) == math.inf
+    assert math.isnan(norm(CVec([math.nan, 1e300], 2.0)))
+
+
+@given(
+    re=arrays(np.float64, (5,), elements=st.floats(-1e160, 1e160)),
+    im=arrays(np.float64, (5,), elements=st.floats(-1e160, 1e160)),
+    p=st.sampled_from([1.0, 2.0, math.inf]),
+)
+def test_finite_norms_keep_their_bits(re, im, p):
+    coords = re + 1j * im
+    with np.errstate(over="ignore"):
+        plain = float(np.linalg.norm(coords, ord=p))
+    if math.isfinite(plain):
+        assert norm(CVec(coords, p)) == plain
+        assert row_norms(np.array([coords, coords[::-1]]), p)[0] == plain
+
+
+@given(
+    rows=arrays(np.complex128, (4, 6), elements=st.complex_numbers(max_magnitude=1e6)),
+    fc=arrays(np.complex128, (6,), elements=st.complex_numbers(max_magnitude=1e6)),
+)
+def test_batched_pairings_and_norms_have_the_one_vector_bits(rows, fc):
+    f = Functional(fc, 2.0)
+    assert pairings(f, rows).tolist() == [pairing(f, CVec(row, 2.0)) for row in rows]
+    for p in (1.0, 2.0, math.inf):
+        assert row_norms(rows, p).tolist() == [norm(CVec(row, p)) for row in rows]
 
 
 def test_pairing_is_bilinear_not_sesquilinear():

@@ -34,18 +34,25 @@ from semigroup_lab import (
 from semigroup_lab.errors import (
     InvalidCertificate,
     ScheduleExhausted,
+    SemigroupOverflow,
     TruncationInsufficient,
     UnderflowRadius,
     WitnessBuildError,
     ZeroPairing,
 )
-from semigroup_lab import spaces
+from semigroup_lab import spaces, witness
 from semigroup_lab.cli import _build_from_config
 from semigroup_lab.serialize import encode
 from semigroup_lab.trotter import batched_log_values, limit_gap_error
-from semigroup_lab.witness import _seed_with_meta, _step_lipschitz, product_log_value
+from semigroup_lab.witness import (
+    _seed_with_meta,
+    _step_lipschitz,
+    _step_lipschitzes,
+    _StepDefects,
+    product_log_value,
+)
 
-from conftest import scalar_log_value
+from conftest import build_from_config, scalar_log_value
 
 PAIRING_TOL = 1e-10
 RECOMPUTE_TOL = 1e-9
@@ -623,3 +630,144 @@ def test_verify_rejects_stored_numbers_it_cannot_recompute(k5_certificate, mutat
     with pytest.raises(InvalidCertificate) as info:
         verify_certificate(mutate(k5_certificate))
     assert failure in info.value.failures
+
+
+# The schedule table a build shares across its stages: each scan covers the
+# rows already formed in one carrier call, then forms and scans one block at
+# a time.  Every (n, err, log_value) must have the bits of the carrier called
+# on that count alone, whatever the table held before the scan.
+
+SCAN_STOPS = (ScheduleExhausted, SemigroupOverflow, OverflowError)
+
+
+def outcome(scan, *args, **kwargs):
+    """What a scan returns, or the exception it stops with."""
+    try:
+        return scan(*args, **kwargs)
+    except SCAN_STOPS as exc:
+        return exc
+
+
+def shared_table_scans(a, f, xs, eps, j_max):
+    """``choose_step_count`` on each vector in turn through one table, as a
+    build does."""
+    table = _StepDefects(a)
+    return [outcome(choose_step_count, a, f, x, eps, j_max, _table=table) for x in xs], table
+
+
+def assert_same_outcome(got, expected):
+    assert type(got) is type(expected)
+    if isinstance(expected, ScheduleExhausted):
+        assert got.best_error == expected.best_error
+        assert (got.j_max, got.target) == (expected.j_max, expected.target)
+    elif isinstance(expected, Exception):
+        assert str(got) == str(expected)
+    else:
+        assert got == expected
+
+
+@pytest.mark.parametrize("block", [32, 5, 1])
+@pytest.mark.parametrize("order", ["ladder", "reversed"])
+def test_table_scan_matches_one_count_per_call_diagonal(k5_certificate, monkeypatch, block, order):
+    # the K = 5 ladder hits at j = 0, 18, 38, 62, 90 and 122: inside the
+    # first block, past one or more block edges, and, in reverse order, on
+    # rows a longer scan formed before
+    cert = k5_certificate
+    a, f = cert.a, cert.functional_obj()
+    monkeypatch.setattr(witness, "_SCAN_BLOCK", block)
+    xs = [CVec(st.vector, cert.p) for st in cert.stages]
+    if order == "reversed":
+        xs.reverse()
+    got, table = shared_table_scans(a, f, xs, cert.eps, cert.j_max)
+    for x, result in zip(xs, got):
+        assert_same_outcome(result, outcome(looped_step_scan, a, f, x, cert.eps, cert.j_max))
+    # no block past the one holding the deepest hit, 2^122
+    assert len(table) == min(-(-123 // block) * block, cert.j_max + 1)
+
+
+@pytest.mark.parametrize("block", [32, 7])
+def test_table_scan_matches_one_count_per_call_dense(monkeypatch, block):
+    # hits at several depths on one table, then one past every formed row
+    a, f, x = dense_scan_pair()
+    monkeypatch.setattr(witness, "_SCAN_BLOCK", block)
+    table = _StepDefects(a)
+    for eps in [1e-3, 1e-11, 1e-2, 1e-13, 1e-17]:
+        got = outcome(choose_step_count, a, f, x, eps, 44, _table=table)
+        assert_same_outcome(got, outcome(looped_step_scan, a, f, x, eps, 44))
+    assert isinstance(got, ScheduleExhausted)
+    assert len(table) == 45
+
+
+def test_table_scan_exhaustion_keeps_the_best_error(k5_certificate):
+    cert = k5_certificate
+    a, f = cert.a, cert.functional_obj()
+    xs = [CVec(st.vector, cert.p) for st in cert.stages]
+    # j_max = 100 stops short of stage 5's 2^122 after four stages hit
+    got, _ = shared_table_scans(a, f, xs, cert.eps, 100)
+    assert isinstance(got[-1], ScheduleExhausted)
+    for x, result in zip(xs, got):
+        assert_same_outcome(result, outcome(looped_step_scan, a, f, x, cert.eps, 100))
+
+
+def test_table_scan_passes_over_nan_rows():
+    # an infinite imaginary entry makes every row's defect NaN
+    a = diagonal_generator_from_entries([complex(0.0, math.inf), 1j])
+    f, x = Functional([0.5, 0.5], 2.0), CVec([1.0, 1.0], 2.0)
+    with np.errstate(invalid="ignore"):
+        got, _ = shared_table_scans(a, f, [x], 0.1, 40)
+        assert_same_outcome(got[0], outcome(looped_step_scan, a, f, x, 0.1, 40))
+    assert got[0].best_error == math.inf
+
+
+def test_table_scan_raises_where_the_carrier_does():
+    # a diagonal orbit that overflows at t = 1, once weighted and once not
+    a = diagonal_generator_from_entries([1000.0, 0.5j])
+    f = Functional([0.5, 0.5], 2.0)
+    xs = [CVec([1.0, 1.0], 2.0), CVec([0.0, 2.0], 2.0)]
+    got, _ = shared_table_scans(a, f, xs, 0.1, 40)
+    assert isinstance(got[0], SemigroupOverflow)
+    for x, result in zip(xs, got):
+        assert_same_outcome(result, outcome(looped_step_scan, a, f, x, 0.1, 40))
+    # a count of 2^1024 cannot divide a time: reached only when nothing hits first
+    a = diagonal_generator_from_entries([0.3 + 0.7j, 1.1j, -0.2])
+    f = Functional([0.5, -1.25, 2.0], 2.0)
+    x = CVec(np.array([1.0, 0.5j, 0.25]) / (1.0 - 0.625j), 2.0)  # f(x) = 1
+    got, table = shared_table_scans(a, f, [x], 5e-324, 1030)
+    assert isinstance(got[0], OverflowError)
+    assert_same_outcome(got[0], outcome(looped_step_scan, a, f, x, 5e-324, 1030))
+    assert len(table) == 1024
+
+
+def test_build_forms_each_block_of_the_schedule_once(monkeypatch):
+    # K = 5 reaches 2^122: four blocks of 32 counts, each formed by one
+    # cexpm1_array call, however many stages scan them
+    blocks = []
+    kernel = witness.cexpm1_array
+    monkeypatch.setattr(witness, "cexpm1_array", lambda z: blocks.append(len(z)) or kernel(z))
+    build_from_config("blowup_k5")
+    assert blocks == [32, 32, 32, 32]
+
+
+def test_batched_lipschitz_constants_have_the_one_count_bits(k5_certificate):
+    cert = k5_certificate
+    f = cert.functional_obj()
+    steps = [st.steps for st in cert.stages]
+    dense = dense_scan_pair()
+    for a, g in [(cert.a, f), dense[:2]]:
+        batched = _step_lipschitzes(a, g, steps).tolist()
+        assert batched == [_step_lipschitz(a, g, n) for n in steps]
+
+
+def test_verify_names_batched_failures_with_their_one_stage_numbers(k5_certificate):
+    # stage 0's ball shrunk below the witness's distance and stage 1's drift
+    # moved: the witness gaps and drifts come from one array operation each
+    cert = k5_certificate
+    bad = replace_stage(cert, 0, stability_radius=1e-200)
+    drift = cert.stages[1].generator_pairing
+    bad = replace_stage(bad, 1, generator_pairing=drift + 1e-6 * abs(drift))
+    gap = norm(CVec(cert.witness - cert.stages[0].vector, cert.p))
+    with pytest.raises(InvalidCertificate) as info:
+        verify_certificate(bad)
+    failures = info.value.failures
+    assert failures[0] == f"stage 0: witness sits {gap:.3g} away, outside radius 1e-200"
+    assert failures[1] == "stage 1: stored generator pairing does not recompute"
