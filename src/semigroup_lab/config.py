@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -154,10 +155,13 @@ class ExperimentConfig:
             raise ConfigError(f"functional.kind: {kind!r} is not geometric or values")
         f = Functional(coords, self.p)
         size = dual_norm(f)
-        # radii and search targets are measured against it and its reciprocal
+        # radii and search targets are measured against it, and a build
+        # seeds its ladder in the ball of radius 1/(2|f|)
         _check(math.isfinite(size), "functional", f"dual norm {size} is not finite")
         _check(
-            size <= 2.0**1022, "functional", f"dual norm {size:.3g} has a subnormal reciprocal"
+            size <= 0.5 / sys.float_info.min,  # 1/(2|f|) stays a normal double
+            "functional",
+            f"dual norm {size:.3g} makes the seed radius 1/(2|f|) subnormal",
         )
         return f
 

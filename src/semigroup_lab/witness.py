@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,6 @@ from .spaces import (
     row_norms,
     semigroup_defects,
     semigroup_matrices,
-    semigroup_matrix,
 )
 from .trotter import batched_log_values, limit_gap_error
 # re-exported: the tests and perfbench's tracer name the carrier's one-row
@@ -302,17 +302,11 @@ def choose_step_count(
     raise ScheduleExhausted(j_max=j_max, best_error=best, target=eps)
 
 
-def _step_lipschitz(a: Generator, f: Functional, n: int) -> float:
-    """The Lipschitz constant of x -> f(exp(A/n) x): the composed dual norm."""
-    composed = semigroup_matrix(a, 1.0 / float(n)).T @ f.coords
-    return dual_norm(Functional(composed, f.p))
-
-
 def _step_lipschitzes(a: Generator, f: Functional, steps) -> np.ndarray:
-    """:func:`_step_lipschitz` for every step count of ``steps`` from one
-    ``semigroup_matrices`` call, each with the bits of its one-count call.
-    ``verify`` takes every stage's at once; a build, one count at a time,
-    goes the cheaper way of ``_step_lipschitz``."""
+    """The Lipschitz constant of x -> f(exp(A/n) x), the dual norm of
+    exp(A/n)^T f, for every step count n of ``steps`` from one
+    ``semigroup_matrices`` call.  A build asks for one count per stage,
+    ``verify`` for every stage's at once."""
     matrices = semigroup_matrices(a, [1.0 / float(n) for n in steps])
     return row_norms(matrices.transpose(0, 2, 1) @ f.coords, _conjugate_exponent(f.p))
 
@@ -352,7 +346,7 @@ def stability_radius(
     stays in a bounded region.  At L = 0 the value cannot move, and the
     caps that divide by L drop out (their L -> 0 limit).
     """
-    L = _step_lipschitz(a, f, n)
+    L = _step_lipschitzes(a, f, [n]).item()
     log_step_abs = log_value.real / n
     power_log = (n - 1) * log_step_abs
     scale = math.inf if power_log > 690.0 else math.e * n * L * math.exp(power_log)
@@ -394,13 +388,22 @@ def validate_stability(
     """
     defects = None if _table is None else _table.at([n])
     limit_log = pairing(f, apply_generator(a, x))
-    anchor = np.conj(f.coords)
-    anchor_gain = complex(np.dot(f.coords, anchor))
+    # the projection onto the kernel of f, which scaling f leaves alone; the
+    # sum f . conj(f) leaves the normal range once an entry nears 1e154 or
+    # all fall below 1e-154, and only then is it formed again from f scaled
+    # by its largest modulus
+    unit = f.coords
+    with np.errstate(over="ignore"):
+        anchor_gain = complex(np.dot(unit, np.conj(unit)))
+    if not sys.float_info.min <= anchor_gain.real < math.inf:
+        unit = unit / np.max(np.abs(unit))
+        anchor_gain = complex(np.dot(unit, np.conj(unit)))
+    anchor = np.conj(unit)
     worst = [0.0]
     for start in range(0, samples, _SAMPLE_BLOCK):
         draws = rng.standard_normal((min(_SAMPLE_BLOCK, samples - start), 2, x.dim))
         raw = draws[:, 0] + 1j * draws[:, 1]
-        kernel = raw - np.outer(raw @ f.coords / anchor_gain, anchor)
+        kernel = raw - np.outer(raw @ unit / anchor_gain, anchor)
         size = np.linalg.norm(kernel, ord=x.p, axis=1)
         kept = size != 0.0
         if not kept.any():

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import semigroup_lab
-from semigroup_lab import dual_norm, load_config
+from semigroup_lab import ConfigError, dual_norm, load_config
 from semigroup_lab.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -786,6 +787,39 @@ def test_functional_past_the_sum_of_squares_range_is_no_config_error(tmp_path):
     big = {"kind": "geometric", "scale": 1e160, "base": 2.0}
     f = load_config(write_config(tmp_path, "big", **{**K5_CONFIG, "functional": big})).functional()
     assert dual_norm(f) == pytest.approx(1e160 * math.sqrt(4.0 / 3.0 * (1.0 - 4.0**-7)), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    ("scale", "steps"), [(1e160, [1, 2**23]), (1e-160, [1])], ids=["1e160", "1e-160"]
+)
+def test_functional_outside_the_sum_of_squares_range_builds_without_a_warning(
+    tmp_path, scale, steps
+):
+    # f . conj(f) is out of the normal range, so the validation's kernel
+    # projection is formed from f scaled by its largest modulus.  The build
+    # stops after the stages that scales 10.24 and 0.01 * 2^-10 reach: the
+    # radius cap of 1.0 is not in the functional's units (ROADMAP item 4)
+    functional = {"kind": "geometric", "scale": scale, "base": 2.0}
+    cfg = write_config(tmp_path, "scaled", **{**K5_CONFIG, "functional": functional})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["witness", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == EXIT_TRUNCATION
+    partial = cert_from_dict(json.loads((tmp_path / "scaled.cert.json").read_text()))
+    assert [st.steps for st in partial.stages] == steps
+
+
+def test_functional_with_a_subnormal_seed_radius_is_a_config_error(tmp_path):
+    # 1/(2|f|) is normal up to |f| = 2^1021 and subnormal past it
+    edge = 2.0**1021
+    for size, refused in [(edge, False), (np.nextafter(edge, math.inf), True), (3e307, True)]:
+        functional = {"kind": "values", "values": [size] + [0.0] * 6}
+        cfg = load_config(write_config(tmp_path, "edge", **{**K5_CONFIG, "functional": functional}))
+        if refused:
+            with pytest.raises(ConfigError, match="makes the seed radius .* subnormal"):
+                cfg.functional()
+        else:
+            assert dual_norm(cfg.functional()) == edge
 
 
 def test_negative_seed_override_is_a_config_error(tmp_path, capsys):

@@ -46,7 +46,6 @@ from semigroup_lab.serialize import encode
 from semigroup_lab.trotter import batched_log_values, limit_gap_error
 from semigroup_lab.witness import (
     _seed_with_meta,
-    _step_lipschitz,
     _step_lipschitzes,
     _StepDefects,
     product_log_value,
@@ -156,7 +155,7 @@ def test_stability_radius_certifies_its_bound():
     a, f, x = two_point()
     n, eps = 16, 0.01
     delta = stability_radius(a, f, n, product_log_value(a, f, x, n), eps, anchor_norm=norm(x))
-    lip = _step_lipschitz(a, f, n)
+    lip = _step_lipschitzes(a, f, [n]).item()
     step_abs = (1.0 + math.exp(2.0 / n)) / 2.0
     moved = n * (step_abs + lip * delta) ** (n - 1) * lip * delta
     assert moved <= eps
@@ -170,7 +169,7 @@ def test_stability_radius_with_zero_lipschitz_constant():
     a = diagonal_generator_from_entries([-1000.0, -1000.0])
     f = Functional([1.0, 0.0], 2.0)
     x = CVec([1.0, 0.0], 2.0)
-    assert _step_lipschitz(a, f, 1) == 0.0
+    assert _step_lipschitzes(a, f, [1]).item() == 0.0
     assert stability_radius(a, f, 1, product_log_value(a, f, x, 1), 0.1, 1.0) == 0.5
 
 
@@ -190,6 +189,27 @@ def test_validate_stability_stays_within_budget():
         a, f, x, n, delta, np.random.default_rng(0), samples=50
     )
     assert worst <= 2.0 * eps
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**600, 2.0**-600], ids=["unit", "2^600", "2^-600"])
+def test_validation_samples_stay_on_the_slice(monkeypatch, scale):
+    # at 2^600 f . conj(f) overflows, at 2^-600 it underflows; the kernel
+    # directions still keep f(h) = 1 at every sampled point h
+    a, f, x = two_point()
+    f = Functional(scale * f.coords, 2.0)
+    x = CVec(x.coords / scale, 2.0)
+    points = []
+    carrier = witness.batched_log_values
+
+    def recorded(a, f, shifted, *args, **kwargs):
+        points.append(shifted)
+        return carrier(a, f, shifted, *args, **kwargs)
+
+    monkeypatch.setattr(witness, "batched_log_values", recorded)
+    validate_stability(a, f, x, 16, 1e-3 / scale, np.random.default_rng(0), samples=50)
+    gauges = spaces.pairings(f, np.concatenate(points))
+    assert gauges.size == 50
+    assert np.max(np.abs(gauges - 1.0)) < 1e-12
 
 
 def test_product_log_value_matches_scalar_route():
@@ -748,6 +768,12 @@ def test_build_forms_each_block_of_the_schedule_once(monkeypatch):
     assert blocks == [32, 32, 32, 32]
 
 
+def one_count_lipschitz(a, f, n):
+    """The dual norm of exp(A/n)^T f from exp(A/n) alone."""
+    composed = spaces.semigroup_matrix(a, 1.0 / float(n)).T @ f.coords
+    return dual_norm(Functional(composed, f.p))
+
+
 def test_batched_lipschitz_constants_have_the_one_count_bits(k5_certificate):
     cert = k5_certificate
     f = cert.functional_obj()
@@ -755,7 +781,8 @@ def test_batched_lipschitz_constants_have_the_one_count_bits(k5_certificate):
     dense = dense_scan_pair()
     for a, g in [(cert.a, f), dense[:2]]:
         batched = _step_lipschitzes(a, g, steps).tolist()
-        assert batched == [_step_lipschitz(a, g, n) for n in steps]
+        assert batched == [one_count_lipschitz(a, g, n) for n in steps]
+        assert [_step_lipschitzes(a, g, [n]).item() for n in steps] == batched
 
 
 def test_verify_names_batched_failures_with_their_one_stage_numbers(k5_certificate):
