@@ -59,7 +59,6 @@ from .witness import (
     build_certificate,
     choose_step_count,
     design_blowup_law,
-    extend,
     find_direction,
     rotate_nonneg,
     stability_radius,

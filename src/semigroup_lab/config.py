@@ -196,10 +196,10 @@ class ExperimentConfig:
         raise ConfigError(f"vector.kind: {kind!r} is not basis or values")
 
     def schedule(self) -> Iterator[int]:
-        """The step counts 2^j, j_min <= j <= j_max, formed one at a time: a
-        ladder stops at 2^1024, the first count too large to divide a time
-        by, however large j_max is."""
-        return (2**j for j in range(self.j_min, self.j_max + 1))
+        """The step counts 2^j, j_min <= j <= j_max, formed one at a time and
+        with j capped at 1024: a ladder stops at 2^1024, the first count too
+        large to divide a time by, however large j_min and j_max are."""
+        return (2**j for j in range(min(self.j_min, 1024), min(self.j_max, 1024) + 1))
 
     @_config_errors()
     def _params(self, cls, spec: dict | None, section: str):

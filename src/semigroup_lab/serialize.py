@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidCertificate, SemigroupOverflow
 from .renorm import RenormReport
-from .spaces import Generator, GrowthLaw, dense_generator, diagonal_generator, law_entries
+from .spaces import Generator, GrowthLaw, _check_p, dense_generator, diagonal_generator, law_entries
 from .witness import WitnessCertificate, WitnessStage
 
 CERT_SCHEMA = "semigroup-lab/cert/2"
@@ -388,6 +388,7 @@ def cert_from_dict(data: dict) -> WitnessCertificate:
         {**data, "a": a, "functional": functional},
         a=lambda raw: raw,
         functional=lambda raw: raw,
+        p=lambda raw: _check_p(_float(raw)),
         stages=lambda raw: tuple(
             record_from_dict(
                 WitnessStage, st, f"stages[{k}].",

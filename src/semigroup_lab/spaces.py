@@ -9,11 +9,12 @@ Generators come in two flavours.  Diagonal ones are built from a growth
 law and act coordinatewise; dense ones are explicit matrices.  Orbits
 ``exp(t A) v`` go through one propagator, ``semigroup_matrices``, which
 stacks ``exp(t A)`` over a list of times.  A dense one is
-``I + (exp(t A) - I)``, and ``semigroup_defects`` forms every time's
-defect with one call of the lab's one matrix exponential,
-``matrix_expm1``, which returns exp(X) - I directly, so small-time drifts
-are not lost to cancellation.  The single-time ``semigroup_defect`` is
-that stack at one time.
+``I + (exp(t A) - I)``.  ``semigroup_defects`` forms every time's defect
+exp(t A) - I for either kind with one call: ``cexpm1_array`` of the scaled
+entries for a diagonal generator, and for a dense one the lab's one matrix
+exponential, ``matrix_expm1``, which returns exp(X) - I directly, so
+small-time drifts are not lost to cancellation.  The single-time
+``semigroup_defect`` is that table at one time.
 """
 
 from __future__ import annotations
@@ -433,17 +434,20 @@ def _scaled_entries(a: Generator, times) -> np.ndarray:
 
 
 def semigroup_defects(a: Generator, times) -> np.ndarray:
-    """``exp(t A) - I`` for every t in ``times``, stacked into a (G, d, d)
-    array, for a dense generator.
+    """``exp(t A) - I`` for every t in ``times``: the (G, d) table of
+    exp(t a_m) - 1 for a diagonal generator, the (G, d, d) stack for a dense one.
 
-    The stack of t A goes to ``matrix_expm1``, ``_DEFECT_CHUNK`` times at a
+    A diagonal table is ``cexpm1_array`` of the scaled entries; a row that
+    overflows comes back inf, and the caller decides whether it matters.  A
+    dense stack of t A goes to ``matrix_expm1``, ``_DEFECT_CHUNK`` times at a
     time; each defect has the bits of its own single-time call, and an empty
-    list of times gives a (0, d, d) stack.  Before any exponential, an
+    list of times gives a (0, d, d) stack.  Before any exponential, a dense
     overflow names the first t with |t| |A|_2 > 690, from one 2-norm of A.
     """
-    if a.kind != "dense":
-        raise ValueError("semigroup_defects needs a dense generator")
     times = np.asarray(times, dtype=np.float64)
+    if a.kind == "diagonal":
+        with np.errstate(over="ignore", invalid="ignore"):
+            return cexpm1_array(np.multiply.outer(times, a.entries))
     scales = np.abs(times) * np.linalg.norm(a.matrix, 2)
     over = np.flatnonzero(scales > 690.0)
     if over.size:
@@ -456,13 +460,11 @@ def semigroup_defects(a: Generator, times) -> np.ndarray:
 
 
 def semigroup_defect(a: Generator, t: float):
-    """The drift ``exp(t A) - I`` of the orbit map at time t.
-
-    Returns a vector of diagonal drifts for a diagonal generator and a
-    full matrix (``semigroup_defects`` at the one time) for a dense one.
-    """
+    """The drift ``exp(t A) - I`` of the orbit map at time t: ``semigroup_defects``
+    at the one time, a vector of diagonal drifts or a full matrix.  A diagonal
+    orbit that overflows raises here."""
     if a.kind == "diagonal":
-        return cexpm1_array(_scaled_entries(a, (t,))[0])
+        _scaled_entries(a, (t,))  # raises for an orbit that overflows
     return semigroup_defects(a, (t,))[0]
 
 

@@ -114,25 +114,23 @@ def _offsets(
 ) -> np.ndarray:
     """f((exp(hA) - I) v) for each time h (rows) and vector v (columns).
 
-    ``defects`` holds exp(hA) - I at the times when the caller has them: the
-    (G, d) table of exp(h a_m) - 1 for a diagonal generator, the (G, d, d)
-    stack for a dense one; without them the carrier forms them here.  A
-    diagonal term is grouped (f_m v_m)(exp(h a_m) - 1), over the
-    coordinates some f_m v_m weights; a defect there that overflows raises
-    SemigroupOverflow.  A dense generator pulls f back through its defects.
-    Each row has the same bits in a batch of any size.
+    ``defects`` holds exp(hA) - I at the times when the caller has them;
+    without them the carrier forms them here, with one ``semigroup_defects``
+    call for either kind.  A diagonal term is grouped
+    (f_m v_m)(exp(h a_m) - 1), over the coordinates some f_m v_m weights; a
+    defect there that overflows raises SemigroupOverflow.  A dense generator
+    pulls f back through its defects.  Each row has the same bits in a batch
+    of any size.
     """
+    if defects is None:
+        defects = semigroup_defects(a, times)
     if a.kind == "diagonal":
         weights = vectors * f.coords
-        if defects is None:
-            defects = cexpm1_array(np.multiply.outer(times, a.entries))
         defect = np.where(weights.any(axis=0), defects, 0.0)
         over = np.flatnonzero(np.isinf(defect).any(axis=1))
         if over.size:
             raise SemigroupOverflow(f"diagonal orbit at t = {times[over[0]]:.3g} overflows")
         return _by_rows(defect, weights)
-    if defects is None:
-        defects = semigroup_defects(a, times)
     return _by_rows(defects.transpose(0, 2, 1) @ f.coords, vectors)
 
 
@@ -285,7 +283,8 @@ def dense_trotter_apply(
     at n = 2^30, rises again to 1.8e-4 at n = 2^40, is meaningless at
     n = 2^60 and overflows by n = 2^80.  Overflow of the powered matrix
     or of the result raises SemigroupOverflow.  A caller that already
-    holds a dense generator's defect at t/n passes it as ``defect``.
+    holds the defect at t/n passes it as ``defect``; a diagonal step is
+    exp((t/n) a) itself and leaves it unread.
     """
     if n < 1:
         raise ValueError("step count must be positive")

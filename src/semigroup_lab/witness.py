@@ -12,8 +12,9 @@ Every product value is formed in log space by the one carrier,
 counts are far beyond 2^53 lose nothing to rounding.  The scan, the
 stability validation, the certificate's witness row and ``verify`` each
 evaluate a whole batch of step counts or vectors per call.  A build forms
-the defects exp(A/2^j) - I of its schedule once, in one table that every
-stage's scan and validation and the witness row read.
+the defects exp(A/2^j) - I of its whole schedule with one
+``semigroup_defects`` call, and every stage's scan and validation and the
+witness row read their rows of that table.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .spaces import (
     Generator,
     GrowthLaw,
     _conjugate_exponent,
+    _lp_norm,
     apply_generator,
-    cexpm1_array,
     diagonal_generator_from_entries,
     dual_norm,
     law_entries,
@@ -66,8 +67,6 @@ ZERO_PAIRING_FLOOR = 1e-14
 # Slack demanded of the stage pairings before rounding is blamed.
 _PAIRING_SLACK = 1e-10
 
-# Step counts per carrier call of the scan; it divides 1024, so no block straddles 2^1024.
-_SCAN_BLOCK = 32
 # Validation samples per batched call, which bounds the memory a call takes.
 _SAMPLE_BLOCK = 4096
 
@@ -168,7 +167,7 @@ def find_direction(
             needed_target=target, best_available=float(reach), radius=radius, stage=stage
         )
     if f.p == 2.0:
-        direction = np.conj(composed) / np.linalg.norm(composed)
+        direction = np.conj(composed) / _lp_norm(composed, 2.0)
     elif f.p == math.inf:
         moduli = np.abs(composed)
         direction = np.where(moduli > 0.0, np.conj(composed) / np.where(moduli > 0.0, moduli, 1.0), 1.0)
@@ -217,42 +216,11 @@ def _seed_with_meta(a: Generator, f: Functional, z: CVec):
     return _bump(a, f, base, target, radius, stage=0)
 
 
-class _StepDefects:
-    """The defects exp(A / 2^j) - I of one generator on the dyadic schedule,
-    formed as a scan first reaches them: ``cexpm1_array`` rows of t a for a
-    diagonal generator, ``semigroup_defects`` slices for a dense one.
-
-    Rows come ``_SCAN_BLOCK`` step counts at a time, each block formed as the
-    carrier would form it, so a row has the carrier's own bits.  Nothing is
-    formed that a scan does not reach: a count of 2^1024 raises
-    OverflowError and an overflowing dense orbit SemigroupOverflow only when
-    a scan gets to their block.
-    """
-
-    def __init__(self, a: Generator):
-        self.a = a
-        shape = (0, a.dim) if a.kind == "diagonal" else (0, a.dim, a.dim)
-        self.defects = np.empty(shape, dtype=np.complex128)
-
-    def __len__(self) -> int:
-        return len(self.defects)
-
-    def grow(self, j_max: int) -> None:
-        """Form the next block of step counts, up to 2^j_max."""
-        start = len(self)
-        n = np.array([float(2**j) for j in range(start, min(start + _SCAN_BLOCK, j_max + 1))])
-        times = 1.0 / n
-        # under the carrier's own error state
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if self.a.kind == "diagonal":
-                block = cexpm1_array(np.multiply.outer(times, self.a.entries))
-            else:
-                block = semigroup_defects(self.a, times)
-        self.defects = np.concatenate((self.defects, block))
-
-    def at(self, steps) -> np.ndarray:
-        """The formed defects at the dyadic step counts ``steps``."""
-        return self.defects[[n.bit_length() - 1 for n in steps]]
+def _schedule_defects(a: Generator, j_max: int) -> np.ndarray:
+    """exp(A/2^j) - I for j = 0 .. min(j_max, 1023), from one
+    ``semigroup_defects`` call: row j has the bits the carrier forms for the
+    count 2^j, and 2^1024 is the first count it cannot take."""
+    return semigroup_defects(a, np.ldexp(1.0, -np.arange(min(j_max, 1023) + 1)))
 
 
 def choose_step_count(
@@ -262,43 +230,35 @@ def choose_step_count(
     eps: float,
     j_max: int = DEFAULT_J_MAX,
     *,
-    _table: _StepDefects | None = None,
+    _table: np.ndarray | None = None,
 ) -> tuple[int, float, complex]:
     """The smallest dyadic step count whose product value lands within eps.
 
-    Scans n = 2^j upward and returns (n, error, log_value) for the first
-    n with |value - exp(f(Ax))| < eps, the error measured in log space.
-    Raises ScheduleExhausted, carrying the smallest error seen, when the
-    scan runs out; a NaN error is passed over.  The defects come from a
-    table of the schedule (``build_certificate`` shares one across its
-    stages; a call on its own forms its own): the counts the table already
-    holds go through the carrier ``batched_log_values`` in one call, then
-    each block of ``_SCAN_BLOCK`` counts the scan reaches past them is formed
-    and scanned in one more.  Every count has the bits of a call of the
-    carrier on that count alone.
+    Scans n = 2^j, j = 0 .. j_max, and returns (n, error, log_value) for the
+    first n with |value - exp(f(Ax))| < eps, the error measured in log space.
+    Raises ScheduleExhausted, carrying the smallest error seen, when no count
+    hits; a NaN error is passed over.  The whole schedule goes through the
+    carrier ``batched_log_values`` in one call, each count with the bits of a
+    call on that count alone.  Its defects are ``_table``, the schedule's
+    ``_schedule_defects`` (``build_certificate`` forms it once for all its
+    stages; a call on its own forms its own).  With j_max >= 1024 and no hit,
+    the carrier's OverflowError for 2^1024 is raised.
     """
     if not 0.0 < eps:
         raise ValueError("eps must be positive")
-    table = _StepDefects(a) if _table is None else _table
+    table = _schedule_defects(a, j_max) if _table is None else _table
     limit_log = pairing(f, apply_generator(a, x))
-    best = math.inf
-    start = 0
-    while start <= j_max:
-        if start == len(table):
-            table.grow(j_max)
-        stop = min(len(table), j_max + 1)
-        steps = [2**j for j in range(start, stop)]
-        batch = batched_log_values(
-            a, f, x.coords[None, :], steps, limit_log, defects=table.defects[start:stop]
-        )
-        errors = batch.errors[:, 0]
-        hits = np.flatnonzero(errors < eps)
-        if hits.size:
-            k = hits[0]
-            return steps[k], errors[k].item(), batch.log_values[k, 0].item()
-        # fmin passes over NaN, as the comparisons above do
-        best = min(best, np.fmin.reduce(errors).item())
-        start = stop
+    steps = [2**j for j in range(len(table))]
+    batch = batched_log_values(a, f, x.coords[None, :], steps, limit_log, defects=table)
+    errors = batch.errors[:, 0]
+    hits = np.flatnonzero(errors < eps)
+    if hits.size:
+        k = hits[0]
+        return steps[k], errors[k].item(), batch.log_values[k, 0].item()
+    if j_max > 1023:  # the next count, 2^1024, raises the carrier's OverflowError
+        batched_log_values(a, f, x.coords[None, :], [2**1024])
+    # fmin passes over NaN, as the comparisons above do
+    best = np.fmin.reduce(errors, initial=math.inf).item()
     raise ScheduleExhausted(j_max=j_max, best_error=best, target=eps)
 
 
@@ -369,7 +329,7 @@ def validate_stability(
     rng: np.random.Generator,
     samples: int = DEFAULT_VALIDATION_SAMPLES,
     *,
-    _table: _StepDefects | None = None,
+    _table: np.ndarray | None = None,
 ) -> float:
     """Worst sampled deviation |value(h) - exp(f(Ax))| on the delta-slice.
 
@@ -382,11 +342,11 @@ def validate_stability(
     loop would, so the generator ends in the same state; the draws come
     ``_SAMPLE_BLOCK`` samples at a time and go through the batched
     carrier together.  A direction with no kernel part is skipped, and a
-    NaN deviation comes back as NaN.  The defect at n is the row of
-    ``build_certificate``'s schedule table when it passes one; a call on its
-    own leaves the carrier to form it.
+    NaN deviation comes back as NaN.  The defect at n is row log2(n) of
+    ``_table``, the schedule table ``build_certificate`` passes; a call on
+    its own leaves the carrier to form it.
     """
-    defects = None if _table is None else _table.at([n])
+    defects = None if _table is None else _table[n.bit_length() - 1][None]
     limit_log = pairing(f, apply_generator(a, x))
     # the projection onto the kernel of f, which scaling f leaves alone; the
     # sum f . conj(f) leaves the normal range once an entry nears 1e154 or
@@ -424,7 +384,7 @@ def _certified_stage(
     j_max: int,
     rng: np.random.Generator,
     validation_samples: int,
-    table: _StepDefects,
+    table: np.ndarray,
     **bump,
 ) -> WitnessStage:
     """Check Re f(Ax) >= index, choose the step count, certify and sample
@@ -461,10 +421,9 @@ def extend(
     anchor_norm: float,
     j_max: int,
     rng: np.random.Generator,
+    table: np.ndarray,
     margin: float = DEFAULT_MARGIN,
     validation_samples: int = DEFAULT_VALIDATION_SAMPLES,
-    *,
-    _table: _StepDefects | None = None,
 ) -> WitnessStage:
     """Build the next stage of the ladder from the stages so far.
 
@@ -473,8 +432,8 @@ def extend(
     The bump direction is searched at half the bump radius with a
     pairing target large enough that the new stage satisfies
     Re f(A x_new) >= index even after the regauging denominator; that
-    inequality is still checked after the fact.  ``build_certificate``
-    passes its schedule table; a call on its own forms its own.
+    inequality is still checked after the fact.  The stage's scan and
+    validation read ``table``, the build's ``_schedule_defects``.
     """
     if not stages:
         raise ValueError("extend needs at least the seed stage")
@@ -496,7 +455,6 @@ def extend(
         raise ArithmeticError(
             f"stage {new_index} moved {step:.3g}, past the chain bound {chain:.3g}"
         )
-    table = _StepDefects(a) if _table is None else _table
     return _certified_stage(
         a, f, vector, new_index, eps, anchor_norm, j_max, rng, validation_samples, table, **bump
     )
@@ -510,13 +468,14 @@ def _assemble(
     stages: list[WitnessStage],
     j_max: int,
     build_seed: int,
-    table: _StepDefects,
+    table: np.ndarray,
 ) -> WitnessCertificate:
     """The certificate of ``stages``, with every stage evaluated at the last
-    stage vector through the defects its scan left in ``table``."""
+    stage vector through its row log2(n) of the schedule ``table``."""
     witness = stages[-1].vector
     steps = [st.steps for st in stages]
-    batch = batched_log_values(a, f, witness[None, :], steps, defects=table.at(steps))
+    defects = table[[n.bit_length() - 1 for n in steps]]
+    batch = batched_log_values(a, f, witness[None, :], steps, defects=defects)
     log_values = batch.log_values[:, 0].tolist()
     errors = [limit_gap_error(st.generator_pairing, lv) for st, lv in zip(stages, log_values)]
     return WitnessCertificate(
@@ -549,17 +508,18 @@ def build_certificate(
 
     On any failure the partial ladder built so far is wrapped in a
     WitnessBuildError whose ``partial`` field is a certificate for the
-    completed stages and whose ``cause`` is the underlying exception.
+    completed stages and whose ``cause`` is the underlying exception.  The
+    schedule's ``_schedule_defects`` are formed once the seed is found.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
     if stage_goal < 0:
         raise ValueError("stage goal must be nonnegative")
     rng = np.random.default_rng(seed)
-    table = _StepDefects(a)
     stages: list[WitnessStage] = []
     try:
         x0, bump = _seed_with_meta(a, f, z)
+        table = _schedule_defects(a, j_max)
         anchor_norm = norm(x0)
         stages.append(
             _certified_stage(
@@ -576,9 +536,9 @@ def build_certificate(
                     anchor_norm,
                     j_max,
                     rng,
+                    table,
                     margin=margin,
                     validation_samples=validation_samples,
-                    _table=table,
                 )
             )
     except Exception as exc:
@@ -587,6 +547,15 @@ def build_certificate(
         )
         raise WitnessBuildError(partial=partial, cause=exc) from exc
     return _assemble(a, f, z, eps, stages, j_max, seed, table)
+
+
+def _blowup_floor(index: int, two_eps: float) -> float:
+    """log(e^index - 2 eps) for any integer index: -inf where e^index <= 2 eps,
+    and the index itself (inf past 1e308) where e^index overflows."""
+    if index > 709:
+        return float(index) if index < 1e308 else math.inf
+    gap = math.exp(max(index, -746)) - two_eps
+    return math.log(gap) if gap > 0.0 else -math.inf
 
 
 def verify_certificate(cert: WitnessCertificate, strict_goal: int | None = None) -> None:
@@ -658,13 +627,13 @@ def verify_certificate(cert: WitnessCertificate, strict_goal: int | None = None)
             failures.append(f"{tag}: pairing {gauge:.3g} strays from 1")
         if not abs(drift - st.generator_pairing) <= 1e-9 * (1.0 + abs(drift)):
             failures.append(f"{tag}: stored generator pairing does not recompute")
-        if not st.generator_pairing.real >= float(st.index):
+        if not st.generator_pairing.real >= st.index:
             failures.append(
                 f"{tag}: Re f(Ax) = {st.generator_pairing.real:.6g} < {st.index}"
             )
         if st.steps & (st.steps - 1):
             failures.append(f"{tag}: step count {st.steps} is not a power of two")
-        elif st.steps > 2**cert.j_max:
+        elif st.steps.bit_length() - 1 > cert.j_max:
             failures.append(f"{tag}: step count exceeds the declared schedule")
         if not abs(lv - st.log_value) <= 1e-9 * (1.0 + abs(lv)):
             failures.append(f"{tag}: stored log value does not recompute")
@@ -702,7 +671,7 @@ def verify_certificate(cert: WitnessCertificate, strict_goal: int | None = None)
                 failures.append(f"{tag}: deviation {err:.3g} is not below 2*eps")
             if not abs(err - err_stored) <= 1e-9 * (1.0 + err):
                 failures.append(f"{tag}: stored deviation does not recompute")
-            floor = math.log(math.exp(st.index) - two_eps)
+            floor = _blowup_floor(st.index, two_eps)
             if not lv.real >= floor - 1e-12:
                 failures.append(
                     f"{tag}: log-modulus {lv.real:.6g} under the blow-up floor {floor:.6g}"

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -193,6 +194,24 @@ def test_sweep_overflow_keeps_csv_header(tmp_path):
     assert schema_line == "# schema=semigroup-lab/sweep-csv/1"
     assert header[0] == "trial"
     assert rows == []
+
+
+@pytest.mark.parametrize("command", ["limit-check", "sweep"])
+def test_a_far_schedule_exponent_forms_no_huge_step_count(tmp_path, capsys, command):
+    # 2^(10^8) would be a 12.5 MB integer; both cap the exponent at 1024, the
+    # first count no time divides by, and stop there as they do at j = 1024
+    far = {"j_min": 10**8, "j_max": 10**8}
+    cfg = write_config(tmp_path, "far", schedule=far, sweep={"trials": 2, "times": [1.0]})
+    tracemalloc.start()
+    try:
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_OVERFLOW
+    assert peak < 2**20
+    if command == "limit-check":
+        assert "overflow after 0 rows: int too large to convert to float" in capsys.readouterr().err
 
 
 def test_sweep_overflow_keeps_the_rows_before_it(tmp_path):
@@ -790,17 +809,25 @@ def test_functional_past_the_sum_of_squares_range_is_no_config_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    ("scale", "steps"), [(1e160, [1, 2**23]), (1e-160, [1])], ids=["1e160", "1e-160"]
+    ("name", "scale", "base", "steps"),
+    [
+        ("blowup_k5", 1e160, 2.0, [1, 2**23]),
+        ("blowup_k5", 1e-160, 2.0, [1]),
+        ("bounded_contrapositive", 1e160, 16.0, [16]),
+    ],
+    ids=["1e160", "1e-160", "dense_1e160"],
 )
 def test_functional_outside_the_sum_of_squares_range_builds_without_a_warning(
-    tmp_path, scale, steps
+    tmp_path, name, scale, base, steps
 ):
     # f . conj(f) is out of the normal range, so the validation's kernel
-    # projection is formed from f scaled by its largest modulus.  The build
-    # stops after the stages that scales 10.24 and 0.01 * 2^-10 reach: the
-    # radius cap of 1.0 is not in the functional's units (ROADMAP item 4)
-    functional = {"kind": "geometric", "scale": scale, "base": 2.0}
-    cfg = write_config(tmp_path, "scaled", **{**K5_CONFIG, "functional": functional})
+    # projection is formed from f scaled by its largest modulus, and the dense
+    # direction search divides by the overflow-safe norm of f(A .).  The K = 5
+    # build stops after the stages that scales 10.24 and 0.01 * 2^-10 reach:
+    # the radius cap of 1.0 is not in the functional's units (ROADMAP item 4);
+    # the dense one where it stops at scale 1
+    functional = {"kind": "geometric", "scale": scale, "base": base}
+    cfg = write_config(tmp_path, "scaled", **{**shipped_config(name), "functional": functional})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(["witness", "--config", str(cfg), "--out", str(tmp_path)])
@@ -982,6 +1009,18 @@ def inflate_radius(path):
     path.write_text(json.dumps(payload))
 
 
+def unnormed_p(path):
+    payload = load_json(V1_DATA / "blowup_k5.cert.json")
+    payload["p"] = 1.5
+    path.write_text(json.dumps(payload))
+
+
+def index_past_exp(path):
+    payload = load_json(V1_DATA / "blowup_k5.cert.json")
+    payload["stages"][2]["index"] = 710
+    path.write_text(json.dumps(payload))
+
+
 @pytest.mark.parametrize(
     "prepare, code, message",
     [
@@ -993,8 +1032,11 @@ def inflate_radius(path):
         ),
         (drop_eps, EXIT_INVALID, "certificate invalid: eps: missing"),
         (inflate_radius, EXIT_INVALID, "stability radius fails its certificate"),
+        (unnormed_p, EXIT_INVALID, "certificate invalid: p: p must be one of 1, 2, inf"),
+        (index_past_exp, EXIT_INVALID, "certificate invalid: stage 710: index out of order"),
     ],
-    ids=["missing_file", "not_json", "missing_eps", "inflated_radius"],
+    ids=["missing_file", "not_json", "missing_eps", "inflated_radius", "unnormed_p",
+         "index_past_exp"],
 )
 def test_split_audit_certificate_file_errors(tmp_path, capsys, prepare, code, message):
     cert = tmp_path / "given.cert.json"

@@ -399,10 +399,31 @@ def test_semigroup_defects_overflow_names_the_first_time():
     with pytest.raises(SemigroupOverflow) as stacked:
         semigroup_defects(a, times)
     assert str(stacked.value) == f"dense orbit with |tA| = {first:.3g} overflows"
-    with pytest.raises(ValueError, match="dense generator"):
-        semigroup_defects(diagonal_generator_from_entries([0.0, 1.0]), times)
+    # a diagonal table keeps its overflowing rows, t = 75 and 90, as inf; the
+    # one-time view raises
+    diagonal = diagonal_generator_from_entries([0.0, 10.0])
+    table = semigroup_defects(diagonal, times)
+    assert np.flatnonzero(np.isinf(table).any(axis=1)).tolist() == [len(times) - 3, len(times) - 1]
+    with pytest.raises(SemigroupOverflow, match="diagonal orbit at t = 75 overflows"):
+        semigroup_defect(diagonal, 75.0)
     assert semigroup_defects(a, []).shape == (0, 2, 2)
     assert matrix_expm1(np.empty((0, 2, 2))).shape == (0, 2, 2)
+
+
+def test_diagonal_semigroup_defects_match_the_carrier_and_the_one_time_view():
+    # every row has the bits of the carrier's own diagonal formula,
+    # cexpm1_array of the scaled entries, and of semigroup_defect at its time
+    rng = np.random.default_rng(67)
+    times = np.concatenate(([0.0, 1.0], np.ldexp(1.0, -np.arange(1, 1024, 7)), [3.0]))
+    for dim in (1, 4, 9):
+        raw = rng.standard_normal(dim) * 3.0 - 1.5 + 1j * rng.standard_normal(dim) * 30.0
+        a = diagonal_generator_from_entries(raw[np.argsort(np.abs(raw))])
+        table = semigroup_defects(a, times)
+        assert table.shape == (times.size, dim)
+        carrier = cexpm1_array(np.multiply.outer(times, a.entries))
+        assert table.tobytes() == carrier.tobytes()
+        for t, row in zip(times, table):
+            assert row.tobytes() == semigroup_defect(a, float(t)).tobytes()
 
 
 # Times as multiples of the guard's edge 690 / |A|_2: negative, zero and

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,8 +47,8 @@ from semigroup_lab.serialize import encode
 from semigroup_lab.trotter import batched_log_values, limit_gap_error
 from semigroup_lab.witness import (
     _seed_with_meta,
+    _schedule_defects,
     _step_lipschitzes,
-    _StepDefects,
     product_log_value,
 )
 
@@ -561,9 +562,8 @@ def looped_step_scan(a, f, x, eps, j_max):
 
 @pytest.mark.parametrize("eps, j_max", [(1e-11, 40), (1e-13, 44)])
 def test_dense_step_scan_matches_one_count_per_call(eps, j_max, monkeypatch):
-    # a dense scan forms 32 step counts per exponential call (two calls here,
-    # j = 0..31 and 32..j_max), and its hit past the block edge has the bits
-    # of the loop's
+    # a dense scan forms its whole schedule, j = 0..j_max, with one
+    # exponential call, and its hit past 2^32 has the bits of the loop's
     a, f, x = dense_scan_pair()
     expected = looped_step_scan(a, f, x, eps, j_max)
     calls = []
@@ -572,7 +572,7 @@ def test_dense_step_scan_matches_one_count_per_call(eps, j_max, monkeypatch):
     got = choose_step_count(a, f, x, eps, j_max)
     assert got[0] > 2**32
     assert got == expected
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_dense_step_scan_exhaustion_matches_one_count_per_call():
@@ -608,6 +608,22 @@ def test_verify_rejects_step_counts_the_carrier_cannot_take(k5_certificate, step
     assert info.value.failures == ["stage 1: step count outside [1, 2^1024)"]
 
 
+def test_verify_forms_no_count_from_a_far_schedule_exponent(k5_certificate):
+    # each step count is held to j_max through its bit length, not against
+    # 2^j_max, a 1.25 MB integer at j_max = 10^7
+    far = dataclasses.replace(k5_certificate, j_max=10**7)
+    tracemalloc.start()
+    try:
+        verify_certificate(far)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(InvalidCertificate) as info:
+        verify_certificate(dataclasses.replace(k5_certificate, j_max=121))
+    assert info.value.failures == ["stage 5: step count exceeds the declared schedule"]
+
+
 @pytest.mark.parametrize(
     "mutate, failure",
     [
@@ -641,10 +657,21 @@ def test_verify_rejects_step_counts_the_carrier_cannot_take(k5_certificate, step
         ),
         (lambda cert: dataclasses.replace(cert, eps=0.6), "eps 0.6 outside (0, 1/2)"),
         (lambda cert: dataclasses.replace(cert, eps=-1.0), "eps -1.0 outside (0, 1/2)"),
+        (
+            lambda cert: cert_from_dict({**cert_to_dict(cert), "p": 1.5}),
+            "p: p must be one of 1, 2, inf (got 1.5)",
+        ),
+        # the blow-up floor log(e^k - 2 eps) of each: e^710 overflows, e^-2 < 2 eps
+        (lambda cert: replace_stage(cert, 2, index=710), "stage 710: index out of order"),
+        (lambda cert: replace_stage(cert, 0, index=-2), "stage -2: index out of order"),
+        (
+            lambda cert: replace_stage(cert, 2, index=10**400),
+            f"stage {10**400}: index out of order",
+        ),
     ],
     ids=["nan_radius", "nan_log_value", "nan_witness_log_value", "nan_witness_error",
          "negative_limit_error", "huge_limit_error", "empty_witness_errors", "eps_above_half",
-         "eps_negative"],
+         "eps_negative", "unnormed_p", "index_past_exp", "negative_index", "index_past_floats"],
 )
 def test_verify_rejects_stored_numbers_it_cannot_recompute(k5_certificate, mutate, failure):
     with pytest.raises(InvalidCertificate) as info:
@@ -652,10 +679,10 @@ def test_verify_rejects_stored_numbers_it_cannot_recompute(k5_certificate, mutat
     assert failure in info.value.failures
 
 
-# The schedule table a build shares across its stages: each scan covers the
-# rows already formed in one carrier call, then forms and scans one block at
-# a time.  Every (n, err, log_value) must have the bits of the carrier called
-# on that count alone, whatever the table held before the scan.
+# The schedule table a build shares across its stages: exp(A/2^j) - I for
+# j = 0 .. min(j_max, 1023) from one semigroup_defects call, each scan
+# covering all of it in one carrier call.  Every (n, err, log_value) must
+# have the bits of the carrier called on that count alone.
 
 SCAN_STOPS = (ScheduleExhausted, SemigroupOverflow, OverflowError)
 
@@ -669,10 +696,13 @@ def outcome(scan, *args, **kwargs):
 
 
 def shared_table_scans(a, f, xs, eps, j_max):
-    """``choose_step_count`` on each vector in turn through one table, as a
-    build does."""
-    table = _StepDefects(a)
-    return [outcome(choose_step_count, a, f, x, eps, j_max, _table=table) for x in xs], table
+    """``choose_step_count`` on each vector in turn through one schedule
+    table, as a build does; each outcome is also the scan's own without it."""
+    table = _schedule_defects(a, j_max)
+    got = [outcome(choose_step_count, a, f, x, eps, j_max, _table=table) for x in xs]
+    for x, result in zip(xs, got):
+        assert_same_outcome(outcome(choose_step_count, a, f, x, eps, j_max), result)
+    return got, table
 
 
 def assert_same_outcome(got, expected):
@@ -686,36 +716,33 @@ def assert_same_outcome(got, expected):
         assert got == expected
 
 
-@pytest.mark.parametrize("block", [32, 5, 1])
 @pytest.mark.parametrize("order", ["ladder", "reversed"])
-def test_table_scan_matches_one_count_per_call_diagonal(k5_certificate, monkeypatch, block, order):
-    # the K = 5 ladder hits at j = 0, 18, 38, 62, 90 and 122: inside the
-    # first block, past one or more block edges, and, in reverse order, on
-    # rows a longer scan formed before
+def test_table_scan_matches_one_count_per_call_diagonal(k5_certificate, order):
+    # the K = 5 ladder hits at j = 0, 18, 38, 62, 90 and 122, all read from
+    # one table of j = 0..160, in ladder order and in reverse
     cert = k5_certificate
     a, f = cert.a, cert.functional_obj()
-    monkeypatch.setattr(witness, "_SCAN_BLOCK", block)
     xs = [CVec(st.vector, cert.p) for st in cert.stages]
     if order == "reversed":
         xs.reverse()
     got, table = shared_table_scans(a, f, xs, cert.eps, cert.j_max)
     for x, result in zip(xs, got):
         assert_same_outcome(result, outcome(looped_step_scan, a, f, x, cert.eps, cert.j_max))
-    # no block past the one holding the deepest hit, 2^122
-    assert len(table) == min(-(-123 // block) * block, cert.j_max + 1)
+    assert sorted(result[0].bit_length() - 1 for result in got) == [0, 18, 38, 62, 90, 122]
+    assert table.shape == (cert.j_max + 1, a.dim)
 
 
-@pytest.mark.parametrize("block", [32, 7])
-def test_table_scan_matches_one_count_per_call_dense(monkeypatch, block):
-    # hits at several depths on one table, then one past every formed row
+@pytest.mark.parametrize("chunk", [32, 7])
+def test_table_scan_matches_one_count_per_call_dense(monkeypatch, chunk):
+    # hits at several depths on one table, then a scan that hits nowhere; the
+    # table's 45 times go to the matrix exponential ``chunk`` at a time
+    monkeypatch.setattr(spaces, "_DEFECT_CHUNK", chunk)
     a, f, x = dense_scan_pair()
-    monkeypatch.setattr(witness, "_SCAN_BLOCK", block)
-    table = _StepDefects(a)
     for eps in [1e-3, 1e-11, 1e-2, 1e-13, 1e-17]:
-        got = outcome(choose_step_count, a, f, x, eps, 44, _table=table)
-        assert_same_outcome(got, outcome(looped_step_scan, a, f, x, eps, 44))
-    assert isinstance(got, ScheduleExhausted)
-    assert len(table) == 45
+        got, table = shared_table_scans(a, f, [x], eps, 44)
+        assert_same_outcome(got[0], outcome(looped_step_scan, a, f, x, eps, 44))
+    assert isinstance(got[0], ScheduleExhausted)
+    assert table.shape == (45, 4, 4)
 
 
 def test_table_scan_exhaustion_keeps_the_best_error(k5_certificate):
@@ -740,32 +767,55 @@ def test_table_scan_passes_over_nan_rows():
 
 
 def test_table_scan_raises_where_the_carrier_does():
-    # a diagonal orbit that overflows at t = 1, once weighted and once not
+    # a diagonal orbit that overflows at t = 1, once weighted and once not:
+    # the table holds the inf row either way, and only the weighted scan raises
     a = diagonal_generator_from_entries([1000.0, 0.5j])
     f = Functional([0.5, 0.5], 2.0)
     xs = [CVec([1.0, 1.0], 2.0), CVec([0.0, 2.0], 2.0)]
-    got, _ = shared_table_scans(a, f, xs, 0.1, 40)
+    got, table = shared_table_scans(a, f, xs, 0.1, 40)
+    assert np.isinf(table[0, 0])
     assert isinstance(got[0], SemigroupOverflow)
     for x, result in zip(xs, got):
         assert_same_outcome(result, outcome(looped_step_scan, a, f, x, 0.1, 40))
-    # a count of 2^1024 cannot divide a time: reached only when nothing hits first
+    # a count of 2^1024 cannot divide a time: the table stops at 2^1023, and a
+    # scan past it raises the carrier's OverflowError only when nothing hits
     a = diagonal_generator_from_entries([0.3 + 0.7j, 1.1j, -0.2])
     f = Functional([0.5, -1.25, 2.0], 2.0)
     x = CVec(np.array([1.0, 0.5j, 0.25]) / (1.0 - 0.625j), 2.0)  # f(x) = 1
-    got, table = shared_table_scans(a, f, [x], 5e-324, 1030)
-    assert isinstance(got[0], OverflowError)
-    assert_same_outcome(got[0], outcome(looped_step_scan, a, f, x, 5e-324, 1030))
-    assert len(table) == 1024
+    for eps in [5e-324, 0.1]:
+        got, table = shared_table_scans(a, f, [x], eps, 1030)
+        assert_same_outcome(got[0], outcome(looped_step_scan, a, f, x, eps, 1030))
+    assert table.shape == (1024, 3)
+    with pytest.raises(OverflowError, match="int too large to convert to float"):
+        choose_step_count(a, f, x, 5e-324, 1030)
+    assert choose_step_count(a, f, x, 0.1, 1030)[0] < 2**1024
 
 
-def test_build_forms_each_block_of_the_schedule_once(monkeypatch):
-    # K = 5 reaches 2^122: four blocks of 32 counts, each formed by one
-    # cexpm1_array call, however many stages scan them
-    blocks = []
-    kernel = witness.cexpm1_array
-    monkeypatch.setattr(witness, "cexpm1_array", lambda z: blocks.append(len(z)) or kernel(z))
+def test_dense_table_overflow_stops_the_build_after_the_seed():
+    # |A|_2 > 1000 overflows at t = 1: the one table call raises, after the
+    # seed search and before any stage
+    a = dense_generator(np.array([[1.0, 1000.0], [0.0, 0.0]]))
+    f, z = Functional([1.0, 0.0], 2.0), CVec([1.0, 0.0], 2.0)
+    _seed_with_meta(a, f, z)
+    assert isinstance(outcome(_schedule_defects, a, 40), SemigroupOverflow)
+    with pytest.raises(WitnessBuildError) as info:
+        build_certificate(a, f, z, 0.1, 2)
+    assert isinstance(info.value.cause, SemigroupOverflow)
+    assert info.value.partial is None
+
+
+def test_build_forms_its_schedule_in_one_call(monkeypatch):
+    # K = 5 forms exp(A/2^j) - I for j = 0..160 with one semigroup_defects
+    # call, however many stages scan it, and no other defect call
+    calls = []
+    kernel = witness.semigroup_defects
+    monkeypatch.setattr(witness, "semigroup_defects", lambda a, t: calls.append(len(t)) or kernel(a, t))
+    shapes = []
+    table_kernel = spaces.cexpm1_array
+    monkeypatch.setattr(spaces, "cexpm1_array", lambda z: shapes.append(z.shape) or table_kernel(z))
     build_from_config("blowup_k5")
-    assert blocks == [32, 32, 32, 32]
+    assert calls == [161]
+    assert shapes == [(161, 7)]
 
 
 def one_count_lipschitz(a, f, n):
