@@ -716,12 +716,17 @@ def assert_same_outcome(got, expected):
         assert got == expected
 
 
+@pytest.mark.parametrize("block", [32, 5, 1])
 @pytest.mark.parametrize("order", ["ladder", "reversed"])
-def test_table_scan_matches_one_count_per_call_diagonal(k5_certificate, order):
+def test_table_scan_matches_one_count_per_call_diagonal(k5_certificate, block, order):
     # the K = 5 ladder hits at j = 0, 18, 38, 62, 90 and 122, all read from
-    # one table of j = 0..160, in ladder order and in reverse
+    # one table of j = 0..160, in ladder order and in reverse; that table has
+    # the bits of one formed ``block`` rows per semigroup_defects call
     cert = k5_certificate
     a, f = cert.a, cert.functional_obj()
+    times = np.ldexp(1.0, -np.arange(cert.j_max + 1))
+    blocks = [spaces.semigroup_defects(a, times[k : k + block]) for k in range(0, len(times), block)]
+    assert np.array_equal(np.concatenate(blocks), _schedule_defects(a, cert.j_max))
     xs = [CVec(st.vector, cert.p) for st in cert.stages]
     if order == "reversed":
         xs.reverse()
