@@ -112,13 +112,23 @@ def _dividable(schedule: Iterable[int]) -> tuple[list[int], OverflowError | None
 
 
 def _step_defects(a: Generator, steps: list[float]) -> np.ndarray | None:
-    """The defects exp(hA) - I at the steps h, from one call, or None when
-    some dense |hA| fails the overflow check; then each row meets that check
-    itself, once the rows before it are written."""
+    """The defects exp(hA) - I at a sweep trial's steps h, from one call, or
+    None when some dense |hA| fails the overflow check; then each row meets
+    that check itself, once the rows before it are written."""
     try:
         return semigroup_defects(a, steps)
     except SemigroupOverflow:
         return None
+
+
+def _limit_target(oracle: np.ndarray, x: CVec, t: float) -> np.ndarray:
+    """The bounded-limit oracle's target exp(tPAP)Px at t, or SemigroupOverflow
+    when the oracle overflowed and left inf or NaN entries."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = oracle @ x.coords
+    if not np.all(np.isfinite(target)):
+        raise SemigroupOverflow(f"bounded limit oracle overflowed at t = {t!r}")
+    return target
 
 
 def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -129,11 +139,9 @@ def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
         require_unit_pairing(f, x)
     except ValueError as exc:
         raise ConfigError(f"vector: {exc}") from exc
-    oracle_vec = None
     proj = None
     if cfg.projection_spec is not None:
         proj = cfg.projection(f, x)
-        oracle_vec = bounded_limit_oracle(a, proj, cfg.time) @ x.coords
     fields = [
         "steps",
         "step_re",
@@ -155,11 +163,13 @@ def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     last_err = math.inf
     try:
         counts, undividable = _dividable(cfg.schedule())
-        # the scalar record and the dense product of a row share one defect
-        defects = _step_defects(a, [cfg.time / float(n) for n in counts])
+        # the scalar record and the dense product of a row share one defect;
+        # the steps t/n shrink, so a dense overflow stops the first row
+        defects = semigroup_defects(a, [cfg.time / float(n) for n in counts])
         records = scalar_trotter_values(a, f, x, cfg.time, counts, defects)
+        if proj is not None:
+            oracle_vec = _limit_target(bounded_limit_oracle(a, proj, cfg.time), x, cfg.time)
         for k, rec in enumerate(records):
-            last_err = rec.err_vs_limit
             step, deriv, log, value = rec.step_value, rec.derivative, rec.log_value, rec.value
             line = (
                 f"{rec.steps},{step.real!r},{step.imag!r},{deriv.real!r},{deriv.imag!r},"
@@ -168,10 +178,10 @@ def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
                 + f",{rec.err_vs_limit!r},{rec.path},{1 if rec.branch_ambiguous else 0}"
             )
             if proj is not None:
-                defect = None if defects is None else defects[k]
-                product = dense_trotter_apply(a, proj, x, cfg.time, rec.steps, defect=defect)
+                product = dense_trotter_apply(a, proj, x, cfg.time, rec.steps, defect=defects[k])
                 line += f",{norm(CVec(product.coords - oracle_vec, x.p))!r}"
             lines.append(line)
+            last_err = rec.err_vs_limit
         if undividable is not None:
             raise undividable
     except OVERFLOWS as exc:
@@ -389,13 +399,13 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         proj = random_oblique_projection(dim, rank, rng, norm_cap=params.projection_norm_cap)
         x = CVec(rng.standard_normal(dim) + 1j * rng.standard_normal(dim), 2.0)
         try:
-            targets = bounded_limit_oracles(a, proj, params.times) @ x.coords
+            oracles = bounded_limit_oracles(a, proj, params.times)
             defects = _step_defects(a, [t / float(steps) for t in params.times])
             tail = f"{projection_norm(proj)!r},{params.generator_norm!r}"
-            for k, (t, target) in enumerate(zip(params.times, targets)):
+            for k, t in enumerate(params.times):
                 defect = None if defects is None else defects[k]
                 product = dense_trotter_apply(a, proj, x, t, steps, defect=defect)
-                gap = norm(CVec(product.coords - target, x.p))
+                gap = norm(CVec(product.coords - _limit_target(oracles[k], x, t), x.p))
                 gaps.append(gap)
                 lines.append(f"{trial},{dim},{rank},{t!r},{steps},{gap!r},{tail}")
         except OVERFLOWS:

@@ -319,12 +319,14 @@ def bounded_limit_oracles(a: Generator, proj: Projection, times) -> np.ndarray:
     the stack, and has the bits of its own single-time call.  The product
     routes' defects come from the same kernel on another matrix; the
     50-digit mpmath tests of both are what keep this comparison from being
-    circular.  An exponential that overflows gives inf or NaN entries.
+    circular.  An exponential that overflows gives inf or NaN entries, and
+    no warning: the caller checks the entries it reads.
     """
     p_mat = projection_matrix(proj)
     compressed = p_mat @ _generator_matrix(a) @ p_mat
     scaled = np.multiply.outer(np.asarray(times, dtype=np.float64), compressed)
-    return p_mat + matrix_expm1(scaled) @ p_mat
+    with np.errstate(over="ignore", invalid="ignore"):
+        return p_mat + matrix_expm1(scaled) @ p_mat
 
 
 def bounded_limit_oracle(a: Generator, proj: Projection, t: float) -> np.ndarray:

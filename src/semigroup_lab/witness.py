@@ -241,8 +241,9 @@ def choose_step_count(
     carrier ``batched_log_values`` in one call, each count with the bits of a
     call on that count alone.  Its defects are ``_table``, the schedule's
     ``_schedule_defects`` (``build_certificate`` forms it once for all its
-    stages; a call on its own forms its own).  With j_max >= 1024 and no hit,
-    the carrier's OverflowError for 2^1024 is raised.
+    stages; a call on its own forms its own).  The schedule ends at 2^1023,
+    the last count a time can be divided by, so the ScheduleExhausted of a
+    scan with j_max >= 1024 names j_max = 1023, the last count it tried.
     """
     if not 0.0 < eps:
         raise ValueError("eps must be positive")
@@ -255,11 +256,9 @@ def choose_step_count(
     if hits.size:
         k = hits[0]
         return steps[k], errors[k].item(), batch.log_values[k, 0].item()
-    if j_max > 1023:  # the next count, 2^1024, raises the carrier's OverflowError
-        batched_log_values(a, f, x.coords[None, :], [2**1024])
     # fmin passes over NaN, as the comparisons above do
     best = np.fmin.reduce(errors, initial=math.inf).item()
-    raise ScheduleExhausted(j_max=j_max, best_error=best, target=eps)
+    raise ScheduleExhausted(j_max=len(steps) - 1, best_error=best, target=eps)
 
 
 def _step_lipschitzes(a: Generator, f: Functional, steps) -> np.ndarray:
@@ -374,69 +373,16 @@ def validate_stability(
     return float(np.max(worst))
 
 
-def _certified_stage(
-    a: Generator,
-    f: Functional,
-    x: CVec,
-    index: int,
-    eps: float,
-    anchor_norm: float,
-    j_max: int,
-    rng: np.random.Generator,
-    validation_samples: int,
-    table: np.ndarray,
-    **bump,
-) -> WitnessStage:
-    """Check Re f(Ax) >= index, choose the step count, certify and sample
-    the stability radius, and record the stage with its ``bump`` fields.
-    Both the scan and the sampling read their defects from ``table``."""
-    label = f"stage {index}" if index else "seed stage"
-    drift = pairing(f, apply_generator(a, x))
-    if drift.real < float(index):
-        raise ArithmeticError(f"{label} reached Re f(Ax) = {drift.real:.6g} < {index}")
-    steps, err, log_value = choose_step_count(a, f, x, eps, j_max=j_max, _table=table)
-    delta = stability_radius(a, f, steps, log_value, eps, anchor_norm, stage=index)
-    worst = validate_stability(
-        a, f, x, steps, delta, rng, samples=validation_samples, _table=table
-    )
-    if not worst < 2.0 * eps:
-        raise ArithmeticError(f"{label} sampled deviation {worst:.3g} breaks the 2*eps bound")
-    return WitnessStage(
-        index=index,
-        vector=x.coords.copy(),
-        generator_pairing=drift,
-        steps=steps,
-        limit_error=err,
-        stability_radius=delta,
-        log_value=log_value,
-        **bump,
-    )
-
-
-def extend(
-    a: Generator,
-    f: Functional,
-    stages: list[WitnessStage],
-    eps: float,
-    anchor_norm: float,
-    j_max: int,
-    rng: np.random.Generator,
-    table: np.ndarray,
-    margin: float = DEFAULT_MARGIN,
-    validation_samples: int = DEFAULT_VALIDATION_SAMPLES,
-) -> WitnessStage:
-    """Build the next stage of the ladder from the stages so far.
+def _next_rung(a: Generator, f: Functional, stages: list[WitnessStage], margin: float):
+    """The next rung's vector and bump fields, from the stages so far.
 
     The step size is limited by the chain min_j delta_j / 2^(k-j) so the
     whole tail of the ladder stays inside every earlier stability ball.
     The bump direction is searched at half the bump radius with a
     pairing target large enough that the new stage satisfies
-    Re f(A x_new) >= index even after the regauging denominator; that
-    inequality is still checked after the fact.  The stage's scan and
-    validation read ``table``, the build's ``_schedule_defects``.
+    Re f(A x_new) >= index even after the regauging denominator; the
+    build still checks that inequality after the fact.
     """
-    if not stages:
-        raise ValueError("extend needs at least the seed stage")
     new_index = len(stages)
     phi_norm = dual_norm(f)
     chain = min(st.stability_radius / 2.0 ** (new_index - st.index) for st in stages)
@@ -455,9 +401,7 @@ def extend(
         raise ArithmeticError(
             f"stage {new_index} moved {step:.3g}, past the chain bound {chain:.3g}"
         )
-    return _certified_stage(
-        a, f, vector, new_index, eps, anchor_norm, j_max, rng, validation_samples, table, **bump
-    )
+    return vector, bump
 
 
 def _assemble(
@@ -506,10 +450,16 @@ def build_certificate(
 ) -> WitnessCertificate:
     """Run the full ladder to ``stage_goal`` and certify it.
 
+    One loop certifies every rung: the seed comes from ``_seed_with_meta``
+    and each later rung from ``_next_rung``, and each is checked for
+    Re f(Ax) >= index, given its step count by ``choose_step_count``, its
+    radius by ``stability_radius``, and sampled by ``validate_stability``.
+    The schedule's ``_schedule_defects`` are formed once the seed is found,
+    and every stage's scan and sampling read them.
+
     On any failure the partial ladder built so far is wrapped in a
     WitnessBuildError whose ``partial`` field is a certificate for the
-    completed stages and whose ``cause`` is the underlying exception.  The
-    schedule's ``_schedule_defects`` are formed once the seed is found.
+    completed stages and whose ``cause`` is the underlying exception.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
@@ -518,27 +468,35 @@ def build_certificate(
     rng = np.random.default_rng(seed)
     stages: list[WitnessStage] = []
     try:
-        x0, bump = _seed_with_meta(a, f, z)
+        x, bump = _seed_with_meta(a, f, z)
         table = _schedule_defects(a, j_max)
-        anchor_norm = norm(x0)
-        stages.append(
-            _certified_stage(
-                a, f, x0, 0, eps, anchor_norm, j_max, rng, validation_samples, table, **bump
+        anchor_norm = norm(x)
+        for index in range(stage_goal + 1):
+            if index:
+                x, bump = _next_rung(a, f, stages, margin)
+            label = f"stage {index}" if index else "seed stage"
+            drift = pairing(f, apply_generator(a, x))
+            if drift.real < float(index):
+                raise ArithmeticError(f"{label} reached Re f(Ax) = {drift.real:.6g} < {index}")
+            steps, err, log_value = choose_step_count(a, f, x, eps, j_max=j_max, _table=table)
+            delta = stability_radius(a, f, steps, log_value, eps, anchor_norm, stage=index)
+            worst = validate_stability(
+                a, f, x, steps, delta, rng, samples=validation_samples, _table=table
             )
-        )
-        for _ in range(stage_goal):
+            if not worst < 2.0 * eps:
+                raise ArithmeticError(
+                    f"{label} sampled deviation {worst:.3g} breaks the 2*eps bound"
+                )
             stages.append(
-                extend(
-                    a,
-                    f,
-                    stages,
-                    eps,
-                    anchor_norm,
-                    j_max,
-                    rng,
-                    table,
-                    margin=margin,
-                    validation_samples=validation_samples,
+                WitnessStage(
+                    index=index,
+                    vector=x.coords.copy(),
+                    generator_pairing=drift,
+                    steps=steps,
+                    limit_error=err,
+                    stability_radius=delta,
+                    log_value=log_value,
+                    **bump,
                 )
             )
     except Exception as exc:

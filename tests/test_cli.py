@@ -231,6 +231,35 @@ def test_sweep_overflow_keeps_the_rows_before_it(tmp_path):
     assert read_csv(tmp_path / "long.sweep.csv") == read_csv(tmp_path / "short.sweep.csv")
 
 
+def test_limit_check_oracle_overflow_writes_no_row(tmp_path, capsys):
+    # the bounded-limit oracle exp(800) overflows; the verdict reads the
+    # rows written, of which there are none
+    data = shipped_config("bounded_oracle")
+    data["generator"]["matrix"] = [[400.0 * v for v in row] for row in data["generator"]["matrix"]]
+    data["schedule"] = {"j_min": 12, "j_max": 14}
+    cfg = tmp_path / "big_oracle.config.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["limit-check", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OVERFLOW
+    out, err = capsys.readouterr()
+    assert "overflow after 0 rows: bounded limit oracle overflowed at t = 1.0" in err
+    assert "final error inf above tolerance" in out
+    assert read_csv(tmp_path / "big_oracle.limit.csv")[2] == []
+
+
+def test_sweep_oracle_overflow_keeps_the_rows_before_it(tmp_path):
+    # at generator norm 2000 trial 3's oracle overflows at t = 2: the trial
+    # keeps its rows at t = 0.5 and 1, writes no NaN row, and the sweep goes on
+    data = shipped_config("sweep_bounded")
+    data["sweep"]["generator_norm"] = 2000.0
+    cfg = tmp_path / "big_sweep.config.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OVERFLOW
+    _, _, rows = read_csv(tmp_path / "big_sweep.sweep.csv")
+    assert all(math.isfinite(float(row["product_gap"])) for row in rows)
+    assert [row["time"] for row in rows if row["trial"] == "3"] == ["0.5", "1.0"]
+    assert rows[-1]["trial"] == "11"
+
+
 def test_witness_truncation_saves_partial(tmp_path, capsys):
     rc = main(["witness", "--config", "bounded_contrapositive", "--out", str(tmp_path)])
     assert rc == EXIT_TRUNCATION
@@ -250,6 +279,22 @@ def test_witness_exhausted_schedule_saves_partial(tmp_path, capsys):
     partial = tmp_path / "j_max_zero.cert.json"
     assert len(load_json(partial)["stages"]) == 1
     assert main(["verify", str(partial)]) == EXIT_OK
+
+
+def test_witness_schedule_past_2_1023_exits_with_truncation(tmp_path, capsys):
+    # 2^1023 is the last count a time divides by; a schedule declared past it
+    # ends there, and a build that finds no count exits 4 as it would at 1023
+    cfg = write_config(
+        tmp_path,
+        "far_schedule",
+        space={"dim": 3, "p": 2},
+        generator={"kind": "diagonal", "law": {"kind": "table", "values": [-0.2, [0.1, 0.7], [0.0, 5.0]]}},
+        functional={"kind": "values", "values": [0.6, 0.15, -0.375]},
+        vector={"kind": "basis", "index": 1},
+        witness={"eps": 5e-324, "stages": 0, "j_max": 1030},
+    )
+    assert main(["witness", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_TRUNCATION
+    assert "witness build failed: no step count 2^j with j <= 1023" in capsys.readouterr().err
 
 
 def test_split_audit_build_failure_exits_with_its_cause(tmp_path, capsys):

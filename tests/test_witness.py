@@ -548,16 +548,18 @@ def dense_scan_pair():
 
 
 def looped_step_scan(a, f, x, eps, j_max):
-    """The step-count scan with one carrier call per step count."""
+    """The step-count scan with one carrier call per step count, up to
+    2^min(j_max, 1023), the last count a time can be divided by."""
     limit_log = pairing(f, apply_generator(a, x))
     best = math.inf
-    for j in range(j_max + 1):
+    last = min(j_max, 1023)
+    for j in range(last + 1):
         batch = batched_log_values(a, f, x.coords[None, :], [2**j], limit_log)
         err, log_value = batch.errors.item(), batch.log_values.item()
         if err < eps:
             return 2**j, err, log_value
         best = min(best, err)
-    raise ScheduleExhausted(j_max=j_max, best_error=best, target=eps)
+    raise ScheduleExhausted(j_max=last, best_error=best, target=eps)
 
 
 @pytest.mark.parametrize("eps, j_max", [(1e-11, 40), (1e-13, 44)])
@@ -684,7 +686,7 @@ def test_verify_rejects_stored_numbers_it_cannot_recompute(k5_certificate, mutat
 # covering all of it in one carrier call.  Every (n, err, log_value) must
 # have the bits of the carrier called on that count alone.
 
-SCAN_STOPS = (ScheduleExhausted, SemigroupOverflow, OverflowError)
+SCAN_STOPS = (ScheduleExhausted, SemigroupOverflow)
 
 
 def outcome(scan, *args, **kwargs):
@@ -782,8 +784,8 @@ def test_table_scan_raises_where_the_carrier_does():
     assert isinstance(got[0], SemigroupOverflow)
     for x, result in zip(xs, got):
         assert_same_outcome(result, outcome(looped_step_scan, a, f, x, 0.1, 40))
-    # a count of 2^1024 cannot divide a time: the table stops at 2^1023, and a
-    # scan past it raises the carrier's OverflowError only when nothing hits
+    # a count of 2^1024 cannot divide a time: the table and the scan stop at
+    # 2^1023, and a scan past it that finds no hit ends as one to 2^1023 does
     a = diagonal_generator_from_entries([0.3 + 0.7j, 1.1j, -0.2])
     f = Functional([0.5, -1.25, 2.0], 2.0)
     x = CVec(np.array([1.0, 0.5j, 0.25]) / (1.0 - 0.625j), 2.0)  # f(x) = 1
@@ -791,8 +793,12 @@ def test_table_scan_raises_where_the_carrier_does():
         got, table = shared_table_scans(a, f, [x], eps, 1030)
         assert_same_outcome(got[0], outcome(looped_step_scan, a, f, x, eps, 1030))
     assert table.shape == (1024, 3)
-    with pytest.raises(OverflowError, match="int too large to convert to float"):
+    with pytest.raises(ScheduleExhausted) as past:
         choose_step_count(a, f, x, 5e-324, 1030)
+    with pytest.raises(ScheduleExhausted) as last:
+        choose_step_count(a, f, x, 5e-324, 1023)
+    assert past.value.j_max == last.value.j_max == 1023
+    assert past.value.best_error == last.value.best_error
     assert choose_step_count(a, f, x, 0.1, 1030)[0] < 2**1024
 
 
