@@ -169,19 +169,18 @@ def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
         records = scalar_trotter_values(a, f, x, cfg.time, counts, defects)
         if proj is not None:
             oracle_vec = _limit_target(bounded_limit_oracle(a, proj, cfg.time), x, cfg.time)
-        for k, rec in enumerate(records):
-            step, deriv, log, value = rec.step_value, rec.derivative, rec.log_value, rec.value
+        for k, (n, step, deriv, log, value, err, path, ambiguous) in enumerate(records):
             line = (
-                f"{rec.steps},{step.real!r},{step.imag!r},{deriv.real!r},{deriv.imag!r},"
+                f"{n},{step.real!r},{step.imag!r},{deriv.real!r},{deriv.imag!r},"
                 f"{log.real!r},{log.imag!r},"
                 + ("," if value is None else f"{value.real!r},{value.imag!r}")
-                + f",{rec.err_vs_limit!r},{rec.path},{1 if rec.branch_ambiguous else 0}"
+                + f",{err!r},{path},{1 if ambiguous else 0}"
             )
             if proj is not None:
-                product = dense_trotter_apply(a, proj, x, cfg.time, rec.steps, defect=defects[k])
+                product = dense_trotter_apply(a, proj, x, cfg.time, n, defect=defects[k])
                 line += f",{norm(CVec(product.coords - oracle_vec, x.p))!r}"
             lines.append(line)
-            last_err = rec.err_vs_limit
+            last_err = err
         if undividable is not None:
             raise undividable
     except OVERFLOWS as exc:

@@ -26,7 +26,15 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidCertificate, SemigroupOverflow
 from .renorm import RenormReport
-from .spaces import Generator, GrowthLaw, _check_p, dense_generator, diagonal_generator, law_entries
+from .spaces import (
+    Generator,
+    GrowthLaw,
+    _check_p,
+    _complex as _complex_parts,
+    dense_generator,
+    diagonal_generator,
+    law_entries,
+)
 from .witness import WitnessCertificate, WitnessStage
 
 CERT_SCHEMA = "semigroup-lab/cert/2"
@@ -36,7 +44,9 @@ CONFIG_SCHEMA = "semigroup-lab/config/1"
 
 
 def encode(value):
-    """Recursively encode a value into tagged, JSON-safe form."""
+    """Recursively encode a value into tagged, JSON-safe form.  A 1-D
+    complex128 array, the form of every stored vector, is written in one
+    pass, as the recursion would write it."""
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, (int, np.integer)):
@@ -47,6 +57,8 @@ def encode(value):
         z = complex(value)
         return {"~c": [z.real.hex(), z.imag.hex()]}
     if isinstance(value, np.ndarray):
+        if value.ndim == 1 and value.dtype == np.complex128:
+            return {"~a": [{"~c": [z.real.hex(), z.imag.hex()]} for z in value.tolist()]}
         return {"~a": encode(value.tolist())}
     if isinstance(value, (list, tuple)):
         return [encode(x) for x in value]
@@ -56,15 +68,19 @@ def encode(value):
 
 
 def decode(value):
-    """Invert :func:`encode`; tagged arrays come back as nested lists."""
+    """Invert :func:`encode`; tagged arrays come back as nested lists.  A
+    tagged complex that is not an [re, im] pair raises ValueError."""
     if isinstance(value, dict):
-        keys = set(value)
-        if keys == {"~f"}:
-            return float.fromhex(value["~f"])
-        if keys == {"~c"}:
-            return complex(float.fromhex(value["~c"][0]), float.fromhex(value["~c"][1]))
-        if keys == {"~a"}:
-            return decode(value["~a"])
+        if len(value) == 1:
+            if "~f" in value:
+                return float.fromhex(value["~f"])
+            if "~c" in value:
+                pair = value["~c"]
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise ValueError(f"complex entries are [re, im] pairs, got {pair!r}")
+                return complex(float.fromhex(pair[0]), float.fromhex(pair[1]))
+            if "~a" in value:
+                return decode(value["~a"])
         return {k: decode(v) for k, v in value.items()}
     if isinstance(value, list):
         return [decode(x) for x in value]
@@ -102,6 +118,11 @@ def _emit(value, newline: str, write) -> None:
             write("{}")
             return
         inner = newline + "  "
+        if len(value) == 1:
+            leaf = _tagged_leaf(value, inner)
+            if leaf is not None:
+                write("{" + inner + leaf + newline + "}")
+                return
         lead = "{" + inner
         for key in sorted(value):
             if not isinstance(key, str):
@@ -135,6 +156,24 @@ def _emit(value, newline: str, write) -> None:
         write("NaN" if value != value else _FLOAT_WORDS.get(value) or float.__repr__(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _tagged_leaf(value: dict, inner: str) -> str | None:
+    """The text of a tagged float ``{"~f": hex}`` or complex ``{"~c": [re,
+    im]}`` of strings from its key to the end of its value, at the indent
+    ``inner`` opens; None for any other one-key dict, which the general path
+    writes."""
+    if "~f" in value:
+        text = value["~f"]
+        return '"~f": ' + _escape(text) if isinstance(text, str) else None
+    pair = value.get("~c")
+    if not (type(pair) is list and len(pair) == 2):
+        return None
+    re, im = pair
+    if not (isinstance(re, str) and isinstance(im, str)):
+        return None
+    deeper = inner + "  "
+    return f'"~c": [{deeper}{_escape(re)},{deeper}{_escape(im)}{inner}]'
 
 
 def save_json(path: str | Path, payload: dict) -> None:
@@ -280,13 +319,62 @@ def _entries(items, dim: int | None) -> np.ndarray:
     return np.array([_entry(v) for v in _items(items, dim, "entries")], dtype=np.complex128)
 
 
+# What a bulk reader's input raises when it is not of the form that reader
+# takes; the per-entry readers then read it or name what is wrong.
+_NOT_BULK = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _tagged_entries(items) -> np.ndarray | None:
+    """A list of tagged complexes ``{"~c": [re, im]}`` read in one pass, or
+    None when some entry is anything else."""
+    try:
+        values = [
+            complex(float.fromhex(pair[0]), float.fromhex(pair[1]))
+            for pair in (entry["~c"] for entry in items if len(entry) == 1)
+            if type(pair) is list and len(pair) == 2
+        ]
+    except _NOT_BULK:
+        return None
+    return np.array(values, dtype=np.complex128) if len(values) == len(items) else None
+
+
+def _plain_pairs(items, shape: tuple) -> np.ndarray | None:
+    """An array of the given shape whose entries are written as ``[re, im]``
+    pairs of plain numbers, read with one ``np.array`` call and assembled
+    part by part; None for anything else (hex strings, tagged values, bools,
+    other shapes)."""
+    try:
+        parts = np.array(items, dtype=object)
+        if parts.shape != shape + (2,) or not set(map(type, parts.flat)) <= {float, int}:
+            return None
+        parts = parts.astype(np.float64)
+    except _NOT_BULK:
+        return None
+    return _complex_parts(parts[..., 0], parts[..., 1])
+
+
 def _vector(raw, dim: int | None = None) -> np.ndarray:
-    return _entries(decode(raw), dim)
+    """Complex entries, ``dim`` of them when ``dim`` is given.  A tagged array
+    of tagged complexes, or a list of plain-number pairs, is read in bulk;
+    any other form, and every malformed one, entry by entry."""
+    bulk = None
+    if isinstance(raw, list):
+        bulk = _plain_pairs(raw, (len(raw),))
+    elif isinstance(raw, dict) and len(raw) == 1 and isinstance(raw.get("~a"), list):
+        bulk = _tagged_entries(raw["~a"])
+    if bulk is None or (dim is not None and len(bulk) != dim):
+        return _entries(decode(raw), dim)
+    return bulk
 
 
 def _matrix(raw, dim: int | None = None) -> np.ndarray:
-    """Rows of complex entries, ``dim`` x ``dim`` when ``dim`` is given.  The
-    whole matrix is decoded once; rows and entries are read as decoded."""
+    """Rows of complex entries, ``dim`` x ``dim`` when ``dim`` is given.  Rows
+    of plain-number pairs are read in bulk.  Otherwise the whole matrix is
+    decoded once, and rows and entries are read as decoded."""
+    if isinstance(raw, list) and raw and isinstance(raw[0], list):
+        bulk = _plain_pairs(raw, (len(raw), len(raw[0])))
+        if bulk is not None and (dim is None or bulk.shape == (dim, dim)):
+            return bulk
     rows = _items(decode(raw), dim, "rows")
     return np.array([_entries(row, dim) for row in rows], dtype=np.complex128)
 

@@ -15,6 +15,7 @@ import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +43,7 @@ MATERIALIZE_LOG_BOUND = 700.0
 _NORMALIZED_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class TrotterRecord:
+class TrotterRecord(NamedTuple):
     """One row of a product-formula run at a fixed step count.
 
     ``value`` is exp(log_value), or None when the product magnitude
@@ -51,6 +51,7 @@ class TrotterRecord:
     is always "log".  ``branch_ambiguous`` marks rows whose step offset
     |c - 1| exceeds 1/2: there the recorded log is a branch choice rather
     than a continuation, though for integer n its exponential is not.
+    A named tuple, so a ladder's rows are built and unpacked cheaply.
     """
 
     steps: int
@@ -146,7 +147,7 @@ def batched_log_values(
     a: Generator,
     f: Functional,
     vectors: np.ndarray,
-    steps: Sequence[int],
+    steps: Sequence[int] | np.ndarray,
     limit_log: complex | None = None,
     *,
     t: float = 1.0,
@@ -162,12 +163,13 @@ def batched_log_values(
     and the gap through ``cexpm1_array``, so nothing is lost to
     cancellation when the offset is far below the resolution of 1 + offset.
     The defects exp((t/n) A) - I at the counts are ``defects`` when the
-    caller holds them (see ``_offsets``).  A count below 1 raises
-    ValueError, and one too large to divide t by raises OverflowError.
+    caller holds them (see ``_offsets``).  The counts, ints or floats, are
+    read as one float64 array: a count below 1 or NaN raises ValueError, and
+    an int too large to divide t by raises OverflowError.
     """
-    if any(k < 1 for k in steps):
+    n = np.asarray(steps, dtype=np.float64)
+    if not (n >= 1.0).all():
         raise ValueError("step count must be positive")
-    n = np.array([float(k) for k in steps])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         offsets = _offsets(a, f, vectors, t / n, defects)
         logs = clog1p_array(offsets)
@@ -245,16 +247,17 @@ def scalar_trotter_values(
         batch.log_values[:, 0].tolist(),
         batch.errors[:, 0].tolist(),
     )
+    # positional, in field order: a keyword call costs twice as much per row
     return [
         TrotterRecord(
-            steps=n,
-            step_value=1.0 + offset,
-            derivative=_drift(n, offset),
-            log_value=log_value,
-            value=cmath.exp(log_value) if abs(log_value.real) < MATERIALIZE_LOG_BOUND else None,
-            err_vs_limit=err,
-            path="log",
-            branch_ambiguous=abs(offset) > 0.5,
+            n,
+            1.0 + offset,
+            _drift(n, offset),
+            log_value,
+            cmath.exp(log_value) if abs(log_value.real) < MATERIALIZE_LOG_BOUND else None,
+            err,
+            "log",
+            abs(offset) > 0.5,
         )
         for n, offset, log_value, err in rows
     ]

@@ -216,6 +216,11 @@ def _seed_with_meta(a: Generator, f: Functional, z: CVec):
     return _bump(a, f, base, target, radius, stage=0)
 
 
+# The schedule's counts 2^j, j = 0 .. 1023, as floats: every count a time
+# can be divided by.
+_DYADIC = np.ldexp(1.0, np.arange(1024))
+
+
 def _schedule_defects(a: Generator, j_max: int) -> np.ndarray:
     """exp(A/2^j) - I for j = 0 .. min(j_max, 1023), from one
     ``semigroup_defects`` call: row j has the bits the carrier forms for the
@@ -231,34 +236,37 @@ def choose_step_count(
     j_max: int = DEFAULT_J_MAX,
     *,
     _table: np.ndarray | None = None,
+    _limit_log: complex | None = None,
 ) -> tuple[int, float, complex]:
     """The smallest dyadic step count whose product value lands within eps.
 
     Scans n = 2^j, j = 0 .. j_max, and returns (n, error, log_value) for the
-    first n with |value - exp(f(Ax))| < eps, the error measured in log space.
-    Raises ScheduleExhausted, carrying the smallest error seen, when no count
-    hits; a NaN error is passed over.  The whole schedule goes through the
-    carrier ``batched_log_values`` in one call, each count with the bits of a
-    call on that count alone.  Its defects are ``_table``, the schedule's
-    ``_schedule_defects`` (``build_certificate`` forms it once for all its
-    stages; a call on its own forms its own).  The schedule ends at 2^1023,
-    the last count a time can be divided by, so the ScheduleExhausted of a
-    scan with j_max >= 1024 names j_max = 1023, the last count it tried.
+    first n with |value - exp(f(Ax))| < eps, the error measured in log space;
+    n is a Python int.  Raises ScheduleExhausted, carrying the smallest error
+    seen, when no count hits; a NaN error is passed over.  The whole schedule
+    goes through the carrier ``batched_log_values`` in one call, as one
+    float64 array of counts, each count with the bits of a call on that count
+    alone.  Its defects are ``_table``, the schedule's ``_schedule_defects``,
+    and its limit log is ``_limit_log``, f(Ax) (``build_certificate`` forms
+    the table once for all its stages and f(Ax) once per stage; a call on its
+    own forms its own).  The schedule ends at 2^1023, the last count a time
+    can be divided by, so the ScheduleExhausted of a scan with j_max >= 1024
+    names j_max = 1023, the last count it tried.
     """
     if not 0.0 < eps:
         raise ValueError("eps must be positive")
     table = _schedule_defects(a, j_max) if _table is None else _table
-    limit_log = pairing(f, apply_generator(a, x))
-    steps = [2**j for j in range(len(table))]
-    batch = batched_log_values(a, f, x.coords[None, :], steps, limit_log, defects=table)
+    limit_log = pairing(f, apply_generator(a, x)) if _limit_log is None else _limit_log
+    counts = _DYADIC[: len(table)]
+    batch = batched_log_values(a, f, x.coords[None, :], counts, limit_log, defects=table)
     errors = batch.errors[:, 0]
     hits = np.flatnonzero(errors < eps)
     if hits.size:
-        k = hits[0]
-        return steps[k], errors[k].item(), batch.log_values[k, 0].item()
+        k = int(hits[0])
+        return 2**k, errors[k].item(), batch.log_values[k, 0].item()
     # fmin passes over NaN, as the comparisons above do
     best = np.fmin.reduce(errors, initial=math.inf).item()
-    raise ScheduleExhausted(j_max=len(steps) - 1, best_error=best, target=eps)
+    raise ScheduleExhausted(j_max=len(table) - 1, best_error=best, target=eps)
 
 
 def _step_lipschitzes(a: Generator, f: Functional, steps) -> np.ndarray:
@@ -319,6 +327,23 @@ def stability_radius(
     raise UnderflowRadius(radius=delta, stage=stage)
 
 
+def _kernel_projector(f: Functional) -> tuple[np.ndarray, np.ndarray, complex]:
+    """(unit, anchor, gain): v -> v - (v . unit / gain) anchor projects onto
+    the kernel of f, and depends on f alone.
+
+    Scaling f leaves the projection alone; the sum f . conj(f) leaves the
+    normal range once an entry nears 1e154 or all fall below 1e-154, and
+    only then is it formed again from f scaled by its largest modulus.
+    """
+    unit = f.coords
+    with np.errstate(over="ignore"):
+        gain = complex(np.dot(unit, np.conj(unit)))
+    if not sys.float_info.min <= gain.real < math.inf:
+        unit = unit / np.max(np.abs(unit))
+        gain = complex(np.dot(unit, np.conj(unit)))
+    return unit, np.conj(unit), gain
+
+
 def validate_stability(
     a: Generator,
     f: Functional,
@@ -329,6 +354,8 @@ def validate_stability(
     samples: int = DEFAULT_VALIDATION_SAMPLES,
     *,
     _table: np.ndarray | None = None,
+    _limit_log: complex | None = None,
+    _kernel: tuple[np.ndarray, np.ndarray, complex] | None = None,
 ) -> float:
     """Worst sampled deviation |value(h) - exp(f(Ax))| on the delta-slice.
 
@@ -342,22 +369,13 @@ def validate_stability(
     ``_SAMPLE_BLOCK`` samples at a time and go through the batched
     carrier together.  A direction with no kernel part is skipped, and a
     NaN deviation comes back as NaN.  The defect at n is row log2(n) of
-    ``_table``, the schedule table ``build_certificate`` passes; a call on
-    its own leaves the carrier to form it.
+    ``_table``, the schedule table ``build_certificate`` passes, which also
+    passes the stage's f(Ax) as ``_limit_log`` and f's
+    ``_kernel_projector`` as ``_kernel``; a call on its own forms each.
     """
     defects = None if _table is None else _table[n.bit_length() - 1][None]
-    limit_log = pairing(f, apply_generator(a, x))
-    # the projection onto the kernel of f, which scaling f leaves alone; the
-    # sum f . conj(f) leaves the normal range once an entry nears 1e154 or
-    # all fall below 1e-154, and only then is it formed again from f scaled
-    # by its largest modulus
-    unit = f.coords
-    with np.errstate(over="ignore"):
-        anchor_gain = complex(np.dot(unit, np.conj(unit)))
-    if not sys.float_info.min <= anchor_gain.real < math.inf:
-        unit = unit / np.max(np.abs(unit))
-        anchor_gain = complex(np.dot(unit, np.conj(unit)))
-    anchor = np.conj(unit)
+    limit_log = pairing(f, apply_generator(a, x)) if _limit_log is None else _limit_log
+    unit, anchor, anchor_gain = _kernel_projector(f) if _kernel is None else _kernel
     worst = [0.0]
     for start in range(0, samples, _SAMPLE_BLOCK):
         draws = rng.standard_normal((min(_SAMPLE_BLOCK, samples - start), 2, x.dim))
@@ -454,8 +472,9 @@ def build_certificate(
     and each later rung from ``_next_rung``, and each is checked for
     Re f(Ax) >= index, given its step count by ``choose_step_count``, its
     radius by ``stability_radius``, and sampled by ``validate_stability``.
-    The schedule's ``_schedule_defects`` are formed once the seed is found,
-    and every stage's scan and sampling read them.
+    The schedule's ``_schedule_defects`` and f's ``_kernel_projector`` are
+    formed once the seed is found, and each stage's f(Ax) once; every
+    stage's scan and sampling read them.
 
     On any failure the partial ladder built so far is wrapped in a
     WitnessBuildError whose ``partial`` field is a certificate for the
@@ -470,6 +489,7 @@ def build_certificate(
     try:
         x, bump = _seed_with_meta(a, f, z)
         table = _schedule_defects(a, j_max)
+        kernel = _kernel_projector(f)
         anchor_norm = norm(x)
         for index in range(stage_goal + 1):
             if index:
@@ -478,10 +498,13 @@ def build_certificate(
             drift = pairing(f, apply_generator(a, x))
             if drift.real < float(index):
                 raise ArithmeticError(f"{label} reached Re f(Ax) = {drift.real:.6g} < {index}")
-            steps, err, log_value = choose_step_count(a, f, x, eps, j_max=j_max, _table=table)
+            steps, err, log_value = choose_step_count(
+                a, f, x, eps, j_max=j_max, _table=table, _limit_log=drift
+            )
             delta = stability_radius(a, f, steps, log_value, eps, anchor_norm, stage=index)
             worst = validate_stability(
-                a, f, x, steps, delta, rng, samples=validation_samples, _table=table
+                a, f, x, steps, delta, rng, samples=validation_samples,
+                _table=table, _limit_log=drift, _kernel=kernel,
             )
             if not worst < 2.0 * eps:
                 raise ArithmeticError(

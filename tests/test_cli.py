@@ -1002,6 +1002,22 @@ def test_verify_names_a_non_finite_generator_pairing(tmp_path, capsys):
     assert "math domain error" not in out
 
 
+# A tagged complex is an [re, im] pair: a third entry is refused, not dropped,
+# and a lone entry is named as such, in a scalar field and in a vector.
+@pytest.mark.parametrize("extra", [["0x1p+0"], []], ids=["three_entries", "one_entry"])
+@pytest.mark.parametrize("field", ["generator_pairing", "vector"])
+def test_verify_refuses_a_tagged_complex_that_is_not_a_pair(tmp_path, capsys, field, extra):
+    payload = load_json(V1_DATA / "blowup_k5.v2.cert.json")
+    stage = payload["stages"][1]
+    tagged = stage[field] if field == "generator_pairing" else stage[field]["~a"][0]
+    tagged["~c"] = tagged["~c"] + extra if extra else tagged["~c"][:1]
+    path = tmp_path / "odd_pair.cert.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", str(path)]) == EXIT_INVALID
+    out = capsys.readouterr().out
+    assert f"  - stages[1].{field}: complex entries are [re, im] pairs, got {tagged['~c']!r}\n" in out
+
+
 @pytest.mark.parametrize(
     "source, failure",
     [

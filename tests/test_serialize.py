@@ -29,6 +29,10 @@ from semigroup_lab import (
 from semigroup_lab.cli import _rebuild_report
 from semigroup_lab.renorm import RenormReport
 from semigroup_lab.serialize import (
+    _entries,
+    _entry,
+    _matrix,
+    _vector,
     cert_from_dict,
     decode,
     encode,
@@ -424,3 +428,165 @@ def test_canonical_dump_refuses_values_json_cannot_write():
 def test_every_json_file_in_the_test_data_redumps_to_its_own_bytes(path):
     text = path.read_text(encoding="utf-8")
     assert dumps_canonical(json.loads(text)) == text
+
+
+# The bulk codec paths against the per-value ones they stand in for: the
+# same text and the same bits, and every other form left to the per-value
+# readers, which read or refuse it as before.
+
+PARTS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(AWKWARD_FLOATS + [math.nan])
+COMPLEXES = st.builds(complex, PARTS, PARTS)
+
+
+def outcome(read, *args):
+    """What ``read(*args)`` gives: the bytes of its array, or its error."""
+    try:
+        return read(*args).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def entry_by_entry(raw, dim=None):
+    """The per-entry vector reader."""
+    return _entries(decode(raw), dim)
+
+
+@given(st.lists(COMPLEXES, max_size=8))
+@example([])
+@example([complex(-0.0, math.inf), complex(math.nan, 5e-324), complex(-math.inf, -0.0)])
+def test_vector_codec_bulk_paths_match_the_per_value_paths(values):
+    vector = np.array(values, dtype=np.complex128)
+    tagged = encode(vector)
+    assert tagged == {"~a": encode(vector.tolist())}
+    assert dumps_canonical(tagged) == reference_dump(tagged)
+    # hex keeps every bit but a NaN's payload, so the readers are held to each other
+    assert _vector(tagged).tobytes() == entry_by_entry(tagged).tobytes()
+    pairs = [[z.real, z.imag] for z in values]
+    bulk = _vector(pairs, len(values))
+    assert bulk.tobytes() == entry_by_entry(pairs, len(values)).tobytes() == vector.tobytes()
+
+
+@pytest.mark.parametrize(
+    "array", [np.zeros((0, 2), dtype=np.complex128), np.eye(2, dtype=np.complex128) * (1 - 0.5j),
+              np.array([1.5, -0.0, math.inf]), np.array([1, 2])],
+    ids=["empty_2d", "complex_2d", "float_1d", "int_1d"],
+)
+def test_other_arrays_encode_through_the_recursion(array):
+    assert encode(array) == {"~a": encode(array.tolist())}
+
+
+def tagged_vector(*entries):
+    return {"~a": list(entries)}
+
+
+ONE = {"~c": ["0x1p+0", "0x0p+0"]}
+
+
+# Each tagged or plain vector the bulk readers leave to the per-entry one,
+# which reads it or names what is wrong.
+@pytest.mark.parametrize(
+    "raw, dim",
+    [
+        (tagged_vector(ONE, {"~f": "0x1p-1"}), None),
+        (tagged_vector(ONE, 0.5), None),
+        (tagged_vector(ONE, [0.5, "inf"]), None),
+        (tagged_vector(ONE, {"~c": ["0x1p+0", "0x0p+0"], "x": 1}), None),
+        (tagged_vector(ONE, {"~c": ["0x1p+0"]}), None),
+        (tagged_vector(ONE, {"~c": ["0x1p+0", "0x0p+0", "0x1p+0"]}), None),
+        (tagged_vector(ONE, {"~c": "ab"}), None),
+        (tagged_vector(ONE, {"~c": [1.0, 0.0]}), None),
+        (tagged_vector(ONE, {"~c": ["0x1p+0", "0.5"]}), None),
+        (tagged_vector(ONE, {"~c": ["0x1p+2000", "0x0p+0"]}), None),
+        (tagged_vector(ONE, "0x1p+0"), None),
+        (tagged_vector(ONE, [1.0]), None),
+        (tagged_vector(ONE, ONE), 3),
+        ({"~a": ONE}, None),
+        ([[1.0, 0.5], [True, 0.0]], 2),
+        ([[1.0, 0.5], ["0x1p+0", 0.0]], 2),
+        ([[1.0, 0.5], ["0.5", 0.0]], 2),
+        ([[1.0, 0.5], [2**1100, 0.0]], 2),
+        ([[1.0, 0.5], [2**70, None]], 2),
+        ([[1.0, 0.5], [0.0, 1.0, 2.0]], 2),
+        ([[1.0, 0.5], 0.25], 2),
+        ([[1.0, 0.5], [0.0, [1.0, 2.0]]], 2),
+        ([[1.0, 0.5], ONE], 2),
+        ([[1.0, 0.5]], 2),
+        ([1.0, 0.5], 2),
+        ([], 0),
+    ],
+    ids=repr,
+)
+def test_vector_forms_the_bulk_readers_leave_read_as_before(raw, dim):
+    assert outcome(_vector, raw, dim) == outcome(entry_by_entry, raw, dim)
+
+
+def test_decode_refuses_a_tagged_complex_that_is_not_a_pair():
+    for pair in (["0x1p+0"], ["0x1p+0", "0x0p+0", "0x1p+0"], [], "ab"):
+        with pytest.raises(ValueError, match=r"complex entries are \[re, im\] pairs"):
+            decode({"~c": pair})
+    assert decode({"~c": ["0x1p+0", "-0x1p-1"]}) == complex(1.0, -0.5)
+
+
+def matrix_by_entries(raw, dim=None):
+    """The per-entry matrix reader."""
+    rows = decode(raw)
+    if dim is not None and len(rows) != dim:
+        raise ValueError(f"{len(rows)} rows, space is {dim}")
+    return np.array([_entries(row, dim) for row in rows], dtype=np.complex128)
+
+
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.lists(st.tuples(PARTS, PARTS | st.integers(-(2**60), 2**60)), min_size=d, max_size=d),
+    min_size=d, max_size=d,
+)))
+def test_plain_pair_matrices_read_in_bulk_as_entry_by_entry(rows):
+    raw = [[list(pair) for pair in row] for row in rows]
+    bulk = _matrix(raw, len(raw))
+    assert bulk.tobytes() == matrix_by_entries(raw, len(raw)).tobytes()
+    assert bulk.tobytes() == np.array([[_entry(v) for v in row] for row in raw]).tobytes()
+    assert _matrix(raw).tobytes() == bulk.tobytes()
+
+
+@pytest.mark.parametrize(
+    "raw, dim",
+    [
+        ([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [True, 0.0]]], 2),
+        ([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], ["0x1p+0", 0.0]]], 2),
+        ([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, "inf"]]], 2),
+        ([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [2**1100, 0.0]]], 2),
+        ([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0, 2.0]]], 2),
+        ([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0]]], 2),
+        ([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], 1.0]], 2),
+        ([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], ONE]], 2),
+        ([[[1.0, 0.0], [0.0, 1.0]]], 2),
+        ([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]]], 3),
+        ([[[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], [[0.0, 0.0], [1.0, 0.0]]], None),
+        ([[1.0, 0.5], [0.25, 2.0]], 2),
+        ([[1.0, [0.5, 1.0]], [0.25, 2.0]], 2),
+        ([], None),
+        ([[]], None),
+    ],
+    ids=repr,
+)
+def test_matrix_forms_the_bulk_reader_leaves_read_as_before(raw, dim):
+    assert outcome(_matrix, raw, dim) == outcome(matrix_by_entries, raw, dim)
+
+
+TAGGED_LEAVES = (
+    st.builds(lambda text: {"~f": text}, st.text(max_size=8) | st.sampled_from(["0x1.8p+1", "nan"]))
+    | st.builds(lambda re, im: {"~c": [re, im]}, st.text(max_size=8), st.text(max_size=8))
+    | st.builds(lambda parts: {"~c": parts}, st.lists(JSON_SCALARS, max_size=3))
+    | st.builds(lambda value: {"~f": value}, JSON_SCALARS)
+    | st.builds(lambda value: {"~a": value}, st.lists(JSON_SCALARS, max_size=3))
+)
+
+
+@given(st.recursive(
+    TAGGED_LEAVES | JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=20,
+))
+@example({"~c": ["0x1p+0", "-0x0p+0"]})
+@example([{"~f": "0x1p-1074"}, {"~c": ["\u2603", "\n"]}, {"~c": ("a", "b")}, {"~c": ["a", 1]}])
+def test_canonical_dump_writes_tagged_leaves_as_the_indented_json_text(payload):
+    assert dumps_canonical(payload) == reference_dump(payload)

@@ -480,3 +480,58 @@ def test_scalar_route_refuses_a_nan_pairing():
     a, f, _ = two_point()
     with pytest.raises(ValueError, match="f\\(x\\) = 1"):
         scalar_trotter_value(a, f, CVec([math.nan, 1.0], 2.0), 1.0, 4)
+
+
+# The carrier reads every kind of step count through one float64 array, so
+# a float array of counts 2^j has the bits of the same counts as Python ints.
+@given(
+    kind=st.sampled_from(["diagonal", "dense"]),
+    exponents=st.lists(st.integers(0, 1023), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="dense", exponents=[1023, 0, 52, 53], seed=0)
+@example(kind="diagonal", exponents=[1023, 0, 52, 53], seed=0)
+def test_float_counts_give_the_bits_of_int_counts(kind, exponents, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    if kind == "diagonal":
+        entries = raw[0] * 3.0
+        a = diagonal_generator_from_entries(entries[np.argsort(np.abs(entries))])
+    else:
+        a = dense_generator(raw)
+    f = Functional(rng.standard_normal(4) + 1j * rng.standard_normal(4), 2.0)
+    ints = batched_log_values(a, f, raw[1:], [2**j for j in exponents], 0.5 + 0.25j)
+    floats = batched_log_values(a, f, raw[1:], np.ldexp(1.0, exponents), 0.5 + 0.25j)
+    for name in ("offsets", "log_values", "errors"):
+        assert getattr(floats, name).tobytes() == getattr(ints, name).tobytes()
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [[0], [4, -2], [1, 0.5], np.array([2.0, math.nan]), np.array([math.nan])],
+    ids=["zero", "negative", "half", "nan_after_count", "nan"],
+)
+def test_carrier_refuses_a_count_below_one_or_nan(steps):
+    a, f, x = two_point()
+    with pytest.raises(ValueError, match="step count must be positive"):
+        batched_log_values(a, f, x.coords[None, :], steps)
+
+
+@pytest.mark.parametrize("steps", [[2**1024], [1, 2**1100]], ids=["2^1024", "after_count"])
+def test_carrier_refuses_a_count_past_the_float_range(steps):
+    a, f, x = two_point()
+    with pytest.raises(OverflowError, match="int too large to convert to float"):
+        batched_log_values(a, f, x.coords[None, :], steps)
+
+
+def test_trotter_record_is_an_immutable_value():
+    a, f, x = two_point()
+    record = scalar_trotter_value(a, f, x, 1.0, 16)
+    assert record == scalar_trotter_value(a, f, x, 1.0, 16)
+    assert record._fields == (
+        "steps", "step_value", "derivative", "log_value", "value", "err_vs_limit", "path",
+        "branch_ambiguous",
+    )
+    assert (record.steps, record.path) == (16, "log")
+    with pytest.raises(AttributeError):
+        record.steps = 32

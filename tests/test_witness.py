@@ -144,6 +144,16 @@ def test_choose_step_count_frozen_example():
     )
 
 
+def test_choose_step_count_returns_a_python_int(k5_certificate):
+    # verify and the CLI take the count's bit_length(), which a numpy
+    # integer lacks; the scan itself runs over float counts
+    a, f, x = two_point()
+    n, err, log_value = choose_step_count(a, f, x, eps=0.1)
+    assert (type(n), type(err), type(log_value)) == (int, float, complex)
+    assert [type(st.steps) for st in k5_certificate.stages] == [int] * 6
+    assert k5_certificate.stages[-1].steps == 2**122
+
+
 def test_choose_step_count_exhaustion():
     a, f, x = two_point()
     with pytest.raises(ScheduleExhausted) as info:
