@@ -53,13 +53,12 @@ from .serialize import (
     report_to_dict,
     save_json,
 )
-from .spaces import CVec, Generator, norm, semigroup_defects
+from .spaces import CVec, Generator, row_norms, semigroup_defects
 from .trotter import (
-    bounded_limit_oracle,
-    bounded_limit_oracles,
-    dense_trotter_apply,
+    dense_trotter_products,
     require_unit_pairing,
     scalar_trotter_values,
+    step_defects_and_oracles,
 )
 from .witness import build_certificate, verify_certificate
 
@@ -111,14 +110,11 @@ def _dividable(schedule: Iterable[int]) -> tuple[list[int], OverflowError | None
     return counts, None
 
 
-def _step_defects(a: Generator, steps: list[float]) -> np.ndarray | None:
-    """The defects exp(hA) - I at a sweep trial's steps h, from one call, or
-    None when some dense |hA| fails the overflow check; then each row meets
-    that check itself, once the rows before it are written."""
-    try:
-        return semigroup_defects(a, steps)
-    except SemigroupOverflow:
-        return None
+def _finite_rows(*stacks: np.ndarray) -> int:
+    """How many leading rows are finite in every (G, d) array of ``stacks``."""
+    finite = np.logical_and.reduce([np.isfinite(rows).all(axis=1) for rows in stacks])
+    bad = np.flatnonzero(~finite)
+    return int(bad[0]) if bad.size else len(finite)
 
 
 def _limit_target(oracle: np.ndarray, x: CVec, t: float) -> np.ndarray:
@@ -165,10 +161,20 @@ def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
         counts, undividable = _dividable(cfg.schedule())
         # the scalar record and the dense product of a row share one defect;
         # the steps t/n shrink, so a dense overflow stops the first row
-        defects = semigroup_defects(a, [cfg.time / float(n) for n in counts])
+        hs = [cfg.time / float(n) for n in counts]
+        if proj is None:
+            defects = semigroup_defects(a, hs)
+        else:
+            defects, oracles, overflow = step_defects_and_oracles(a, proj, hs, (cfg.time,))
+            if overflow is not None:
+                raise overflow
         records = scalar_trotter_values(a, f, x, cfg.time, counts, defects)
         if proj is not None:
-            oracle_vec = _limit_target(bounded_limit_oracle(a, proj, cfg.time), x, cfg.time)
+            target = _limit_target(oracles[0], x, cfg.time)
+            products = dense_trotter_products(a, proj, x, cfg.time, counts, defects=defects)
+            written = _finite_rows(products)
+            with np.errstate(over="ignore"):
+                gaps = row_norms(products[:written] - target, x.p).tolist()
         for k, (n, step, deriv, log, value, err, path, ambiguous) in enumerate(records):
             line = (
                 f"{n},{step.real!r},{step.imag!r},{deriv.real!r},{deriv.imag!r},"
@@ -177,8 +183,9 @@ def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
                 + f",{err!r},{path},{1 if ambiguous else 0}"
             )
             if proj is not None:
-                product = dense_trotter_apply(a, proj, x, cfg.time, n, defect=defects[k])
-                line += f",{norm(CVec(product.coords - oracle_vec, x.p))!r}"
+                if k == written:
+                    raise SemigroupOverflow(f"alternating product overflowed within {n} steps")
+                line += f",{gaps[k]!r}"
             lines.append(line)
             last_err = err
         if undividable is not None:
@@ -395,18 +402,28 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         matrix = raw * (params.generator_norm / np.linalg.norm(raw, 2))
         a = Generator(kind="dense", matrix=matrix)
         rank = int(rng.integers(1, dim))
-        proj = random_oblique_projection(dim, rank, rng, norm_cap=params.projection_norm_cap)
+        try:
+            proj = random_oblique_projection(dim, rank, rng, norm_cap=params.projection_norm_cap)
+        except RuntimeError as exc:
+            raise ConfigError(f"sweep.projection_norm_cap: {exc}") from exc
         x = CVec(rng.standard_normal(dim) + 1j * rng.standard_normal(dim), 2.0)
         try:
-            oracles = bounded_limit_oracles(a, proj, params.times)
-            defects = _step_defects(a, [t / float(steps) for t in params.times])
+            # one exponential call for the trial's defects and oracles; a
+            # trial keeps its rows before the first time that overflows
+            hs = [t / float(steps) for t in params.times]
+            defects, oracles, overflow = step_defects_and_oracles(a, proj, hs, params.times)
+            times = params.times[: len(defects)]
+            counts = [steps] * len(times)
+            products = dense_trotter_products(a, proj, x, times, counts, defects=defects)
+            with np.errstate(over="ignore", invalid="ignore"):
+                targets = oracles[: len(times)] @ x.coords
+                written = _finite_rows(products, targets)
+                trial_gaps = row_norms(products[:written] - targets[:written], x.p).tolist()
             tail = f"{projection_norm(proj)!r},{params.generator_norm!r}"
-            for k, t in enumerate(params.times):
-                defect = None if defects is None else defects[k]
-                product = dense_trotter_apply(a, proj, x, t, steps, defect=defect)
-                gap = norm(CVec(product.coords - _limit_target(oracles[k], x, t), x.p))
+            for t, gap in zip(times, trial_gaps):
                 gaps.append(gap)
                 lines.append(f"{trial},{dim},{rank},{t!r},{steps},{gap!r},{tail}")
+            overflowed |= overflow is not None or written < len(times)
         except OVERFLOWS:
             overflowed = True
     fields = [

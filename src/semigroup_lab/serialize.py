@@ -44,9 +44,9 @@ CONFIG_SCHEMA = "semigroup-lab/config/1"
 
 
 def encode(value):
-    """Recursively encode a value into tagged, JSON-safe form.  A 1-D
-    complex128 array, the form of every stored vector, is written in one
-    pass, as the recursion would write it."""
+    """Recursively encode a value into tagged, JSON-safe form.  A 1-D or 2-D
+    complex128 array, the form of every stored vector and dense matrix, is
+    written in one pass, as the recursion would write it."""
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, (int, np.integer)):
@@ -57,14 +57,21 @@ def encode(value):
         z = complex(value)
         return {"~c": [z.real.hex(), z.imag.hex()]}
     if isinstance(value, np.ndarray):
-        if value.ndim == 1 and value.dtype == np.complex128:
-            return {"~a": [{"~c": [z.real.hex(), z.imag.hex()]} for z in value.tolist()]}
+        if value.dtype == np.complex128 and value.ndim == 1:
+            return {"~a": _tagged_complexes(value.tolist())}
+        if value.dtype == np.complex128 and value.ndim == 2:
+            return {"~a": [_tagged_complexes(row) for row in value.tolist()]}
         return {"~a": encode(value.tolist())}
     if isinstance(value, (list, tuple)):
         return [encode(x) for x in value]
     if isinstance(value, dict):
         return {str(k): encode(v) for k, v in value.items()}
     raise TypeError(f"cannot encode {type(value).__name__}")
+
+
+def _tagged_complexes(values: list) -> list:
+    """The tagged form of each complex in a list, as :func:`encode` writes it."""
+    return [{"~c": [z.real.hex(), z.imag.hex()]} for z in values]
 
 
 def decode(value):
@@ -367,14 +374,27 @@ def _vector(raw, dim: int | None = None) -> np.ndarray:
     return bulk
 
 
+def _tagged_rows(rows) -> np.ndarray | None:
+    """Rows of tagged complexes, all of one length, read in one pass, or None
+    for anything else."""
+    if not rows or not all(type(row) is list and len(row) == len(rows[0]) for row in rows):
+        return None
+    entries = _tagged_entries([entry for row in rows for entry in row])
+    return None if entries is None else entries.reshape(len(rows), len(rows[0]))
+
+
 def _matrix(raw, dim: int | None = None) -> np.ndarray:
     """Rows of complex entries, ``dim`` x ``dim`` when ``dim`` is given.  Rows
-    of plain-number pairs are read in bulk.  Otherwise the whole matrix is
-    decoded once, and rows and entries are read as decoded."""
+    of plain-number pairs, and a tagged array of rows of tagged complexes,
+    are read in bulk.  Otherwise the whole matrix is decoded once, and rows
+    and entries are read as decoded."""
+    bulk = None
     if isinstance(raw, list) and raw and isinstance(raw[0], list):
         bulk = _plain_pairs(raw, (len(raw), len(raw[0])))
-        if bulk is not None and (dim is None or bulk.shape == (dim, dim)):
-            return bulk
+    elif isinstance(raw, dict) and len(raw) == 1 and isinstance(raw.get("~a"), list):
+        bulk = _tagged_rows(raw["~a"])
+    if bulk is not None and (dim is None or bulk.shape == (dim, dim)):
+        return bulk
     rows = _items(decode(raw), dim, "rows")
     return np.array([_entries(row, dim) for row in rows], dtype=np.complex128)
 

@@ -13,7 +13,9 @@ stacks ``exp(t A)`` over a list of times.  A dense one is
 exp(t A) - I for either kind with one call: ``cexpm1_array`` of the scaled
 entries for a diagonal generator, and for a dense one the lab's one matrix
 exponential, ``matrix_expm1``, which returns exp(X) - I directly, so
-small-time drifts are not lost to cancellation.  The single-time
+small-time drifts are not lost to cancellation.  ``dense_exponents`` gives
+the stack of t A that call takes, after its overflow check, so that a caller
+can put other matrices into the same call.  The single-time
 ``semigroup_defect`` is that table at one time.
 """
 
@@ -30,8 +32,8 @@ from .errors import DimensionMismatch, SemigroupOverflow
 # exp() overflows just above 709.78; leave a little headroom.
 EXP_OVERFLOW = 709.0
 
-# Times per ``matrix_expm1`` call in ``semigroup_defects``: bounds the
-# (chunk, d, d) transients of a long list of times.
+# Slices per block of ``matrix_expm1``: bounds the (4, chunk, d, d)
+# transients of a long stack.
 _DEFECT_CHUNK = 64
 
 # ``matrix_expm1``'s Taylor degree m and the largest 1-norm theta it takes
@@ -388,9 +390,20 @@ def matrix_expm1(stack: np.ndarray) -> np.ndarray:
     No identity is added and none cancels, so a small defect keeps its
     relative accuracy.  Every operation acts slice by slice, so a slice
     gets the same bits in any stack as on its own.  A slice whose
-    exponential overflows comes back inf or NaN, with no warning.
+    exponential overflows comes back inf or NaN, with no warning.  A stack
+    goes in blocks of ``_DEFECT_CHUNK`` slices, which bounds the transients.
     """
     stack = np.asarray(stack, dtype=np.complex128)
+    if len(stack) <= _DEFECT_CHUNK:
+        return _expm1_block(stack)
+    defects = np.empty_like(stack)
+    for k in range(0, len(stack), _DEFECT_CHUNK):
+        defects[k : k + _DEFECT_CHUNK] = _expm1_block(stack[k : k + _DEFECT_CHUNK])
+    return defects
+
+
+def _expm1_block(stack: np.ndarray) -> np.ndarray:
+    """:func:`matrix_expm1` of one block of slices."""
     # frexp: |X|_1 / theta < 2^e, and e = 0 for inf or NaN
     shifts = np.maximum(np.frexp(np.abs(stack).sum(axis=1).max(axis=1) / _TAYLOR_THETA)[1], 0)
     most = int(shifts.max(initial=0))
@@ -439,24 +452,34 @@ def semigroup_defects(a: Generator, times) -> np.ndarray:
 
     A diagonal table is ``cexpm1_array`` of the scaled entries; a row that
     overflows comes back inf, and the caller decides whether it matters.  A
-    dense stack of t A goes to ``matrix_expm1``, ``_DEFECT_CHUNK`` times at a
-    time; each defect has the bits of its own single-time call, and an empty
-    list of times gives a (0, d, d) stack.  Before any exponential, a dense
-    overflow names the first t with |t| |A|_2 > 690, from one 2-norm of A.
+    dense stack of t A goes to one ``matrix_expm1`` call; each defect has the
+    bits of its own single-time call, and an empty list of times gives a
+    (0, d, d) stack.  Before any exponential, a dense overflow names the
+    first t with |t| |A|_2 > 690 (see ``dense_exponents``).
     """
     times = np.asarray(times, dtype=np.float64)
     if a.kind == "diagonal":
         with np.errstate(over="ignore", invalid="ignore"):
             return cexpm1_array(np.multiply.outer(times, a.entries))
+    scaled, overflow = dense_exponents(a, times)
+    if overflow is not None:
+        raise overflow
+    return matrix_expm1(scaled)
+
+
+def dense_exponents(a: Generator, times) -> tuple[np.ndarray, SemigroupOverflow | None]:
+    """The (G, d, d) stack of t A for the leading times of ``times`` whose
+    orbits pass the overflow check |t| |A|_2 <= 690, from one 2-norm of A,
+    and the SemigroupOverflow that names the first time to fail it (None
+    when every time passes)."""
+    times = np.asarray(times, dtype=np.float64)
     scales = np.abs(times) * np.linalg.norm(a.matrix, 2)
     over = np.flatnonzero(scales > 690.0)
-    if over.size:
-        raise SemigroupOverflow(f"dense orbit with |tA| = {scales[over[0]]:.3g} overflows")
-    scaled = np.multiply.outer(times, a.matrix)
-    defects = np.empty_like(scaled)
-    for k in range(0, len(times), _DEFECT_CHUNK):
-        defects[k : k + _DEFECT_CHUNK] = matrix_expm1(scaled[k : k + _DEFECT_CHUNK])
-    return defects
+    if not over.size:
+        return np.multiply.outer(times, a.matrix), None
+    first = over[0]
+    overflow = SemigroupOverflow(f"dense orbit with |tA| = {scales[first]:.3g} overflows")
+    return np.multiply.outer(times[:first], a.matrix), overflow
 
 
 def semigroup_defect(a: Generator, t: float):

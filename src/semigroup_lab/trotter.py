@@ -5,8 +5,9 @@ n-th power in log space, so step values that differ from 1 by only 1e-40
 still produce fully resolved powers.  One function, ``batched_log_values``,
 forms that log power for a batch of vectors and step counts; every other
 scalar helper here is a view of it.  The matrix route powers the one-step
-matrix exp((t/n) A) P by repeated squaring.  The two share no code beyond
-the orbit defect; comparisons between them are the point of the module.
+matrices exp((t/n) A) P of a whole job by one stacked squaring ladder,
+``dense_trotter_products``.  The two share no code beyond the orbit defect;
+comparisons between them are the point of the module.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from .spaces import (
     cexpm1,
     cexpm1_array,
     clog1p_array,
+    dense_exponents,
     matrix_expm1,
     pairing,
-    semigroup_defect,
     semigroup_defects,
 )
 
@@ -41,6 +42,9 @@ from .spaces import (
 MATERIALIZE_LOG_BOUND = 700.0
 
 _NORMALIZED_SLACK = 1e-9
+
+# Bits between the squaring ladder's checks for rows whose squares overflowed.
+_LADDER_CHECK = 8
 
 
 class TrotterRecord(NamedTuple):
@@ -268,42 +272,125 @@ def scalar_trotter_value(a: Generator, f: Functional, x: CVec, t: float, n: int)
     return scalar_trotter_values(a, f, x, t, (n,))[0]
 
 
-def dense_trotter_apply(
-    a: Generator, proj: Projection, x: CVec, t: float, n: int, *, defect: np.ndarray | None = None
-) -> CVec:
-    """The alternating product (exp((t/n) A) P)^n x.
+def dense_trotter_products(
+    a: Generator,
+    proj: Projection,
+    x: CVec,
+    times,
+    counts: Sequence[int],
+    *,
+    defects: np.ndarray | None = None,
+) -> np.ndarray:
+    """The alternating products (exp((t_k/n_k) A) P)^(n_k) x, one row of the
+    (G, d) result for each count n_k of ``counts``; ``times`` gives every
+    row's t, or one t for all.
 
-    Forms the one-step matrix S = exp((t/n) A) P once and raises it to
-    the n-th power by repeated squaring, so the cost grows like log n.
-    Rank-one projections get no closed form: the scalar identity
-    f(z) c^(n-1) is what comparisons against this route are meant to
-    test.
+    The G one-step matrices S_k = exp(h_k A) P, h_k = t_k / n_k, are formed
+    as one stack: exp(h_k a)[:, None] P for a diagonal generator, which
+    leaves ``defects`` unread, and P + D_k P for a dense one, with the
+    defects D_k = exp(h_k A) - I from ``defects`` when the caller holds them
+    and from one ``semigroup_defects`` call otherwise.  ``_matrix_powers``
+    raises them to their counts together, so the cost grows like log n, and
+    row k has the bits of ``np.linalg.matrix_power(S_k, n_k) @ x``.  Rank-one projections get no
+    closed form: the scalar identity f(z) c^(n-1) is what comparisons
+    against this route are meant to test.
 
-    Accuracy floor: powering carries the rounding of S into S^n, so the
-    rounding error grows like n * 2^-52 relative to the product.  On a
-    random dense d = 8 draw (generator norm 2, rank-4 oblique P, t = 1)
-    the gap to the limit oracle falls with the Trotter error to 1.6e-7
-    at n = 2^30, rises again to 1.8e-4 at n = 2^40, is meaningless at
-    n = 2^60 and overflows by n = 2^80.  Overflow of the powered matrix
-    or of the result raises SemigroupOverflow.  A caller that already
-    holds the defect at t/n passes it as ``defect``; a diagonal step is
-    exp((t/n) a) itself and leaves it unread.
+    A row whose power or product overflows comes back NaN, with no warning:
+    the caller decides what an overflow stops.  A count below 1 raises
+    ValueError, and one too large to divide a time by OverflowError.
     """
-    if n < 1:
+    counts = list(counts)
+    if not all(n >= 1 for n in counts):
         raise ValueError("step count must be positive")
-    h = t / float(n)
+    steps = np.asarray(times, dtype=np.float64) / np.array([float(n) for n in counts])
     p_mat = projection_matrix(proj)
-    if a.kind == "diagonal":
-        step = np.exp(h * a.entries)[:, None] * p_mat
-    else:
-        if defect is None:
-            defect = semigroup_defect(a, h)
-        step = p_mat + defect @ p_mat
     # overflow is caught by the finiteness checks, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        power = np.linalg.matrix_power(step, n)
-        coords = power @ x.coords
-    if not (np.all(np.isfinite(power)) and np.all(np.isfinite(coords))):
+        if a.kind == "diagonal":
+            # row by row, in the shape one count forms it: numpy picks its
+            # complex multiply loop by shape, and a 1 x 1 step alone and in a
+            # stack of one get different bits
+            one_step = np.array([np.exp(h * a.entries)[:, None] * p_mat for h in steps])
+            one_step = one_step.reshape(len(steps), *p_mat.shape)
+        else:
+            if defects is None:
+                defects = semigroup_defects(a, steps)
+            one_step = p_mat + defects @ p_mat
+        powers = _matrix_powers(one_step, counts)
+        products = powers @ x.coords
+    products[~np.isfinite(powers).all(axis=(1, 2))] = np.nan
+    return products
+
+
+def _matrix_powers(stack: np.ndarray, counts: list[int]) -> np.ndarray:
+    """``np.linalg.matrix_power(stack[k], counts[k])`` for every k, with its
+    bits, from one squaring ladder over the stack.
+
+    The rows go in order of their highest bit, so the rows that still need
+    a square z <- z z are a leading block, squared by one stacked product
+    per bit.  A row takes its factor at each of its set bits, least
+    significant first, as ``matrix_power`` does: the first factor as it is,
+    each later one as ``result @ z``; at n = 3, where ``matrix_power``
+    forms (S S) S, as ``z @ result``.  Each product acts slice by slice, so
+    a row's bits do not depend on the stack.  Every ``_LADDER_CHECK`` bits,
+    the rows whose squares overflowed leave the ladder (a square that is
+    not finite stays so); they come back NaN, as their powers would not be
+    finite.
+    """
+    rows = sorted(range(len(counts)), key=lambda k: counts[k].bit_length(), reverse=True)
+    takes: dict[int, list[int]] = {}  # bit -> the rows with that bit set
+    for k, n in enumerate(counts):
+        while n:
+            low = n & -n
+            takes.setdefault(low.bit_length() - 1, []).append(k)
+            n ^= low
+    at = {k: p for p, k in enumerate(rows)}  # each live row's slice of z
+    z = stack[rows]
+    result: dict[int, np.ndarray] = {}
+    powers = np.full_like(stack, np.nan)
+    for bit in range(counts[rows[0]].bit_length() if rows else 0):
+        if bit:
+            while counts[rows[-1]].bit_length() <= bit:  # rows past their highest bit
+                rows.pop()
+            z = z @ z if len(rows) == len(z) else z[: len(rows)] @ z[: len(rows)]
+            if bit % _LADDER_CHECK == 0:
+                finite = np.isfinite(z).all(axis=(1, 2))
+                if not finite.all():
+                    z = z[finite]
+                    rows = [k for k, ok in zip(rows, finite) if ok]
+                    at = {k: p for p, k in enumerate(rows)}
+                    if not rows:
+                        break
+        for k in takes.get(bit, ()):
+            if k not in at:
+                continue
+            factor, prior = z[at[k]], result.get(k)
+            if prior is None:
+                result[k] = factor
+            elif counts[k] == 3:
+                result[k] = factor @ prior
+            else:
+                result[k] = prior @ factor
+            if bit + 1 == counts[k].bit_length():
+                powers[k] = result[k]
+    return powers
+
+
+def dense_trotter_apply(a: Generator, proj: Projection, x: CVec, t: float, n: int) -> CVec:
+    """The alternating product (exp((t/n) A) P)^n x: one row of
+    ``dense_trotter_products``, with the bits of
+    ``np.linalg.matrix_power(exp((t/n) A) P, n) @ x``.
+
+    Accuracy floor: powering carries the rounding of the one-step matrix
+    into its n-th power, so the rounding error grows like n * 2^-52
+    relative to the product.  On a random dense d = 8 draw (generator norm
+    2, rank-4 oblique P, t = 1) the gap to the limit oracle falls with the
+    Trotter error to 1.6e-7 at n = 2^30, rises again to 1.8e-4 at n = 2^40,
+    is meaningless at n = 2^60 and overflows by n = 2^80.  An overflow
+    raises SemigroupOverflow.
+    """
+    coords = dense_trotter_products(a, proj, x, t, (n,))[0]
+    if not np.isfinite(coords).all():
         raise SemigroupOverflow(f"alternating product overflowed within {n} steps")
     return CVec(coords, x.p)
 
@@ -312,6 +399,12 @@ def _generator_matrix(a: Generator) -> np.ndarray:
     if a.kind == "diagonal":
         return np.diag(a.entries)
     return np.asarray(a.matrix)
+
+
+def _oracle_exponents(a: Generator, p_mat: np.ndarray, times) -> np.ndarray:
+    """The (G, d, d) stack of t P A P over ``times``."""
+    compressed = p_mat @ _generator_matrix(a) @ p_mat
+    return np.multiply.outer(np.asarray(times, dtype=np.float64), compressed)
 
 
 def bounded_limit_oracles(a: Generator, proj: Projection, times) -> np.ndarray:
@@ -326,12 +419,38 @@ def bounded_limit_oracles(a: Generator, proj: Projection, times) -> np.ndarray:
     no warning: the caller checks the entries it reads.
     """
     p_mat = projection_matrix(proj)
-    compressed = p_mat @ _generator_matrix(a) @ p_mat
-    scaled = np.multiply.outer(np.asarray(times, dtype=np.float64), compressed)
+    return _oracles(p_mat, matrix_expm1(_oracle_exponents(a, p_mat, times)))
+
+
+def _oracles(p_mat: np.ndarray, expm1s: np.ndarray) -> np.ndarray:
+    """P + (exp(t P A P) - I) P from the stack of exp(t P A P) - I."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return p_mat + matrix_expm1(scaled) @ p_mat
+        return p_mat + expm1s @ p_mat
 
 
 def bounded_limit_oracle(a: Generator, proj: Projection, t: float) -> np.ndarray:
     """The strong limit exp(t P A P) P at one time: see ``bounded_limit_oracles``."""
     return bounded_limit_oracles(a, proj, (t,))[0]
+
+
+def step_defects_and_oracles(
+    a: Generator, proj: Projection, steps, times
+) -> tuple[np.ndarray, np.ndarray, SemigroupOverflow | None]:
+    """The step defects exp(hA) - I at the steps h of ``steps`` and the
+    oracles exp(t P A P) P at the times t of ``times``, for one product job.
+
+    For a dense generator both come from one ``matrix_expm1`` call over one
+    stack, and each has the bits of ``semigroup_defects`` or
+    ``bounded_limit_oracles`` at its own step or time.  The overflow check
+    of ``dense_exponents`` runs first: the defects then cover the steps
+    before the first that fails it, and the third value is that failure
+    (None when every step passes).  A diagonal generator takes its table
+    from ``semigroup_defects`` and its oracles from their own call.
+    """
+    p_mat = projection_matrix(proj)
+    exponents = _oracle_exponents(a, p_mat, times)
+    if a.kind == "diagonal":
+        return semigroup_defects(a, steps), _oracles(p_mat, matrix_expm1(exponents)), None
+    scaled, overflow = dense_exponents(a, steps)
+    expm1s = matrix_expm1(np.concatenate((scaled, exponents)))
+    return expm1s[: len(scaled)], _oracles(p_mat, expm1s[len(scaled) :]), overflow

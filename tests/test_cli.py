@@ -260,6 +260,76 @@ def test_sweep_oracle_overflow_keeps_the_rows_before_it(tmp_path):
     assert rows[-1]["trial"] == "11"
 
 
+def test_limit_check_product_overflow_keeps_the_rows_before_it(tmp_path, capsys):
+    # bounded_oracle's ladder powers a rank-one step whose rounding grows
+    # with n until the product overflows at a middle row of j = 50 .. 70;
+    # the rows before it are those of the ladder that stops just short of it
+    data = shipped_config("bounded_oracle")
+    data["schedule"] = {"j_min": 50, "j_max": 70}
+    cfg = tmp_path / "deep.config.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["limit-check", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OVERFLOW
+    err = capsys.readouterr().err
+    written = int(err.split("overflow after ")[1].split(" rows")[0])
+    assert 0 < written < 21
+    assert f"alternating product overflowed within {2 ** (50 + written)} steps" in err
+    _, _, rows = read_csv(tmp_path / "deep.limit.csv")
+    assert [int(row["steps"]) for row in rows] == [2**j for j in range(50, 50 + written)]
+    data["schedule"] = {"j_min": 50, "j_max": 49 + written}
+    short = tmp_path / "short"
+    cfg.write_text(json.dumps(data))
+    assert main(["limit-check", "--config", str(cfg), "--out", str(short)]) == EXIT_OK
+    assert (short / "deep.limit.csv").read_bytes() == (tmp_path / "deep.limit.csv").read_bytes()
+
+
+def counted_exponentials(monkeypatch):
+    """Count the matrix exponential calls of a run, wherever they are made."""
+    import semigroup_lab.spaces as spaces
+    import semigroup_lab.trotter as trotter
+
+    calls = []
+    kernel = spaces.matrix_expm1
+
+    def counted(stack):
+        calls.append(len(stack))
+        return kernel(stack)
+
+    monkeypatch.setattr(spaces, "matrix_expm1", counted)
+    monkeypatch.setattr(trotter, "matrix_expm1", counted)
+    return calls
+
+
+def test_dense_product_jobs_make_one_exponential_call(tmp_path, monkeypatch):
+    # a dense limit-check forms its 17 step defects and its oracle in one
+    # stack, and a sweep trial its 3 defects and 3 oracles
+    calls = counted_exponentials(monkeypatch)
+    assert main(["limit-check", "--config", "bounded_oracle", "--out", str(tmp_path)]) == EXIT_OK
+    assert calls == [18]
+    calls.clear()
+    assert main(["sweep", "--config", "sweep_bounded", "--out", str(tmp_path)]) == EXIT_OK
+    assert calls == [6] * 12
+    shipped = V1_DATA / "bounded_oracle.limit.csv", V1_DATA / "sweep_bounded.sweep.csv"
+    assert (tmp_path / "bounded_oracle.limit.csv").read_bytes() == shipped[0].read_bytes()
+    assert (tmp_path / "sweep_bounded.sweep.csv").read_bytes() == shipped[1].read_bytes()
+
+
+NO_DRAW = "no projection under norm cap {} in 200 draws"
+
+
+@pytest.mark.parametrize("cap", [1.05, 1.001])
+def test_sweep_projection_cap_no_draw_meets_is_a_config_error(tmp_path, capsys, cap):
+    # every oblique projection of an 8-dimensional trial has a norm well
+    # above 1.05, so 200 draws find none
+    data = shipped_config("sweep_bounded")
+    data["sweep"].update(dim_min=8, dim_max=8, trials=2, projection_norm_cap=cap)
+    cfg = tmp_path / "tight.config.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: sweep.projection_norm_cap: {NO_DRAW.format(cap)}\n"
+    assert not (tmp_path / "tight.sweep.csv").exists()
+
+
 def test_witness_truncation_saves_partial(tmp_path, capsys):
     rc = main(["witness", "--config", "bounded_contrapositive", "--out", str(tmp_path)])
     assert rc == EXIT_TRUNCATION

@@ -590,3 +590,58 @@ TAGGED_LEAVES = (
 @example([{"~f": "0x1p-1074"}, {"~c": ["\u2603", "\n"]}, {"~c": ("a", "b")}, {"~c": ["a", 1]}])
 def test_canonical_dump_writes_tagged_leaves_as_the_indented_json_text(payload):
     assert dumps_canonical(payload) == reference_dump(payload)
+
+
+# A dense matrix, as ``encode`` writes it, against the per-value paths:
+# the recursion's tagged form and text, and the per-entry reader's bits.
+@given(st.integers(0, 5).flatmap(lambda d: st.lists(
+    st.lists(COMPLEXES, min_size=d, max_size=d), min_size=1, max_size=5,
+)))
+@example([
+    [complex(-0.0, math.inf), complex(math.nan, 5e-324)],
+    [complex(-math.inf, -0.0), 2.5e-320j],
+])
+@example([[]])
+def test_matrix_codec_bulk_paths_match_the_per_value_paths(rows):
+    matrix = np.array(rows, dtype=np.complex128).reshape(len(rows), len(rows[0]))
+    tagged = encode(matrix)
+    assert tagged == {"~a": encode(matrix.tolist())}
+    assert dumps_canonical(tagged) == reference_dump(tagged)
+    assert _matrix(tagged).tobytes() == matrix_by_entries(tagged).tobytes()
+    dim = len(rows) if matrix.shape[0] == matrix.shape[1] else None
+    assert _matrix(tagged, dim).tobytes() == matrix_by_entries(tagged, dim).tobytes()
+    if dim is not None:
+        # hex keeps every bit but a NaN's payload
+        back = _matrix(tagged, dim)
+        assert np.array_equal(back, matrix, equal_nan=True)
+        signs = np.signbit(back.view(np.float64))
+        assert signs.tolist() == np.signbit(matrix.view(np.float64)).tolist()
+
+
+TWO = {"~c": ["0x1p+1", "-0x0p+0"]}
+
+
+# Each tagged matrix the bulk reader leaves to the per-entry one, which
+# reads it or names what is wrong.
+@pytest.mark.parametrize(
+    "raw, dim",
+    [
+        ({"~a": [[ONE, TWO], [TWO, ONE]]}, 3),
+        ({"~a": [[ONE, TWO], [TWO]]}, 2),
+        ({"~a": [[ONE, TWO], [TWO]]}, None),
+        ({"~a": [[ONE, TWO], [TWO, {"~f": "0x1p-1"}]]}, 2),
+        ({"~a": [[ONE, TWO], [TWO, 0.5]]}, 2),
+        ({"~a": [[ONE, TWO], [TWO, [0.5, 1.0]]]}, 2),
+        ({"~a": [[ONE, TWO], [TWO, {"~c": ["0x1p+0"]}]]}, 2),
+        ({"~a": [[ONE, TWO], [TWO, {"~c": ["0x1p+0", "0.5"]}]]}, 2),
+        ({"~a": [[ONE, TWO], [TWO, {"~c": ["0x1p+0", "0x0p+0"], "x": 1}]]}, 2),
+        ({"~a": [[ONE, TWO], {"~a": [TWO, ONE]}]}, 2),
+        ({"~a": [[ONE, TWO], "ab"]}, 2),
+        ({"~a": [ONE, TWO]}, 2),
+        ({"~a": []}, None),
+        ({"~a": [[], []]}, 2),
+    ],
+    ids=repr,
+)
+def test_tagged_matrix_forms_the_bulk_reader_leaves_read_as_before(raw, dim):
+    assert outcome(_matrix, raw, dim) == outcome(matrix_by_entries, raw, dim)

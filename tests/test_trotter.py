@@ -29,8 +29,16 @@ from semigroup_lab import (
     step_pairing,
 )
 from semigroup_lab.config import load_config
-from semigroup_lab.spaces import cexpm1
-from semigroup_lab.trotter import batched_log_values, limit_gap_error, product_log_value
+from semigroup_lab.projections import projection_matrix
+from semigroup_lab.spaces import cexpm1, semigroup_defects
+from semigroup_lab.trotter import (
+    batched_log_values,
+    bounded_limit_oracles,
+    dense_trotter_products,
+    limit_gap_error,
+    product_log_value,
+    step_defects_and_oracles,
+)
 
 from conftest import scalar_drift
 
@@ -535,3 +543,136 @@ def test_trotter_record_is_an_immutable_value():
     assert (record.steps, record.path) == (16, "log")
     with pytest.raises(AttributeError):
         record.steps = 32
+
+
+# The stacked squaring ladder against np.linalg.matrix_power, one count at a
+# time: each row's one-step matrix is formed on its own, as a single-count
+# product formed it, and powered by numpy.
+
+def one_step_matrix(a, proj, t, n):
+    """exp((t/n) A) P for one count, formed on its own."""
+    h = t / float(n)
+    p_mat = projection_matrix(proj)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if a.kind == "diagonal":
+            return np.exp(h * a.entries)[:, None] * p_mat
+        return p_mat + semigroup_defect(a, h) @ p_mat
+
+
+def matrix_power_product(a, proj, x, t, n):
+    """np.linalg.matrix_power(exp((t/n) A) P, n) @ x, or None when the power
+    or the product is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.linalg.matrix_power(one_step_matrix(a, proj, t, n), n)
+        product = power @ x.coords
+    return product if np.isfinite(power).all() and np.isfinite(product).all() else None
+
+
+def ladder_case(kind, projection, dim, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    if kind == "diagonal":
+        a = diagonal_generator_from_entries(raw[0] * (2.0 / np.abs(raw[0]).max()))
+    else:
+        a = dense_generator(raw * (rng.uniform(0.5, 4.0) / np.linalg.norm(raw, 2)))
+    f = Functional(rng.standard_normal(dim) + 1j * rng.standard_normal(dim), 2.0)
+    x = CVec(rng.standard_normal(dim) + 1j * rng.standard_normal(dim), 2.0)
+    if projection == "dense" and dim > 1:
+        proj = random_oblique_projection(dim, int(rng.integers(1, dim)), rng)
+    else:
+        proj = make_rank_one(f, x)
+    return a, proj, x
+
+
+@given(
+    kind=st.sampled_from(["diagonal", "dense"]),
+    projection=st.sampled_from(["rank_one", "dense"]),
+    dim=st.integers(1, 16),
+    exponents=st.lists(st.integers(0, 20), min_size=1, max_size=6),
+    others=st.lists(st.integers(1, 2**20), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="dense", projection="dense", dim=16, exponents=[20, 0, 1, 20], others=[3, 2], seed=0)
+@example(kind="diagonal", projection="rank_one", dim=1, exponents=[0, 20], others=[3], seed=1)
+@example(kind="diagonal", projection="rank_one", dim=1, exponents=[1], others=[], seed=1)
+@example(kind="dense", projection="rank_one", dim=1, exponents=[7], others=[], seed=3)
+def test_ladder_rows_have_the_bits_of_matrix_power(kind, projection, dim, exponents, others, seed):
+    # every count the CLI forms is 2^j; other counts, 3 among them (numpy
+    # multiplies its three factors in another order), go in the same call
+    a, proj, x = ladder_case(kind, projection, dim, seed)
+    counts = [2**j for j in exponents] + others
+    rng = np.random.default_rng(seed)
+    times = rng.uniform(0.1, 2.0, len(counts))
+    got = dense_trotter_products(a, proj, x, times, counts)
+    assert got.shape == (len(counts), dim)
+    for t, n, row in zip(times, counts, got):
+        ref = matrix_power_product(a, proj, x, float(t), n)
+        if ref is None:
+            assert np.isnan(row).all()
+        else:
+            assert row.tobytes() == ref.tobytes()
+            assert dense_trotter_apply(a, proj, x, float(t), n).coords.tobytes() == ref.tobytes()
+    if kind == "dense":
+        defects = semigroup_defects(a, times / np.array([float(n) for n in counts]))
+        given_defects = dense_trotter_products(a, proj, x, times, counts, defects=defects)
+        assert given_defects.tobytes() == got.tobytes()
+
+
+def test_ladder_rows_that_overflow_come_back_nan_and_leave_the_rest():
+    # the limit is about exp(0.75 t): at t = 1000 the row overflows at its
+    # last square, at t = 1e5 its squares overflow from 2^14 on, and it leaves
+    # the ladder at the check at bit 16; the rows at t = 1 keep their bits
+    a = diagonal_generator_from_entries([2.0, -0.5])
+    f = Functional([0.5, 0.5], 2.0)
+    x = CVec([1.0, 1.0], 2.0)
+    proj = make_rank_one(f, x)
+    times = [1.0, 1000.0, 1.0, 1e5]
+    counts = [2**10, 2**10, 2**20, 2**20]
+    with np.errstate(all="raise"):
+        got = dense_trotter_products(a, proj, x, times, counts)
+    assert np.isnan(got[1]).all() and np.isnan(got[3]).all()
+    for k in (0, 2):
+        assert got[k].tobytes() == matrix_power_product(a, proj, x, 1.0, counts[k]).tobytes()
+    for t, n in zip(times[1::2], counts[1::2]):
+        assert matrix_power_product(a, proj, x, t, n) is None
+        with pytest.raises(SemigroupOverflow, match=f"overflowed within {n} steps"):
+            dense_trotter_apply(a, proj, x, t, n)
+
+
+def test_ladder_refuses_a_count_below_one_or_past_the_float_range():
+    a, f, x = two_point()
+    proj = make_rank_one(f, x)
+    with pytest.raises(ValueError, match="step count must be positive"):
+        dense_trotter_products(a, proj, x, 1.0, [4, 0])
+    with pytest.raises(OverflowError, match="int too large to convert to float"):
+        dense_trotter_products(a, proj, x, 1.0, [4, 2**1024])
+    assert dense_trotter_products(a, proj, x, 1.0, []).shape == (0, 2)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+@pytest.mark.parametrize("projection", ["rank_one", "dense"])
+@pytest.mark.parametrize("dim", [1, 3, 8, 16])
+def test_merged_defects_and_oracles_have_the_bits_of_their_own_calls(kind, projection, dim):
+    a, proj, _ = ladder_case(kind, projection, dim, dim)
+    times = [0.5, 1.0, 2.0]
+    steps = [t / 2.0**j for t in times for j in (0, 14, 40)]
+    defects, oracles, overflow = step_defects_and_oracles(a, proj, steps, times)
+    assert overflow is None
+    assert len(defects) == len(steps) and len(oracles) == len(times)
+    for h, defect in zip(steps, defects):
+        assert defect.tobytes() == semigroup_defects(a, [h])[0].tobytes()
+    for t, oracle in zip(times, oracles):
+        assert oracle.tobytes() == bounded_limit_oracle(a, proj, t).tobytes()
+    assert oracles.tobytes() == bounded_limit_oracles(a, proj, times).tobytes()
+
+
+def test_merged_defects_stop_before_the_first_step_that_overflows():
+    a = dense_generator([[2.0, 1.0], [0.0, -1.0]])
+    proj = make_rank_one(Functional([1.0, 0.0], 2.0), CVec([1.0, 0.5], 2.0))
+    steps = [1.0, 100.0, 400.0, 2.0]
+    with pytest.raises(SemigroupOverflow) as guard:
+        semigroup_defects(a, steps)
+    defects, oracles, overflow = step_defects_and_oracles(a, proj, steps, [1.0, 2.0])
+    assert str(overflow) == str(guard.value)
+    assert defects.tobytes() == semigroup_defects(a, steps[:2]).tobytes()
+    assert oracles.tobytes() == bounded_limit_oracles(a, proj, [1.0, 2.0]).tobytes()
