@@ -35,7 +35,7 @@ from .errors import (
     UnderflowRadius,
     WitnessBuildError,
 )
-from .projections import projection_norm, random_oblique_projection
+from .projections import Projection, projection_norm, random_oblique_projection
 from .renorm import quasi_contractivity_audit
 from .serialize import (
     CERT_SCHEMAS,
@@ -85,6 +85,10 @@ OVERFLOWS = (SemigroupOverflow, OverflowError)
 LIMIT_CSV_SCHEMA = "semigroup-lab/limit-csv/1"
 SWEEP_CSV_SCHEMA = "semigroup-lab/sweep-csv/1"
 
+# Rows in the first block of a limit-check's dense products; each later
+# block is twice the one before.
+_LADDER_BLOCK = 64
+
 
 def _write_csv(path: Path, schema: str, fields: list[str], lines: list[str]) -> None:
     """Write a CSV from its already formatted rows: each row gives a float as
@@ -115,6 +119,27 @@ def _finite_rows(*stacks: np.ndarray) -> int:
     finite = np.logical_and.reduce([np.isfinite(rows).all(axis=1) for rows in stacks])
     bad = np.flatnonzero(~finite)
     return int(bad[0]) if bad.size else len(finite)
+
+
+def _products_to_first_overflow(
+    a: Generator, proj: Projection, x: CVec, t: float, counts: list[int], defects: np.ndarray
+) -> np.ndarray:
+    """The leading rows of ``dense_trotter_products`` over ``counts``: all of
+    them, or those up to the first block that holds a row that is not
+    finite.  A limit-check stops at its first overflowing row, and a row's
+    ladder costs its count's bit length, so the blocks keep a long schedule
+    from squaring the rows it would never write.  Each row has the bits of
+    its one-call product."""
+    products = np.empty((0, len(x.coords)), dtype=np.complex128)
+    start, size = 0, _LADDER_BLOCK
+    while start < len(counts) and _finite_rows(products) == len(products):
+        stop = start + size
+        block = dense_trotter_products(
+            a, proj, x, t, counts[start:stop], defects=defects[start:stop]
+        )
+        products = np.concatenate((products, block))
+        start, size = stop, 2 * size
+    return products
 
 
 def _limit_target(oracle: np.ndarray, x: CVec, t: float) -> np.ndarray:
@@ -171,7 +196,7 @@ def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
         records = scalar_trotter_values(a, f, x, cfg.time, counts, defects)
         if proj is not None:
             target = _limit_target(oracles[0], x, cfg.time)
-            products = dense_trotter_products(a, proj, x, cfg.time, counts, defects=defects)
+            products = _products_to_first_overflow(a, proj, x, cfg.time, counts, defects)
             written = _finite_rows(products)
             with np.errstate(over="ignore"):
                 gaps = row_norms(products[:written] - target, x.p).tolist()

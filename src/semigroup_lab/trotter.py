@@ -43,9 +43,6 @@ MATERIALIZE_LOG_BOUND = 700.0
 
 _NORMALIZED_SLACK = 1e-9
 
-# Bits between the squaring ladder's checks for rows whose squares overflowed.
-_LADDER_CHECK = 8
-
 
 class TrotterRecord(NamedTuple):
     """One row of a product-formula run at a fixed step count.
@@ -332,9 +329,8 @@ def _matrix_powers(stack: np.ndarray, counts: list[int]) -> np.ndarray:
     significant first, as ``matrix_power`` does: the first factor as it is,
     each later one as ``result @ z``; at n = 3, where ``matrix_power``
     forms (S S) S, as ``z @ result``.  Each product acts slice by slice, so
-    a row's bits do not depend on the stack.  Every ``_LADDER_CHECK`` bits,
-    the rows whose squares overflowed leave the ladder (a square that is
-    not finite stays so); they come back NaN, as their powers would not be
+    a row's bits do not depend on the stack.  A row whose squares overflow
+    stays in the ladder to its highest bit and ends with a power that is not
     finite.
     """
     rows = sorted(range(len(counts)), key=lambda k: counts[k].bit_length(), reverse=True)
@@ -344,26 +340,17 @@ def _matrix_powers(stack: np.ndarray, counts: list[int]) -> np.ndarray:
             low = n & -n
             takes.setdefault(low.bit_length() - 1, []).append(k)
             n ^= low
-    at = {k: p for p, k in enumerate(rows)}  # each live row's slice of z
+    at = {k: p for p, k in enumerate(rows)}  # each row's slice of z
     z = stack[rows]
     result: dict[int, np.ndarray] = {}
-    powers = np.full_like(stack, np.nan)
+    powers = np.empty_like(stack)
+    # rows[0] has the highest bit, so the live block never empties
     for bit in range(counts[rows[0]].bit_length() if rows else 0):
         if bit:
             while counts[rows[-1]].bit_length() <= bit:  # rows past their highest bit
                 rows.pop()
             z = z @ z if len(rows) == len(z) else z[: len(rows)] @ z[: len(rows)]
-            if bit % _LADDER_CHECK == 0:
-                finite = np.isfinite(z).all(axis=(1, 2))
-                if not finite.all():
-                    z = z[finite]
-                    rows = [k for k, ok in zip(rows, finite) if ok]
-                    at = {k: p for p, k in enumerate(rows)}
-                    if not rows:
-                        break
         for k in takes.get(bit, ()):
-            if k not in at:
-                continue
             factor, prior = z[at[k]], result.get(k)
             if prior is None:
                 result[k] = factor

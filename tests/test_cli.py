@@ -282,6 +282,49 @@ def test_limit_check_product_overflow_keeps_the_rows_before_it(tmp_path, capsys)
     assert (short / "deep.limit.csv").read_bytes() == (tmp_path / "deep.limit.csv").read_bytes()
 
 
+def test_limit_check_forms_its_products_to_the_first_overflowing_block(tmp_path, monkeypatch):
+    # bounded_oracle's product overflows at j = 61: a ladder to j = 1023
+    # forms only its first block of 64 rows, and writes the rows of j <= 60
+    import semigroup_lab.cli as cli
+
+    blocks = []
+    products = cli.dense_trotter_products
+
+    def counted(a, proj, x, t, counts, **kwargs):
+        blocks.append(len(counts))
+        return products(a, proj, x, t, counts, **kwargs)
+
+    monkeypatch.setattr(cli, "dense_trotter_products", counted)
+    data = shipped_config("bounded_oracle")
+    cfg = tmp_path / "long.config.json"
+    for j_max, out, code in ((1023, "long", EXIT_OVERFLOW), (60, "short", EXIT_OK)):
+        data["schedule"] = {"j_min": 0, "j_max": j_max}
+        cfg.write_text(json.dumps(data))
+        assert main(["limit-check", "--config", str(cfg), "--out", str(tmp_path / out)]) == code
+    assert blocks == [64, 61]
+    long, short = (tmp_path / out / "long.limit.csv" for out in ("long", "short"))
+    assert long.read_bytes() == short.read_bytes()
+
+
+@pytest.mark.parametrize("schedule", [(0, 16), (50, 70)], ids=["0-16", "50-70"])
+def test_limit_check_products_keep_their_bytes_across_blocks(tmp_path, monkeypatch, schedule):
+    # blocks of 2, 4, 8, ... rows write the bytes of one block, with and
+    # without an overflowing row
+    import semigroup_lab.cli as cli
+
+    data = shipped_config("bounded_oracle")
+    data["schedule"] = {"j_min": schedule[0], "j_max": schedule[1]}
+    cfg = tmp_path / "blocks.config.json"
+    cfg.write_text(json.dumps(data))
+    codes = []
+    for block, out in ((1024, "one"), (2, "many")):
+        monkeypatch.setattr(cli, "_LADDER_BLOCK", block)
+        codes.append(main(["limit-check", "--config", str(cfg), "--out", str(tmp_path / out)]))
+    assert codes[0] == codes[1]
+    one, many = (tmp_path / out / "blocks.limit.csv" for out in ("one", "many"))
+    assert one.read_bytes() == many.read_bytes()
+
+
 def counted_exponentials(monkeypatch):
     """Count the matrix exponential calls of a run, wherever they are made."""
     import semigroup_lab.spaces as spaces

@@ -620,8 +620,9 @@ def test_ladder_rows_have_the_bits_of_matrix_power(kind, projection, dim, expone
 
 def test_ladder_rows_that_overflow_come_back_nan_and_leave_the_rest():
     # the limit is about exp(0.75 t): at t = 1000 the row overflows at its
-    # last square, at t = 1e5 its squares overflow from 2^14 on, and it leaves
-    # the ladder at the check at bit 16; the rows at t = 1 keep their bits
+    # last square, and at t = 1e5 its squares overflow from 2^14 on and stay
+    # in the ladder to bit 20; the rows at t = 1 keep their bits, also when
+    # the overflowing row is the ladder's longest and the other ends first
     a = diagonal_generator_from_entries([2.0, -0.5])
     f = Functional([0.5, 0.5], 2.0)
     x = CVec([1.0, 1.0], 2.0)
@@ -630,9 +631,12 @@ def test_ladder_rows_that_overflow_come_back_nan_and_leave_the_rest():
     counts = [2**10, 2**10, 2**20, 2**20]
     with np.errstate(all="raise"):
         got = dense_trotter_products(a, proj, x, times, counts)
+        longest = dense_trotter_products(a, proj, x, [1e5, 1.0], [2**20, 2**16])
     assert np.isnan(got[1]).all() and np.isnan(got[3]).all()
     for k in (0, 2):
         assert got[k].tobytes() == matrix_power_product(a, proj, x, 1.0, counts[k]).tobytes()
+    assert np.isnan(longest[0]).all()
+    assert longest[1].tobytes() == matrix_power_product(a, proj, x, 1.0, 2**16).tobytes()
     for t, n in zip(times[1::2], counts[1::2]):
         assert matrix_power_product(a, proj, x, t, n) is None
         with pytest.raises(SemigroupOverflow, match=f"overflowed within {n} steps"):
