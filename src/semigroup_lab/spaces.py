@@ -265,7 +265,7 @@ def row_norms(rows: np.ndarray, p: float) -> np.ndarray:
     :func:`norm` on that row, overflow rescaling included."""
     with np.errstate(over="ignore"):
         if p == 2.0:  # np.linalg.norm's own sum for one vector: two dots
-            out = np.sqrt(_row_dots(rows.real, rows.real) + _row_dots(rows.imag, rows.imag))
+            out = np.sqrt(dots(rows.real, rows.real) + dots(rows.imag, rows.imag))
         else:
             out = np.linalg.norm(rows, ord=p, axis=1)
     for k in np.flatnonzero(~np.isfinite(out)):
@@ -288,15 +288,18 @@ def pairings(f: Functional, rows: np.ndarray) -> np.ndarray:
     """The pairing of f with every row of a (G, d) array, each with the bits
     of :func:`pairing`."""
     _check_dims(f.dim, rows.shape[-1], "pairings")
-    return _row_dots(rows, f.coords)
+    return dots(rows, f.coords)
 
 
-def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_m u_m v_m for each row of u against the matching row of v (or
-    against v itself), as a stack of 1 x d by d x 1 products: numpy takes
-    each by the kernel of ``np.dot`` on one pair of vectors, so a row's bits
-    do not depend on the stack."""
-    return (u[:, None, :] @ v[..., None])[:, 0, 0]
+def dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_m u_m v_m over the last axis, broadcast over the others, as a
+    stack of 1 x d by d x 1 products: numpy takes each pair by the kernel of
+    ``np.dot`` on one pair of vectors, so a pair's bits do not depend on the
+    shape of the stack.  ``dots(rows, f)`` pairs every row with f,
+    ``dots(u, v)`` row k of u with row k of v, and
+    ``dots(table[:, None, :], vectors[None, :, :])`` every row of the table
+    with every vector."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def apply_generator(a: Generator, v: CVec) -> CVec:

@@ -32,6 +32,7 @@ from .spaces import (
     cexpm1_array,
     clog1p_array,
     dense_exponents,
+    dots,
     matrix_expm1,
     pairing,
     semigroup_defects,
@@ -121,27 +122,21 @@ def _offsets(
     call for either kind.  A diagonal term is grouped
     (f_m v_m)(exp(h a_m) - 1), over the coordinates some f_m v_m weights; a
     defect there that overflows raises SemigroupOverflow.  A dense generator
-    pulls f back through its defects.  Each row has the same bits in a batch
-    of any size.
+    pulls f back through its defects.  Every (time, vector) cell comes from
+    one ``dots`` pair, so it has the same bits in a batch of any shape.
     """
     if defects is None:
         defects = semigroup_defects(a, times)
     if a.kind == "diagonal":
-        weights = vectors * f.coords
+        # numpy multiplies a lone complex pair by another rounding than a
+        # run of them, so at d = 1 the weights go pair by pair through dots
+        weights = vectors * f.coords if f.dim > 1 else dots(vectors[..., None], f.coords[:, None])
         defect = np.where(weights.any(axis=0), defects, 0.0)
         over = np.flatnonzero(np.isinf(defect).any(axis=1))
         if over.size:
             raise SemigroupOverflow(f"diagonal orbit at t = {times[over[0]]:.3g} overflows")
-        return _by_rows(defect, weights)
-    return _by_rows(defects.transpose(0, 2, 1) @ f.coords, vectors)
-
-
-def _by_rows(table: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """``table @ vectors.T``.  BLAS takes a lone row by another kernel than a
-    taller table, so it goes in twice: a row has the same bits in any table."""
-    if len(table) == 1:
-        return (np.concatenate((table, table)) @ vectors.T)[:1]
-    return table @ vectors.T
+        return dots(defect[:, None, :], weights[None, :, :])
+    return dots((defects.transpose(0, 2, 1) @ f.coords)[:, None, :], vectors[None, :, :])
 
 
 def batched_log_values(

@@ -479,6 +479,23 @@ def test_v1_artifacts_pass_verify(name):
     assert main(["verify", str(V1_DATA / name)]) == EXIT_OK
 
 
+# The deepest pinned ladder: 17 stages on the whole schedule, the last at
+# 2^808, where one ulp of a stage's log value moves its limit error past
+# verify's tolerance.  tools/make_shipped_configs.py writes its config.
+DEEP_LADDER = "blowup_k17"
+
+
+def test_deep_ladder_witness_writes_the_pinned_certificate(tmp_path):
+    config = V1_DATA / "configs" / f"{DEEP_LADDER}.config.json"
+    assert main(["witness", "--config", str(config), "--out", str(tmp_path)]) == EXIT_OK
+    written = (tmp_path / f"{DEEP_LADDER}.cert.json").read_bytes()
+    assert written == (V1_DATA / f"{DEEP_LADDER}.cert.json").read_bytes()
+
+
+def test_deep_ladder_certificate_verifies():
+    assert main(["verify", str(V1_DATA / f"{DEEP_LADDER}.cert.json")]) == EXIT_OK
+
+
 def test_shipped_classical_report_is_unchanged(tmp_path):
     assert main(["renorm-audit", "--config", "classical_renorm", "--out", str(tmp_path)]) == EXIT_OK
     written = (tmp_path / "classical_renorm.report.json").read_bytes()

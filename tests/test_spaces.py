@@ -131,6 +131,24 @@ def test_batched_pairings_and_norms_have_the_one_vector_bits(rows, fc):
         assert row_norms(rows, p).tolist() == [norm(CVec(row, p)) for row in rows]
 
 
+# pairings and row_norms reach the one-vector kernels through dots, pair by
+# pair, so no block shape moves a bit.
+@given(
+    dim=st.integers(1, 32),
+    count=st.integers(1, 70),
+    p=st.sampled_from([1.0, 2.0, math.inf]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pairings_and_row_norms_keep_the_one_vector_bits_at_any_shape(dim, count, p, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    f = Functional(rng.standard_normal(dim) + 1j * rng.standard_normal(dim), p)
+    one_by_one = [pairing(f, CVec(row, p)) for row in rows]
+    assert pairings(f, rows).tobytes() == np.array(one_by_one).tobytes()
+    one_by_one = [norm(CVec(row, p)) for row in rows]
+    assert row_norms(rows, p).tobytes() == np.array(one_by_one).tobytes()
+
+
 def test_pairing_is_bilinear_not_sesquilinear():
     f = Functional([1j, 0.0], 2.0)
     v = CVec([1j, 0.0], 2.0)

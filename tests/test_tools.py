@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from semigroup_lab.cli import EXIT_OK, main
+
 REPO = Path(__file__).resolve().parents[1]
 SCRIPT = REPO / "tools" / "make_shipped_configs.py"
 SHIPPED = REPO / "src" / "semigroup_lab" / "configs"
@@ -13,12 +15,17 @@ NAMES = sorted(p.name for p in SHIPPED.glob("*.config.json"))
 
 
 @pytest.fixture(scope="module")
-def regenerated(tmp_path_factory):
+def script():
+    spec = importlib.util.spec_from_file_location("make_shipped_configs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def regenerated(script, tmp_path_factory):
     # the blow-up configs come from the law designer, whose builds run the
     # whole certificate pipeline
-    spec = importlib.util.spec_from_file_location("make_shipped_configs", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
     script.OUT = tmp_path_factory.mktemp("configs")
     script.main()
     return script.OUT
@@ -32,6 +39,22 @@ def test_script_writes_every_shipped_config(regenerated):
 @pytest.mark.parametrize("name", NAMES)
 def test_shipped_config_regenerates_byte_for_byte(regenerated, name):
     assert (regenerated / name).read_bytes() == (SHIPPED / name).read_bytes()
+
+
+def test_deep_ladder_config_regenerates_byte_for_byte(script, tmp_path, monkeypatch):
+    monkeypatch.setattr(script, "DEEP_LADDER", tmp_path / "blowup_k17.config.json")
+    script.write_deep_ladder()
+    pinned = REPO / "tests" / "data" / "configs" / "blowup_k17.config.json"
+    assert (tmp_path / "blowup_k17.config.json").read_bytes() == pinned.read_bytes()
+
+
+def test_k18_ladder_builds_and_verifies_through_the_cli(script, tmp_path):
+    # one stage past the pinned K = 17 ladder, at 2^890; at K = 19 the
+    # stability radius falls under the underflow floor
+    config = tmp_path / "blowup_k18.config.json"
+    config.write_text(script.dumps(script.blowup_config(stages=18, dim=20, j_max=1023)))
+    assert main(["witness", "--config", str(config), "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["verify", str(tmp_path / "blowup_k18.cert.json")]) == EXIT_OK
 
 
 def test_nothing_names_scipy():

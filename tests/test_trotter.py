@@ -8,7 +8,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semigroup_lab import (
@@ -266,6 +266,41 @@ def test_carrier_rows_do_not_depend_on_the_batch(kind):
             row = batched_log_values(a, f, vectors, [n], 0.5 + 0.25j)
             for name in ("offsets", "log_values", "errors"):
                 assert getattr(row, name).tobytes() == getattr(batch, name)[k : k + 1].tobytes()
+
+
+# Every (count, vector) cell of a carrier batch comes from one pair of
+# spaces.dots, so it has the bits of the call on that count and that vector
+# alone, whatever the batch's shape.  The defect table's rows are checked
+# against their own calls elsewhere; here every call reads the same table.
+@given(
+    kind=st.sampled_from(["diagonal", "dense"]),
+    dim=st.integers(1, 32),
+    counts=st.integers(1, 70),
+    width=st.integers(1, 70),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="diagonal", dim=1, counts=1, width=3, seed=0)
+@example(kind="dense", dim=1, counts=3, width=2, seed=0)
+@settings(max_examples=6)
+def test_carrier_cells_have_the_bits_of_one_count_one_vector_calls(kind, dim, counts, width, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    if kind == "diagonal":
+        a = diagonal_generator_from_entries(raw[0] * 3.0)
+    else:
+        a = dense_generator(raw / math.sqrt(dim))
+    f = Functional(rng.standard_normal(dim) + 1j * rng.standard_normal(dim), 2.0)
+    vectors = rng.standard_normal((width, dim)) + 1j * rng.standard_normal((width, dim))
+    steps = np.ldexp(1.0, rng.integers(0, 60, counts))
+    table = semigroup_defects(a, 1.0 / steps)
+    batch = batched_log_values(a, f, vectors, steps, 0.5 + 0.25j, defects=table)
+    for k in range(counts):
+        for v in range(width):
+            cell = batched_log_values(
+                a, f, vectors[v : v + 1], steps[k : k + 1], 0.5 + 0.25j, defects=table[k : k + 1]
+            )
+            for name in ("offsets", "log_values", "errors"):
+                assert getattr(cell, name).tobytes() == getattr(batch, name)[k, v].tobytes()
 
 
 def literal_product(a, proj, x, t, n):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from semigroup_lab.errors import (
 )
 from semigroup_lab import spaces, witness
 from semigroup_lab.cli import _build_from_config
-from semigroup_lab.serialize import encode
+from semigroup_lab.serialize import encode, load_json
 from semigroup_lab.trotter import batched_log_values, limit_gap_error
 from semigroup_lab.witness import (
     _seed_with_meta,
@@ -798,7 +799,7 @@ def test_table_scan_raises_where_the_carrier_does():
     # 2^1023, and a scan past it that finds no hit ends as one to 2^1023 does
     a = diagonal_generator_from_entries([0.3 + 0.7j, 1.1j, -0.2])
     f = Functional([0.5, -1.25, 2.0], 2.0)
-    x = CVec(np.array([1.0, 0.5j, 0.25]) / (1.0 - 0.625j), 2.0)  # f(x) = 1
+    x = CVec(np.array([1.0, 0.5j, 0.125]) / (0.75 - 0.625j), 2.0)  # f(x) = 1
     for eps in [5e-324, 0.1]:
         got, table = shared_table_scans(a, f, [x], eps, 1030)
         assert_same_outcome(got[0], outcome(looped_step_scan, a, f, x, eps, 1030))
@@ -854,6 +855,23 @@ def test_batched_lipschitz_constants_have_the_one_count_bits(k5_certificate):
         batched = _step_lipschitzes(a, g, steps).tolist()
         assert batched == [one_count_lipschitz(a, g, n) for n in steps]
         assert [_step_lipschitzes(a, g, [n]).item() for n in steps] == batched
+
+
+@pytest.mark.parametrize("name", ["blowup_k5.v2.cert.json", "blowup_k17.cert.json"])
+def test_verify_recomputes_the_stored_log_values_bit_for_bit(name, monkeypatch):
+    # verify's K x K stage batch and its witness column give every stored log
+    # value the bits the build's one-vector scans stored, at K = 5 and K = 17
+    cert = cert_from_dict(load_json(Path(__file__).parent / "data" / name))
+    batches = []
+    carrier = witness.batched_log_values
+    monkeypatch.setattr(
+        witness, "batched_log_values", lambda *args: batches.append(carrier(*args)) or batches[-1]
+    )
+    verify_certificate(cert)
+    stages, at_witness = batches
+    stored = np.array([st.log_value for st in cert.stages])
+    assert np.diagonal(stages.log_values).tobytes() == stored.tobytes()
+    assert at_witness.log_values[:, 0].tobytes() == np.array(cert.witness_log_values).tobytes()
 
 
 def test_verify_names_batched_failures_with_their_one_stage_numbers(k5_certificate):

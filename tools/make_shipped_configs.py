@@ -5,6 +5,8 @@ The blow-up configs embed a tuned growth-law table produced by the
 in-package designer; its values are written as tagged hex floats so a
 rebuild replays the exact same ladder bit for bit.  Everything else is
 plain JSON, edited here rather than by hand so the files stay in sync.
+The script also writes the deep-ladder test config,
+tests/data/configs/blowup_k17.config.json, with the same designer.
 """
 
 from __future__ import annotations
@@ -20,23 +22,42 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from semigroup_lab import CVec, Functional, design_blowup_law
 from semigroup_lab.serialize import encode
 
-OUT = Path(__file__).resolve().parents[1] / "src" / "semigroup_lab" / "configs"
+REPO = Path(__file__).resolve().parents[1]
+OUT = REPO / "src" / "semigroup_lab" / "configs"
+DEEP_LADDER = REPO / "tests" / "data" / "configs" / "blowup_k17.config.json"
 
 SEED = 20260823
 
 
 def write(name: str, payload: dict) -> None:
     path = OUT / f"{name}.config.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    path.write_text(dumps(payload), encoding="utf-8")
     print(f"wrote {path}")
 
 
-def blowup_law_values() -> list:
-    dim = 7
+def blowup_config(stages: int, dim: int, j_max: int) -> dict:
+    """A blow-up config whose growth law the designer tunes to carry a
+    ``stages``-stage ladder in dimension ``dim`` on the schedule 2^0 ..
+    2^j_max."""
     phi = Functional(0.01 * 2.0 ** (-np.arange(dim, dtype=float)), 2.0)
     z = CVec(np.eye(dim, dtype=complex)[0] / phi.coords[0], 2.0)
-    law = design_blowup_law(phi, z, eps=0.1, stage_goal=5, j_max=160, seed=SEED)
-    return [encode(v) for v in law.values]
+    law = design_blowup_law(phi, z, eps=0.1, stage_goal=stages, j_max=j_max, seed=SEED)
+    return {
+        "schema": "semigroup-lab/config/1",
+        "seed": SEED,
+        "space": {"dim": dim, "p": 2},
+        "generator": {
+            "kind": "diagonal",
+            "law": {"kind": "table", "values": [encode(v) for v in law.values]},
+        },
+        "functional": {"kind": "geometric", "scale": 0.01, "base": 2.0},
+        "vector": {"kind": "basis", "index": 1},
+        "witness": {"eps": 0.1, "stages": stages, "j_max": j_max},
+    }
+
+
+def dumps(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def main() -> None:
@@ -81,16 +102,7 @@ def main() -> None:
         },
     )
 
-    law_values = blowup_law_values()
-    blowup_common = {
-        "schema": "semigroup-lab/config/1",
-        "seed": SEED,
-        "space": {"dim": 7, "p": 2},
-        "generator": {"kind": "diagonal", "law": {"kind": "table", "values": law_values}},
-        "functional": {"kind": "geometric", "scale": 0.01, "base": 2.0},
-        "vector": {"kind": "basis", "index": 1},
-        "witness": {"eps": 0.1, "stages": 5, "j_max": 160},
-    }
+    blowup_common = blowup_config(stages=5, dim=7, j_max=160)
     write("blowup_k5", blowup_common)
 
     write(
@@ -175,5 +187,12 @@ def main() -> None:
     )
 
 
+def write_deep_ladder() -> None:
+    """The K = 17 ladder on the whole schedule, one rung per stage plus two."""
+    DEEP_LADDER.write_text(dumps(blowup_config(stages=17, dim=19, j_max=1023)), encoding="utf-8")
+    print(f"wrote {DEEP_LADDER}")
+
+
 if __name__ == "__main__":
     main()
+    write_deep_ladder()
