@@ -244,7 +244,6 @@ def _build_from_config(cfg: ExperimentConfig):
         j_max=params.j_max,
         seed=cfg.seed,
         margin=params.margin,
-        validation_samples=params.validation_samples,
     )
 
 

@@ -66,6 +66,7 @@ class WitnessParams:
     stages: int
     j_max: int = DEFAULT_J_MAX
     margin: float = DEFAULT_MARGIN
+    # read and checked so old configs parse; a build samples nothing
     validation_samples: int = DEFAULT_VALIDATION_SAMPLES
 
 

@@ -17,6 +17,9 @@ IDEMPOTENCY_SLACK = 1e-10
 
 DEGENERATE_PAIRING = 1e-12
 
+# Draws random_oblique_projection makes before it gives up on its norm cap.
+_MAX_TRIES = 200
+
 
 def _induced_norm(matrix: np.ndarray, p: float) -> float:
     if p == 1.0:
@@ -133,7 +136,6 @@ def random_oblique_projection(
     rank: int,
     rng: np.random.Generator,
     norm_cap: float = 5.0,
-    max_tries: int = 200,
 ) -> DenseProjection:
     """Draw a non-orthogonal projection of the given rank with |P| <= cap.
 
@@ -142,7 +144,7 @@ def random_oblique_projection(
     """
     if not 0 < rank < dim:
         raise ValueError("rank must be strictly between 0 and dim")
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         frame, _ = np.linalg.qr(gauss)
         shear = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -154,4 +156,4 @@ def random_oblique_projection(
         candidate = basis[:, :rank] @ inverse[:rank, :]
         if np.linalg.norm(candidate, 2) <= norm_cap:
             return DenseProjection(candidate)
-    raise RuntimeError(f"no projection under norm cap {norm_cap} in {max_tries} draws")
+    raise RuntimeError(f"no projection under norm cap {norm_cap} in {_MAX_TRIES} draws")

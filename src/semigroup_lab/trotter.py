@@ -389,30 +389,10 @@ def _oracle_exponents(a: Generator, p_mat: np.ndarray, times) -> np.ndarray:
     return np.multiply.outer(np.asarray(times, dtype=np.float64), compressed)
 
 
-def bounded_limit_oracles(a: Generator, proj: Projection, times) -> np.ndarray:
-    """The strong limits of the alternating products for bounded A, at every
-    t of ``times``: the (G, d, d) stack of exp(t P A P) P.
-
-    Each is P + (exp(t P A P) - I) P, from one ``matrix_expm1`` call over
-    the stack, and has the bits of its own single-time call.  The product
-    routes' defects come from the same kernel on another matrix; the
-    50-digit mpmath tests of both are what keep this comparison from being
-    circular.  An exponential that overflows gives inf or NaN entries, and
-    no warning: the caller checks the entries it reads.
-    """
-    p_mat = projection_matrix(proj)
-    return _oracles(p_mat, matrix_expm1(_oracle_exponents(a, p_mat, times)))
-
-
-def _oracles(p_mat: np.ndarray, expm1s: np.ndarray) -> np.ndarray:
-    """P + (exp(t P A P) - I) P from the stack of exp(t P A P) - I."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return p_mat + expm1s @ p_mat
-
-
 def bounded_limit_oracle(a: Generator, proj: Projection, t: float) -> np.ndarray:
-    """The strong limit exp(t P A P) P at one time: see ``bounded_limit_oracles``."""
-    return bounded_limit_oracles(a, proj, (t,))[0]
+    """The strong limit exp(t P A P) P of the alternating products for
+    bounded A, at one time: the oracle of ``step_defects_and_oracles``."""
+    return step_defects_and_oracles(a, proj, (), (t,))[1][0]
 
 
 def step_defects_and_oracles(
@@ -421,18 +401,27 @@ def step_defects_and_oracles(
     """The step defects exp(hA) - I at the steps h of ``steps`` and the
     oracles exp(t P A P) P at the times t of ``times``, for one product job.
 
-    For a dense generator both come from one ``matrix_expm1`` call over one
-    stack, and each has the bits of ``semigroup_defects`` or
-    ``bounded_limit_oracles`` at its own step or time.  The overflow check
-    of ``dense_exponents`` runs first: the defects then cover the steps
-    before the first that fails it, and the third value is that failure
-    (None when every step passes).  A diagonal generator takes its table
-    from ``semigroup_defects`` and its oracles from their own call.
+    Each oracle is P + (exp(t P A P) - I) P.  For a dense generator the
+    defects and oracles come from one ``matrix_expm1`` call over one stack,
+    and each has the bits of ``semigroup_defects`` or ``bounded_limit_oracle``
+    at its own step or time.  The overflow check of ``dense_exponents`` runs
+    first: the defects then cover the steps before the first that fails it,
+    and the third value is that failure (None when every step passes).  A
+    diagonal generator takes its table from ``semigroup_defects`` and its
+    oracles from their own call.  The product routes' defects and the
+    oracles come from the same kernel on different matrices; the 50-digit
+    mpmath tests of both keep their comparison from being circular.  An
+    oracle exponential that overflows gives inf or NaN entries, and no
+    warning: the caller checks the entries it reads.
     """
     p_mat = projection_matrix(proj)
     exponents = _oracle_exponents(a, p_mat, times)
     if a.kind == "diagonal":
-        return semigroup_defects(a, steps), _oracles(p_mat, matrix_expm1(exponents)), None
-    scaled, overflow = dense_exponents(a, steps)
-    expm1s = matrix_expm1(np.concatenate((scaled, exponents)))
-    return expm1s[: len(scaled)], _oracles(p_mat, expm1s[len(scaled) :]), overflow
+        defects, overflow = semigroup_defects(a, steps), None
+        expm1s = matrix_expm1(exponents)
+    else:
+        scaled, overflow = dense_exponents(a, steps)
+        stacked = matrix_expm1(np.concatenate((scaled, exponents)))
+        defects, expm1s = stacked[: len(scaled)], stacked[len(scaled) :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return defects, p_mat + expm1s @ p_mat, overflow

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from semigroup_lab import (
     CVec,
@@ -47,6 +49,7 @@ from semigroup_lab.cli import _build_from_config
 from semigroup_lab.serialize import encode, load_json
 from semigroup_lab.trotter import batched_log_values, limit_gap_error
 from semigroup_lab.witness import (
+    _radius_log_bound,
     _seed_with_meta,
     _schedule_defects,
     _step_lipschitzes,
@@ -57,6 +60,7 @@ from conftest import build_from_config, scalar_log_value
 
 PAIRING_TOL = 1e-10
 RECOMPUTE_TOL = 1e-9
+K5_V2_CERT = Path(__file__).parent / "data" / "blowup_k5.v2.cert.json"
 
 # held fixed with test_trotter: smallest dyadic step count reaching 0.1
 # for the two-coordinate model, found by scanning the closed form
@@ -224,6 +228,98 @@ def test_validation_samples_stay_on_the_slice(monkeypatch, scale):
     assert np.max(np.abs(gauges - 1.0)) < 1e-12
 
 
+# Ten times the 100 samples per stage a build once drew at run time.
+LEMMA_SAMPLES = 1000
+# Samples per trial radius of the negative control.
+CONTROL_SAMPLES = 100
+
+
+@pytest.mark.parametrize("name", ["blowup_k5.v2.cert.json", "blowup_k17.cert.json"])
+@settings(max_examples=3)
+@given(seed=hst.integers(0, 2**64 - 1))
+def test_certified_radius_keeps_sampled_deviation_under_two_eps(name, seed):
+    # The lemma behind stability_radius: in the delta-ball of the f = 1 slice,
+    # the stage's product value stays within 2*eps of exp(f(Ax)).  A radius
+    # 2^k delta that breaks the step-perturbation bound must show a sample at
+    # 2*eps or beyond, so the sampling could catch a radius the bound missed.
+    cert = cert_from_dict(load_json(Path(__file__).parent / "data" / name))
+    a, f = cert.a, cert.functional_obj()
+    rng = np.random.default_rng(seed)
+    lips = _step_lipschitzes(a, f, [st.steps for st in cert.stages]).tolist()
+    carrier = witness.batched_log_values
+    points = []
+
+    def recorded(a, f, shifted, *args, **kwargs):
+        points.append(len(shifted))
+        return carrier(a, f, shifted, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witness, "batched_log_values", recorded)
+        for st, lip in zip(cert.stages, lips):
+            x = CVec(st.vector, cert.p)
+            points.clear()
+            worst = validate_stability(a, f, x, st.steps, st.stability_radius, rng, LEMMA_SAMPLES)
+            assert sum(points) >= LEMMA_SAMPLES
+            assert worst < 2.0 * cert.eps, f"stage {st.index}"
+            log_step_abs = st.log_value.real / st.steps
+            broken = [
+                st.stability_radius * 2.0**k
+                for k in range(1, 65)
+                if _radius_log_bound(log_step_abs, st.steps, lip, st.stability_radius * 2.0**k)
+                > math.log(cert.eps)
+            ]
+            assert any(
+                validate_stability(a, f, x, st.steps, r, rng, CONTROL_SAMPLES) >= 2.0 * cert.eps
+                for r in broken
+            ), f"stage {st.index}: no radius that breaks the bound shows a violation"
+
+
+def test_build_samples_nothing(monkeypatch):
+    # a K = 5 build makes six scans of 161 counts and the witness row of six
+    # stages, and neither samples nor makes a random generator
+    counts, sampled = [], []
+    carrier = witness.batched_log_values
+
+    def counted(*args, **kwargs):
+        counts.append(len(args[3]))
+        return carrier(*args, **kwargs)
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            sampled.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(witness, "batched_log_values", counted)
+    monkeypatch.setattr(witness, "validate_stability", recorded(witness.validate_stability))
+    monkeypatch.setattr(np.random, "default_rng", recorded(np.random.default_rng))
+    cert = build_from_config("blowup_k5")
+    assert counts == [161] * 6 + [6]
+    assert sampled == []
+    assert dumps_canonical(cert_to_dict(cert)) == K5_V2_CERT.read_text()
+
+
+@pytest.mark.parametrize("samples", [1, 5, 100])
+def test_validation_samples_no_longer_act(samples):
+    # build_certificate still takes the parameter, which perfbench passes
+    cfg = load_config("blowup_k5")
+    f = cfg.functional()
+    params = cfg.witness_params()
+    cert = build_certificate(
+        cfg.generator(),
+        f,
+        cfg.vector(f),
+        eps=params.eps,
+        stage_goal=params.stages,
+        j_max=params.j_max,
+        seed=cfg.seed,
+        margin=params.margin,
+        validation_samples=samples,
+    )
+    assert dumps_canonical(cert_to_dict(cert)) == K5_V2_CERT.read_text()
+
+
 def test_product_log_value_matches_scalar_route():
     from semigroup_lab import scalar_trotter_value
 
@@ -336,8 +432,8 @@ def test_bounded_build_fails_with_diagnosis():
 def test_designer_fills_rungs_and_replays():
     f = Functional([0.01, 0.005, 0.0025, 0.00125], 2.0)
     z = CVec([100.0, 0.0, 0.0, 0.0], 2.0)
-    law = design_blowup_law(f, z, eps=0.1, stage_goal=2, seed=7)
-    again = design_blowup_law(f, z, eps=0.1, stage_goal=2, seed=7)
+    law = design_blowup_law(f, z, eps=0.1, stage_goal=2)
+    again = design_blowup_law(f, z, eps=0.1, stage_goal=2)
     assert law.values == again.values
     entries = law_entries(law, 4)
     assert np.all(np.diff(np.abs(entries)) >= 0.0)

@@ -41,7 +41,7 @@ def blowup_config(stages: int, dim: int, j_max: int) -> dict:
     2^j_max."""
     phi = Functional(0.01 * 2.0 ** (-np.arange(dim, dtype=float)), 2.0)
     z = CVec(np.eye(dim, dtype=complex)[0] / phi.coords[0], 2.0)
-    law = design_blowup_law(phi, z, eps=0.1, stage_goal=stages, j_max=j_max, seed=SEED)
+    law = design_blowup_law(phi, z, eps=0.1, stage_goal=stages, j_max=j_max)
     return {
         "schema": "semigroup-lab/config/1",
         "seed": SEED,
