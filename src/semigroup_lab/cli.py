@@ -36,7 +36,7 @@ from .errors import (
     WitnessBuildError,
 )
 from .projections import Projection, projection_norm, random_oblique_projection
-from .renorm import quasi_contractivity_audit
+from .renorm import SplitNormals, quasi_contractivity_audit
 from .serialize import (
     CERT_SCHEMAS,
     REPORT_SCHEMA,
@@ -46,6 +46,7 @@ from .serialize import (
     _object,
     cert_from_dict,
     cert_to_dict,
+    encoded_length,
     generator_from_dict,
     generator_to_dict,
     load_json,
@@ -294,25 +295,31 @@ def run_renorm_audit(cfg: ExperimentConfig, out_dir: Path, config_dir: Path) -> 
             raise ConfigError(f"renorm.omega: {exc}") from exc
         report = replace(report, source={"generator": generator_to_dict(a)})
     else:
-        if params.certificate is not None:
-            cert_path = Path(params.certificate)
-            if not cert_path.is_absolute():
-                cert_path = config_dir / cert_path
-            try:
-                payload = load_json(cert_path)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"renorm.certificate: cannot read {cert_path}: {exc}") from exc
-            cert = cert_from_dict(payload)
-        else:
-            cert = _build_from_config(cfg)
-        verify_certificate(cert)
-        report = quasi_contractivity_audit(
-            "split",
-            cert=cert,
-            seed=cfg.seed,
-            vector_samples=params.vector_samples,
-            slack=params.slack,
-        )
+        # the audit's normals are drawn on a helper thread while the
+        # certificate is built or read and verified
+        with SplitNormals(cfg.seed, params.vector_samples, cfg.dim) as normals:
+            if params.certificate is not None:
+                cert_path = Path(params.certificate)
+                if not cert_path.is_absolute():
+                    cert_path = config_dir / cert_path
+                try:
+                    payload = load_json(cert_path)
+                except (OSError, ValueError) as exc:
+                    raise ConfigError(
+                        f"renorm.certificate: cannot read {cert_path}: {exc}"
+                    ) from exc
+                cert = cert_from_dict(payload)
+            else:
+                cert = _build_from_config(cfg)
+            verify_certificate(cert)
+            report = quasi_contractivity_audit(
+                "split",
+                cert=cert,
+                seed=cfg.seed,
+                vector_samples=params.vector_samples,
+                slack=params.slack,
+                normals=normals,
+            )
         report = replace(report, source={"certificate": cert_to_dict(cert)})
     out_path = out_dir / f"{cfg.name}.report.json"
     save_json(out_path, report_to_dict(report))
@@ -341,20 +348,35 @@ def _bound(raw) -> float:
     return value
 
 
+def _split_dim(params, certificate) -> int | None:
+    """A split report's ``parameters.dim``, read before its certificate is
+    decoded only to start drawing the audit's normals: None unless it is an
+    int that sizes the embedded certificate's functional.  The audit checks
+    the streams it is handed against the decoded certificate in any case."""
+    dim = params.get("dim") if isinstance(params, dict) else None
+    functional = certificate.get("functional") if isinstance(certificate, dict) else None
+    if type(dim) is int and encoded_length(functional) == dim:
+        return dim
+    return None
+
+
 def _rebuild_report(report):
     """The audit ``report`` records, re-run from its embedded source.  The
     fresh report carries no source: it was read from the stored one."""
     src, params = report.source, report.parameters
     if "certificate" in src:
-        cert = _named("source.certificate.", cert_from_dict, src["certificate"])
-        verify_certificate(cert)
-        fresh = quasi_contractivity_audit(
-            "split",
-            cert=cert,
-            seed=report.seed,
-            vector_samples=report.vector_samples,
-            slack=_field(params, "slack", _bound, "parameters."),
-        )
+        dim = _split_dim(params, src["certificate"])
+        with SplitNormals(report.seed, report.vector_samples, dim) as normals:
+            cert = _named("source.certificate.", cert_from_dict, src["certificate"])
+            verify_certificate(cert)
+            fresh = quasi_contractivity_audit(
+                "split",
+                cert=cert,
+                seed=report.seed,
+                vector_samples=report.vector_samples,
+                slack=_field(params, "slack", _bound, "parameters."),
+                normals=normals,
+            )
     elif "generator" in src:
         dim = _field(params, "dim", _int, "parameters.")
         a = _named("source.", generator_from_dict, src["generator"], dim)

@@ -11,20 +11,23 @@ which is the quantitative obstruction the certificates exist to show.
 
 Both audits treat one draw as one column; ``split_norm`` and
 ``classical_renorm_value`` are the per-vector references they are tested
-against.  The split audit draws every sample at once but measures them in
-blocks of ``_SPLIT_BLOCK`` columns through one reused buffer, so its
-temporaries stay near 100 kB whatever the sample count, and its ratios are
-those of the whole batch bit for bit (see ``_split_ratios``).  The
-classical audit forms exp(tA) for the whole grid as one stack and
-evaluates only the grid times that can raise a sup: a time whose weighted
-bound exp(-w t) |exp(tA)| is below 1 cannot beat the t = 0 norm, so it is
-skipped, and the sups are those of the full grid bit for bit (see
-``_weighted_sups``).  Every evaluated time reuses the same buffers.
+against.  Both measure their columns in blocks of ``_SPLIT_BLOCK`` through
+reused buffers, so their temporaries stay near 100 kB each whatever the
+sample count, and every value is that of the whole batch bit for bit.  The
+split audit's normals are drawn on a helper thread (``SplitNormals``) while
+the caller builds or reads the certificate and the audit measures the
+blocks already drawn; its ratios are summarized block by block (see
+``_split_ratio_blocks``).  The classical audit forms exp(tA) for the whole
+grid as one stack and evaluates only the grid times that can raise a sup: a
+time whose weighted bound exp(-w t) |exp(tA)| is below 1 cannot beat the
+t = 0 norm, so it is skipped, and the sups are those of the full grid bit
+for bit (see ``_weighted_sups``).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,47 +86,237 @@ def _norms(cols: np.ndarray, p: float) -> np.ndarray:
     return np.linalg.norm(cols, ord=p, axis=0)
 
 
-def _split_norms(matrix: np.ndarray, cols: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(P z, split_norm(z))`` for every column z, from one ``matrix @ cols``."""
-    image = matrix @ cols
-    return image, _norms(image, p) + _norms(cols - image, p)
+def _norms_into(x: np.ndarray, p: float, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``_norms(x, p)`` written into ``out``, for p in {1, 2, inf}, through a
+    complex ``scratch`` buffer of at least ``x.size`` entries.  The scratch
+    view takes x's memory order (C or Fortran), so the reduction runs over
+    the strides ``np.linalg.norm``'s temporaries have, with its operations
+    in its order, and sums as it does."""
+    flat = scratch[: x.size]
+    work = flat.reshape(x.shape[::-1]).T if x.flags.f_contiguous else flat.reshape(x.shape)
+    if p == 2.0:
+        np.multiply(np.conjugate(x, out=work), x, out=work)
+        return np.sqrt(np.add.reduce(work.real, axis=0, out=out), out=out)
+    if p == 1.0:
+        return np.add.reduce(np.abs(x, out=work.real), axis=0, out=out)
+    return np.maximum.reduce(np.abs(x, out=work.real), axis=0, out=out, initial=0.0)
 
 
-# Columns per block of the split audit.  At d = 7 a block of complex entries
-# is 115 kB, under glibc's default 128 kB mmap threshold, so its temporaries
-# come from the heap instead of fresh mappings faulted in on every call.
+# Columns per block of both audits.  At d = 7 a block of complex entries is
+# 115 kB, under glibc's default 128 kB mmap threshold, so its buffers come
+# from the heap instead of fresh mappings faulted in on every call.
 _SPLIT_BLOCK = 1024
+
+# Rows of a stream's real half that ``SplitNormals`` draws between checks for
+# a stop.  An audit of up to 65,536 samples draws its real half in one call;
+# a larger one that is abandoned stops within a piece.
+_REAL_PIECE = 64 * _SPLIT_BLOCK
+
+
+def _blocks(count: int):
+    """(start, stop) of each block of ``count`` columns, ``_SPLIT_BLOCK`` at a
+    time.  A lone last column would go through BLAS's matrix-vector product,
+    which rounds differently from the matrix-matrix one of a block, so it
+    joins the block before it."""
+    start = 0
+    while start < count:
+        stop = count if count - start <= _SPLIT_BLOCK + 1 else start + _SPLIT_BLOCK
+        yield start, stop
+        start = stop
+
+
+def _draws(seed: int, samples: int, dim: int):
+    """The (real, imaginary) row blocks of
+    ``default_rng(seed).standard_normal((2, samples, dim))``, one per block of
+    ``_blocks(samples)``: the real half comes from one call, the imaginary
+    half from one call per block.  A generator's stream does not depend on
+    how it is cut, so the blocks hold the whole draw's bits, and a draw that
+    fails raises what the whole draw raises."""
+    rng = np.random.default_rng(seed)
+    try:
+        real = rng.standard_normal((samples, dim))
+    except (ValueError, MemoryError):
+        np.empty((2, samples, dim))  # the whole draw's error names its shape
+        raise
+    for start, stop in _blocks(samples):
+        yield real[start:stop], rng.standard_normal((stop - start, dim))
+
+
+class SplitNormals:
+    """The split audit's two normal streams, ``_draws(seed, samples, dim)``
+    and ``_draws(seed + 1, samples, dim)``, drawn on a helper thread while the
+    caller does other work: building or decoding the certificate, verifying
+    it, and measuring the blocks already drawn.
+
+    The helper fills buffers allocated here, by the calling thread, in the
+    order the audit reads them: a stream's real half, then its imaginary
+    half one block at a time, at most one block ahead of the audit.  Each
+    stream has its own generator, which only the helper uses.  Leaving the
+    ``with`` block stops the helper and joins it, whether or not the audit
+    took the streams.  A ``dim`` of None draws nothing ahead, and neither do
+    streams this cannot allocate or seed (a negative seed or count, or a
+    draw too large for memory): ``key`` is then None, and the audit draws
+    its streams itself and raises what its own draw raises, where it would
+    have raised it.
+    """
+
+    def __init__(self, seed: int, samples: int, dim: int | None):
+        self.key = None
+        self._thread = None
+        if dim is None:
+            return
+        try:
+            rngs = (np.random.default_rng(seed), np.random.default_rng(seed + 1))
+            # One allocation for both real halves, the size of the whole draw
+            # it replaces: glibc raises its mmap threshold to the largest
+            # mapping freed, and its trim threshold to twice that, so two
+            # halves would leave later jobs' buffers to fresh mappings.
+            reals = np.empty((2, samples, dim))
+            rows = min(samples, _SPLIT_BLOCK + 1)
+            imags = (np.empty((rows, dim)), np.empty((rows, dim)))
+        except (TypeError, ValueError, MemoryError):
+            return
+        self._reals, self._imags = reals, imags
+        self._ready, self._free = threading.Semaphore(0), threading.Semaphore(len(imags))
+        self._stop = False
+        self._error: Exception | None = None
+        thread = threading.Thread(target=self._fill, args=(rngs,), daemon=True)
+        try:
+            thread.start()
+        except RuntimeError:  # no thread to be had: the audit draws its own
+            return
+        self.key, self._thread = (seed, samples, dim), thread
+
+    def _fill(self, rngs) -> None:
+        try:
+            filled = 0
+            for rng, real in zip(rngs, self._reals):
+                for start in range(0, len(real), _REAL_PIECE):
+                    if self._stop:
+                        return
+                    rng.standard_normal(out=real[start : start + _REAL_PIECE])
+                for start, stop in _blocks(len(real)):
+                    self._free.acquire()
+                    if self._stop:
+                        return
+                    rng.standard_normal(out=self._imags[filled % 2][: stop - start])
+                    filled += 1
+                    self._ready.release()
+        except Exception as exc:  # the audit raises it when it reads the stream
+            self._error = exc
+            self._ready.release()
+
+    def _stream(self, index: int):
+        real = self._reals[index]
+        blocks = list(_blocks(len(real)))
+        # the helper fills the imaginary buffers in turn, over both streams
+        for k, (start, stop) in enumerate(blocks, start=index * len(blocks)):
+            self._ready.acquire()
+            if self._error is not None:
+                raise self._error
+            try:
+                yield real[start:stop], self._imags[k % 2][: stop - start]
+            finally:  # the block is read once the next is asked for
+                self._free.release()
+
+    def streams(self, seed: int, samples: int, dim: int):
+        """The block iterators of the audit's two streams: those drawn ahead
+        when they are the ones asked for and not yet handed out, else
+        ``_draws`` of each, drawn by the caller."""
+        if self.key != (seed, samples, dim):
+            return _draws(seed, samples, dim), _draws(seed + 1, samples, dim)
+        self.key = None
+        return self._stream(0), self._stream(1)
+
+    def __enter__(self) -> SplitNormals:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._thread is not None:
+            self._stop = True
+            self._free.release()
+            self._thread.join()
+            self._thread = None
+
+
+def _split_ratio_blocks(proj: Projection, draws, of_image: bool):
+    """Yield (start, ratios) for each (real, imaginary) block of ``draws``:
+    split_norm(z) / |z| of every draw z of the block, or
+    split_norm(P z) / split_norm(z) when ``of_image``.  ``ratios`` is
+    overwritten by the next block.
+
+    Each block is copied into one reused buffer whose transpose is a block
+    of the batch's columns with the batch's memory layout, so every product
+    and norm sums in the whole batch's order and every ratio has its bits.
+    The images, differences and norms go to reused buffers too: at d = 7,
+    four complex buffers of 115 kB and three rows of 8 kB, whatever the
+    sample count.
+    """
+    matrix = projection_matrix(proj)
+    dim, p = proj.dim, proj.p
+    size = dim * (_SPLIT_BLOCK + 1)
+    rows, image, spare, work = (np.empty(size, dtype=complex) for _ in range(4))
+    split, other, ratios = (np.empty(_SPLIT_BLOCK + 1) for _ in range(3))
+
+    def split_norms(cols, image, diff, out, aux):
+        """split_norm of every column of ``cols`` into ``out``, with P cols in ``image``."""
+        np.matmul(matrix, cols, out=image)
+        _norms_into(image, p, work, out)
+        diff = np.subtract(cols, image, out=diff)
+        return np.add(out, _norms_into(diff, p, work, aux), out=out)
+
+    start = 0
+    for real, imag in draws:
+        n = len(real)
+        block = rows[: n * dim].reshape(n, dim)
+        block.real, block.imag = real, imag
+        cols, img, shape = block.T, image[: n * dim].reshape(dim, n), (dim, n)
+        whole = split_norms(cols, img, spare[: n * dim].reshape(shape), split[:n], other[:n])
+        if of_image:
+            # the block's columns are no longer needed: their buffer takes P(P z) - P z
+            moved, diff = spare[: n * dim].reshape(shape), rows[: n * dim].reshape(shape)
+            top = split_norms(img, moved, diff, other[:n], ratios[:n])
+            yield start, np.divide(top, whole, out=ratios[:n])
+        else:
+            yield start, np.divide(whole, _norms_into(cols, p, work, other[:n]), out=ratios[:n])
+        start += n
 
 
 def _split_ratios(proj: Projection, seed: int, samples: int, of_image: bool) -> np.ndarray:
-    """split_norm(z) / |z| for every draw z of ``_draw(seed, samples, dim)``,
-    or split_norm(P z) / split_norm(z) when ``of_image``.
-
-    The normals are drawn at once, in ``_draw``'s order, and copied into
-    one reused buffer ``_SPLIT_BLOCK`` rows at a time; the buffer's
-    transpose is a block of the batch's columns with the batch's memory
-    layout, so every product and norm sums in the batch's order.  A lone
-    last column would go through BLAS's matrix-vector product, which
-    rounds differently from the matrix-matrix one the batch used, so it
-    joins the block before it.
-    """
-    normals = np.random.default_rng(seed).standard_normal((2, samples, proj.dim))
-    matrix = projection_matrix(proj)
+    """The ratios of ``_split_ratio_blocks`` over ``_draws(seed, samples, proj.dim)``, in one array."""
     ratios = np.empty(samples)
-    rows = np.empty((min(samples, _SPLIT_BLOCK + 1), proj.dim), dtype=complex)
-    start = 0
-    while start < samples:
-        stop = samples if samples - start <= _SPLIT_BLOCK + 1 else start + _SPLIT_BLOCK
-        block = rows[: stop - start]
-        block.real = normals[0, start:stop]
-        block.imag = normals[1, start:stop]
-        image, split = _split_norms(matrix, block.T, proj.p)
-        if of_image:
-            np.divide(_split_norms(matrix, image, proj.p)[1], split, out=ratios[start:stop])
-        else:
-            np.divide(split, _norms(block.T, proj.p), out=ratios[start:stop])
-        start = stop
+    for start, block in _split_ratio_blocks(proj, _draws(seed, samples, proj.dim), of_image):
+        ratios[start : start + len(block)] = block
     return ratios
+
+
+def _ratio_summary(ratio_blocks, bad) -> tuple[float, float, list[tuple[int, float]]]:
+    """(min, max, offending (index, ratio) rows) over every block, with the
+    values ``np.min(ratios, initial=inf)``, ``np.max(ratios, initial=0.0)``
+    and ``flatnonzero(bad(ratios))`` give on the blocks' concatenation: a
+    min or max of block extremes is the extreme of the whole, NaN included."""
+    lows, highs, rows = [], [], []
+    for start, ratios in ratio_blocks:
+        lows.append(np.min(ratios))
+        highs.append(np.max(ratios))
+        rows += [(start + int(i), float(ratios[i])) for i in np.flatnonzero(bad(ratios))]
+    return float(np.min(lows, initial=math.inf)), float(np.max(highs, initial=0.0)), rows
+
+
+def _equivalence(proj: Projection, draws, slack: float) -> tuple[float, float, list[tuple]]:
+    high = 2.0 * projection_norm(proj) + 1.0
+    lo, hi, rows = _ratio_summary(
+        _split_ratio_blocks(proj, draws, of_image=False),
+        lambda r: (r < 1.0 - slack) | (r > high + slack),
+    )
+    return lo, hi, [(i, ratio, 1.0, high) for i, ratio in rows]
+
+
+def _contractivity(proj: Projection, draws, slack: float) -> tuple[float, list[tuple]]:
+    _, worst, rows = _ratio_summary(
+        _split_ratio_blocks(proj, draws, of_image=True), lambda r: r > 1.0 + slack
+    )
+    return worst, [(i, ratio, 1.0) for i, ratio in rows]
 
 
 def equivalence_audit(
@@ -137,11 +330,7 @@ def equivalence_audit(
     Returns (min_ratio, max_ratio, violations); a violation row is
     (sample index, ratio, low bound, high bound).
     """
-    high = 2.0 * projection_norm(proj) + 1.0
-    ratios = _split_ratios(proj, seed, samples, of_image=False)
-    bad = np.flatnonzero((ratios < 1.0 - slack) | (ratios > high + slack))
-    violations = [(int(i), float(ratios[i]), 1.0, high) for i in bad]
-    return float(np.min(ratios, initial=math.inf)), float(np.max(ratios, initial=0.0)), violations
+    return _equivalence(proj, _draws(seed, samples, proj.dim), slack)
 
 
 def projection_contractivity_check(
@@ -155,10 +344,7 @@ def projection_contractivity_check(
     Returns (max ratio, violations); equality is attained on the range
     of P, so the max should sit at 1 up to rounding.
     """
-    ratios = _split_ratios(proj, seed, samples, of_image=True)
-    bad = np.flatnonzero(ratios > 1.0 + slack)
-    violations = [(int(i), float(ratios[i]), 1.0) for i in bad]
-    return float(np.max(ratios, initial=0.0)), violations
+    return _contractivity(proj, _draws(seed, samples, proj.dim), slack)
 
 
 def witness_projection(cert: WitnessCertificate) -> RankOneProjection:
@@ -258,6 +444,13 @@ def _weighted_sups(grid, propagators, omega: float, cols: np.ndarray, p: float) 
     times w) negligible against every sup.  A NaN or inf anywhere, in a
     propagator or in a sup, fails these comparisons, so such times are
     evaluated as before.
+
+    The columns are taken ``_SPLIT_BLOCK`` at a time, with the lone-column
+    merge of ``_blocks``, and the argument is applied per block, with the
+    block's own running sups: a skipped time leaves every sup of the block
+    as it is.  Between two evaluated times the sups do not move, so the
+    next time to evaluate is found in one vectorized test of the times
+    after the last.
     """
     weights = np.array([math.exp(-omega * float(t)) for t in grid])
     magnitudes = np.abs(propagators)
@@ -265,27 +458,30 @@ def _weighted_sups(grid, propagators, omega: float, cols: np.ndarray, p: float) 
     idle = weights * bounds * (1.0 + 1e-8) < 1.0
     floors = 1e-140 * np.maximum(weights, 1.0)
     ceilings = 1e140 / np.maximum(bounds, 1.0)
-    sups = np.full(cols.shape[1], -math.inf)
-    # Every evaluated time writes into the same two (d, N) buffers and one
-    # row, with the operations of ``_norms`` in its order, so no time maps
-    # and faults in fresh megabytes and the sums round as ``_norms``' do.
-    moved = np.empty(cols.shape, dtype=complex)
-    work = np.empty(cols.shape, dtype=complex)
-    row = np.empty(cols.shape[1])
-    lo = hi = math.nan  # nothing is skipped before the first time is evaluated
-    for k, prop in enumerate(propagators):
-        if idle[k] and floors[k] <= lo and hi < ceilings[k]:
-            continue
-        np.matmul(prop, cols, out=moved)
-        if p == 2.0:
-            np.multiply(np.conjugate(moved, out=work), moved, out=work)
-            np.sqrt(np.add.reduce(work.real, axis=0, out=row), out=row)
-        elif p == 1.0:
-            np.add.reduce(np.abs(moved, out=work.real), axis=0, out=row)
-        else:
-            np.maximum.reduce(np.abs(moved, out=work.real), axis=0, out=row, initial=0.0)
-        np.maximum(sups, np.multiply(row, weights[k], out=row), out=sups)
-        lo, hi = sups.min(), sups.max()
+    dim, count = cols.shape
+    sups = np.empty(count)
+    # Every evaluated time of every block writes into the same two buffers
+    # and one row, with the operations of ``_norms`` in its order, so no time
+    # maps and faults in fresh memory and the sums round as ``_norms``' do.
+    size = min(count, _SPLIT_BLOCK + 1)
+    moved, work = (np.empty(dim * size, dtype=complex) for _ in range(2))
+    row = np.empty(size)
+    # an empty batch still evaluates its first time, and min() refuses it as before
+    for start, stop in list(_blocks(count)) or [(0, 0)]:
+        block, best = cols[:, start:stop], sups[start:stop]
+        out, norms = moved[: dim * (stop - start)].reshape(dim, stop - start), row[: stop - start]
+        best.fill(-math.inf)
+        k = 0  # nothing is skipped before the first time is evaluated
+        while k < len(grid):
+            np.matmul(propagators[k], block, out=out)
+            np.multiply(_norms_into(out, p, work, norms), weights[k], out=norms)
+            np.maximum(best, norms, out=best)
+            lo, hi = best.min(), best.max()
+            # the next time that fails the skip test: idle, with the sups in the window
+            later = np.flatnonzero(
+                ~(idle[k + 1 :] & (floors[k + 1 :] <= lo) & (hi < ceilings[k + 1 :]))
+            )
+            k = k + 1 + int(later[0]) if later.size else len(grid)
     return sups
 
 
@@ -347,14 +543,18 @@ def _split_audit(
     seed: int,
     vector_samples: int,
     slack: float,
+    normals: SplitNormals | None = None,
 ) -> RenormReport:
+    """The split audit: ``equivalence_audit`` at ``seed`` and
+    ``projection_contractivity_check`` at ``seed + 1``, with their streams
+    drawn by ``normals`` (one is started here when none is given)."""
+    if normals is None:
+        with SplitNormals(seed, vector_samples, cert.dim) as own:
+            return _split_audit(cert, seed, vector_samples, slack, own)
     proj = witness_projection(cert)
-    lo, hi, eq_violations = equivalence_audit(
-        proj, seed=seed, samples=vector_samples, slack=slack
-    )
-    worst, ctr_violations = projection_contractivity_check(
-        proj, seed=seed + 1, samples=vector_samples, slack=slack
-    )
+    first, second = normals.streams(seed, vector_samples, proj.dim)
+    lo, hi, eq_violations = _equivalence(proj, first, slack)
+    worst, ctr_violations = _contractivity(proj, second, slack)
     lambdas = lambda_lower_bounds(cert)
     increasing = all(b > a for a, b in zip(lambdas, lambdas[1:]))
     high = 2.0 * projection_norm(proj) + 1.0
@@ -400,19 +600,22 @@ def quasi_contractivity_audit(
     grid_points: int = DEFAULT_GRID_POINTS,
     slack: float = DEFAULT_SLACK,
     tol: float = DEFAULT_TOL,
+    normals: SplitNormals | None = None,
 ) -> RenormReport:
     """Audit a renorming route and report violations, if any.
 
     kind "split" takes a witness certificate: it checks the split-norm
     sandwich and projection contractivity, and tabulates the lambda
-    lower bounds that cap what any renorming could achieve.  kind
+    lower bounds that cap what any renorming could achieve.  Its normals
+    come from ``normals`` when that draws them (a caller starts one before
+    it has the certificate), else from a helper started here.  kind
     "classical" takes a generator and weight: it checks the weighted
     norm's quasi-contractivity sample by sample on the time grid.
     """
     if kind == "split":
         if cert is None:
             raise ValueError("split audit needs a certificate")
-        return _split_audit(cert, seed, vector_samples, slack)
+        return _split_audit(cert, seed, vector_samples, slack, normals)
     if kind == "classical":
         if a is None or omega is None:
             raise ValueError("classical audit needs a generator and a weight")

@@ -360,6 +360,14 @@ def _plain_pairs(items, shape: tuple) -> np.ndarray | None:
     return _complex_parts(parts[..., 0], parts[..., 1])
 
 
+def encoded_length(raw) -> int | None:
+    """The entry count of an encoded list or tagged array, read without
+    decoding it; None for any other form."""
+    if isinstance(raw, dict) and len(raw) == 1 and "~a" in raw:
+        raw = raw["~a"]
+    return len(raw) if isinstance(raw, list) else None
+
+
 def _vector(raw, dim: int | None = None) -> np.ndarray:
     """Complex entries, ``dim`` of them when ``dim`` is given.  A tagged array
     of tagged complexes, or a list of plain-number pairs, is read in bulk;

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 
 import semigroup_lab
 from semigroup_lab import ConfigError, dual_norm, load_config
+from semigroup_lab import cli, renorm
 from semigroup_lab.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -22,8 +24,10 @@ from semigroup_lab.cli import (
     EXIT_OK,
     EXIT_OVERFLOW,
     EXIT_TRUNCATION,
+    EXIT_UNDERFLOW,
     main,
 )
+from semigroup_lab.errors import UnderflowRadius, WitnessBuildError
 from semigroup_lab.serialize import (
     CONFIG_SCHEMA,
     cert_from_dict,
@@ -1252,3 +1256,160 @@ def test_readme_library_sketch_runs(tmp_path):
     done = run_python([str(script)])
     assert done.returncode == 0, done.stderr
     assert float(done.stdout.split()[-1]) < 2e-6
+
+
+class CountedNormals(renorm.SplitNormals):
+    """``SplitNormals`` that records whether its helper thread started."""
+
+    started = 0
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        CountedNormals.started += self._thread is not None
+
+
+def split_report_copy(tmp_path, change=None):
+    payload = load_json(V1_DATA / "split_renorm.v2.report.json")
+    if change is not None:
+        change(payload)
+    path = tmp_path / "changed.report.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def underflowing_build(*args, **kwargs):
+    raise WitnessBuildError(partial=None, cause=UnderflowRadius(radius=1e-310, stage=2))
+
+
+def failing_pass(*args, **kwargs):
+    raise RuntimeError("audit pass failed")
+
+
+def split_run(tmp_path, name, renorm_section=None, data=None):
+    data = dict(data or shipped_config("split_renorm"))
+    data["renorm"] = renorm_section or {"kind": "split", "vector_samples": 3000}
+    cfg = tmp_path / f"{name}.config.json"
+    cfg.write_text(json.dumps(data))
+    return ["renorm-audit", "--config", str(cfg), "--out", str(tmp_path)]
+
+
+def drop_embedded_eps(payload):
+    del payload["source"]["certificate"]["eps"]
+
+
+THREAD_CASES = {
+    "passes": (lambda tmp: split_run(tmp, "passing"), None, EXIT_OK),
+    "replay_passes": (lambda tmp: ["verify", str(split_report_copy(tmp))], None, EXIT_OK),
+    "truncation": (
+        lambda tmp: split_run(tmp, "bounded", data=shipped_config("bounded_contrapositive")),
+        None,
+        EXIT_TRUNCATION,
+    ),
+    "underflow": (
+        lambda tmp: split_run(tmp, "underflow"), ("build_certificate", underflowing_build),
+        EXIT_UNDERFLOW,
+    ),
+    "unreadable_certificate": (
+        lambda tmp: split_run(
+            tmp, "absent", {"kind": "split", "certificate": "absent.cert.json",
+                            "vector_samples": 3000},
+        ),
+        None,
+        EXIT_CONFIG,
+    ),
+    "malformed_embedded_certificate": (
+        lambda tmp: ["verify", str(split_report_copy(tmp, drop_embedded_eps))], None, EXIT_INVALID
+    ),
+    "audit_raises": (lambda tmp: split_run(tmp, "raising"), ("_contractivity", failing_pass), None),
+}
+
+
+@pytest.mark.parametrize("case", THREAD_CASES)
+def test_no_thread_outlives_a_split_audit_call(tmp_path, monkeypatch, capsys, case):
+    argv, patch, code = THREAD_CASES[case]
+    if patch is not None:
+        name, replacement = patch
+        monkeypatch.setattr(cli if hasattr(cli, name) else renorm, name, replacement)
+    monkeypatch.setattr(cli, "SplitNormals", CountedNormals)
+    monkeypatch.setattr(CountedNormals, "started", 0)
+    args = argv(tmp_path)
+    before = threading.enumerate()
+    if code is None:
+        with pytest.raises(RuntimeError, match="audit pass failed"):
+            main(args)
+    else:
+        assert main(args) == code, capsys.readouterr()
+    assert threading.enumerate() == before
+    # each call drew its normals ahead, so the helper did run and was joined
+    assert CountedNormals.started == 1
+
+
+def set_dim(value):
+    def change(payload):
+        payload["parameters"]["dim"] = value
+    return change
+
+
+def drop_dim(payload):
+    del payload["parameters"]["dim"]
+
+
+def set_top(key, value):
+    def change(payload):
+        payload[key] = value
+    return change
+
+
+def shorten_functional(payload):
+    payload["source"]["certificate"]["functional"]["~a"].pop()
+
+
+NOT_REPRODUCED = "certificate invalid: report does not reproduce from its source"
+
+
+# The output of ``verify`` on each mutant at the commit before its normals
+# were drawn ahead, with the report's path written as P.
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (drop_dim, NOT_REPRODUCED),
+        (set_dim("7"), NOT_REPRODUCED),
+        (set_dim(7.0), NOT_REPRODUCED),
+        (set_dim(True), NOT_REPRODUCED),
+        (set_dim(6), NOT_REPRODUCED),
+        (set_dim(8), NOT_REPRODUCED),
+        (set_dim(-1), NOT_REPRODUCED),
+        (drop_embedded_eps, "certificate invalid: source.certificate.eps: missing"),
+        (
+            shorten_functional,
+            "certificate invalid: source.certificate.generator.law: table law holds 7 "
+            "entries, requested 6",
+        ),
+        (set_top("seed", -1), "expected non-negative integer"),
+        (set_top("vector_samples", -1), "negative dimensions are not allowed"),
+        (set_top("vector_samples", 0), NOT_REPRODUCED),
+        (
+            set_top("vector_samples", 10**13),
+            "Unable to allocate 1019. TiB for an array with shape (2, 10000000000000, 7) "
+            "and data type float64",
+        ),
+        (
+            set_top("vector_samples", 10**17),
+            "array is too big; `arr.size * arr.dtype.itemsize` is larger than the "
+            "maximum possible size.",
+        ),
+    ],
+    ids=[
+        "no_dim", "dim_string", "dim_float", "dim_bool", "dim_below", "dim_above",
+        "dim_negative", "no_eps", "short_functional", "negative_seed", "negative_samples",
+        "no_samples", "huge_samples", "vast_samples",
+    ],
+)
+def test_split_report_errors_keep_their_messages(tmp_path, capsys, change, message):
+    path = split_report_copy(tmp_path, change)
+    assert main(["verify", str(path)]) == EXIT_INVALID
+    out = capsys.readouterr().out.replace(str(path), "P")
+    first = f"FAIL P: {message}\n"
+    if message.startswith("certificate invalid: "):
+        first += f"  - {message.removeprefix('certificate invalid: ')}\n"
+    assert out == first

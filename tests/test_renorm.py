@@ -1,8 +1,12 @@
 """Renorming audits: the split norm, its sandwich bounds, and the
 classical weighted norm."""
 
+import contextlib
 import math
+import sys
+import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +35,16 @@ from semigroup_lab import (
 from semigroup_lab.errors import SpectralBoundViolated
 from semigroup_lab.projections import DenseProjection, projection_matrix, random_oblique_projection
 from semigroup_lab.renorm import (
-    DEFAULT_SLACK, _SPLIT_BLOCK, _draw, _split_audit, _split_ratios, _weighted_sups
+    DEFAULT_SLACK,
+    _SPLIT_BLOCK,
+    SplitNormals,
+    _contractivity,
+    _draw,
+    _draws,
+    _equivalence,
+    _split_audit,
+    _split_ratios,
+    _weighted_sups,
 )
 from semigroup_lab.spaces import dense_generator, semigroup_apply, semigroup_matrices
 
@@ -398,3 +411,177 @@ def test_split_audit_memory_stays_under_two_megabytes(k5_certificate):
     finally:
         tracemalloc.stop()
     assert peak <= 2_000_000
+
+
+def same_bits(got, want) -> bool:
+    """Whether two audit results print alike, every float to its last bit (a
+    plain ``assert ==`` would have pytest diff reprs of up to 2 MB)."""
+    return repr(got) == repr(want)
+
+
+def drawn_ahead(proj, seed, samples, slack):
+    """The split audit's two passes over streams a running ``SplitNormals``
+    draws on its helper thread."""
+    with SplitNormals(seed, samples, proj.dim) as normals:
+        assert normals.key == (seed, samples, proj.dim)
+        first, second = normals.streams(seed, samples, proj.dim)
+        return _equivalence(proj, first, slack), _contractivity(proj, second, slack)
+
+
+def audit_projection(kind, dim, p):
+    if kind == "dense" and dim < 4:
+        return DenseProjection(np.eye(dim), p)
+    return split_projection(kind, dim, p)
+
+
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["p1", "p2", "pinf"])
+@pytest.mark.parametrize("kind", ["rank_one", "dense"])
+@pytest.mark.parametrize("dim", [1, 7, 9])
+def test_streams_drawn_ahead_give_the_serial_audits_bit_for_bit(dim, kind, p, samples):
+    proj = audit_projection(kind, dim, p)
+    # a negative slack makes every sample a violation row carrying its ratio
+    for slack in (DEFAULT_SLACK, -10.0):
+        eq, ctr = drawn_ahead(proj, 41, samples, slack)
+        assert same_bits(eq, equivalence_audit(proj, seed=41, samples=samples, slack=slack))
+        assert same_bits(
+            ctr, projection_contractivity_check(proj, seed=42, samples=samples, slack=slack)
+        )
+
+
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["p1", "p2", "pinf"])
+@pytest.mark.parametrize("dim", [1, 7, 9])
+def test_split_audit_equals_the_serial_public_audits(k5_certificate, dim, p, samples):
+    rng = np.random.default_rng(dim)
+    f, x = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
+    cert = replace(k5_certificate, functional=f, witness=x, p=p)
+    proj = witness_projection(cert)
+    for slack in (DEFAULT_SLACK, -10.0):
+        report = _split_audit(cert, 43, samples, slack)
+        lo, hi, eq_rows = equivalence_audit(proj, seed=43, samples=samples, slack=slack)
+        worst, ctr_rows = projection_contractivity_check(
+            proj, seed=44, samples=samples, slack=slack
+        )
+        summary = report.summary
+        assert same_bits((summary["min_ratio"], summary["max_ratio"]), (lo, hi))
+        assert same_bits(summary["contractivity_max"], worst)
+        expected = [("equivalence", *row) for row in eq_rows]
+        expected += [("contractivity", *row) for row in ctr_rows]
+        assert same_bits(report.violations, tuple(expected))
+
+
+@pytest.mark.parametrize("samples", [0, 1, 1025, 2049])
+def test_streams_drawn_in_pieces_are_the_whole_draw(samples):
+    dim = 7
+    with SplitNormals(61, samples, dim) as normals:
+        ahead = normals.streams(61, samples, dim)
+        for seed, stream in zip((61, 62), ahead):
+            whole = np.random.default_rng(seed).standard_normal((2, samples, dim))
+            for blocks in (stream, _draws(seed, samples, dim)):
+                # the helper reuses its imaginary buffers, so copy each block
+                pieces = [(real.copy(), imag.copy()) for real, imag in blocks]
+                real = np.concatenate([r for r, _ in pieces] or [np.empty((0, dim))])
+                imag = np.concatenate([i for _, i in pieces] or [np.empty((0, dim))])
+                assert np.array_equal(real.view(np.uint64), whole[0].view(np.uint64))
+                assert np.array_equal(imag.view(np.uint64), whole[1].view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "seed, samples, dim",
+    [(-1, 10, 7), (1, -1, 7), (1, 10, None), (1, 10**17, 7), (1.5, 10, 7)],
+    ids=["negative_seed", "negative_count", "no_dim", "too_large", "float_seed"],
+)
+def test_streams_that_cannot_be_drawn_ahead_are_left_to_the_audit(seed, samples, dim):
+    before = threading.enumerate()
+    with SplitNormals(seed, samples, dim) as normals:
+        assert normals.key is None
+        assert threading.enumerate() == before
+
+
+def test_audit_draws_its_own_streams_when_handed_others(k5_certificate):
+    expected = _split_audit(k5_certificate, 9, 3000, DEFAULT_SLACK)
+    for seed, samples, dim in ((9, 3000, 8), (10, 3000, 7), (9, 2999, 7)):
+        with SplitNormals(seed, samples, dim) as normals:
+            report = _split_audit(k5_certificate, 9, 3000, DEFAULT_SLACK, normals)
+            assert normals.key == (seed, samples, dim)  # left untaken
+        assert report_to_dict(report) == report_to_dict(expected)
+    with SplitNormals(9, 3000, 7) as normals:
+        first = _split_audit(k5_certificate, 9, 3000, DEFAULT_SLACK, normals)
+        # the streams drawn ahead are handed out once; a second audit draws its own
+        second = _split_audit(k5_certificate, 9, 3000, DEFAULT_SLACK, normals)
+    assert report_to_dict(first) == report_to_dict(second) == report_to_dict(expected)
+
+
+def test_abandoned_streams_stop_and_join():
+    before = threading.enumerate()
+    with SplitNormals(3, 10**4, 7) as normals:
+        first, _ = normals.streams(3, 10**4, 7)
+        next(first)  # the audit stops after one block
+    assert threading.enumerate() == before
+    with pytest.raises(RuntimeError, match="audit failed"):
+        with SplitNormals(3, 10**4, 7):
+            raise RuntimeError("audit failed")
+    assert threading.enumerate() == before
+
+
+def test_streams_drawn_ahead_survive_fast_thread_switches():
+    # four helpers and the consumer on two cores, switching every microsecond:
+    # a block handed over before it is filled, or refilled before it is
+    # read, breaks the equality with the whole draw
+    samples, dim, seeds = 3 * _SPLIT_BLOCK + 5, 3, (71, 73, 75, 77)
+    wholes = [np.random.default_rng(seed + k).standard_normal((2, samples, dim))
+              for seed in seeds for k in (0, 1)]
+    got = []
+
+    def consume():
+        with contextlib.ExitStack() as stack:
+            helpers = [stack.enter_context(SplitNormals(seed, samples, dim)) for seed in seeds]
+            streams = [s for seed, h in zip(seeds, helpers) for s in h.streams(seed, samples, dim)]
+            pieces = [[] for _ in streams]
+            for index in (0, 1):  # each helper's first stream, then its second
+                for rows in zip(*streams[index::2]):
+                    for k, (real, imag) in enumerate(rows):
+                        pieces[2 * k + index].append((real.copy(), imag.copy()))
+            got.extend(pieces)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=consume, daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert len(got) == len(wholes)
+    for pieces, whole in zip(got, wholes):
+        assert np.array_equal(np.concatenate([r for r, _ in pieces]), whole[0])
+        assert np.array_equal(np.concatenate([i for _, i in pieces]), whole[1])
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["p1", "p2", "pinf"])
+@pytest.mark.parametrize(
+    "make", [dissipative_diagonal, transient_dense, late_crossing_dense],
+    ids=["diagonal", "dense", "late_crossing"],
+)
+@pytest.mark.parametrize("vectors", [1100, _SPLIT_BLOCK])
+def test_blocked_sups_equal_the_unpruned_loop_bit_for_bit(make, p, vectors):
+    # 2200 columns make blocks of 1024, 1024 and 152; 2048 + 1 make 1024
+    # and 1025, the lone last column joining the block before it
+    a = make()
+    grid = renorm_time_grid(a, 0.5, 65)
+    stack = semigroup_matrices(a, grid)
+    draws = _draw(24, vectors, a.dim).T
+    cols = np.concatenate([draws, stack[32] @ draws], axis=1)
+    if vectors == _SPLIT_BLOCK:
+        cols = np.concatenate([cols, draws[:, :1]], axis=1)
+    sups = _weighted_sups(grid, stack, 0.5, cols, p)
+    assert sups.tobytes() == unpruned_sups(grid, stack, 0.5, cols, p).tobytes()
+
+
+def test_empty_classical_batch_is_refused_as_before():
+    a = dissipative_diagonal()
+    grid = renorm_time_grid(a, 0.5, 9)
+    with pytest.raises(ValueError, match="zero-size array to reduction operation minimum"):
+        _weighted_sups(grid, semigroup_matrices(a, grid), 0.5, np.empty((a.dim, 0), complex), 2.0)
