@@ -82,16 +82,12 @@ def _draw(seed: int, count: int, dim: int) -> np.ndarray:
     return rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
 
 
-def _norms(cols: np.ndarray, p: float) -> np.ndarray:
-    return np.linalg.norm(cols, ord=p, axis=0)
-
-
 def _norms_into(x: np.ndarray, p: float, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``_norms(x, p)`` written into ``out``, for p in {1, 2, inf}, through a
-    complex ``scratch`` buffer of at least ``x.size`` entries.  The scratch
-    view takes x's memory order (C or Fortran), so the reduction runs over
-    the strides ``np.linalg.norm``'s temporaries have, with its operations
-    in its order, and sums as it does."""
+    """``np.linalg.norm(x, ord=p, axis=0)`` written into ``out``, for p in
+    {1, 2, inf}, through a complex ``scratch`` buffer of at least ``x.size``
+    entries.  The scratch view takes x's memory order (C or Fortran), so the
+    reduction runs over the strides ``np.linalg.norm``'s temporaries have,
+    with its operations in its order, and sums as it does."""
     flat = scratch[: x.size]
     work = flat.reshape(x.shape[::-1]).T if x.flags.f_contiguous else flat.reshape(x.shape)
     if p == 2.0:
@@ -461,8 +457,7 @@ def _weighted_sups(grid, propagators, omega: float, cols: np.ndarray, p: float) 
     dim, count = cols.shape
     sups = np.empty(count)
     # Every evaluated time of every block writes into the same two buffers
-    # and one row, with the operations of ``_norms`` in its order, so no time
-    # maps and faults in fresh memory and the sums round as ``_norms``' do.
+    # and one row, so no time maps and faults in fresh memory.
     size = min(count, _SPLIT_BLOCK + 1)
     moved, work = (np.empty(dim * size, dtype=complex) for _ in range(2))
     row = np.empty(size)
