@@ -472,11 +472,11 @@ def _weighted_sups(grid, propagators, omega: float, cols: np.ndarray, p: float) 
             np.multiply(_norms_into(out, p, work, norms), weights[k], out=norms)
             np.maximum(best, norms, out=best)
             lo, hi = best.min(), best.max()
-            # the next time that fails the skip test: idle, with the sups in the window
-            later = np.flatnonzero(
-                ~(idle[k + 1 :] & (floors[k + 1 :] <= lo) & (hi < ceilings[k + 1 :]))
-            )
-            k = k + 1 + int(later[0]) if later.size else len(grid)
+            k += 1
+            if k < len(grid) and idle[k] and floors[k] <= lo and hi < ceilings[k]:
+                # skip to the next time that fails the skip test
+                later = np.flatnonzero(~(idle[k:] & (floors[k:] <= lo) & (hi < ceilings[k:])))
+                k += int(later[0]) if later.size else len(grid)
     return sups
 
 
