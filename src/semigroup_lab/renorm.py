@@ -444,9 +444,9 @@ def _weighted_sups(grid, propagators, omega: float, cols: np.ndarray, p: float) 
     The columns are taken ``_SPLIT_BLOCK`` at a time, with the lone-column
     merge of ``_blocks``, and the argument is applied per block, with the
     block's own running sups: a skipped time leaves every sup of the block
-    as it is.  Between two evaluated times the sups do not move, so the
-    next time to evaluate is found in one vectorized test of the times
-    after the last.
+    as it is.  Between two evaluated times the sups do not move, so when
+    the time after an evaluated one may be skipped, the next that may not
+    is found in one vectorized test of the times that follow.
     """
     weights = np.array([math.exp(-omega * float(t)) for t in grid])
     magnitudes = np.abs(propagators)
