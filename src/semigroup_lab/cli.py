@@ -54,7 +54,7 @@ from .serialize import (
     report_to_dict,
     save_json,
 )
-from .spaces import CVec, Generator, row_norms, semigroup_defects
+from .spaces import CVec, Generator, row_norms, semigroup_defects, spectral_norm
 from .trotter import (
     dense_trotter_products,
     require_unit_pairing,
@@ -445,7 +445,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         rng = np.random.default_rng([cfg.seed, trial])
         dim = int(rng.integers(params.dim_min, params.dim_max + 1))
         raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        matrix = raw * (params.generator_norm / np.linalg.norm(raw, 2))
+        matrix = raw * (params.generator_norm / spectral_norm(raw))
         a = Generator(kind="dense", matrix=matrix)
         rank = int(rng.integers(1, dim))
         try:

@@ -8,7 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneratePair, DimensionMismatch
-from .spaces import CVec, Functional, dual_norm, norm, pairing
+from .spaces import (
+    CVec, Functional, dual_norm, norm, pairing, spectral_norm, spectral_norm_bound
+)
 
 # A matrix is accepted as a projection when |M^2 - M| stays within this
 # slack, scaled by 1 + |M|^2 so ill-conditioned but genuine projections
@@ -26,7 +28,7 @@ def _induced_norm(matrix: np.ndarray, p: float) -> float:
         return float(np.max(np.sum(np.abs(matrix), axis=0)))
     if p == math.inf:
         return float(np.max(np.sum(np.abs(matrix), axis=1)))
-    return float(np.linalg.norm(matrix, 2))
+    return spectral_norm(matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,11 +77,18 @@ class DenseProjection:
         object.__setattr__(self, "matrix", mat)
         size = _induced_norm(mat, self.p)
         object.__setattr__(self, "size", size)
-        drift = _induced_norm(mat @ mat - mat, self.p)
-        if drift > IDEMPOTENCY_SLACK * (1.0 + size**2):
-            raise ValueError(
-                f"matrix is not idempotent: |M^2 - M| = {drift:.3g} with |M| = {size:.3g}"
-            )
+        defect = mat @ mat - mat
+        # at p = 2 a finite bound within the limit settles the check with no
+        # SVD (see spectral_norm_bound); anything else takes the induced
+        # norm, so a non-finite defect fails in its SVD before the limit is
+        # formed
+        bound = math.nan if self.p in (1.0, math.inf) else spectral_norm_bound(defect)
+        if not math.isfinite(bound) or bound > IDEMPOTENCY_SLACK * (1.0 + size**2):
+            drift = _induced_norm(defect, self.p)
+            if drift > IDEMPOTENCY_SLACK * (1.0 + size**2):
+                raise ValueError(
+                    f"matrix is not idempotent: |M^2 - M| = {drift:.3g} with |M| = {size:.3g}"
+                )
 
     @property
     def dim(self) -> int:
@@ -154,6 +163,6 @@ def random_oblique_projection(
         except np.linalg.LinAlgError:
             continue
         candidate = basis[:, :rank] @ inverse[:rank, :]
-        if np.linalg.norm(candidate, 2) <= norm_cap:
+        if spectral_norm(candidate) <= norm_cap:
             return DenseProjection(candidate)
     raise RuntimeError(f"no projection under norm cap {norm_cap} in {_MAX_TRIES} draws")

@@ -273,6 +273,38 @@ def row_norms(rows: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
+def spectral_norm(m: np.ndarray) -> float:
+    """``np.linalg.norm(m, 2)`` with its bits, at about half its cost for a
+    small m: LAPACK returns the singular values in descending order, so the
+    first is the maximum that ``np.linalg.norm`` takes.  A NaN entry raises
+    the same ``LinAlgError``, an inf entry gives the same NaN, and an empty
+    matrix gives 0."""
+    values = np.linalg.svd(m, compute_uv=False)
+    return float(values[0]) if values.size else 0.0
+
+
+def spectral_norm_bound(m: np.ndarray) -> float:
+    """An upper bound on ``spectral_norm(m)`` that takes no SVD: NaN or inf
+    when m has such an entry or its squares overflow, so that it then
+    passes no ``<=`` test against a finite limit.
+
+    |B|_2 <= |B|_F (Golub & Van Loan, *Matrix Computations*, 2.3), and
+    |m|_F is formed here as the root of one BLAS sum of the squared moduli
+    of the n entries (``np.vdot``, which, unlike ``np.linalg.norm``, warns
+    of no overflow).  Each product and sum rounds by a relative 2^-53, and a
+    product below 2^-1022 loses at most 2^-1075 absolute, so the true |m|_F
+    is at most the computed one times 1 + (n + 4) 2^-53, plus
+    sqrt(n) 2^-537.  LAPACK's largest singular value lies within a relative
+    p(d) 2^-53 of the true one, p(d) of order d.  The factor 1 + 1e-9
+    covers those relative errors and the rounding of the bound itself for
+    n up to 10^6 (d up to 10^3), and the term 2^-500 the underflow for n up
+    to 2^74.  So wherever ``spectral_norm_bound(m) * c <= limit`` holds for
+    a c >= 0, ``spectral_norm(m) * c <= limit`` holds too (rounding is
+    monotone), and a check may accept on the bound and take the SVD only
+    when the bound does not settle it."""
+    return math.sqrt(np.vdot(m, m).real) * (1.0 + 1e-9) + 2.0**-500
+
+
 def _check_dims(a: int, b: int, what: str) -> None:
     if a != b:
         raise DimensionMismatch(f"{what}: dimensions {a} and {b} differ")
@@ -472,11 +504,18 @@ def semigroup_defects(a: Generator, times) -> np.ndarray:
 
 def dense_exponents(a: Generator, times) -> tuple[np.ndarray, SemigroupOverflow | None]:
     """The (G, d, d) stack of t A for the leading times of ``times`` whose
-    orbits pass the overflow check |t| |A|_2 <= 690, from one 2-norm of A,
-    and the SemigroupOverflow that names the first time to fail it (None
-    when every time passes)."""
+    orbits pass the overflow check |t| |A|_2 <= 690, and the
+    SemigroupOverflow that names the first time to fail it (None when every
+    time passes).
+
+    When the largest |t| times ``spectral_norm_bound(A)`` is at most 690,
+    every time passes the exact check (see that bound), and no SVD is
+    taken.  Otherwise, NaN times and non-finite entries included, the check
+    runs on one ``spectral_norm`` of A."""
     times = np.asarray(times, dtype=np.float64)
-    scales = np.abs(times) * np.linalg.norm(a.matrix, 2)
+    if float(np.abs(times).max(initial=0.0)) * spectral_norm_bound(a.matrix) <= 690.0:
+        return np.multiply.outer(times, a.matrix), None
+    scales = np.abs(times) * spectral_norm(a.matrix)
     over = np.flatnonzero(scales > 690.0)
     if not over.size:
         return np.multiply.outer(times, a.matrix), None

@@ -524,6 +524,31 @@ def test_shipped_dense_csv_is_unchanged(tmp_path, command, name):
     assert (tmp_path / name).read_bytes() == (V1_DATA / name).read_bytes()
 
 
+# bounded_oracle keeps no 2-norm of a matrix; each of sweep_bounded's 12
+# trials keeps three, one SVD each: the generator's scaling, the cap test
+# and the size of its projection.  The overflow guard and the idempotency
+# check are settled by Frobenius bounds (60 and 1 SVDs when each took one).
+@pytest.mark.parametrize(
+    "command, name, svds",
+    [("limit-check", "bounded_oracle.limit.csv", 0), ("sweep", "sweep_bounded.sweep.csv", 36)],
+)
+def test_shipped_dense_jobs_take_an_svd_only_for_a_norm_they_keep(
+    monkeypatch, tmp_path, command, name, svds
+):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg._linalg, "svd", counted)  # np.linalg.norm's
+    assert main([command, "--config", name.split(".")[0], "--out", str(tmp_path)]) == EXIT_OK
+    assert len(calls) == svds
+    assert (tmp_path / name).read_bytes() == (V1_DATA / name).read_bytes()
+
+
 @pytest.mark.parametrize("name", ["two_point", "imag_ladder_122"])
 def test_diagonal_ladder_csv_is_unchanged(tmp_path, name):
     config = name

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from semigroup_lab import (
     CVec,
@@ -16,6 +18,7 @@ from semigroup_lab import (
     random_oblique_projection,
 )
 from semigroup_lab.errors import DegeneratePair
+from semigroup_lab.projections import IDEMPOTENCY_SLACK
 
 IDEMPOTENT_TOL = 1e-12
 MONTE_CARLO_REL = 0.02
@@ -77,6 +80,61 @@ def test_rank_one_norm_formula_vs_sampling():
 def test_dense_projection_requires_idempotency():
     with pytest.raises(ValueError):
         DenseProjection(np.array([[1.0, 0.0], [0.0, 0.5]]))
+
+
+def exact_induced_norm(matrix, p):
+    if p == 1.0:
+        return float(np.max(np.sum(np.abs(matrix), axis=0)))
+    if p == math.inf:
+        return float(np.max(np.sum(np.abs(matrix), axis=1)))
+    return float(np.linalg.norm(matrix, 2))
+
+
+def exact_idempotency_check(matrix, p):
+    """DenseProjection's check with the induced norm of M^2 - M always
+    formed, as before the Frobenius bound: its message (None on a pass) and
+    |M|."""
+    size = exact_induced_norm(matrix, p)
+    drift = exact_induced_norm(matrix @ matrix - matrix, p)
+    if drift > IDEMPOTENCY_SLACK * (1.0 + size**2):
+        return f"matrix is not idempotent: |M^2 - M| = {drift:.3g} with |M| = {size:.3g}", size
+    return None, size
+
+
+# [[I, X], [0, D]] with D = diag(0, .., 0, d1, d2) and the last two columns
+# of X zero: its square has exact products, so M^2 - M is diag(d^2 - d) at
+# those two places and |M| does not depend on them.  d1 puts the drift at
+# the limit times ``side``; d2 = ``pair`` d1 makes the Frobenius norm of the
+# defect exceed its 2-norm, so a pass near the limit needs the SVD.
+@given(
+    dim=st.integers(3, 8),
+    side=st.sampled_from([1.0 - 1e-6, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-6]),
+    pair=st.sampled_from([0.0, 0.5, 1.0]),
+    p=st.sampled_from([1.0, 2.0, math.inf]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_projection_decides_as_the_exact_check(dim, side, pair, p, seed):
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(1, dim - 1))
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    m[:rank, :rank] = np.eye(rank)
+    m[:rank, rank : dim - 2] = rng.standard_normal((rank, dim - 2 - rank)) + 1j * rng.standard_normal(
+        (rank, dim - 2 - rank)
+    )
+    delta = side * IDEMPOTENCY_SLACK * (1.0 + exact_induced_norm(m, p) ** 2)
+    m[dim - 2, dim - 2] = pair * delta
+    m[dim - 1, dim - 1] = delta
+    order = rng.permutation(dim)
+    m = m[order][:, order]
+    message, size = exact_idempotency_check(m, p)
+    if abs(side - 1.0) > 1e-7:
+        assert (message is None) == (side < 1.0)
+    if message is None:
+        assert DenseProjection(m, p).size == size
+    else:
+        with pytest.raises(ValueError) as refused:
+            DenseProjection(m, p)
+        assert str(refused.value) == message
 
 
 def test_dense_projection_induced_norms():

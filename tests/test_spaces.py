@@ -34,12 +34,15 @@ from semigroup_lab.spaces import (
     cexpm1_array,
     clog1p,
     clog1p_array,
+    dense_exponents,
     matrix_expm1,
     pairings,
     row_norms,
     semigroup_defects,
     semigroup_matrices,
     semigroup_matrix,
+    spectral_norm,
+    spectral_norm_bound,
 )
 
 EXACT_TOL = 1e-12
@@ -426,6 +429,110 @@ def test_semigroup_defects_overflow_names_the_first_time():
         semigroup_defect(diagonal, 75.0)
     assert semigroup_defects(a, []).shape == (0, 2, 2)
     assert matrix_expm1(np.empty((0, 2, 2))).shape == (0, 2, 2)
+
+
+@given(
+    dim=st.integers(1, 16),
+    scale=st.sampled_from([1e-300, 1e-154, 1.0, 1e154, 1e300]),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectral_norm_has_the_bits_of_the_svd_norm(dim, scale, real, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((dim, dim))
+    if not real:
+        m = m + 1j * rng.standard_normal((dim, dim))
+    m *= scale
+    exact = np.linalg.norm(m, 2)
+    assert type(spectral_norm(m)) is float
+    assert spectral_norm(m) == exact
+    # the bound settles no check it should not: inf or NaN once the squares
+    # overflow
+    assert not spectral_norm_bound(m) < exact
+
+
+def test_spectral_norm_fails_as_the_svd_norm_on_non_finite_entries():
+    m = np.eye(3, dtype=np.complex128)
+    m[1, 2] = math.nan
+    with pytest.raises(np.linalg.LinAlgError) as ours:
+        spectral_norm(m)
+    with pytest.raises(np.linalg.LinAlgError) as theirs:
+        np.linalg.norm(m, 2)
+    assert str(ours.value) == str(theirs.value)
+    assert math.isnan(spectral_norm_bound(m))
+    m[1, 2] = math.inf
+    assert math.isnan(spectral_norm(m)) and math.isnan(np.linalg.norm(m, 2))
+    assert not spectral_norm_bound(m) <= 1e300
+    empty = np.zeros((0, 0))
+    assert spectral_norm(empty) == np.linalg.norm(empty, 2) == 0.0
+
+
+def exact_dense_exponents(a, times):
+    """``dense_exponents`` with its overflow check always on one SVD of A,
+    as before the Frobenius bound: the stack and the overflow message."""
+    times = np.asarray(times, dtype=np.float64)
+    scales = np.abs(times) * np.linalg.norm(a.matrix, 2)
+    over = np.flatnonzero(scales > 690.0)
+    if not over.size:
+        return np.multiply.outer(times, a.matrix), None
+    first = over[0]
+    message = f"dense orbit with |tA| = {scales[first]:.3g} overflows"
+    return np.multiply.outer(times[:first], a.matrix), message
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    with np.errstate(all="ignore"):
+        try:
+            return fn(*args)
+        except np.linalg.LinAlgError as exc:
+            return type(exc), str(exc)
+
+
+def assert_dense_exponents_exact(a, times):
+    got, want = outcome(dense_exponents, a, times), outcome(exact_dense_exponents, a, times)
+    if want[0] is np.linalg.LinAlgError:
+        assert got == want
+        return
+    assert got[0].shape == want[0].shape
+    assert got[0].tobytes() == want[0].tobytes()
+    assert (None if got[1] is None else str(got[1])) == want[1]
+
+
+def nudged(t: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        t = math.nextafter(t, math.inf if ulps > 0 else 0.0)
+    return t
+
+
+# times a few ulps either side of the exact check's edge 690 / |A|_2 and of
+# the bound's own edge 690 / spectral_norm_bound(A), where it first hands
+# the check to the SVD
+@given(
+    dim=st.integers(1, 8),
+    scale=st.sampled_from([1e-300, 1e-154, 1e-3, 1.0, 1e3, 1e154, 1e300]),
+    edge=st.sampled_from(["exact", "bound"]),
+    ulps=st.integers(-4, 4),
+    sign=st.sampled_from([1.0, -1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_exponents_decide_as_the_exact_check(dim, scale, edge, ulps, sign, seed):
+    rng = np.random.default_rng(seed)
+    a = dense_generator(scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))))
+    size = np.linalg.norm(a.matrix, 2) if edge == "exact" else spectral_norm_bound(a.matrix)
+    t = nudged(690.0 / size, ulps)
+    assert_dense_exponents_exact(a, [0.5 * t, sign * t, 0.25 * t])
+    assert_dense_exponents_exact(a, [sign * t])
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[], [0.0], [-3.0, 1.0], [1.0, math.nan, 2.0], [math.nan], [1.0, math.inf], [-math.inf],
+     [1e300, 1.0], [-1e-300]],
+)
+@pytest.mark.parametrize("entry", [1.0, 1e-200, 1e200, math.inf, -math.inf, math.nan])
+def test_dense_exponents_edge_inputs_take_the_exact_route(times, entry):
+    assert_dense_exponents_exact(dense_generator(np.array([[0.5, entry], [0.25j, -1.0]])), times)
 
 
 def test_diagonal_semigroup_defects_match_the_carrier_and_the_one_time_view():
