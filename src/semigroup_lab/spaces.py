@@ -274,8 +274,8 @@ def row_norms(rows: np.ndarray, p: float) -> np.ndarray:
 
 
 def spectral_norm(m: np.ndarray) -> float:
-    """``np.linalg.norm(m, 2)`` with its bits, at about half its cost for a
-    small m: LAPACK returns the singular values in descending order, so the
+    """``np.linalg.norm(m, 2)`` with its bits, without its generic axis
+    handling: LAPACK returns the singular values in descending order, so the
     first is the maximum that ``np.linalg.norm`` takes.  A NaN entry raises
     the same ``LinAlgError``, an inf entry gives the same NaN, and an empty
     matrix gives 0."""
