@@ -92,8 +92,7 @@ def exact_induced_norm(matrix, p):
 
 def exact_idempotency_check(matrix, p):
     """DenseProjection's check with the induced norm of M^2 - M always
-    formed, as before the Frobenius bound: its message (None on a pass) and
-    |M|."""
+    formed, and no Frobenius bound: its message (None on a pass) and |M|."""
     size = exact_induced_norm(matrix, p)
     drift = exact_induced_norm(matrix @ matrix - matrix, p)
     if drift > IDEMPOTENCY_SLACK * (1.0 + size**2):

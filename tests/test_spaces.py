@@ -469,7 +469,7 @@ def test_spectral_norm_fails_as_the_svd_norm_on_non_finite_entries():
 
 def exact_dense_exponents(a, times):
     """``dense_exponents`` with its overflow check always on one SVD of A,
-    as before the Frobenius bound: the stack and the overflow message."""
+    and no Frobenius bound: the stack and the overflow message."""
     times = np.asarray(times, dtype=np.float64)
     scales = np.abs(times) * np.linalg.norm(a.matrix, 2)
     over = np.flatnonzero(scales > 690.0)
