@@ -58,7 +58,6 @@ from .witness import (
     WitnessStage,
     build_certificate,
     choose_step_count,
-    design_blowup_law,
     find_direction,
     rotate_nonneg,
     stability_radius,
@@ -68,9 +67,7 @@ from .witness import (
 from .renorm import (
     RenormReport,
     classical_renorm_value,
-    equivalence_audit,
     lambda_lower_bounds,
-    projection_contractivity_check,
     quasi_contractivity_audit,
     renorm_time_grid,
     spectral_bound,

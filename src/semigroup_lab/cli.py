@@ -554,6 +554,9 @@ def main(argv: list[str] | None = None) -> int:
         return next(
             (code for kind, code in BUILD_EXITS if isinstance(failure.cause, kind)), EXIT_FAIL
         )
+    except MemoryError as exc:  # a sample count or grid too large to allocate
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -77,15 +77,17 @@ class DenseProjection:
         object.__setattr__(self, "matrix", mat)
         size = _induced_norm(mat, self.p)
         object.__setattr__(self, "size", size)
-        defect = mat @ mat - mat
+        # past |M| ~ 1e154 the square and the limit overflow to inf, silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = mat @ mat - mat
+        limit = IDEMPOTENCY_SLACK * (1.0 + size * size)
         # at p = 2 a finite bound within the limit settles the check with no
         # SVD (see spectral_norm_bound); anything else takes the induced
-        # norm, so a non-finite defect fails in its SVD before the limit is
-        # formed
+        # norm, and a drift that is not finite (NaN included) is refused
         bound = math.nan if self.p in (1.0, math.inf) else spectral_norm_bound(defect)
-        if not math.isfinite(bound) or bound > IDEMPOTENCY_SLACK * (1.0 + size**2):
+        if not math.isfinite(bound) or bound > limit:
             drift = _induced_norm(defect, self.p)
-            if drift > IDEMPOTENCY_SLACK * (1.0 + size**2):
+            if not (math.isfinite(drift) and drift <= limit):
                 raise ValueError(
                     f"matrix is not idempotent: |M^2 - M| = {drift:.3g} with |M| = {size:.3g}"
                 )

@@ -278,14 +278,6 @@ def _split_ratio_blocks(proj: Projection, draws, of_image: bool):
         start += n
 
 
-def _split_ratios(proj: Projection, seed: int, samples: int, of_image: bool) -> np.ndarray:
-    """The ratios of ``_split_ratio_blocks`` over ``_draws(seed, samples, proj.dim)``, in one array."""
-    ratios = np.empty(samples)
-    for start, block in _split_ratio_blocks(proj, _draws(seed, samples, proj.dim), of_image):
-        ratios[start : start + len(block)] = block
-    return ratios
-
-
 def _ratio_summary(ratio_blocks, bad) -> tuple[float, float, list[tuple[int, float]]]:
     """(min, max, offending (index, ratio) rows) over every block, with the
     values ``np.min(ratios, initial=inf)``, ``np.max(ratios, initial=0.0)``
@@ -313,34 +305,6 @@ def _contractivity(proj: Projection, draws, slack: float) -> tuple[float, list[t
         _split_ratio_blocks(proj, draws, of_image=True), lambda r: r > 1.0 + slack
     )
     return worst, [(i, ratio, 1.0) for i, ratio in rows]
-
-
-def equivalence_audit(
-    proj: Projection,
-    seed: int = 0,
-    samples: int = DEFAULT_VECTOR_SAMPLES,
-    slack: float = DEFAULT_SLACK,
-) -> tuple[float, float, list[tuple]]:
-    """Sample the ratio split_norm/norm and check it stays in [1, 2|P|+1].
-
-    Returns (min_ratio, max_ratio, violations); a violation row is
-    (sample index, ratio, low bound, high bound).
-    """
-    return _equivalence(proj, _draws(seed, samples, proj.dim), slack)
-
-
-def projection_contractivity_check(
-    proj: Projection,
-    seed: int = 0,
-    samples: int = DEFAULT_VECTOR_SAMPLES,
-    slack: float = DEFAULT_SLACK,
-) -> tuple[float, list[tuple]]:
-    """Check split_norm(P z) <= split_norm(z) on random samples.
-
-    Returns (max ratio, violations); equality is attained on the range
-    of P, so the max should sit at 1 up to rounding.
-    """
-    return _contractivity(proj, _draws(seed, samples, proj.dim), slack)
 
 
 def witness_projection(cert: WitnessCertificate) -> RankOneProjection:
@@ -540,9 +504,10 @@ def _split_audit(
     slack: float,
     normals: SplitNormals | None = None,
 ) -> RenormReport:
-    """The split audit: ``equivalence_audit`` at ``seed`` and
-    ``projection_contractivity_check`` at ``seed + 1``, with their streams
-    drawn by ``normals`` (one is started here when none is given)."""
+    """The split audit: the split-norm sandwich (``_equivalence``) over the
+    stream of ``seed`` and projection contractivity (``_contractivity``) over
+    that of ``seed + 1``, both streams drawn by ``normals`` (one is started
+    here when none is given)."""
     if normals is None:
         with SplitNormals(seed, vector_samples, cert.dim) as own:
             return _split_audit(cert, seed, vector_samples, slack, own)

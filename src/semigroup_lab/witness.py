@@ -43,13 +43,10 @@ from .spaces import (
     CVec,
     Functional,
     Generator,
-    GrowthLaw,
     _conjugate_exponent,
     _lp_norm,
     apply_generator,
-    diagonal_generator_from_entries,
     dual_norm,
-    law_entries,
     norm,
     pairing,
     pairings,
@@ -73,11 +70,6 @@ _PAIRING_SLACK = 1e-10
 
 # Validation samples per batched call, which bounds the memory a call takes.
 _SAMPLE_BLOCK = 4096
-
-# The law designer's first rung on the seed coordinate, and the factor by
-# which each later rung overshoots the pairing target it must clear.
-_FIRST_RUNG = 0.05
-_RUNG_PAD = 1.02
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,7 +426,13 @@ def _assemble(
     table: np.ndarray,
 ) -> WitnessCertificate:
     """The certificate of ``stages``, with every stage evaluated at the last
-    stage vector through its row log2(n) of the schedule ``table``."""
+    stage vector through its row log2(n) of the schedule ``table``.
+
+    Each stage keeps the ``limit_error`` its scan stored, from the
+    carrier's array formula; the witness errors come from the scalar
+    ``limit_gap_error``.  The two formulas can differ in the last bits
+    (within 3.5e-16 relative on the pinned certificates), and either one
+    alone would move pinned bytes."""
     witness = stages[-1].vector
     steps = [st.steps for st in stages]
     defects = table[[n.bit_length() - 1 for n in steps]]
@@ -545,7 +543,10 @@ def verify_certificate(cert: WitnessCertificate, strict_goal: int | None = None)
     stage's exp(A/n) from one ``semigroup_matrices`` call, and the stage
     pairings, the drifts f(A x_k) and the witness gaps from one array
     operation each, every number with the bits of its one-stage form.  The
-    limit errors go through the scalar ``limit_gap_error``.
+    limit errors go through the scalar ``limit_gap_error``: that is the
+    formula that wrote the witness errors, while a stage's stored
+    ``limit_error`` came from the carrier's array formula, whose last bits
+    may differ, which the 1e-9 tolerance absorbs.
     """
     if not 0.0 < cert.eps < 0.5:
         # the stage bounds take log(eps) and log(1 - 2 eps)
@@ -653,66 +654,3 @@ def verify_certificate(cert: WitnessCertificate, strict_goal: int | None = None)
                 )
     if failures:
         raise InvalidCertificate(failures)
-
-
-def design_blowup_law(
-    f: Functional,
-    z: CVec,
-    eps: float,
-    stage_goal: int,
-    j_max: int = 160,
-    margin: float = DEFAULT_MARGIN,
-) -> GrowthLaw:
-    """Tune a tabulated imaginary law that carries the ladder to the goal.
-
-    Starts from a single small rung, ``_FIRST_RUNG``, on the seed
-    coordinate and replays the build; every TruncationInsufficient names
-    the pairing target and search radius the build got stuck at, and the
-    next free coordinate receives a rung just large enough (padded by
-    ``_RUNG_PAD``) to clear it.
-    The build is deterministic, and a finished table replays the exact
-    same ladder because unfilled rungs never influence earlier stages.
-
-    The functional's dimension fixes the budget: one rung for the seed
-    coordinate, one for the seed nudge, one per stage.  A dimension
-    mismatch in either direction is an error.
-    """
-    dim = f.dim
-    if z.dim != dim:
-        raise ValueError("seed vector and functional dimensions differ")
-    support = np.flatnonzero(z.coords)
-    if support.size != 1 or support[0] != 0:
-        raise ValueError("the law designer expects a seed on the first coordinate")
-    entries = np.zeros(dim, dtype=np.complex128)
-    entries[0] = 1j * _FIRST_RUNG
-    for _ in range(dim + 1):
-        gen = diagonal_generator_from_entries(entries)
-        try:
-            build_certificate(gen, f, z, eps, stage_goal, j_max=j_max, margin=margin)
-        except WitnessBuildError as failure:
-            cause = failure.cause
-            if not isinstance(cause, TruncationInsufficient):
-                raise
-            free = np.flatnonzero(entries == 0.0)
-            if free.size == 0:
-                raise ValueError(
-                    "growth table is full; the functional dimension is too small "
-                    f"for {stage_goal} stages"
-                ) from failure
-            slot = int(free[0])
-            weight = abs(f.coords[slot])
-            if weight == 0.0:
-                raise ValueError(
-                    f"functional vanishes on coordinate {slot + 1}; no rung can help"
-                ) from failure
-            entries[slot] = 1j * (cause.needed_target * _RUNG_PAD / (cause.radius * weight))
-            continue
-        if np.any(entries == 0.0):
-            raise ValueError(
-                "growth table finished with unused rungs; shrink the functional "
-                f"to dimension {int(np.count_nonzero(entries))}"
-            )
-        law = GrowthLaw(kind="table", values=tuple(complex(v) for v in entries))
-        law_entries(law, dim)
-        return law
-    raise ValueError("law design did not converge; the stage goal may be unreachable")

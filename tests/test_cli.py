@@ -34,6 +34,7 @@ from semigroup_lab.serialize import (
     cert_to_dict,
     dumps_canonical,
     load_json,
+    report_to_dict,
 )
 
 FINAL_ERR_BOUND = 1e-3
@@ -284,6 +285,44 @@ def test_limit_check_product_overflow_keeps_the_rows_before_it(tmp_path, capsys)
     cfg.write_text(json.dumps(data))
     assert main(["limit-check", "--config", str(cfg), "--out", str(short)]) == EXIT_OK
     assert (short / "deep.limit.csv").read_bytes() == (tmp_path / "deep.limit.csv").read_bytes()
+
+
+def huge_projection_run(tmp_path, name, matrix):
+    data = shipped_config("bounded_oracle")
+    data["projection"] = {"kind": "dense", "matrix": matrix}
+    cfg = tmp_path / f"{name}.config.json"
+    cfg.write_text(json.dumps(data))
+    return main(["limit-check", "--config", str(cfg), "--out", str(tmp_path)])
+
+
+def test_a_projection_past_the_square_range_that_is_not_idempotent_is_a_config_error(
+    tmp_path, capsys
+):
+    # M^2 - M of diag(1e160) holds inf + nan j: its 2-norm is NaN, which is refused
+    matrix = [[1e160, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    assert huge_projection_run(tmp_path, "huge", matrix) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "config error: projection.matrix: matrix is not idempotent: "
+        "|M^2 - M| = nan with |M| = 1e+160\n"
+    )
+    assert not (tmp_path / "huge.limit.csv").exists()
+
+
+def test_a_projection_past_the_square_range_that_is_idempotent_runs(tmp_path, capsys):
+    # M^2 = M exactly, with |M| = 1e160: the one-step product is finite and
+    # the two-step product overflows
+    matrix = [[1, 1e160, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    assert huge_projection_run(tmp_path, "tall", matrix) == EXIT_OVERFLOW
+    out, err = capsys.readouterr()
+    assert err == "overflow after 1 rows: alternating product overflowed within 2 steps\n"
+    csv = tmp_path / "tall.limit.csv"
+    assert out == f"limit-check tall: 1 rows -> {csv}; final error 1.64e-15 within tolerance 0.01\n"
+    _, _, rows = read_csv(csv)
+    assert [(row["steps"], row["product_gap"]) for row in rows] == [
+        ("1", "3.4362868860838373e+160")
+    ]
 
 
 def test_limit_check_forms_its_products_to_the_first_overflowing_block(tmp_path, monkeypatch):
@@ -1368,6 +1407,54 @@ def test_no_thread_outlives_a_split_audit_call(tmp_path, monkeypatch, capsys, ca
     # each call drew its normals ahead, so the helper did run and was joined
     assert CountedNormals.started == 1
 
+
+
+def refuse_to_start(thread):
+    raise RuntimeError("can't start new thread")
+
+
+def test_a_split_audit_with_no_thread_to_be_had_draws_its_own_normals(
+    tmp_path, monkeypatch, capsys, k5_certificate
+):
+    name, audit = "split_renorm.report.json", ["renorm-audit", "--config", "split_renorm", "--out"]
+    normal = renorm._split_audit(k5_certificate, 9, 3000, renorm.DEFAULT_SLACK)
+    assert main(audit + [str(tmp_path / "a")]) == EXIT_OK
+    before = threading.enumerate()
+    monkeypatch.setattr(threading.Thread, "start", refuse_to_start)
+    with renorm.SplitNormals(9, 3000, k5_certificate.dim) as normals:
+        assert normals.key is None
+    alone = renorm._split_audit(k5_certificate, 9, 3000, renorm.DEFAULT_SLACK)
+    assert main(audit + [str(tmp_path / "b")]) == EXIT_OK
+    assert threading.enumerate() == before
+    assert dumps_canonical(report_to_dict(alone)) == dumps_canonical(report_to_dict(normal))
+    assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
+
+# Each size asks numpy for more than a 64-bit address space holds, so the
+# allocation fails on any machine before any memory is touched.
+@pytest.mark.parametrize(
+    "config, change, shape",
+    [
+        ("split_renorm", {"vector_samples": 10**13}, "(2, 10000000000000, 7)"),
+        ("classical_renorm", {"vector_samples": 10**13}, "(10000000000000, 6)"),
+        ("classical_renorm", {"grid_points": 10**15}, "(999999999999999,)"),
+    ],
+    ids=["split_samples", "classical_samples", "classical_grid"],
+)
+def test_an_audit_too_large_to_allocate_ends_with_one_line(
+    tmp_path, capsys, config, change, shape
+):
+    data = shipped_config(config)
+    data["renorm"].update(change)
+    cfg = tmp_path / "vast.config.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["renorm-audit", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("out of memory: Unable to allocate ")
+    assert err.endswith(f" for an array with shape {shape} and data type float64\n")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "vast.report.json").exists()
 
 def set_dim(value):
     def change(payload):

@@ -17,12 +17,10 @@ from semigroup_lab import (
     classical_renorm_value,
     diagonal_generator_from_entries,
     dual_norm,
-    equivalence_audit,
     lambda_lower_bounds,
     make_rank_one,
     norm,
     project,
-    projection_contractivity_check,
     quasi_contractivity_audit,
     renorm_time_grid,
     report_from_dict,
@@ -33,9 +31,12 @@ from semigroup_lab import (
     witness_projection,
 )
 from semigroup_lab.errors import SpectralBoundViolated
-from semigroup_lab.projections import DenseProjection, projection_matrix, random_oblique_projection
+from semigroup_lab.projections import (
+    DenseProjection, Projection, projection_matrix, random_oblique_projection
+)
 from semigroup_lab.renorm import (
     DEFAULT_SLACK,
+    DEFAULT_VECTOR_SAMPLES,
     _SPLIT_BLOCK,
     SplitNormals,
     _contractivity,
@@ -43,13 +44,52 @@ from semigroup_lab.renorm import (
     _draws,
     _equivalence,
     _split_audit,
-    _split_ratios,
+    _split_ratio_blocks,
     _weighted_sups,
 )
 from semigroup_lab.spaces import dense_generator, semigroup_apply, semigroup_matrices
 
 RATIO_SLACK = 1e-10
 BATCH_REF_TOL = 1e-13
+
+
+# The split audit's two halves drawn serially, with no helper thread: the
+# references the threaded audit is held to bit for bit.
+
+def equivalence_audit(
+    proj: Projection,
+    seed: int = 0,
+    samples: int = DEFAULT_VECTOR_SAMPLES,
+    slack: float = DEFAULT_SLACK,
+) -> tuple[float, float, list[tuple]]:
+    """Sample the ratio split_norm/norm and check it stays in [1, 2|P|+1].
+
+    Returns (min_ratio, max_ratio, violations); a violation row is
+    (sample index, ratio, low bound, high bound).
+    """
+    return _equivalence(proj, _draws(seed, samples, proj.dim), slack)
+
+
+def projection_contractivity_check(
+    proj: Projection,
+    seed: int = 0,
+    samples: int = DEFAULT_VECTOR_SAMPLES,
+    slack: float = DEFAULT_SLACK,
+) -> tuple[float, list[tuple]]:
+    """Check split_norm(P z) <= split_norm(z) on random samples.
+
+    Returns (max ratio, violations); equality is attained on the range
+    of P, so the max should sit at 1 up to rounding.
+    """
+    return _contractivity(proj, _draws(seed, samples, proj.dim), slack)
+
+
+def _split_ratios(proj: Projection, seed: int, samples: int, of_image: bool) -> np.ndarray:
+    """The ratios of ``_split_ratio_blocks`` over ``_draws(seed, samples, proj.dim)``, in one array."""
+    ratios = np.empty(samples)
+    for start, block in _split_ratio_blocks(proj, _draws(seed, samples, proj.dim), of_image):
+        ratios[start : start + len(block)] = block
+    return ratios
 
 
 def coordinate_projection():

@@ -1,11 +1,15 @@
-"""Repository tooling: the shipped configs regenerate from their script,
-and nothing in the package or its tools names scipy."""
+"""Repository tooling: the law designer, the shipped configs regenerate
+from their script, and nothing in the package or its tools names scipy."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from semigroup_lab import (
+    CVec, Functional, build_certificate, diagonal_generator, law_entries, verify_certificate
+)
 from semigroup_lab.cli import EXIT_OK, main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -29,6 +33,27 @@ def regenerated(script, tmp_path_factory):
     script.OUT = tmp_path_factory.mktemp("configs")
     script.main()
     return script.OUT
+
+
+def test_designer_fills_rungs_and_replays(script):
+    f = Functional([0.01, 0.005, 0.0025, 0.00125], 2.0)
+    z = CVec([100.0, 0.0, 0.0, 0.0], 2.0)
+    law = script.design_blowup_law(f, z, eps=0.1, stage_goal=2)
+    again = script.design_blowup_law(f, z, eps=0.1, stage_goal=2)
+    assert law.values == again.values
+    entries = law_entries(law, 4)
+    assert np.all(np.diff(np.abs(entries)) >= 0.0)
+    a = diagonal_generator(law, 4)
+    first = build_certificate(a, f, z, eps=0.1, stage_goal=2, j_max=160, seed=7)
+    second = build_certificate(a, f, z, eps=0.1, stage_goal=2, j_max=160, seed=7)
+    assert np.array_equal(first.witness, second.witness)
+    verify_certificate(first, strict_goal=2)
+
+
+def test_designer_requires_seed_on_first_coordinate(script):
+    f = Functional([0.01, 0.005, 0.0025], 2.0)
+    with pytest.raises(ValueError):
+        script.design_blowup_law(f, CVec([0.0, 1.0, 0.0], 2.0), eps=0.1, stage_goal=1)
 
 
 def test_script_writes_every_shipped_config(regenerated):

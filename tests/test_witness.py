@@ -19,14 +19,11 @@ from semigroup_lab import (
     cert_from_dict,
     cert_to_dict,
     choose_step_count,
-    design_blowup_law,
-    diagonal_generator,
     diagonal_generator_from_entries,
     dense_generator,
     dual_norm,
     dumps_canonical,
     find_direction,
-    law_entries,
     load_config,
     norm,
     pairing,
@@ -427,27 +424,6 @@ def test_bounded_build_fails_with_diagnosis():
     assert failure.partial is not None
     assert failure.partial.stage_count < 10
     verify_certificate(failure.partial)
-
-
-def test_designer_fills_rungs_and_replays():
-    f = Functional([0.01, 0.005, 0.0025, 0.00125], 2.0)
-    z = CVec([100.0, 0.0, 0.0, 0.0], 2.0)
-    law = design_blowup_law(f, z, eps=0.1, stage_goal=2)
-    again = design_blowup_law(f, z, eps=0.1, stage_goal=2)
-    assert law.values == again.values
-    entries = law_entries(law, 4)
-    assert np.all(np.diff(np.abs(entries)) >= 0.0)
-    a = diagonal_generator(law, 4)
-    first = build_certificate(a, f, z, eps=0.1, stage_goal=2, j_max=160, seed=7)
-    second = build_certificate(a, f, z, eps=0.1, stage_goal=2, j_max=160, seed=7)
-    assert np.array_equal(first.witness, second.witness)
-    verify_certificate(first, strict_goal=2)
-
-
-def test_designer_requires_seed_on_first_coordinate():
-    f = Functional([0.01, 0.005, 0.0025], 2.0)
-    with pytest.raises(ValueError):
-        design_blowup_law(f, CVec([0.0, 1.0, 0.0], 2.0), eps=0.1, stage_goal=1)
 
 
 def test_certificate_roundtrip_is_exact(k5_certificate):
@@ -968,6 +944,44 @@ def test_verify_recomputes_the_stored_log_values_bit_for_bit(name, monkeypatch):
     stored = np.array([st.log_value for st in cert.stages])
     assert np.diagonal(stages.log_values).tobytes() == stored.tobytes()
     assert at_witness.log_values[:, 0].tobytes() == np.array(cert.witness_log_values).tobytes()
+
+
+# Per certificate, how many witness errors the carrier's array formula would
+# change, and how many stage errors the scalar formula would: the two agree
+# within 3.5e-16 relative, far inside verify's 1e-9.
+FORMULA_GAPS = {"blowup_k5.v2.cert.json": (1, 2), "blowup_k17.cert.json": (7, 6), None: (1, 2)}
+
+
+@pytest.mark.parametrize("name", FORMULA_GAPS, ids=["k5_pinned", "k17_pinned", "k5_fresh"])
+def test_each_stored_error_has_the_bits_of_its_formula(name, k5_certificate):
+    # a stage's limit_error comes from its scan, through the carrier's array
+    # formula; the witness errors from limit_gap_error, the scalar formula
+    if name is None:
+        cert = k5_certificate
+    else:
+        cert = cert_from_dict(load_json(Path(__file__).parent / "data" / name))
+    a, f = cert.a, cert.functional_obj()
+
+    def array_formula(vector, st):
+        batch = batched_log_values(a, f, vector[None, :], [st.steps], st.generator_pairing)
+        return batch.errors.item()
+
+    stage_errors = [st.limit_error for st in cert.stages]
+    assert stage_errors == [array_formula(st.vector, st) for st in cert.stages]
+    witness_scalar = [
+        limit_gap_error(st.generator_pairing, lv)
+        for st, lv in zip(cert.stages, cert.witness_log_values)
+    ]
+    assert list(cert.witness_errors) == witness_scalar
+    witness_array = [array_formula(cert.witness, st) for st in cert.stages]
+    stage_scalar = [limit_gap_error(st.generator_pairing, st.log_value) for st in cert.stages]
+    gaps = (
+        sum(x != y for x, y in zip(cert.witness_errors, witness_array)),
+        sum(x != y for x, y in zip(stage_errors, stage_scalar)),
+    )
+    assert gaps == FORMULA_GAPS[name]
+    pairs = zip(stage_errors + witness_scalar, stage_scalar + witness_array)
+    assert max(abs(x - y) / y for x, y in pairs) < 3.5e-16
 
 
 def test_verify_names_batched_failures_with_their_one_stage_numbers(k5_certificate):

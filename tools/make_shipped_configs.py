@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Regenerate the shipped example configs under src/semigroup_lab/configs/.
 
-The blow-up configs embed a tuned growth-law table produced by the
-in-package designer; its values are written as tagged hex floats so a
+The blow-up configs embed a tuned growth-law table produced by the law
+designer, ``design_blowup_law``, which lives here because nothing in the
+package calls it; its values are written as tagged hex floats so a
 rebuild replays the exact same ladder bit for bit.  Everything else is
 plain JSON, edited here rather than by hand so the files stay in sync.
 The script also writes the deep-ladder test config,
@@ -19,14 +20,92 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from semigroup_lab import CVec, Functional, design_blowup_law
+from semigroup_lab import (
+    CVec,
+    Functional,
+    GrowthLaw,
+    TruncationInsufficient,
+    WitnessBuildError,
+    build_certificate,
+    diagonal_generator_from_entries,
+    law_entries,
+)
 from semigroup_lab.serialize import encode
+from semigroup_lab.witness import DEFAULT_MARGIN
 
 REPO = Path(__file__).resolve().parents[1]
 OUT = REPO / "src" / "semigroup_lab" / "configs"
 DEEP_LADDER = REPO / "tests" / "data" / "configs" / "blowup_k17.config.json"
 
 SEED = 20260823
+
+# The law designer's first rung on the seed coordinate, and the factor by
+# which each later rung overshoots the pairing target it must clear.
+_FIRST_RUNG = 0.05
+_RUNG_PAD = 1.02
+
+
+def design_blowup_law(
+    f: Functional,
+    z: CVec,
+    eps: float,
+    stage_goal: int,
+    j_max: int = 160,
+    margin: float = DEFAULT_MARGIN,
+) -> GrowthLaw:
+    """Tune a tabulated imaginary law that carries the ladder to the goal.
+
+    Starts from a single small rung, ``_FIRST_RUNG``, on the seed
+    coordinate and replays the build; every TruncationInsufficient names
+    the pairing target and search radius the build got stuck at, and the
+    next free coordinate receives a rung just large enough (padded by
+    ``_RUNG_PAD``) to clear it.
+    The build is deterministic, and a finished table replays the exact
+    same ladder because unfilled rungs never influence earlier stages.
+
+    The functional's dimension fixes the budget: one rung for the seed
+    coordinate, one for the seed nudge, one per stage.  A dimension
+    mismatch in either direction is an error.
+    """
+    dim = f.dim
+    if z.dim != dim:
+        raise ValueError("seed vector and functional dimensions differ")
+    support = np.flatnonzero(z.coords)
+    if support.size != 1 or support[0] != 0:
+        raise ValueError("the law designer expects a seed on the first coordinate")
+    entries = np.zeros(dim, dtype=np.complex128)
+    entries[0] = 1j * _FIRST_RUNG
+    for _ in range(dim + 1):
+        gen = diagonal_generator_from_entries(entries)
+        try:
+            build_certificate(gen, f, z, eps, stage_goal, j_max=j_max, margin=margin)
+        except WitnessBuildError as failure:
+            cause = failure.cause
+            if not isinstance(cause, TruncationInsufficient):
+                raise
+            free = np.flatnonzero(entries == 0.0)
+            if free.size == 0:
+                raise ValueError(
+                    "growth table is full; the functional dimension is too small "
+                    f"for {stage_goal} stages"
+                ) from failure
+            slot = int(free[0])
+            weight = abs(f.coords[slot])
+            if weight == 0.0:
+                raise ValueError(
+                    f"functional vanishes on coordinate {slot + 1}; no rung can help"
+                ) from failure
+            entries[slot] = 1j * (cause.needed_target * _RUNG_PAD / (cause.radius * weight))
+            continue
+        if np.any(entries == 0.0):
+            raise ValueError(
+                "growth table finished with unused rungs; shrink the functional "
+                f"to dimension {int(np.count_nonzero(entries))}"
+            )
+        law = GrowthLaw(kind="table", values=tuple(complex(v) for v in entries))
+        law_entries(law, dim)
+        return law
+    raise ValueError("law design did not converge; the stage goal may be unreachable")
 
 
 def write(name: str, payload: dict) -> None:
