@@ -264,7 +264,7 @@ class ExperimentConfig:
             return _field(
                 spec,
                 "matrix",
-                lambda raw: DenseProjection(_matrix(raw, self.dim), self.p),
+                lambda raw: DenseProjection(_finite(_matrix(raw, self.dim)), self.p),
                 "projection.",
             )
         raise ConfigError(f"projection.kind: {kind!r} is not rank_one or dense")

@@ -30,7 +30,6 @@ from .spaces import (
     Generator,
     GrowthLaw,
     _check_p,
-    _complex as _complex_parts,
     dense_generator,
     diagonal_generator,
     law_entries,
@@ -82,16 +81,20 @@ def decode(value):
             if "~f" in value:
                 return float.fromhex(value["~f"])
             if "~c" in value:
-                pair = value["~c"]
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise ValueError(f"complex entries are [re, im] pairs, got {pair!r}")
-                return complex(float.fromhex(pair[0]), float.fromhex(pair[1]))
+                return _tagged_complex(value["~c"])
             if "~a" in value:
                 return decode(value["~a"])
         return {k: decode(v) for k, v in value.items()}
     if isinstance(value, list):
         return [decode(x) for x in value]
     return value
+
+
+def _tagged_complex(pair) -> complex:
+    """The value of a tagged complex ``{"~c": pair}``."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ValueError(f"complex entries are [re, im] pairs, got {pair!r}")
+    return complex(float.fromhex(pair[0]), float.fromhex(pair[1]))
 
 
 def dumps_canonical(payload: dict) -> str:
@@ -208,7 +211,7 @@ def generator_from_dict(desc: dict, dim: int) -> Generator:
     sizes a diagonal law and fixes the shape of a dense matrix."""
     kind = _field(desc, "kind", str, "generator.")
     if kind == "diagonal":
-        values = _tuple(_complex)
+        values = _tuple(_entry)
         return _field(
             desc,
             "law",
@@ -264,11 +267,13 @@ def _bool(raw) -> bool:
 
 
 def _float(raw) -> float:
-    return _real(decode(raw))
-
-
-def _real(raw) -> float:
-    """:func:`_float` of an already decoded value."""
+    """A real as files write it: a plain number, a tagged float, a ``0x`` hex
+    string or ``"inf"`` (decimal strings are refused).  A value
+    :func:`decode` has read is taken too."""
+    if type(raw) is float:
+        return raw
+    if isinstance(raw, (dict, list)):
+        raw = decode(raw)
     if isinstance(raw, str):
         bare = raw.lstrip("+-").lower()
         if not bare.startswith("0x") and bare != "inf":
@@ -279,19 +284,19 @@ def _real(raw) -> float:
     return float(raw)
 
 
-def _complex(raw) -> complex:
-    return _entry(decode(raw))
-
-
 def _entry(raw) -> complex:
-    """:func:`_complex` of an already decoded value."""
-    if isinstance(raw, complex):
-        return raw
+    """One complex entry as files write it: a tagged complex, an ``[re, im]``
+    pair whose parts :func:`_float` reads, or a lone real.  A value
+    :func:`decode` has read is taken too."""
+    if isinstance(raw, dict):
+        if len(raw) == 1 and "~c" in raw:
+            return _tagged_complex(raw["~c"])
+        raw = decode(raw)
     if isinstance(raw, list):
         if len(raw) != 2:
-            raise ValueError(f"complex entries are [re, im] pairs, got {raw!r}")
-        return complex(_real(raw[0]), _real(raw[1]))
-    return complex(_real(raw))
+            raise ValueError(f"complex entries are [re, im] pairs, got {decode(raw)!r}")
+        return complex(_float(raw[0]), _float(raw[1]))
+    return raw if isinstance(raw, complex) else complex(_float(raw))
 
 
 def _finite(values):
@@ -322,42 +327,8 @@ def _items(items, dim: int | None, what: str) -> list:
 
 
 def _entries(items, dim: int | None) -> np.ndarray:
-    """Complex entries of an already decoded list, ``dim`` of them if given."""
+    """Complex entries of a list, ``dim`` of them if given."""
     return np.array([_entry(v) for v in _items(items, dim, "entries")], dtype=np.complex128)
-
-
-# What a bulk reader's input raises when it is not of the form that reader
-# takes; the per-entry readers then read it or name what is wrong.
-_NOT_BULK = (KeyError, TypeError, ValueError, OverflowError)
-
-
-def _tagged_entries(items) -> np.ndarray | None:
-    """A list of tagged complexes ``{"~c": [re, im]}`` read in one pass, or
-    None when some entry is anything else."""
-    try:
-        values = [
-            complex(float.fromhex(pair[0]), float.fromhex(pair[1]))
-            for pair in (entry["~c"] for entry in items if len(entry) == 1)
-            if type(pair) is list and len(pair) == 2
-        ]
-    except _NOT_BULK:
-        return None
-    return np.array(values, dtype=np.complex128) if len(values) == len(items) else None
-
-
-def _plain_pairs(items, shape: tuple) -> np.ndarray | None:
-    """An array of the given shape whose entries are written as ``[re, im]``
-    pairs of plain numbers, read with one ``np.array`` call and assembled
-    part by part; None for anything else (hex strings, tagged values, bools,
-    other shapes)."""
-    try:
-        parts = np.array(items, dtype=object)
-        if parts.shape != shape + (2,) or not set(map(type, parts.flat)) <= {float, int}:
-            return None
-        parts = parts.astype(np.float64)
-    except _NOT_BULK:
-        return None
-    return _complex_parts(parts[..., 0], parts[..., 1])
 
 
 def encoded_length(raw) -> int | None:
@@ -368,43 +339,25 @@ def encoded_length(raw) -> int | None:
     return len(raw) if isinstance(raw, list) else None
 
 
+def _listed(raw):
+    """The list under a ``{"~a": ...}`` tag, or ``raw`` itself; any other value
+    comes back decoded, as the message that refuses it prints it."""
+    if isinstance(raw, dict) and len(raw) == 1 and "~a" in raw:
+        raw = raw["~a"]
+    return raw if isinstance(raw, list) else decode(raw)
+
+
 def _vector(raw, dim: int | None = None) -> np.ndarray:
-    """Complex entries, ``dim`` of them when ``dim`` is given.  A tagged array
-    of tagged complexes, or a list of plain-number pairs, is read in bulk;
-    any other form, and every malformed one, entry by entry."""
-    bulk = None
-    if isinstance(raw, list):
-        bulk = _plain_pairs(raw, (len(raw),))
-    elif isinstance(raw, dict) and len(raw) == 1 and isinstance(raw.get("~a"), list):
-        bulk = _tagged_entries(raw["~a"])
-    if bulk is None or (dim is not None and len(bulk) != dim):
-        return _entries(decode(raw), dim)
-    return bulk
-
-
-def _tagged_rows(rows) -> np.ndarray | None:
-    """Rows of tagged complexes, all of one length, read in one pass, or None
-    for anything else."""
-    if not rows or not all(type(row) is list and len(row) == len(rows[0]) for row in rows):
-        return None
-    entries = _tagged_entries([entry for row in rows for entry in row])
-    return None if entries is None else entries.reshape(len(rows), len(rows[0]))
+    """Complex entries, ``dim`` of them when ``dim`` is given, each read by
+    :func:`_entry`."""
+    return _entries(_listed(raw), dim)
 
 
 def _matrix(raw, dim: int | None = None) -> np.ndarray:
-    """Rows of complex entries, ``dim`` x ``dim`` when ``dim`` is given.  Rows
-    of plain-number pairs, and a tagged array of rows of tagged complexes,
-    are read in bulk.  Otherwise the whole matrix is decoded once, and rows
-    and entries are read as decoded."""
-    bulk = None
-    if isinstance(raw, list) and raw and isinstance(raw[0], list):
-        bulk = _plain_pairs(raw, (len(raw), len(raw[0])))
-    elif isinstance(raw, dict) and len(raw) == 1 and isinstance(raw.get("~a"), list):
-        bulk = _tagged_rows(raw["~a"])
-    if bulk is not None and (dim is None or bulk.shape == (dim, dim)):
-        return bulk
-    rows = _items(decode(raw), dim, "rows")
-    return np.array([_entries(row, dim) for row in rows], dtype=np.complex128)
+    """Rows of complex entries, ``dim`` x ``dim`` when ``dim`` is given, each
+    entry read by :func:`_entry`."""
+    rows = _items(_listed(raw), dim, "rows")
+    return np.array([_entries(_listed(row), dim) for row in rows], dtype=np.complex128)
 
 
 def _string(raw) -> str:
@@ -426,14 +379,14 @@ READERS = {
     int | None: _int,
     float: _float,
     float | None: _float,
-    complex: _complex,
+    complex: _entry,
     bool: _bool,
     str: _string,
     str | None: _string,
     dict: lambda raw: _object(decode(raw)),
     np.ndarray: _vector,
     tuple[float, ...]: _tuple(_float),
-    tuple[complex, ...]: _tuple(_complex),
+    tuple[complex, ...]: _tuple(_entry),
     tuple[tuple, ...]: _tuple(lambda row: tuple(decode(_list(row)))),
 }
 
@@ -508,7 +461,7 @@ def cert_from_dict(data: dict) -> WitnessCertificate:
         stages=lambda raw: tuple(
             record_from_dict(
                 WitnessStage, st, f"stages[{k}].",
-                generator_pairing=lambda v: _finite(_complex(v)),
+                generator_pairing=lambda v: _finite(_entry(v)),
             )
             for k, st in enumerate(_list(raw))
         ),

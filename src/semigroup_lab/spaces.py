@@ -22,6 +22,7 @@ can put other matrices into the same call.  The single-time
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -48,6 +49,9 @@ _PS_COEFFS = np.array(
     [[0.0 if k == 0 or k > _TAYLOR_DEGREE else 1.0 / math.factorial(k) for k in range(j, j + 4)]
      for j in range(0, _TAYLOR_DEGREE + 1, 4)]
 )[:, :, None, None, None]
+
+# The least integer that rounds past the largest double.
+_FLOAT_LIMIT = 2**1024 - 2**970
 
 _LAW_KINDS = ("poly", "imag_poly", "geom", "factorial", "imag_double_exp", "table")
 _P_VALUES = (1.0, 2.0, math.inf)
@@ -138,8 +142,11 @@ class GrowthLaw:
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def law_entries(law: GrowthLaw, dim: int) -> np.ndarray:
-    """Materialize the first ``dim`` entries of a growth law."""
+    """Materialize the first ``dim`` entries of a growth law.  An entry past
+    the floating range raises SemigroupOverflow naming the first such m
+    (``dim`` for imag_double_exp, whose exponents are checked first)."""
     if dim < 1:
         raise ValueError("dimension must be positive")
     m = np.arange(1, dim + 1, dtype=np.float64)
@@ -150,7 +157,11 @@ def law_entries(law: GrowthLaw, dim: int) -> np.ndarray:
     elif law.kind == "geom":
         entries = 1j * law.param**m
     elif law.kind == "factorial":
-        entries = 1j * np.array([math.factorial(k) for k in range(1, dim + 1)], dtype=np.float64)
+        # each m! rounded once from the exact integer, up to the first
+        # that rounds past the floating range
+        exact = map(math.factorial, range(1, dim + 1))
+        rounded = np.fromiter(itertools.takewhile(_FLOAT_LIMIT.__gt__, exact), np.float64)
+        entries = 1j * np.concatenate([rounded, np.full(dim - rounded.size, np.inf)])
     elif law.kind == "imag_double_exp":
         exponents = 2.0 ** np.arange(1, dim + 1)
         logs = exponents * math.log(law.param)
@@ -167,6 +178,10 @@ def law_entries(law: GrowthLaw, dim: int) -> np.ndarray:
         entries = np.asarray(law.values, dtype=np.complex128)
     else:  # pragma: no cover - guarded in GrowthLaw
         raise ValueError(f"unknown growth law kind {law.kind!r}")
+    finite = np.isfinite(entries)
+    if not finite.all():
+        first = int(np.argmin(finite)) + 1
+        raise SemigroupOverflow(f"{law.kind} entry {first} exceeds the floating range")
     moduli = np.abs(entries)
     if np.any(np.diff(moduli) < 0.0):
         raise ValueError("growth law moduli must be nondecreasing")
@@ -439,12 +454,12 @@ def matrix_expm1(stack: np.ndarray) -> np.ndarray:
 
 def _expm1_block(stack: np.ndarray) -> np.ndarray:
     """:func:`matrix_expm1` of one block of slices."""
-    # frexp: |X|_1 / theta < 2^e, and e = 0 for inf or NaN
-    shifts = np.maximum(np.frexp(np.abs(stack).sum(axis=1).max(axis=1) / _TAYLOR_THETA)[1], 0)
-    most = int(shifts.max(initial=0))
     powers = np.empty((4, *stack.shape), dtype=np.complex128)
     powers[0] = np.eye(stack.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
+        # frexp: |X|_1 / theta < 2^e, and e = 0 for inf or NaN
+        shifts = np.maximum(np.frexp(np.abs(stack).sum(axis=1).max(axis=1) / _TAYLOR_THETA)[1], 0)
+        most = int(shifts.max(initial=0))
         np.multiply(stack, np.ldexp(1.0, -shifts)[:, None, None], out=powers[1])
         _, y, y2, y3 = powers
         np.matmul(y, y, out=y2)
@@ -515,7 +530,8 @@ def dense_exponents(a: Generator, times) -> tuple[np.ndarray, SemigroupOverflow 
     times = np.asarray(times, dtype=np.float64)
     if float(np.abs(times).max(initial=0.0)) * spectral_norm_bound(a.matrix) <= 690.0:
         return np.multiply.outer(times, a.matrix), None
-    scales = np.abs(times) * spectral_norm(a.matrix)
+    with np.errstate(over="ignore"):
+        scales = np.abs(times) * spectral_norm(a.matrix)
     over = np.flatnonzero(scales > 690.0)
     if not over.size:
         return np.multiply.outer(times, a.matrix), None

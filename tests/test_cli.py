@@ -325,6 +325,40 @@ def test_a_projection_past_the_square_range_that_is_idempotent_runs(tmp_path, ca
     ]
 
 
+@pytest.mark.parametrize("p", [1, 2, "inf"])
+@pytest.mark.parametrize("entry", [math.nan, "inf"], ids=["nan", "inf"])
+def test_a_dense_projection_with_a_non_finite_entry_is_a_config_error(tmp_path, capsys, p, entry):
+    matrix = [[1.0, entry, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    data = shipped_config("bounded_oracle")
+    data["space"]["p"] = p
+    data["projection"] = {"kind": "dense", "matrix": matrix}
+    cfg = tmp_path / "odd.config.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["limit-check", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", "config error: projection.matrix: must be finite\n")
+
+
+@pytest.mark.parametrize("projection", [True, False], ids=["projected", "unprojected"])
+def test_limit_check_at_a_time_past_the_floating_range_overflows_without_a_warning(
+    tmp_path, capsys, projection
+):
+    # |t| |A|_2 overflows to inf, and so does the 1-norm of the projected
+    # step's exponent
+    data = shipped_config("bounded_oracle")
+    data["time"] = 1e308
+    if not projection:
+        del data["projection"]
+    cfg = tmp_path / "late.config.json"
+    cfg.write_text(json.dumps(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["limit-check", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == EXIT_OVERFLOW
+    err = capsys.readouterr().err
+    assert err == "overflow after 0 rows: dense orbit with |tA| = inf overflows\n"
+    assert [str(w.message) for w in caught] == []
+
+
 def test_limit_check_forms_its_products_to_the_first_overflowing_block(tmp_path, monkeypatch):
     # bounded_oracle's product overflows at j = 61: a ladder to j = 1023
     # forms only its first block of 64 rows, and writes the rows of j <= 60
@@ -692,12 +726,14 @@ def test_witness_without_witness_section_fails_cleanly(tmp_path):
     assert rc == EXIT_CONFIG
 
 
-def run_python(args, blas_threads=None):
-    """Run a fresh interpreter on the package with OPENBLAS_NUM_THREADS set or unset."""
-    unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+def run_python(args, blas_threads=None, extra_env=None):
+    """Run a fresh interpreter on the package with OPENBLAS_NUM_THREADS set or
+    unset, and ``extra_env`` added to the environment."""
+    unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "NPY_DISABLE_CPU_FEATURES")
     env = {k: v for k, v in os.environ.items() if k not in unset}
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
+    env.update(extra_env or {})
     package_root = str(Path(semigroup_lab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     cmd = [sys.executable, *args]
@@ -777,6 +813,60 @@ def test_dense_report_replays_across_blas_threads(tmp_path):
         done = run_cli_subprocess(["verify", str(reports[written])], replay)
         assert done.returncode == EXIT_OK, done.stdout + done.stderr
     assert reports["1"].read_bytes() == reports[None].read_bytes()
+
+
+CLI_RUNS = """
+import json
+import sys
+from semigroup_lab.cli import main
+
+print(json.dumps([main(args) for args in json.loads(sys.argv[1])]))
+"""
+
+
+def cli_exit_codes(runs, extra_env=None):
+    """The exit code of each CLI run of ``runs``, in one fresh interpreter."""
+    result = run_python(["-c", CLI_RUNS, json.dumps(runs)], extra_env=extra_env)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def simd_targets_above_x86_v3():
+    """numpy's dispatch targets past X86_V3 (AVX2) that this machine has."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    if "X86_V3" not in __cpu_dispatch__:
+        return []
+    above = __cpu_dispatch__[__cpu_dispatch__.index("X86_V3") + 1 :]
+    return [target for target in above if __cpu_features__.get(target)]
+
+
+def test_artifacts_verify_across_simd_dispatch_levels(tmp_path):
+    # numpy's kernels may round differently at another SIMD level; a
+    # certificate or report written at one level verifies at the other
+    targets = simd_targets_above_x86_v3()
+    if not targets:
+        pytest.skip("numpy has no dispatch target above X86_V3 on this machine")
+    reduced = {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    k17 = Path(__file__).parent / "data" / "configs" / "blowup_k17.config.json"
+    names = ("blowup_k5.cert.json", "blowup_k17.cert.json", "split_renorm.report.json")
+
+    def writes(out):
+        return [
+            ["witness", "--config", "blowup_k5", "--out", str(out)],
+            ["witness", "--config", str(k17), "--out", str(out)],
+            ["renorm-audit", "--config", "split_renorm", "--out", str(out)],
+        ]
+
+    def verifies(out):
+        return [["verify", str(out / name)] for name in names]
+
+    low, full = tmp_path / "reduced", tmp_path / "full"
+    assert cli_exit_codes(writes(low), reduced) == [EXIT_OK] * 3
+    assert cli_exit_codes(writes(full) + verifies(low)) == [EXIT_OK] * 6
+    if all((low / name).read_bytes() == (full / name).read_bytes() for name in names):
+        pytest.skip(f"no artifact's bytes differ with {' '.join(targets)} disabled")
+    assert cli_exit_codes(verifies(full), reduced) == [EXIT_OK] * 3
 
 
 def write_config(tmp_path, name, **overrides):
@@ -1041,6 +1131,37 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, command, overrides
     rc = main([command, "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
     assert f"config error: {field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "law, dim, first",
+    [
+        ({"kind": "poly", "param": 400}, 40, 6),
+        ({"kind": "imag_poly", "param": 400}, 40, 6),
+        ({"kind": "geom", "param": 1e10}, 40, 31),
+        ({"kind": "factorial"}, 200, 171),
+    ],
+    ids=lambda v: v["kind"] if isinstance(v, dict) else None,
+)
+def test_a_growth_law_past_the_floating_range_is_a_config_error_without_a_warning(
+    tmp_path, capsys, law, dim, first
+):
+    cfg = write_config(
+        tmp_path,
+        "steep",
+        space={"dim": dim, "p": 2},
+        generator={"kind": "diagonal", "law": law},
+        functional={"kind": "geometric"},
+        vector={"kind": "basis", "index": 1},
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["limit-check", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", f"config error: generator.law: {law['kind']} entry {first} exceeds the floating range\n"
+    )
+    assert [str(w.message) for w in caught] == []
 
 
 def test_functional_past_the_sum_of_squares_range_is_no_config_error(tmp_path):

@@ -645,3 +645,31 @@ TWO = {"~c": ["0x1p+1", "-0x0p+0"]}
 )
 def test_tagged_matrix_forms_the_bulk_reader_leaves_read_as_before(raw, dim):
     assert outcome(_matrix, raw, dim) == outcome(matrix_by_entries, raw, dim)
+
+
+# A value with two faults is refused for the one read first: a list's length
+# before its entries, and an entry's parts in order.
+@pytest.mark.parametrize(
+    "read, raw, dim, error",
+    [
+        (_vector, tagged_vector(ONE, {"~c": ["0x1p+0"]}), 3, (ValueError, "2 entries, space is 3")),
+        (
+            _vector,
+            [["0.5", {"~c": ["0x1p+0"]}]],
+            1,
+            (ValueError, "cannot read '0.5' as a number (use a 0x hex string or 'inf')"),
+        ),
+        (_vector, [[True, {"~f": "zz"}]], 1, (TypeError, "expected a number, got True")),
+        (_matrix, {"~a": [[ONE], [{"~c": "ab"}]]}, 1, (ValueError, "2 rows, space is 1")),
+        (_matrix, [[ONE, ONE], [{"~c": ["0x1p+0"]}]], 2, (ValueError, "1 entries, space is 2")),
+    ],
+    ids=[
+        "vector_length_and_tag",
+        "pair_part_and_tag",
+        "pair_parts",
+        "matrix_rows_and_tag",
+        "row_length_and_tag",
+    ],
+)
+def test_a_value_with_two_faults_names_the_one_read_first(read, raw, dim, error):
+    assert outcome(read, raw, dim) == error

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -199,6 +200,14 @@ def test_law_entry_tables():
         [0.0, 1j, 5j],
         atol=0,
     )
+
+
+def test_factorial_law_rounds_each_exact_factorial_once():
+    # a running float product rounds differently from 19! on
+    entries = law_entries(GrowthLaw("factorial"), 170)
+    assert entries.imag.tolist() == [float(math.factorial(m)) for m in range(1, 171)]
+    with pytest.raises(SemigroupOverflow, match="^factorial entry 171 exceeds the floating range$"):
+        law_entries(GrowthLaw("factorial"), 171)
 
 
 def test_law_rejects_decreasing_moduli():
@@ -429,6 +438,14 @@ def test_semigroup_defects_overflow_names_the_first_time():
         semigroup_defect(diagonal, 75.0)
     assert semigroup_defects(a, []).shape == (0, 2, 2)
     assert matrix_expm1(np.empty((0, 2, 2))).shape == (0, 2, 2)
+
+
+def test_matrix_expm1_of_a_stack_whose_norm_overflows_warns_of_nothing():
+    # the 1-norm that picks the slice's scaling overflows before the kernel does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        defect = matrix_expm1(np.full((1, 2, 2), 1e308 + 0j))
+    assert not np.isfinite(defect).any()
 
 
 @given(
