@@ -86,8 +86,8 @@ OVERFLOWS = (SemigroupOverflow, OverflowError)
 LIMIT_CSV_SCHEMA = "semigroup-lab/limit-csv/1"
 SWEEP_CSV_SCHEMA = "semigroup-lab/sweep-csv/1"
 
-# Rows in the first block of a limit-check's dense products; each later
-# block is twice the one before.
+# Rows in the first block of a job's dense products; each later block is
+# twice the one before.
 _LADDER_BLOCK = 64
 
 
@@ -115,32 +115,26 @@ def _dividable(schedule: Iterable[int]) -> tuple[list[int], OverflowError | None
     return counts, None
 
 
-def _finite_rows(*stacks: np.ndarray) -> int:
-    """How many leading rows are finite in every (G, d) array of ``stacks``."""
-    finite = np.logical_and.reduce([np.isfinite(rows).all(axis=1) for rows in stacks])
-    bad = np.flatnonzero(~finite)
-    return int(bad[0]) if bad.size else len(finite)
-
-
-def _products_to_first_overflow(
-    a: Generator, proj: Projection, x: CVec, t: float, counts: list[int], defects: np.ndarray
-) -> np.ndarray:
-    """The leading rows of ``dense_trotter_products`` over ``counts``: all of
-    them, or those up to the first block that holds a row that is not
-    finite.  A limit-check stops at its first overflowing row, and a row's
-    ladder costs its count's bit length, so the blocks keep a long schedule
-    from squaring the rows it would never write.  Each row has the bits of
-    its one-call product."""
-    products = np.empty((0, len(x.coords)), dtype=np.complex128)
+def _product_gaps(a: Generator, proj: Projection, x: CVec, times, counts, targets, defects):
+    """The l^p gaps between the rows of ``dense_trotter_products`` over
+    ``times`` and ``counts`` and those of ``targets``, up to the first row
+    whose product or target is not finite.  The rows are formed in blocks,
+    each twice the one before, up to the first block that holds such a row,
+    so a long schedule does not square rows it never writes; each row has
+    the bits of its one-call product."""
+    gaps: list[float] = []
     start, size = 0, _LADDER_BLOCK
-    while start < len(counts) and _finite_rows(products) == len(products):
-        stop = start + size
-        block = dense_trotter_products(
-            a, proj, x, t, counts[start:stop], defects=defects[start:stop]
+    while start < len(counts) and len(gaps) == start:
+        rows = slice(start, start + size)
+        products = dense_trotter_products(
+            a, proj, x, times[rows], counts[rows], defects=defects[rows]
         )
-        products = np.concatenate((products, block))
-        start, size = stop, 2 * size
-    return products
+        finite = np.isfinite(products).all(axis=1) & np.isfinite(targets[rows]).all(axis=1)
+        written = len(finite) if finite.all() else int(np.argmin(finite))
+        with np.errstate(over="ignore"):
+            gaps += row_norms(products[:written] - targets[rows][:written], x.p).tolist()
+        start, size = start + size, 2 * size
+    return gaps
 
 
 def _limit_target(oracle: np.ndarray, x: CVec, t: float) -> np.ndarray:
@@ -196,11 +190,8 @@ def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
                 raise overflow
         records = scalar_trotter_values(a, f, x, cfg.time, counts, defects)
         if proj is not None:
-            target = _limit_target(oracles[0], x, cfg.time)
-            products = _products_to_first_overflow(a, proj, x, cfg.time, counts, defects)
-            written = _finite_rows(products)
-            with np.errstate(over="ignore"):
-                gaps = row_norms(products[:written] - target, x.p).tolist()
+            targets = np.full((len(counts), x.dim), _limit_target(oracles[0], x, cfg.time))
+            gaps = _product_gaps(a, proj, x, [cfg.time] * len(counts), counts, targets, defects)
         for k, (n, step, deriv, log, value, err, path, ambiguous) in enumerate(records):
             line = (
                 f"{n},{step.real!r},{step.imag!r},{deriv.real!r},{deriv.imag!r},"
@@ -209,7 +200,7 @@ def run_limit_check(cfg: ExperimentConfig, out_dir: Path) -> int:
                 + f",{err!r},{path},{1 if ambiguous else 0}"
             )
             if proj is not None:
-                if k == written:
+                if k == len(gaps):
                     raise SemigroupOverflow(f"alternating product overflowed within {n} steps")
                 line += f",{gaps[k]!r}"
             lines.append(line)
@@ -459,17 +450,14 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
             hs = [t / float(steps) for t in params.times]
             defects, oracles, overflow = step_defects_and_oracles(a, proj, hs, params.times)
             times = params.times[: len(defects)]
-            counts = [steps] * len(times)
-            products = dense_trotter_products(a, proj, x, times, counts, defects=defects)
             with np.errstate(over="ignore", invalid="ignore"):
                 targets = oracles[: len(times)] @ x.coords
-                written = _finite_rows(products, targets)
-                trial_gaps = row_norms(products[:written] - targets[:written], x.p).tolist()
+            trial_gaps = _product_gaps(a, proj, x, times, [steps] * len(times), targets, defects)
             tail = f"{projection_norm(proj)!r},{params.generator_norm!r}"
             for t, gap in zip(times, trial_gaps):
                 gaps.append(gap)
                 lines.append(f"{trial},{dim},{rank},{t!r},{steps},{gap!r},{tail}")
-            overflowed |= overflow is not None or written < len(times)
+            overflowed |= overflow is not None or len(trial_gaps) < len(times)
         except OVERFLOWS:
             overflowed = True
     fields = [

@@ -2,15 +2,15 @@
 
 Floats are stored as C99 hex literals inside small tagged objects
 (``{"~f": "0x1.8p+1"}``), complex numbers as tagged pairs, and arrays as
-tagged nested lists.  Decoding restores bit-identical values, which the
-replay and verification paths rely on.  The readers here serve configs,
-certificates and reports alike: a real is a plain number, a tagged float,
-a ``0x`` hex string or ``"inf"`` (decimal strings are refused), and a
-complex entry may also be an ``[re, im]`` pair.  Every field of a config,
-certificate or report is read through :func:`_field`; certificates, stages,
-growth laws, reports and config sections are written and read field by
-field from their dataclasses (:func:`record_to_dict`,
-:func:`record_from_dict`).
+tagged nested lists.  Decoding restores bit-identical values (a NaN's
+sign, not its payload), which the replay and verification paths rely on.
+The readers here serve configs, certificates and reports alike: a real is
+a plain number, a tagged float, a ``0x`` hex string or ``"inf"`` (decimal
+strings are refused), and a complex entry may also be an ``[re, im]``
+pair.  Every field of a config, certificate or report is read through
+:func:`_field`; certificates, stages, growth laws, reports and config
+sections are written and read field by field from their dataclasses
+(:func:`record_to_dict`, :func:`record_from_dict`).
 """
 
 from __future__ import annotations
@@ -51,14 +51,17 @@ def encode(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return {"~f": float(value).hex()}
+        return {"~f": _hex(float(value))}
     if isinstance(value, (complex, np.complexfloating)):
         z = complex(value)
-        return {"~c": [z.real.hex(), z.imag.hex()]}
+        return {"~c": [_hex(z.real), _hex(z.imag)]}
     if isinstance(value, np.ndarray):
-        if value.dtype == np.complex128 and value.ndim == 1:
+        # an array with a NaN takes the per-value path, which keeps its sign;
+        # Re(v . conj v), a sum of squares, is NaN just when some part is
+        bulk = value.dtype == np.complex128 and not math.isnan(np.vdot(value, value).real)
+        if bulk and value.ndim == 1:
             return {"~a": _tagged_complexes(value.tolist())}
-        if value.dtype == np.complex128 and value.ndim == 2:
+        if bulk and value.ndim == 2:
             return {"~a": [_tagged_complexes(row) for row in value.tolist()]}
         return {"~a": encode(value.tolist())}
     if isinstance(value, (list, tuple)):
@@ -66,6 +69,12 @@ def encode(value):
     if isinstance(value, dict):
         return {str(k): encode(v) for k, v in value.items()}
     raise TypeError(f"cannot encode {type(value).__name__}")
+
+
+def _hex(x: float) -> str:
+    """``x.hex()``, but ``-nan`` for a NaN whose sign bit is set (``float.hex``
+    writes every NaN as ``nan``; ``float.fromhex`` reads ``-nan`` back)."""
+    return "-nan" if x != x and math.copysign(1.0, x) < 0.0 else x.hex()
 
 
 def _tagged_complexes(values: list) -> list:
@@ -198,11 +207,13 @@ def generator_to_dict(a: Generator) -> dict:
     """The ``generator`` section of configs, reports and certificates; a
     diagonal generator without a law becomes a ``table`` law of its entries.
     A law that :func:`generator_from_dict` would refuse (table moduli that
-    decrease) raises ValueError here instead of reaching a file."""
+    decrease), or one whose entries are not the generator's, raises
+    ValueError here instead of reaching a file."""
     if a.kind == "dense":
         return {"kind": "dense", "matrix": encode(a.matrix)}
     law = a.law or GrowthLaw("table", values=tuple(complex(e) for e in a.entries))
-    law_entries(law, a.dim)
+    if not np.array_equal(law_entries(law, a.dim), a.entries):
+        raise ValueError("diagonal entries disagree with the declared law")
     return {"kind": "diagonal", "law": record_to_dict(law)}
 
 

@@ -728,8 +728,10 @@ def test_witness_without_witness_section_fails_cleanly(tmp_path):
 
 def run_python(args, blas_threads=None, extra_env=None):
     """Run a fresh interpreter on the package with OPENBLAS_NUM_THREADS set or
-    unset, and ``extra_env`` added to the environment."""
-    unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "NPY_DISABLE_CPU_FEATURES")
+    unset, and ``extra_env`` added to the environment.  The child keeps the
+    parent's NPY_DISABLE_CPU_FEATURES unless ``extra_env`` sets another, so
+    it runs at the parent's numpy dispatch level."""
+    unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
     env = {k: v for k, v in os.environ.items() if k not in unset}
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
@@ -1162,6 +1164,109 @@ def test_a_growth_law_past_the_floating_range_is_a_config_error_without_a_warnin
         "", f"config error: generator.law: {law['kind']} entry {first} exceeds the floating range\n"
     )
     assert [str(w.message) for w in caught] == []
+
+
+# Each config check with its whole line: a later check that fails on the
+# same input may print the same field, so the field alone shows nothing.
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        ("limit-check", {"tolerance": 1e400}, "tolerance: must be finite, got inf"),
+        (
+            "witness",
+            {**K5_CONFIG, "witness": {**K5_CONFIG["witness"], "eps": 0.5}},
+            "witness.eps: must lie in (0, 1/2), got 0.5",
+        ),
+        (
+            "witness",
+            {**K5_CONFIG, "witness": {**K5_CONFIG["witness"], "stages": -1}},
+            "witness.stages: must be nonnegative",
+        ),
+        ("renorm-audit", {"renorm": {"kind": "classical"}}, "renorm.omega: missing"),
+        (
+            "sweep",
+            {"sweep": {"trials": 1, "projection_norm_cap": 1.0}},
+            "sweep.projection_norm_cap: must exceed 1",
+        ),
+        ("limit-check", {"space": {"dim": 0, "p": 2}}, "space.dim: must be positive"),
+        (
+            "limit-check",
+            {"functional": {"kind": "values", "values": ["inf", 0.5]}},
+            "functional: dual norm inf is not finite",
+        ),
+        ("limit-check", {"generator": None}, "config declares no generator"),
+        ("limit-check", {"functional": None}, "config declares no functional"),
+        (
+            "limit-check",
+            {"functional": {"kind": "geometric", "base": 1.0}},
+            "functional.geometric needs base > 1 and scale != 0",
+        ),
+        ("limit-check", {"vector": None}, "config declares no vector"),
+        ("limit-check", {"vector": {"kind": "basis", "index": 3}}, "vector.index 3 outside 1..2"),
+        (
+            "limit-check",
+            {
+                "functional": {"kind": "values", "values": [0.0, 0.5]},
+                "vector": {"kind": "basis", "index": 1},
+            },
+            "vector.basis cannot gauge against functional zero at 1",
+        ),
+        ("sweep", {}, "config declares no sweep section"),
+        (
+            "renorm-audit",
+            {"renorm": {"kind": "weighted", "omega": 3.0}},
+            "renorm.kind: 'weighted' is not classical or split",
+        ),
+        (
+            "sweep",
+            {"sweep": {"trials": 1, "dim_min": 1}},
+            "sweep needs 2 <= dim_min <= dim_max",
+        ),
+        # refused before any entry is formed: entry 2 (2**nan) would read as an overflow
+        (
+            "limit-check",
+            {"generator": {"kind": "diagonal", "law": {"kind": "poly", "param": math.nan}}},
+            "generator.law: growth law param must be finite, got nan",
+        ),
+        (
+            "limit-check",
+            {"generator": {"kind": "diagonal", "law": {"kind": "poly", "param": "inf"}}},
+            "generator.law: growth law param must be finite, got inf",
+        ),
+    ],
+    ids=[
+        "tolerance_overflow",
+        "eps_half",
+        "stages_negative",
+        "classical_without_omega",
+        "projection_norm_cap_one",
+        "dim_zero",
+        "functional_inf",
+        "no_generator",
+        "no_functional",
+        "geometric_base_one",
+        "no_vector",
+        "basis_index_outside",
+        "gauge_against_zero",
+        "no_sweep_section",
+        "renorm_kind_unknown",
+        "sweep_dim_min_one",
+        "law_param_nan",
+        "law_param_inf",
+    ],
+)
+def test_config_check_prints_its_whole_line(tmp_path, capsys, command, overrides, message):
+    cfg = write_config(tmp_path, "malformed", **overrides)
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+def test_config_that_is_not_an_object_prints_its_whole_line(tmp_path, capsys):
+    cfg = tmp_path / "list.config.json"
+    cfg.write_text("[1, 2]")
+    assert main(["limit-check", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", "config error: top level must be an object\n")
 
 
 def test_functional_past_the_sum_of_squares_range_is_no_config_error(tmp_path):

@@ -58,6 +58,12 @@ def test_parse_minimal():
     assert list(cfg.schedule()) == [1, 2, 4]
 
 
+def test_projection_without_a_section_is_refused_by_name():
+    # the CLI asks for a projection only when the config declares one
+    with pytest.raises(ConfigError, match="^config declares no projection$"):
+        parse_config(minimal()).projection()
+
+
 def test_rejects_wrong_schema():
     with pytest.raises(ConfigError, match="schema"):
         parse_config(minimal(schema="something/else/9"))

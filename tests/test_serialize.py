@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from semigroup_lab import (
     CVec,
     Functional,
+    Generator,
     GrowthLaw,
     InvalidCertificate,
     build_certificate,
@@ -69,8 +70,16 @@ def test_float_roundtrip_bit_exact(x):
 
 
 def test_nan_roundtrip():
-    back = roundtrip(math.nan)
-    assert math.isnan(back)
+    # hex keeps a NaN's sign, though not its payload, as a float, in a
+    # complex and in an array
+    for sign in (1.0, -1.0):
+        nan = math.copysign(math.nan, sign)
+        back = roundtrip(nan)
+        assert math.isnan(back) and math.copysign(1.0, back) == sign
+        z = roundtrip(complex(nan, -nan))
+        assert (math.copysign(1.0, z.real), math.copysign(1.0, z.imag)) == (sign, -sign)
+        (w,) = roundtrip(np.array([complex(-nan, nan)]))
+        assert (math.copysign(1.0, w.real), math.copysign(1.0, w.imag)) == (-sign, sign)
 
 
 def test_complex_roundtrip():
@@ -162,6 +171,35 @@ def test_writer_refuses_a_table_law_the_reader_refuses():
     verify_certificate(cert)
     with pytest.raises(ValueError, match="nondecreasing"):
         cert_to_dict(cert)
+
+
+def test_writer_refuses_a_law_that_is_not_the_generators():
+    # only diagonal_generator attaches a law, with the entries it forms;
+    # a generator put together by hand is checked where it becomes a record
+    law = GrowthLaw("poly", 1.0)
+    a = Generator(kind="diagonal", entries=[-1.0, -2.0, -4.0], law=law)
+    with pytest.raises(ValueError, match="^diagonal entries disagree with the declared law$"):
+        generator_to_dict(a)
+    assert generator_to_dict(replace(a, entries=[-1.0, -2.0, -3.0]))["law"] == record_to_dict(law)
+
+
+def test_a_generator_from_a_law_forms_its_entries_once(monkeypatch):
+    import semigroup_lab.serialize as serialize
+    import semigroup_lab.spaces as spaces
+
+    calls = []
+    entries = spaces.law_entries
+
+    def counted(law, dim):
+        calls.append(law.kind)
+        return entries(law, dim)
+
+    monkeypatch.setattr(spaces, "law_entries", counted)
+    monkeypatch.setattr(serialize, "law_entries", counted)
+    desc = generator_to_dict(diagonal_generator(GrowthLaw("imag_poly", 1.0), 4))
+    assert calls == ["imag_poly", "imag_poly"]  # one build, one written record
+    generator_from_dict(desc, 4)
+    assert calls == ["imag_poly"] * 3
 
 
 def test_unknown_generator_source_is_invalid():
