@@ -164,7 +164,7 @@ def random_oblique_projection(
             inverse = np.linalg.inv(basis)
         except np.linalg.LinAlgError:
             continue
-        candidate = basis[:, :rank] @ inverse[:rank, :]
-        if spectral_norm(candidate) <= norm_cap:
-            return DenseProjection(candidate)
+        candidate = DenseProjection(basis[:, :rank] @ inverse[:rank, :])
+        if candidate.size <= norm_cap:
+            return candidate
     raise RuntimeError(f"no projection under norm cap {norm_cap} in {_MAX_TRIES} draws")

@@ -43,9 +43,9 @@ CONFIG_SCHEMA = "semigroup-lab/config/1"
 
 
 def encode(value):
-    """Recursively encode a value into tagged, JSON-safe form.  A 1-D or 2-D
-    complex128 array, the form of every stored vector and dense matrix, is
-    written in one pass, as the recursion would write it."""
+    """Recursively encode a value into tagged, JSON-safe form.  An array is
+    written as the nested list of its values, each tagged as a lone value
+    is, so :func:`_hex` writes every float part."""
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, (int, np.integer)):
@@ -56,13 +56,6 @@ def encode(value):
         z = complex(value)
         return {"~c": [_hex(z.real), _hex(z.imag)]}
     if isinstance(value, np.ndarray):
-        # an array with a NaN takes the per-value path, which keeps its sign;
-        # Re(v . conj v), a sum of squares, is NaN just when some part is
-        bulk = value.dtype == np.complex128 and not math.isnan(np.vdot(value, value).real)
-        if bulk and value.ndim == 1:
-            return {"~a": _tagged_complexes(value.tolist())}
-        if bulk and value.ndim == 2:
-            return {"~a": [_tagged_complexes(row) for row in value.tolist()]}
         return {"~a": encode(value.tolist())}
     if isinstance(value, (list, tuple)):
         return [encode(x) for x in value]
@@ -75,11 +68,6 @@ def _hex(x: float) -> str:
     """``x.hex()``, but ``-nan`` for a NaN whose sign bit is set (``float.hex``
     writes every NaN as ``nan``; ``float.fromhex`` reads ``-nan`` back)."""
     return "-nan" if x != x and math.copysign(1.0, x) < 0.0 else x.hex()
-
-
-def _tagged_complexes(values: list) -> list:
-    """The tagged form of each complex in a list, as :func:`encode` writes it."""
-    return [{"~c": [z.real.hex(), z.imag.hex()]} for z in values]
 
 
 def decode(value):
@@ -144,8 +132,6 @@ def _emit(value, newline: str, write) -> None:
                 return
         lead = "{" + inner
         for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
             write(lead)
             write(_escape(key))
             write(": ")

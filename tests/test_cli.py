@@ -598,12 +598,13 @@ def test_shipped_dense_csv_is_unchanged(tmp_path, command, name):
 
 
 # bounded_oracle keeps no 2-norm of a matrix; each of sweep_bounded's 12
-# trials keeps three, one SVD each: the generator's scaling, the cap test
-# and the size of its projection.  The overflow guard and the idempotency
-# check are settled by Frobenius bounds (60 and 1 SVDs when each took one).
+# trials keeps two, one SVD each: the generator's scaling and the size of
+# its projection, which the cap test reads.  The overflow guard and the
+# idempotency check are settled by Frobenius bounds (60 and 1 SVDs when
+# each took one).
 @pytest.mark.parametrize(
     "command, name, svds",
-    [("limit-check", "bounded_oracle.limit.csv", 0), ("sweep", "sweep_bounded.sweep.csv", 36)],
+    [("limit-check", "bounded_oracle.limit.csv", 0), ("sweep", "sweep_bounded.sweep.csv", 24)],
 )
 def test_shipped_dense_jobs_take_an_svd_only_for_a_norm_they_keep(
     monkeypatch, tmp_path, command, name, svds

@@ -16,10 +16,12 @@ import threading
 import types
 from pathlib import Path
 
+import semigroup_lab
 from semigroup_lab.cli import EXIT_INVALID, EXIT_OK, EXIT_TRUNCATION, main
 
 REPO = Path(__file__).resolve().parents[1]
-PACKAGE = REPO / "src" / "semigroup_lab"
+# where the import found the package, the path its code objects carry
+PACKAGE = Path(semigroup_lab.__file__).parent
 SHIPPED = sorted((PACKAGE / "configs").glob("*.config.json"))
 DATA = sorted((REPO / "tests" / "data").glob("*.json"))
 

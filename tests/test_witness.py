@@ -764,6 +764,62 @@ def test_verify_rejects_stored_numbers_it_cannot_recompute(k5_certificate, mutat
     assert failure in info.value.failures
 
 
+def witness_nudged(cert):
+    witness = cert.witness.copy()
+    witness[0] += 1e-14
+    return dataclasses.replace(cert, witness=witness)
+
+
+# One check of verify each: a tamper of the pinned K = 5 certificate that
+# makes it fire, and the whole line it adds.  verify collects every
+# failure, so other checks may fire beside it.
+@pytest.mark.parametrize(
+    "mutate, strict_goal, failure",
+    [
+        (lambda cert: cert, 6, "only 5 stages, needed 6"),
+        (witness_nudged, None, "witness vector differs from the last stage vector"),
+        (
+            lambda cert: replace_stage(cert, 2, steps=cert.stages[2].steps * 3 // 2),
+            None,
+            "stage 2: step count 412316860416 is not a power of two",
+        ),
+        (
+            lambda cert: replace_stage(
+                cert, 3, generator_pairing=cert.stages[3].generator_pairing - 1
+            ),
+            None,
+            "stage 3: Re f(Ax) = 2.31961 < 3",
+        ),
+        (
+            lambda cert: dataclasses.replace(
+                cert, eps=min(st.limit_error for st in cert.stages)
+            ),
+            None,
+            "stage 5: limit error 0.0641 is not below eps",
+        ),
+        (
+            lambda cert: dataclasses.replace(cert, eps=1e-300),
+            None,
+            "stage 0 at witness: deviation 0.0858 is not below 2*eps",
+        ),
+        (
+            lambda cert: dataclasses.replace(
+                cert, a=diagonal_generator_from_entries(cert.a.entries * 0.5)
+            ),
+            None,
+            "stage 1 at witness: log-modulus 0.662038 under the blow-up floor 0.923577",
+        ),
+    ],
+    ids=["strict_goal", "witness_off_last_stage", "steps_not_dyadic", "rung_below_index",
+         "limit_error_at_eps", "deviation_past_two_eps", "under_blowup_floor"],
+)
+def test_verify_names_each_check_its_tamper_fires(mutate, strict_goal, failure):
+    cert = cert_from_dict(load_json(K5_V2_CERT))
+    with pytest.raises(InvalidCertificate) as info:
+        verify_certificate(mutate(cert), strict_goal=strict_goal)
+    assert failure in info.value.failures
+
+
 # The schedule table a build shares across its stages: exp(A/2^j) - I for
 # j = 0 .. min(j_max, 1023) from one semigroup_defects call, each scan
 # covering all of it in one carrier call.  Every (n, err, log_value) must

@@ -15,14 +15,10 @@ module's source or line numbers sees them as they are.  Each mutant runs
 with ``-x``, so a caught one stops at its first failing test.  Usage:
 
     python tools/mutation_audit.py src/semigroup_lab/config.py -- tests/test_cli.py tests/test_config.py
-    python tools/mutation_audit.py src/semigroup_lab/witness.py --function verify_certificate \
-        -- tests --ignore=tests/test_reach.py
+    python tools/mutation_audit.py src/semigroup_lab/witness.py --function verify_certificate -- tests
 
-The unmutated copy must pass the selection first.  A test that finds the
-package through the working tree rather than through the import, as
-tests/test_reach.py does, fails against the copy and must be left out
-(``--ignore=tests/test_reach.py``).  The exit status is 0 when no check
-survives and 1 when one does.
+The unmutated copy must pass the selection first.  The exit status is 0
+when no check survives and 1 when one does.
 """
 
 from __future__ import annotations
