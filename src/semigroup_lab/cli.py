@@ -6,10 +6,11 @@ certificate), renorm-audit (split or classical renorming audit), verify
 (recheck certificates and reports from disk), and sweep (randomized
 bounded-convergence trials, run in order of their trial index).
 
-Exit codes: 0 success, 2 configuration problems, 3 overflow with a
-partial CSV written, 4 direction search exhausted the truncation or no
-step count of the schedule met the accuracy target, 5 stability radius
-underflow, 6 certificate or report verification failure, 1 anything else.
+Exit codes: 0 success, 2 configuration problems, 3 overflow (only a CSV
+subcommand keeps a partial CSV), 4 direction search exhausted the
+truncation or no step count of the schedule met the accuracy target,
+5 stability radius underflow, 6 certificate or report verification
+failure, 1 anything else.
 """
 
 from __future__ import annotations
@@ -284,6 +285,9 @@ def run_renorm_audit(cfg: ExperimentConfig, out_dir: Path, config_dir: Path) -> 
             )
         except SpectralBoundViolated as exc:
             raise ConfigError(f"renorm.omega: {exc}") from exc
+        except SemigroupOverflow as exc:  # an orbit on the grid leaves the floating range
+            print(f"renorm-audit {cfg.name}: {exc}", file=sys.stderr)
+            return EXIT_OVERFLOW
         report = replace(report, source={"generator": generator_to_dict(a)})
     else:
         # the audit's normals are drawn on a helper thread while the

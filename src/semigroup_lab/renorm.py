@@ -17,11 +17,13 @@ sample count, and every value is that of the whole batch bit for bit.  The
 split audit's normals are drawn on a helper thread (``SplitNormals``) while
 the caller builds or reads the certificate and the audit measures the
 blocks already drawn; its ratios are summarized block by block (see
-``_split_ratio_blocks``).  The classical audit forms exp(tA) for the whole
-grid as one stack and evaluates only the grid times that can raise a sup: a
-time whose weighted bound exp(-w t) |exp(tA)| is below 1 cannot beat the
-t = 0 norm, so it is skipped, and the sups are those of the full grid bit
-for bit (see ``_weighted_sups``).
+``_split_ratio_blocks``).  The classical audit evaluates only the grid
+times that can raise a sup: a time whose weighted bound exp(-w t) |exp(tA)|
+is below 1 cannot beat the t = 0 norm, so it is skipped, and the sups are
+those of the full grid bit for bit (see ``_weighted_sups``).  The
+logarithmic norm mu of A bounds |exp(tA)| by exp(t mu) before any
+exponential is formed, so exp(tA) is formed, in one stack, only at the
+shift times and at the times that bound leaves open (``_GridPropagators``).
 """
 
 from __future__ import annotations
@@ -37,7 +39,14 @@ from .projections import (
     Projection, RankOneProjection, make_rank_one, project, projection_matrix, projection_norm
 )
 from .spaces import (
-    CVec, Generator, _check_p, dual_norm, norm, semigroup_apply, semigroup_matrices
+    CVec,
+    Generator,
+    _check_p,
+    dual_norm,
+    norm,
+    semigroup_apply,
+    semigroup_matrices,
+    semigroup_norm_bounds,
 )
 from .witness import WitnessCertificate
 
@@ -367,9 +376,11 @@ def classical_renorm_value(
 
     For a dissipative generator (|exp(tA)| <= 1 in the space's norm) the
     sup sits at t = 0 and the weighted norm coincides with the base norm.
-    This reference evaluates every grid time, so it confirms rather than
-    assumes that; the audit evaluates only the times whose weighted bound
-    exp(-omega t) |exp(tA)| is not below 1, which gives the same sups.
+    This reference forms exp(tA) and evaluates it at every grid time, so it
+    confirms rather than assumes that.  The audit gives the same sups while
+    it evaluates only the times whose weighted bound exp(-omega t) |exp(tA)|
+    is not below 1, and forms exp(tA) only at its shift times and where the
+    bound exp(t mu) from the logarithmic norm mu of A leaves that open.
     """
     if grid is None:
         grid = renorm_time_grid(a, omega)
@@ -381,29 +392,85 @@ def classical_renorm_value(
     return best, best_t
 
 
-def _weighted_sups(grid, propagators, omega: float, cols: np.ndarray, p: float) -> np.ndarray:
-    """``classical_renorm_value`` of every column, given the (G, d, d) stack
-    of exp(tA) over a grid whose first time is 0 (as ``renorm_time_grid``'s is).
+def _idle(weights: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The times whose weighted bound cannot raise a sup (see ``_weighted_sups``)."""
+    return weights * bounds * (1.0 + 1e-8) < 1.0
+
+
+class _GridPropagators:
+    """exp(tA) over a time grid whose first time is 0, formed only at the
+    times the weighted sups need.
+
+    ``weights`` holds exp(-omega t) per grid time and ``bounds`` a bound on
+    the larger of |exp(tA)|_1 and |exp(tA)|_inf as computed: the larger of
+    the greatest column and row sums of |exp(tA)| where it is formed, else
+    ``spaces.semigroup_norm_bounds``, exp(t mu) up to the rounding of the
+    propagator.  The constructor forms, in one ``semigroup_matrices`` call,
+    the grid times of ``shifts`` and every time that bound leaves open to
+    evaluation; the others wait until one of them is asked for (see
+    ``_weighted_sups``), and are then formed together.  A slice has the bits
+    of the whole grid's stack.  The overflow check runs over the whole grid
+    first, so an orbit that overflows anywhere on it raises the
+    SemigroupOverflow the whole grid's stack raises.
+    """
+
+    def __init__(self, a: Generator, grid: np.ndarray, omega: float, shifts=()):
+        self._a, self.grid = a, grid
+        self.bounds = semigroup_norm_bounds(a, grid)
+        self.weights = np.array([math.exp(-omega * float(t)) for t in grid])
+        self._slots = np.full(len(grid), -1)
+        self._stack = np.empty((0, a.dim, a.dim), dtype=complex)
+        open_ = np.flatnonzero(~_idle(self.weights, self.bounds))
+        first = np.union1d(np.asarray(shifts, dtype=int), open_)
+        self._form(first)
+        magnitudes = np.abs(self._stack)
+        self.bounds[first] = np.maximum(
+            magnitudes.sum(axis=1).max(axis=1), magnitudes.sum(axis=2).max(axis=1)
+        )
+
+    def _form(self, idx: np.ndarray) -> None:
+        """Form exp(tA) at the grid times ``idx``, in one call."""
+        formed = semigroup_matrices(self._a, self.grid[idx])
+        self._slots[idx] = len(self._stack) + np.arange(idx.size)
+        self._stack = np.concatenate((self._stack, formed)) if len(self._stack) else formed
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        if self._slots[k] < 0:
+            self._form(np.flatnonzero(self._slots < 0))
+        return self._stack[self._slots[k]]
+
+
+def _weighted_sups(propagators: _GridPropagators, cols: np.ndarray, p: float) -> np.ndarray:
+    """``classical_renorm_value`` of every column over the grid of
+    ``propagators``, whose first time is 0 (as ``renorm_time_grid``'s is).
 
     A grid time is evaluated only where it could raise a sup.  With
-    w = exp(-omega t) and M the larger of the greatest column and row sums
-    of |exp(tA)|, ``w |exp(tA) z| <= w M |z|`` in each of l^1, l^2 and
-    l^inf (for l^2 by Riesz-Thorin, |B|_2 <= sqrt(|B|_1 |B|_inf)).
+    w = exp(-omega t) and B a bound on the larger of |exp(tA)|_1 and
+    |exp(tA)|_inf, ``w |exp(tA) z| <= w B |z|`` in each of l^1, l^2 and
+    l^inf (for l^2 by Riesz-Thorin, |B|_2 <= sqrt(|B|_1 |B|_inf)).  B is the
+    propagators' bound: at a time whose exp(tA) is formed, M, the larger
+    of the greatest column and row sums of |exp(tA)|; elsewhere
+    exp(t mu) (1 + eps) + max(1, exp(t mu)) eta_t, from the logarithmic norm
+    mu of A, with eps = 2^-40 and eta_t bounds on the rounding of the
+    computed propagator: 0 for a diagonal generator, whose complex ``exp``
+    and t a_m rounding eps covers, and for a dense one the error of
+    ``matrix_expm1``'s Taylor step carried through its squarings
+    (``spaces.semigroup_norm_bounds`` states both).
     Componentwise ``|fl(P z)| <= (1 + gamma_d) |P| |z|``, and the computed
     norms, M and the product with w add a few more rounding units, about
     (4d + 10) * 2^-53 in all, which the factor 1 + 1e-8 covers for d up
     to 10^6.  So once t = 0 has been evaluated, a time with
-    ``w M (1 + 1e-8) < 1`` would give every column a value below the norm
+    ``w B (1 + 1e-8) < 1`` would give every column a value below the norm
     it had at t = 0, and ``np.maximum`` would leave the sups as they are;
     the time is skipped, and the sups are those of the full loop bit for bit.
 
     That rounding argument needs the running sups inside a window:
-    ``hi * max(M, 1) < 1e140`` keeps the squares of a 2-norm from
+    ``hi * max(B, 1) < 1e140`` keeps the squares of a 2-norm from
     overflowing, and ``lo >= 1e-140 * max(w, 1)`` makes the absolute error
     of underflowing products and squares (at most about sqrt(d) 1e-161,
     times w) negligible against every sup.  A NaN or inf anywhere, in a
-    propagator or in a sup, fails these comparisons, so such times are
-    evaluated as before.
+    bound or in a sup, fails these comparisons, so such times are
+    evaluated as before, and their exp(tA) is formed if it is not yet.
 
     The columns are taken ``_SPLIT_BLOCK`` at a time, with the lone-column
     merge of ``_blocks``, and the argument is applied per block, with the
@@ -412,10 +479,8 @@ def _weighted_sups(grid, propagators, omega: float, cols: np.ndarray, p: float) 
     the time after an evaluated one may be skipped, the next that may not
     is found in one vectorized test of the times that follow.
     """
-    weights = np.array([math.exp(-omega * float(t)) for t in grid])
-    magnitudes = np.abs(propagators)
-    bounds = np.maximum(magnitudes.sum(axis=1).max(axis=1), magnitudes.sum(axis=2).max(axis=1))
-    idle = weights * bounds * (1.0 + 1e-8) < 1.0
+    grid, weights, bounds = propagators.grid, propagators.weights, propagators.bounds
+    idle = _idle(weights, bounds)
     floors = 1e-140 * np.maximum(weights, 1.0)
     ceilings = 1e140 / np.maximum(bounds, 1.0)
     dim, count = cols.shape
@@ -462,10 +527,10 @@ def _classical_audit(
         np.round(np.linspace(0, grid.size - 1, time_samples)).astype(int)
     )
     shifts = grid[shift_idx]
-    propagators = semigroup_matrices(a, grid)
+    propagators = _GridPropagators(a, grid, omega, shift_idx)
     # one column per draw: the draws, then the draws moved by each shift
     cols = np.concatenate([draws.T] + [propagators[k] @ draws.T for k in shift_idx], axis=1)
-    sups = _weighted_sups(grid, propagators, omega, cols, p)
+    sups = _weighted_sups(propagators, cols, p)
     base = sups[:vector_samples]
     lhs = sups[vector_samples:].reshape(shifts.size, vector_samples)
     rhs = np.array([[math.exp(omega * float(s))] for s in shifts]) * base

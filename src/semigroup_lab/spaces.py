@@ -539,6 +539,103 @@ def dense_exponents(a: Generator, times) -> tuple[np.ndarray, SemigroupOverflow 
     return np.multiply.outer(times[:first], a.matrix), overflow
 
 
+def log_norm(a: Generator) -> float:
+    """An upper bound mu on the logarithmic norm of A in l^1, l^2 and l^inf,
+    so that |exp(tA)| <= exp(t mu) in each for t >= 0 (Dahlquist 1958,
+    Lozinskii 1958; Soderlind, BIT 46, 2006); NaN when an entry of A is not
+    finite.
+
+    For a diagonal generator mu = max Re a_m, where |exp(tA)| = exp(t mu).
+    For a dense one it is max(mu_1, mu_inf), with
+    mu_1 = max_j (Re a_jj + sum_{i != j} |a_ij|) from the columns and mu_inf
+    the same from the rows, which bounds mu_2 as well
+    (|B|_2 <= sqrt(|B|_1 |B|_inf)).  The computed value is raised by
+    (d + 2) 2^-52 times the largest column or row sum of |A|, which covers
+    the rounding of the sums."""
+    if a.kind == "diagonal":
+        finite = np.isfinite(a.entries).all()
+        return float(np.max(a.entries.real)) if finite else math.nan
+    if not np.isfinite(a.matrix).all():
+        return math.nan
+    mags = np.abs(a.matrix)
+    off = np.diagonal(a.matrix).real - np.diagonal(mags)
+    cols, rows = mags.sum(axis=0), mags.sum(axis=1)
+    mu = float(np.maximum(cols + off, rows + off).max())
+    return mu + (a.dim + 2) * 2.0**-52 * float(np.maximum(cols, rows).max())
+
+
+# The relative error bound of one entry of a complex d x d matrix product is
+# 2 gamma_(d+2) (Higham, *Accuracy and Stability of Numerical Algorithms*,
+# 2nd ed. 2002, 3.6); _PRODUCT_ROUNDING times (d + 2) is twice that.
+_PRODUCT_ROUNDING = 2.0**-51
+# The most the error of a squaring may reach before the bound on it below
+# stops holding.
+_SQUARING_SLACK = 2.0**-10
+
+
+def semigroup_norm_bounds(a: Generator, times) -> np.ndarray:
+    """For each t >= 0 of ``times``, a bound B_t on |P|_1 and |P|_inf of
+    P = exp(tA) as ``semigroup_matrices`` computes it, rounding included:
+
+        B_t = exp(t mu) (1 + eps) + max(1, exp(t mu)) eta_t + 2^-900,
+
+    with mu = ``log_norm(a)`` and eps = 2^-40.  A time whose bound does not
+    hold gets inf, and a generator with an entry that is not finite NaN.
+    Before any bound, the SemigroupOverflow that ``semigroup_matrices(a,
+    times)`` raises is raised; no exponential is formed.
+
+    Diagonal: each entry is exp(fl(t a_m)), and fl(t Re a_m) <= fl(t mu),
+    since rounding is monotone; the complex exponential is good to a few
+    ulps, and eps covers them and the rounding of exp(t mu), so eta_t = 0.
+
+    Dense: P = fl(I + D), with D = ``matrix_expm1(fl(tA))``.  With
+    u = 2^-53, nu_1 and nu_inf the largest column and row sums of |A|,
+    nu = max(nu_1, nu_inf) and mu' = mu + 2u nu, fl(tA) has logarithmic
+    norm at most t mu'.  Its scaling 2^s has |Y|_1 < theta for
+    Y = fl(tA) / 2^s and 2^s <= max(1, 2 t nu_1 / theta), so in both norms
+    |Y| <= r = max(min(t nu_1, theta), t nu_inf / max(1, t nu_1 / theta)).
+    The Taylor step then errs from exp(Y) - I by at most
+    E_0 = r^19 / 19! / (1 - r / 20) + 16 c (e^r - 1), truncation and
+    rounding, with c = (d + 2) 2^-51 the rounding of one matrix product
+    (doubled: a chain of at most 9 products and 8 sums).  A doubling
+    D <- fl(fl(D D) + 2 D) gives I + D' = (I + D)^2 + F with
+    |F| <= 2c (|I + D| + 1)^2, so by induction
+    |I + D_j| <= a_j + max(1, a_j) E_j, a_j = exp(t mu' 2^(j - s)), where
+    E_(j+1) <= (2 + delta) E_j + 2c (2 + delta)^2 while E_j <= delta = 2^-10.
+    Hence eta_t = (2 + delta)^s (E_0 + 2c (2 + delta)^2), and where that
+    exceeds delta (or r >= 20) the bound is inf.  The column and row sums
+    are taken rounded up, or down where they divide; eps covers the
+    rounding of I + D and of this formula, and the term 2^-900 every
+    underflow, for d up to 10^3.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    if a.kind == "diagonal":
+        _scaled_entries(a, times)  # raises for an orbit that overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(times * log_norm(a)) * (1.0 + 2.0**-40) + 2.0**-900
+    overflow = dense_exponents(a, times)[1]
+    if overflow is not None:
+        raise overflow
+    mags = np.abs(a.matrix)
+    col, row = float(mags.sum(axis=0).max()), float(mags.sum(axis=1).max())
+    # nu_1 from above and from below, nu_inf from above
+    high, low = 1.0 + 2.0**-40, 1.0 - 2.0**-40
+    c = (a.dim + 2) * _PRODUCT_ROUNDING
+    delta = _SQUARING_SLACK
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        growth = np.exp(times * (log_norm(a) + 2.0**-52 * max(col, row) * high))
+        # 2^s lies between these two
+        least = np.maximum(1.0, times * (col * low / _TAYLOR_THETA))
+        most = np.maximum(1.0, times * (2.0 * col * high / _TAYLOR_THETA))
+        r = np.maximum(np.minimum(times * col, _TAYLOR_THETA), times * row / least) * high
+        tail = np.where(r < 20.0, r**19 / math.factorial(19) / (1.0 - r / 20.0), math.inf)
+        taylor = tail + 16.0 * c * np.expm1(r)
+        doublings = np.log2(most)
+        eta = (2.0 + delta) ** doublings * (taylor + 2.0 * c * (2.0 + delta) ** 2)
+        eta = np.where(eta <= delta, eta, math.inf)
+        return (growth + np.maximum(growth, 1.0) * eta) * (1.0 + 2.0**-40) + 2.0**-900
+
+
 def semigroup_defect(a: Generator, t: float):
     """The drift ``exp(t A) - I`` of the orbit map at time t: ``semigroup_defects``
     at the one time, a vector of diagonal drifts or a full matrix.  A diagonal

@@ -1683,6 +1683,38 @@ def test_an_audit_too_large_to_allocate_ends_with_one_line(
     assert err.count("\n") == 1
     assert not (tmp_path / "vast.report.json").exists()
 
+@pytest.mark.parametrize(
+    "generator, change, message",
+    [
+        (
+            {"kind": "diagonal", "law": {"kind": "table", "values": [[0.9, 0.0], [0.95, 1.0]]}},
+            {"omega": 1.0},
+            "diagonal orbit at t = 763 overflows",
+        ),
+        (
+            {"kind": "dense", "matrix": [[0.4, 0.0], [0.0, 0.3]]},
+            {"omega": 0.41, "grid_points": 3000},
+            "dense orbit with |tA| = 693 overflows",
+        ),
+    ],
+    ids=["diagonal", "dense"],
+)
+def test_a_classical_audit_whose_orbit_overflows_ends_with_one_line(
+    tmp_path, capsys, generator, change, message
+):
+    data = shipped_config("classical_renorm")
+    data["space"]["dim"] = 2
+    data["generator"] = generator
+    data["renorm"].update(change)
+    cfg = tmp_path / "overflowing.config.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["renorm-audit", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OVERFLOW
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"renorm-audit overflowing: {message}\n"
+    assert not (tmp_path / "overflowing.report.json").exists()
+
+
 def set_dim(value):
     def change(payload):
         payload["parameters"]["dim"] = value

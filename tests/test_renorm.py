@@ -39,15 +39,20 @@ from semigroup_lab.renorm import (
     DEFAULT_VECTOR_SAMPLES,
     _SPLIT_BLOCK,
     SplitNormals,
+    _GridPropagators,
     _contractivity,
     _draw,
     _draws,
     _equivalence,
+    _idle,
     _split_audit,
     _split_ratio_blocks,
     _weighted_sups,
 )
-from semigroup_lab.spaces import dense_generator, semigroup_apply, semigroup_matrices
+from semigroup_lab import renorm
+from semigroup_lab.spaces import (
+    dense_generator, semigroup_apply, semigroup_matrices, semigroup_norm_bounds
+)
 
 RATIO_SLACK = 1e-10
 BATCH_REF_TOL = 1e-13
@@ -242,7 +247,7 @@ def test_batched_sups_match_per_vector_reference(make, p):
     a = make()
     grid = renorm_time_grid(a, 0.5, 65)
     draws = _draw(21, 40, a.dim)
-    sups = _weighted_sups(grid, semigroup_matrices(a, grid), 0.5, draws.T, p)
+    sups = _weighted_sups(_GridPropagators(a, grid, 0.5), draws.T, p)
     argmaxes = []
     for row, batched in zip(draws, sups):
         ref, argmax = classical_renorm_value(a, 0.5, CVec(row, p), grid)
@@ -259,6 +264,32 @@ def late_crossing_dense():
     exp(-0.5 t) |exp(tA)| stays above 1 until t is about 11, deep inside
     the grid, and falls below 1 after."""
     return dense_generator(-0.2 * np.eye(3) + 5.0 * np.eye(3, k=1))
+
+
+def dissipative_dense():
+    """-2 I plus a weak non-normal coupling: mu_1 = mu_inf = -1.7."""
+    return dense_generator(-2.0 * np.eye(4) + 0.3 * np.eye(4, k=1) + 0.3j * np.eye(4, k=-1))
+
+
+def row_heavy_dense():
+    """-2 I plus a first row of 4s, audited at weight 26.5 above its
+    logarithmic norm of 26: its rows sum to five times its columns, so the
+    bound on the Taylor step in l^inf grows with the scaling, and late
+    times are left open."""
+    matrix = -2.0 * np.eye(8)
+    matrix[0, 1:] = 4.0
+    return dense_generator(matrix)
+
+
+def negative_weight_diagonal():
+    """Entries with real part -2, audited at weight -1, where w > 1."""
+    return diagonal_generator_from_entries([-2.0 + 1j, -2.0 + 3j, -2.0 + 9j])
+
+
+def settled_times(a, grid, omega):
+    """The grid times after t = 0 that the logarithmic-norm bound settles."""
+    weights = np.array([math.exp(-omega * float(t)) for t in grid])
+    return _idle(weights, semigroup_norm_bounds(a, grid))[1:]
 
 
 def unpruned_sups(grid, propagators, omega, cols, p):
@@ -280,21 +311,39 @@ def weighted_bounds(grid, propagators, omega):
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["p1", "p2", "pinf"])
 @pytest.mark.parametrize(
-    "make",
-    [dissipative_diagonal, transient_dense, late_crossing_dense],
-    ids=["diagonal", "dense", "late_crossing"],
+    "make, omega, settled",
+    [
+        (dissipative_diagonal, 0.5, "all"),
+        # mu = 2 and mu_1 = 4.8 lie above the weight: exp(tA) is formed at
+        # every time, and the column and row sums decide as before
+        (transient_dense, 0.5, "none"),
+        (late_crossing_dense, 0.5, "none"),
+        (dissipative_dense, 0.5, "all"),
+        (negative_weight_diagonal, -1.0, "all"),
+        (row_heavy_dense, 26.5, "some"),
+    ],
+    ids=["diagonal", "dense", "late_crossing", "dissipative_dense", "negative_weight", "row_heavy"],
 )
-def test_pruned_sups_equal_the_unpruned_loop_bit_for_bit(make, p):
+def test_pruned_sups_equal_the_unpruned_loop_bit_for_bit(make, omega, settled, p):
     a = make()
-    grid = renorm_time_grid(a, 0.5)
+    grid = renorm_time_grid(a, omega)
     stack = semigroup_matrices(a, grid)
     draws = _draw(22, 300, a.dim).T
     # the audit's columns: draws, and draws moved by a shift
     cols = np.concatenate([draws, stack[64] @ draws], axis=1)
-    sups = _weighted_sups(grid, stack, 0.5, cols, p)
-    assert sups.tobytes() == unpruned_sups(grid, stack, 0.5, cols, p).tobytes()
-    # the bound leaves times to skip, so the comparison is not vacuous
-    assert (weighted_bounds(grid, stack, 0.5)[1:] < 1.0).any()
+    propagators = _GridPropagators(a, grid, omega, [64])
+    assert propagators[64].tobytes() == stack[64].tobytes()
+    sups = _weighted_sups(propagators, cols, p)
+    assert sups.tobytes() == unpruned_sups(grid, stack, omega, cols, p).tobytes()
+    # the column and row sums leave times to skip, so the comparison is not vacuous
+    assert (weighted_bounds(grid, stack, omega)[1:] < 1.0).any()
+    # and the logarithmic norm settles all of them, some or none
+    done = settled_times(a, grid, omega)
+    count = {"all": done.size, "none": 0}.get(settled)
+    if count is None:
+        assert 0 < done.sum() < done.size
+    else:
+        assert done.sum() == count
 
 
 def test_late_crossing_bound_crosses_one_inside_the_grid():
@@ -304,6 +353,47 @@ def test_late_crossing_bound_crosses_one_inside_the_grid():
     crossing = int(np.argmin(above[1:])) + 1
     assert above[1:crossing].all() and not above[crossing:].any()
     assert 5.0 < grid[crossing] < grid[-1] / 2.0
+
+
+def formed_times(monkeypatch):
+    """The times of every ``semigroup_matrices`` call the audits make, one list per call."""
+    calls = []
+
+    def counted(a, times):
+        calls.append(list(times))
+        return semigroup_matrices(a, times)
+
+    monkeypatch.setattr(renorm, "semigroup_matrices", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [dissipative_diagonal, dissipative_dense], ids=["diagonal", "dense"])
+def test_a_dissipative_audit_forms_exp_ta_at_its_shift_times_only(monkeypatch, make):
+    a = make()
+    calls = formed_times(monkeypatch)
+    report = quasi_contractivity_audit(
+        "classical", a=a, omega=0.5, seed=5, vector_samples=30, time_samples=8
+    )
+    grid = renorm_time_grid(a, 0.5)
+    shifts = np.unique(np.round(np.linspace(0, grid.size - 1, 8)).astype(int))
+    assert report.passed
+    assert calls == [grid[shifts].tolist()]
+
+
+def test_times_the_window_forces_are_formed_together(monkeypatch):
+    # a NaN column leaves every sup NaN, so no time may be skipped, and the
+    # times the bound settled are formed on the first that is asked for
+    a = dissipative_diagonal()
+    grid = renorm_time_grid(a, 0.5, 33)
+    calls = formed_times(monkeypatch)
+    propagators = _GridPropagators(a, grid, 0.5)
+    cols = non_finite_columns(_draw(23, 8, a.dim).T.copy())
+    with np.errstate(invalid="ignore"):
+        sups = _weighted_sups(propagators, cols, 2.0)
+        assert sups.tobytes() == unpruned_sups(
+            grid, semigroup_matrices(a, grid), 0.5, cols, 2.0
+        ).tobytes()
+    assert calls == [grid[:1].tolist(), grid[1:].tolist()]
 
 
 def non_finite_columns(cols):
@@ -333,7 +423,7 @@ def test_pruned_sups_keep_extreme_columns_unpruned(make, omega, prepare, p):
     stack = semigroup_matrices(a, grid)
     cols = prepare(_draw(23, 8, a.dim).T.copy())
     with np.errstate(over="ignore", invalid="ignore"):
-        sups = _weighted_sups(grid, stack, omega, cols, p)
+        sups = _weighted_sups(_GridPropagators(a, grid, omega), cols, p)
         assert sups.tobytes() == unpruned_sups(grid, stack, omega, cols, p).tobytes()
 
 
@@ -616,7 +706,7 @@ def test_blocked_sups_equal_the_unpruned_loop_bit_for_bit(make, p, vectors):
     cols = np.concatenate([draws, stack[32] @ draws], axis=1)
     if vectors == _SPLIT_BLOCK:
         cols = np.concatenate([cols, draws[:, :1]], axis=1)
-    sups = _weighted_sups(grid, stack, 0.5, cols, p)
+    sups = _weighted_sups(_GridPropagators(a, grid, 0.5, [32]), cols, p)
     assert sups.tobytes() == unpruned_sups(grid, stack, 0.5, cols, p).tobytes()
 
 
@@ -624,4 +714,53 @@ def test_empty_classical_batch_is_refused_as_before():
     a = dissipative_diagonal()
     grid = renorm_time_grid(a, 0.5, 9)
     with pytest.raises(ValueError, match="zero-size array to reduction operation minimum"):
-        _weighted_sups(grid, semigroup_matrices(a, grid), 0.5, np.empty((a.dim, 0), complex), 2.0)
+        _weighted_sups(_GridPropagators(a, grid, 0.5), np.empty((a.dim, 0), complex), 2.0)
+
+
+def test_a_grid_needs_two_points():
+    with pytest.raises(ValueError, match="grid needs at least two points"):
+        renorm_time_grid(dissipative_diagonal(), 0.5, points=1)
+
+
+def test_audits_refuse_missing_inputs_by_name():
+    with pytest.raises(ValueError, match="split audit needs a certificate"):
+        quasi_contractivity_audit("split")
+    with pytest.raises(ValueError, match="classical audit needs a generator and a weight"):
+        quasi_contractivity_audit("classical", a=dissipative_diagonal())
+    with pytest.raises(ValueError, match="classical audit needs a generator and a weight"):
+        quasi_contractivity_audit("classical", omega=0.5)
+
+
+def test_split_audit_records_lambdas_out_of_order(k5_certificate):
+    cert = replace(
+        k5_certificate, witness_log_values=tuple(reversed(k5_certificate.witness_log_values))
+    )
+    report = _split_audit(cert, 9, 50, DEFAULT_SLACK)
+    lambdas = lambda_lower_bounds(cert)
+    assert not report.passed
+    assert report.violations == (("lambda_order",) + lambdas,)
+
+
+DEFAULT_RNG = np.random.default_rng
+
+
+class FailingGenerator:
+    """A generator whose second draw fails, as a draw into a bad buffer would."""
+
+    def __init__(self, seed):
+        self._rng, self._calls = DEFAULT_RNG(seed), 0
+
+    def standard_normal(self, *args, **kwargs):
+        self._calls += 1
+        if self._calls == 2:
+            raise RuntimeError("draw failed")
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+def test_a_draw_that_fails_on_the_helper_raises_in_the_audit(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
+    with SplitNormals(3, 10, 3) as normals:
+        first, _ = normals.streams(3, 10, 3)
+        # the helper drew the real half, then failed on the first imaginary block
+        with pytest.raises(RuntimeError, match="draw failed"):
+            next(first)

@@ -36,12 +36,14 @@ from semigroup_lab.spaces import (
     clog1p,
     clog1p_array,
     dense_exponents,
+    log_norm,
     matrix_expm1,
     pairings,
     row_norms,
     semigroup_defects,
     semigroup_matrices,
     semigroup_matrix,
+    semigroup_norm_bounds,
     spectral_norm,
     spectral_norm_bound,
 )
@@ -744,3 +746,66 @@ def test_vector_coords_are_read_only():
     v = CVec([1.0, 2.0], 2.0)
     with pytest.raises(ValueError):
         v.coords[0] = 5.0
+
+
+def test_log_norm_of_each_kind():
+    assert log_norm(diagonal_generator_from_entries([-1.0 + 3j, 2.0 - 1j, -5.0])) == 2.0
+    # mu_1 = max(-1 + 0.5, -3 + 2) = -0.5, mu_inf = max(-1 + 2, -3 + 0.5) = 1
+    mu = log_norm(dense_generator([[-1.0, 2.0], [0.5j, -3.0]]))
+    assert 1.0 <= mu <= 1.0 + 1e-14
+    assert math.isnan(log_norm(diagonal_generator_from_entries([-1.0, complex(0.0, math.inf)])))
+    assert math.isnan(log_norm(dense_generator([[math.nan, 0.0], [0.0, 1.0]])))
+
+
+def norm_bound_generators():
+    """Diagonal and dense generators of every shape the bound treats
+    differently: dissipative, growing, non-normal, and with rows or columns
+    far heavier than the others, at scales from 1e-3 to 1e2."""
+    rng = np.random.default_rng(72)
+    for k in range(120):
+        dim = int(rng.integers(1, 9))
+        scale = 10.0 ** rng.uniform(-3, 2)
+        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        shape = k % 5
+        if shape == 0:
+            entries = rng.standard_normal(dim) * 2.0 - 1.0 + 1j * rng.standard_normal(dim) * 30.0
+            yield diagonal_generator_from_entries(entries * scale)
+            continue
+        if shape == 2:  # strictly upper triangular part only: non-normal
+            raw = np.triu(raw, 1) * 3.0
+        elif shape == 3:  # one heavy row
+            raw[0] *= 8.0
+        elif shape == 4:  # one heavy column
+            raw[:, 0] *= 8.0
+        shift = rng.uniform(-3.0, 1.0) * np.abs(raw).sum(axis=1).max()
+        yield dense_generator((raw + shift * np.eye(dim)) * scale)
+
+
+def test_norm_bounds_hold_for_the_computed_propagators():
+    # B_t bounds |P|_1 and |P|_inf of exp(tA) as computed, so it is at least
+    # their column and row sums, up to the rounding of those sums
+    settled = 0
+    for a in norm_bound_generators():
+        size = np.abs(a.entries).max() if a.kind == "diagonal" else spectral_norm(a.matrix)
+        times = np.concatenate(([0.0], np.geomspace(1e-6, 600.0 / max(size, 1e-3), 40)))
+        bounds = semigroup_norm_bounds(a, times)
+        mags = np.abs(semigroup_matrices(a, times))
+        sums = np.maximum(mags.sum(axis=1).max(axis=1), mags.sum(axis=2).max(axis=1))
+        assert (bounds >= sums * (1.0 - 1e-13)).all()
+        assert bounds[0] >= 1.0
+        settled += int(np.sum(bounds < 1.01 * sums))
+    # the bound is tight at most times: it settles what the sums settle
+    assert settled > 0.5 * 120 * 41
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_norm_bounds_raise_the_overflow_of_the_whole_stack(kind):
+    if kind == "diagonal":
+        a = diagonal_generator_from_entries([-1.0, 10.0 + 1j])
+        times, message = [0.0, 50.0, 70.9, 80.0, 100.0], "diagonal orbit at t = 80 overflows"
+    else:
+        a = dense_generator(np.diag([10.0, -1.0]))
+        times, message = [0.0, 50.0, 69.0, 70.0, 100.0], "dense orbit with |tA| = 700 overflows"
+    with pytest.raises(SemigroupOverflow, match=message.replace("|", r"\|")):
+        semigroup_norm_bounds(a, times)
+
