@@ -39,13 +39,7 @@ from .projections import (
     Projection, RankOneProjection, make_rank_one, project, projection_matrix, projection_norm
 )
 from .spaces import (
-    CVec,
-    Generator,
-    _check_p,
-    dual_norm,
-    norm,
-    semigroup_apply,
-    semigroup_matrices,
+    CVec, Generator, _check_p, dual_norm, norm, semigroup_apply, semigroup_matrices,
     semigroup_norm_bounds,
 )
 from .witness import WitnessCertificate
