@@ -33,14 +33,13 @@ def _induced_norm(matrix: np.ndarray, p: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RankOneProjection:
-    """P z = f(z) x for a pair normalized to f(x) = 1."""
+    """P z = f(z) x for a pair normalized to f(x) = 1.  A pair of two sizes
+    raises DimensionMismatch from the pairing that checks the gauge."""
 
     functional: Functional
     vector: CVec
 
     def __post_init__(self) -> None:
-        if self.functional.dim != self.vector.dim:
-            raise DimensionMismatch("rank-one pair: functional and vector sizes differ")
         if self.functional.p != self.vector.p:
             raise ValueError("rank-one pair must share a norm tag")
         gauge = pairing(self.functional, self.vector)
@@ -104,10 +103,9 @@ def make_rank_one(f: Functional, x: CVec) -> RankOneProjection:
     """Normalize (f, x) into the projection z -> f(z) x / f(x).
 
     Raises DegeneratePair when f(x) is numerically negligible, since no
-    bounded projection onto span(x) along ker(f) exists in that case.
+    bounded projection onto span(x) along ker(f) exists in that case, and
+    DimensionMismatch from ``pairing`` when f and x differ in size.
     """
-    if f.dim != x.dim:
-        raise DimensionMismatch("make_rank_one: functional and vector sizes differ")
     gauge = pairing(f, x)
     if abs(gauge) < DEGENERATE_PAIRING:
         raise DegeneratePair(

@@ -20,10 +20,13 @@ blocks already drawn; its ratios are summarized block by block (see
 ``_split_ratio_blocks``).  The classical audit evaluates only the grid
 times that can raise a sup: a time whose weighted bound exp(-w t) |exp(tA)|
 is below 1 cannot beat the t = 0 norm, so it is skipped, and the sups are
-those of the full grid bit for bit (see ``_weighted_sups``).  The
-logarithmic norm mu of A bounds |exp(tA)| by exp(t mu) before any
-exponential is formed, so exp(tA) is formed, in one stack, only at the
-shift times and at the times that bound leaves open (``_GridPropagators``).
+those of the full grid bit for bit.  The logarithmic norm mu of A bounds
+|exp(tA)| by exp(t mu) before any exponential is formed, so exp(tA) is
+formed, in one stack, only at the shift times and at the times that bound
+leaves open; ``_weighted_sups`` decides the evaluated times once per audit,
+and forms, in one more stack, only those that the range of the columns'
+magnitudes forces.  A weight or factor exp(+-w t) past the floating range
+raises SemigroupOverflow.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SpectralBoundViolated
+from .errors import SemigroupOverflow, SpectralBoundViolated
 from .projections import (
     Projection, RankOneProjection, make_rank_one, project, projection_matrix, projection_norm
 )
@@ -386,121 +389,106 @@ def classical_renorm_value(
     return best, best_t
 
 
-def _idle(weights: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """The times whose weighted bound cannot raise a sup (see ``_weighted_sups``)."""
-    return weights * bounds * (1.0 + 1e-8) < 1.0
+def _exps(rate: float, times, label: str) -> list[float]:
+    """``math.exp(rate * t)`` for each t of ``times``; one past the floating
+    range raises SemigroupOverflow naming its time."""
+    out = []
+    for t in times:
+        try:
+            out.append(math.exp(rate * float(t)))
+        except OverflowError:
+            raise SemigroupOverflow(f"{label} at t = {float(t):.3g} overflows") from None
+    return out
 
 
-class _GridPropagators:
-    """exp(tA) over a time grid whose first time is 0, formed only at the
-    times the weighted sups need.
-
-    ``weights`` holds exp(-omega t) per grid time and ``bounds`` a bound on
-    the larger of |exp(tA)|_1 and |exp(tA)|_inf as computed: the larger of
-    the greatest column and row sums of |exp(tA)| where it is formed, else
-    ``spaces.semigroup_norm_bounds``, exp(t mu) up to the rounding of the
-    propagator.  The constructor forms, in one ``semigroup_matrices`` call,
-    the grid times of ``shifts`` and every time that bound leaves open to
-    evaluation; the others wait until one of them is asked for (see
-    ``_weighted_sups``), and are then formed together.  A slice has the bits
-    of the whole grid's stack.  The overflow check runs over the whole grid
-    first, so an orbit that overflows anywhere on it raises the
-    SemigroupOverflow the whole grid's stack raises.
-    """
-
-    def __init__(self, a: Generator, grid: np.ndarray, omega: float, shifts=()):
-        self._a, self.grid = a, grid
-        self.bounds = semigroup_norm_bounds(a, grid)
-        self.weights = np.array([math.exp(-omega * float(t)) for t in grid])
-        self._slots = np.full(len(grid), -1)
-        self._stack = np.empty((0, a.dim, a.dim), dtype=complex)
-        open_ = np.flatnonzero(~_idle(self.weights, self.bounds))
-        first = np.union1d(np.asarray(shifts, dtype=int), open_)
-        self._form(first)
-        magnitudes = np.abs(self._stack)
-        self.bounds[first] = np.maximum(
-            magnitudes.sum(axis=1).max(axis=1), magnitudes.sum(axis=2).max(axis=1)
-        )
-
-    def _form(self, idx: np.ndarray) -> None:
-        """Form exp(tA) at the grid times ``idx``, in one call."""
-        formed = semigroup_matrices(self._a, self.grid[idx])
-        self._slots[idx] = len(self._stack) + np.arange(idx.size)
-        self._stack = np.concatenate((self._stack, formed)) if len(self._stack) else formed
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        if self._slots[k] < 0:
-            self._form(np.flatnonzero(self._slots < 0))
-        return self._stack[self._slots[k]]
-
-
-def _weighted_sups(propagators: _GridPropagators, cols: np.ndarray, p: float) -> np.ndarray:
-    """``classical_renorm_value`` of every column over the grid of
-    ``propagators``, whose first time is 0 (as ``renorm_time_grid``'s is).
+def _weighted_sups(
+    a: Generator, grid: np.ndarray, omega: float, draws: np.ndarray, shift_idx, p: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``classical_renorm_value`` over ``grid`` (whose first time is 0, as
+    ``renorm_time_grid``'s is) of each of the audit's columns: the rows of
+    ``draws``, then the draws moved by exp(sA) at each grid time s of
+    ``shift_idx``; with the column of factors exp(omega s) of the audit's
+    right side.  A weight exp(-omega t) or a factor past the floating range
+    raises SemigroupOverflow naming its time.
 
     A grid time is evaluated only where it could raise a sup.  With
     w = exp(-omega t) and B a bound on the larger of |exp(tA)|_1 and
     |exp(tA)|_inf, ``w |exp(tA) z| <= w B |z|`` in each of l^1, l^2 and
-    l^inf (for l^2 by Riesz-Thorin, |B|_2 <= sqrt(|B|_1 |B|_inf)).  B is the
-    propagators' bound: at a time whose exp(tA) is formed, M, the larger
-    of the greatest column and row sums of |exp(tA)|; elsewhere
-    exp(t mu) (1 + eps) + max(1, exp(t mu)) eta_t, from the logarithmic norm
-    mu of A, with eps = 2^-40 and eta_t bounds on the rounding of the
-    computed propagator: 0 for a diagonal generator, whose complex ``exp``
-    and t a_m rounding eps covers, and for a dense one the error of
-    ``matrix_expm1``'s Taylor step carried through its squarings
-    (``spaces.semigroup_norm_bounds`` states both).
+    l^inf (for l^2 by Riesz-Thorin, |B|_2 <= sqrt(|B|_1 |B|_inf)).  B is
+    first ``spaces.semigroup_norm_bounds``, exp(t mu) (1 + eps) +
+    max(1, exp(t mu)) eta_t from the logarithmic norm mu of A, with
+    eps = 2^-40 and eta_t bounds on the rounding of the computed propagator:
+    0 for a diagonal generator, whose complex ``exp`` and t a_m rounding eps
+    covers, and for a dense one the error of ``matrix_expm1``'s Taylor step
+    carried through its squarings.  exp(tA) is formed, in one
+    ``semigroup_matrices`` call, at the shift times and at every time that
+    bound leaves open, and there B becomes M, the larger of the greatest
+    column and row sums of |exp(tA)|.  The overflow check of that bound runs
+    over the whole grid, so an orbit that overflows anywhere on it raises
+    the SemigroupOverflow the whole grid's stack raises, and a slice of the
+    stack has the bits of the whole grid's.
     Componentwise ``|fl(P z)| <= (1 + gamma_d) |P| |z|``, and the computed
     norms, M and the product with w add a few more rounding units, about
     (4d + 10) * 2^-53 in all, which the factor 1 + 1e-8 covers for d up
-    to 10^6.  So once t = 0 has been evaluated, a time with
-    ``w B (1 + 1e-8) < 1`` would give every column a value below the norm
-    it had at t = 0, and ``np.maximum`` would leave the sups as they are;
-    the time is skipped, and the sups are those of the full loop bit for bit.
+    to 10^6.  Every sup is at least its column's t = 0 norm, so a time with
+    ``w B (1 + 1e-8) < 1`` would give every column a value below its sup,
+    and ``np.maximum`` would leave the sups as they are; the time is
+    skipped, and the sups are those of the full loop bit for bit.
 
-    That rounding argument needs the running sups inside a window:
-    ``hi * max(B, 1) < 1e140`` keeps the squares of a 2-norm from
-    overflowing, and ``lo >= 1e-140 * max(w, 1)`` makes the absolute error
-    of underflowing products and squares (at most about sqrt(d) 1e-161,
-    times w) negligible against every sup.  A NaN or inf anywhere, in a
-    bound or in a sup, fails these comparisons, so such times are
-    evaluated as before, and their exp(tA) is formed if it is not yet.
+    That rounding argument needs the columns' magnitudes inside a window.
+    t = 0 is evaluated over every column first, and lo and hi are the least
+    and greatest of those norms.  ``hi * max(B, 1) < 1e140`` bounds
+    B |z| <= B hi, so the squares of a 2-norm cannot overflow, and
+    ``lo >= 1e-140 * max(w, 1)`` makes the absolute error of underflowing
+    products and squares (at most about sqrt(d) 1e-161, times w) negligible
+    against every sup, each of which is at least lo.  A NaN or inf anywhere,
+    in a bound or in a norm, fails these comparisons, so such times are
+    evaluated.  The evaluated times are decided once, over all columns, and
+    any of them the first call did not form are formed in one more call; a
+    time one column's window forces is evaluated for every column, which
+    costs time but leaves every sup the argument covers as it is.
 
     The columns are taken ``_SPLIT_BLOCK`` at a time, with the lone-column
-    merge of ``_blocks``, and the argument is applied per block, with the
-    block's own running sups: a skipped time leaves every sup of the block
-    as it is.  Between two evaluated times the sups do not move, so when
-    the time after an evaluated one may be skipped, the next that may not
-    is found in one vectorized test of the times that follow.
+    merge of ``_blocks``, and every evaluated time of every block writes
+    into the same two buffers and one row, so no time maps and faults in
+    fresh memory.
     """
-    grid, weights, bounds = propagators.grid, propagators.weights, propagators.bounds
-    idle = _idle(weights, bounds)
-    floors = 1e-140 * np.maximum(weights, 1.0)
-    ceilings = 1e140 / np.maximum(bounds, 1.0)
+    bounds = semigroup_norm_bounds(a, grid)
+    weights = np.array(_exps(-omega, grid, "weight exp(-omega t)"))
+    factors = np.array([[f] for f in _exps(omega, grid[shift_idx], "shift factor exp(omega t)")])
+    formed = np.union1d(shift_idx, np.flatnonzero(~(weights * bounds * (1.0 + 1e-8) < 1.0)))
+    stack = semigroup_matrices(a, grid[formed])
+    props = dict(zip(formed.tolist(), stack))  # exp(tA) by grid index
+    mags = np.abs(stack)
+    bounds[formed] = np.maximum(mags.sum(axis=1).max(axis=1), mags.sum(axis=2).max(axis=1))
+    cols = np.concatenate([draws.T] + [props[k] @ draws.T for k in shift_idx], axis=1)
     dim, count = cols.shape
-    sups = np.empty(count)
-    # Every evaluated time of every block writes into the same two buffers
-    # and one row, so no time maps and faults in fresh memory.
+    sups = np.full(count, -math.inf)
     size = min(count, _SPLIT_BLOCK + 1)
     moved, work = (np.empty(dim * size, dtype=complex) for _ in range(2))
     row = np.empty(size)
-    # an empty batch still evaluates its first time, and min() refuses it as before
-    for start, stop in list(_blocks(count)) or [(0, 0)]:
-        block, best = cols[:, start:stop], sups[start:stop]
-        out, norms = moved[: dim * (stop - start)].reshape(dim, stop - start), row[: stop - start]
-        best.fill(-math.inf)
-        k = 0  # nothing is skipped before the first time is evaluated
-        while k < len(grid):
-            np.matmul(propagators[k], block, out=out)
-            np.multiply(_norms_into(out, p, work, norms), weights[k], out=norms)
-            np.maximum(best, norms, out=best)
-            lo, hi = best.min(), best.max()
-            k += 1
-            if k < len(grid) and idle[k] and floors[k] <= lo and hi < ceilings[k]:
-                # skip to the next time that fails the skip test
-                later = np.flatnonzero(~(idle[k:] & (floors[k:] <= lo) & (hi < ceilings[k:])))
-                k += int(later[0]) if later.size else len(grid)
-    return sups
+
+    def evaluate(times) -> None:
+        """Raise the sups to the weighted norms at the grid times ``times``, block by block."""
+        for start, stop in _blocks(count):
+            n, block, best = stop - start, cols[:, start:stop], sups[start:stop]
+            out, norms = moved[: dim * n].reshape(dim, n), row[:n]
+            for k in times:
+                np.matmul(props[k], block, out=out)
+                np.multiply(_norms_into(out, p, work, norms), weights[k], out=norms)
+                np.maximum(best, norms, out=best)
+
+    evaluate([0])
+    lo, hi = sups.min(), sups.max()  # an empty batch is refused here
+    idle = weights * bounds * (1.0 + 1e-8) < 1.0
+    floors = 1e-140 * np.maximum(weights, 1.0)
+    ceilings = 1e140 / np.maximum(bounds, 1.0)
+    evaluated = np.flatnonzero(~(idle & (floors <= lo) & (hi < ceilings))[1:]) + 1
+    later = [k for k in evaluated.tolist() if k not in props]
+    if later:  # only where the window forces a time the bound settled
+        props.update(zip(later, semigroup_matrices(a, grid[later])))
+    evaluate(evaluated)
+    return sups, factors
 
 
 def _classical_audit(
@@ -521,13 +509,10 @@ def _classical_audit(
         np.round(np.linspace(0, grid.size - 1, time_samples)).astype(int)
     )
     shifts = grid[shift_idx]
-    propagators = _GridPropagators(a, grid, omega, shift_idx)
-    # one column per draw: the draws, then the draws moved by each shift
-    cols = np.concatenate([draws.T] + [propagators[k] @ draws.T for k in shift_idx], axis=1)
-    sups = _weighted_sups(propagators, cols, p)
+    sups, factors = _weighted_sups(a, grid, omega, draws, shift_idx, p)
     base = sups[:vector_samples]
     lhs = sups[vector_samples:].reshape(shifts.size, vector_samples)
-    rhs = np.array([[math.exp(omega * float(s))] for s in shifts]) * base
+    rhs = factors * base
     excess = lhs - rhs
     worst_excess = float(np.max(excess, initial=-math.inf))
     violations = [

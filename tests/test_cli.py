@@ -1715,6 +1715,37 @@ def test_a_classical_audit_whose_orbit_overflows_ends_with_one_line(
     assert not (tmp_path / "overflowing.report.json").exists()
 
 
+# The weighted sup leaves the floating range: ω < 0 with a horizon of 5000
+# makes exp(-ωt) overflow past t = 1820, and ω = 1.075 with a horizon of
+# 667 makes the right side's factor exp(ωs) overflow at the last shift.
+@pytest.mark.parametrize(
+    "values, omega, message",
+    [
+        (
+            [[-0.5, 1.0], [-0.5, 3.0], [-0.4, 9.0]],
+            -0.39,
+            "weight exp(-omega t) at t = 1.89e+03 overflows",
+        ),
+        ([[-0.5, 0.0], [1.0, 0.0]], 1.075, "shift factor exp(omega t) at t = 667 overflows"),
+    ],
+    ids=["weight", "shift_factor"],
+)
+def test_a_classical_audit_whose_weights_overflow_ends_with_one_line(
+    tmp_path, capsys, values, omega, message
+):
+    data = shipped_config("classical_renorm")
+    data["space"]["dim"] = len(values)
+    data["generator"] = {"kind": "diagonal", "law": {"kind": "table", "values": values}}
+    data["renorm"]["omega"] = omega
+    cfg = tmp_path / "overflowing.config.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["renorm-audit", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OVERFLOW
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"renorm-audit overflowing: {message}\n"
+    assert not (tmp_path / "overflowing.report.json").exists()
+
+
 def set_dim(value):
     def change(payload):
         payload["parameters"]["dim"] = value

@@ -17,8 +17,8 @@ from semigroup_lab import (
     projection_norm,
     random_oblique_projection,
 )
-from semigroup_lab.errors import DegeneratePair
-from semigroup_lab.projections import IDEMPOTENCY_SLACK
+from semigroup_lab.errors import DegeneratePair, DimensionMismatch
+from semigroup_lab.projections import IDEMPOTENCY_SLACK, RankOneProjection
 
 IDEMPOTENT_TOL = 1e-12
 MONTE_CARLO_REL = 0.02
@@ -35,6 +35,38 @@ def test_rank_one_normalizes_range_vector():
 def test_rank_one_rejects_degenerate_pair():
     with pytest.raises(DegeneratePair):
         make_rank_one(Functional([1.0, 0.0], 2.0), CVec([0.0, 1.0], 2.0))
+
+
+def test_a_rank_one_pair_of_two_sizes_is_refused_by_its_pairing():
+    f, x = Functional([1.0, 0.0], 2.0), CVec([1.0, 0.0, 0.0], 2.0)
+    for build in (make_rank_one, RankOneProjection):
+        with pytest.raises(DimensionMismatch, match="^pairing: dimensions 2 and 3 differ$"):
+            build(f, x)
+
+
+def test_a_rank_one_pair_must_share_its_tag_and_be_normalized():
+    f = Functional([1.0, 0.0], 2.0)
+    with pytest.raises(ValueError, match="^rank-one pair must share a norm tag$"):
+        RankOneProjection(f, CVec([1.0, 0.0], 1.0))
+    with pytest.raises(ValueError, match=r"^rank-one pair is not normalized: pairing = 2\+0j$"):
+        RankOneProjection(f, CVec([2.0, 0.0], 2.0))
+
+
+@pytest.mark.parametrize("matrix", [np.ones((2, 3)), np.ones(2)], ids=["oblong", "vector"])
+def test_a_projection_matrix_must_be_square(matrix):
+    with pytest.raises(ValueError, match="^projection matrix must be square$"):
+        DenseProjection(matrix)
+
+
+def test_a_dense_projection_refuses_a_vector_of_another_size():
+    with pytest.raises(DimensionMismatch, match="^project: dimensions differ$"):
+        project(DenseProjection(np.eye(2)), CVec([1.0, 2.0, 3.0], 2.0))
+
+
+@pytest.mark.parametrize("rank", [0, 3])
+def test_an_oblique_projection_needs_a_rank_strictly_inside(rank):
+    with pytest.raises(ValueError, match="^rank must be strictly between 0 and dim$"):
+        random_oblique_projection(3, rank, np.random.default_rng(0))
 
 
 def test_rank_one_idempotent_and_complementary():

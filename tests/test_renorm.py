@@ -39,12 +39,10 @@ from semigroup_lab.renorm import (
     DEFAULT_VECTOR_SAMPLES,
     _SPLIT_BLOCK,
     SplitNormals,
-    _GridPropagators,
     _contractivity,
     _draw,
     _draws,
     _equivalence,
-    _idle,
     _split_audit,
     _split_ratio_blocks,
     _weighted_sups,
@@ -56,6 +54,8 @@ from semigroup_lab.spaces import (
 
 RATIO_SLACK = 1e-10
 BATCH_REF_TOL = 1e-13
+# the grid times of no shift: the audit's columns are the draws alone
+NO_SHIFTS = np.array([], dtype=int)
 
 
 # The split audit's two halves drawn serially, with no helper thread: the
@@ -247,7 +247,7 @@ def test_batched_sups_match_per_vector_reference(make, p):
     a = make()
     grid = renorm_time_grid(a, 0.5, 65)
     draws = _draw(21, 40, a.dim)
-    sups = _weighted_sups(_GridPropagators(a, grid, 0.5), draws.T, p)
+    sups, _ = _weighted_sups(a, grid, 0.5, draws, NO_SHIFTS, p)
     argmaxes = []
     for row, batched in zip(draws, sups):
         ref, argmax = classical_renorm_value(a, 0.5, CVec(row, p), grid)
@@ -289,7 +289,7 @@ def negative_weight_diagonal():
 def settled_times(a, grid, omega):
     """The grid times after t = 0 that the logarithmic-norm bound settles."""
     weights = np.array([math.exp(-omega * float(t)) for t in grid])
-    return _idle(weights, semigroup_norm_bounds(a, grid))[1:]
+    return (weights * semigroup_norm_bounds(a, grid) * (1.0 + 1e-8) < 1.0)[1:]
 
 
 def unpruned_sups(grid, propagators, omega, cols, p):
@@ -324,16 +324,17 @@ def weighted_bounds(grid, propagators, omega):
     ],
     ids=["diagonal", "dense", "late_crossing", "dissipative_dense", "negative_weight", "row_heavy"],
 )
-def test_pruned_sups_equal_the_unpruned_loop_bit_for_bit(make, omega, settled, p):
+def test_pruned_sups_equal_the_unpruned_loop_bit_for_bit(monkeypatch, make, omega, settled, p):
     a = make()
     grid = renorm_time_grid(a, omega)
     stack = semigroup_matrices(a, grid)
-    draws = _draw(22, 300, a.dim).T
+    draws = _draw(22, 300, a.dim)
     # the audit's columns: draws, and draws moved by a shift
-    cols = np.concatenate([draws, stack[64] @ draws], axis=1)
-    propagators = _GridPropagators(a, grid, omega, [64])
-    assert propagators[64].tobytes() == stack[64].tobytes()
-    sups = _weighted_sups(propagators, cols, p)
+    cols = np.concatenate([draws.T, stack[64] @ draws.T], axis=1)
+    formed = formed_propagators(monkeypatch)
+    sups, factors = _weighted_sups(a, grid, omega, draws, np.array([64]), p)
+    assert formed[grid[64]].tobytes() == stack[64].tobytes()
+    assert factors.tolist() == [[math.exp(omega * grid[64])]]
     assert sups.tobytes() == unpruned_sups(grid, stack, omega, cols, p).tobytes()
     # the column and row sums leave times to skip, so the comparison is not vacuous
     assert (weighted_bounds(grid, stack, omega)[1:] < 1.0).any()
@@ -367,6 +368,19 @@ def formed_times(monkeypatch):
     return calls
 
 
+def formed_propagators(monkeypatch):
+    """exp(tA) as the audits' ``semigroup_matrices`` calls form it, by time."""
+    formed = {}
+
+    def recorded(a, times):
+        stack = semigroup_matrices(a, times)
+        formed.update(zip(times.tolist(), stack))
+        return stack
+
+    monkeypatch.setattr(renorm, "semigroup_matrices", recorded)
+    return formed
+
+
 @pytest.mark.parametrize("make", [dissipative_diagonal, dissipative_dense], ids=["diagonal", "dense"])
 def test_a_dissipative_audit_forms_exp_ta_at_its_shift_times_only(monkeypatch, make):
     a = make()
@@ -382,14 +396,13 @@ def test_a_dissipative_audit_forms_exp_ta_at_its_shift_times_only(monkeypatch, m
 
 def test_times_the_window_forces_are_formed_together(monkeypatch):
     # a NaN column leaves every sup NaN, so no time may be skipped, and the
-    # times the bound settled are formed on the first that is asked for
+    # times the bound settled are formed in one more call
     a = dissipative_diagonal()
     grid = renorm_time_grid(a, 0.5, 33)
     calls = formed_times(monkeypatch)
-    propagators = _GridPropagators(a, grid, 0.5)
     cols = non_finite_columns(_draw(23, 8, a.dim).T.copy())
     with np.errstate(invalid="ignore"):
-        sups = _weighted_sups(propagators, cols, 2.0)
+        sups, _ = _weighted_sups(a, grid, 0.5, cols.T, NO_SHIFTS, 2.0)
         assert sups.tobytes() == unpruned_sups(
             grid, semigroup_matrices(a, grid), 0.5, cols, 2.0
         ).tobytes()
@@ -403,6 +416,14 @@ def non_finite_columns(cols):
     return cols
 
 
+def subnormal_in_the_second_block(cols):
+    """1,100 columns, in blocks of 1,024 and 76, one of the second block's
+    near 1e-161: its range window forces every time in the first block too."""
+    wide = _draw(25, 1100, len(cols)).T.copy()
+    wide[:, 1050] *= 1e-161
+    return wide
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["p1", "p2", "pinf"])
 @pytest.mark.parametrize(
     "make, omega, prepare",
@@ -414,8 +435,12 @@ def non_finite_columns(cols):
         # |exp(tA) z| passes 1e154 inside the grid, so the squares of a
         # 2-norm overflow and the unpruned sups are inf
         (lambda: diagonal_generator_from_entries([-0.5, 1.0]), 1.075, lambda cols: cols),
+        (dissipative_diagonal, 0.5, subnormal_in_the_second_block),
     ],
-    ids=["non_finite_diagonal", "non_finite_dense", "subnormal_squares", "overflowing_norms"],
+    ids=[
+        "non_finite_diagonal", "non_finite_dense", "subnormal_squares", "overflowing_norms",
+        "subnormal_second_block",
+    ],
 )
 def test_pruned_sups_keep_extreme_columns_unpruned(make, omega, prepare, p):
     a = make()
@@ -423,7 +448,7 @@ def test_pruned_sups_keep_extreme_columns_unpruned(make, omega, prepare, p):
     stack = semigroup_matrices(a, grid)
     cols = prepare(_draw(23, 8, a.dim).T.copy())
     with np.errstate(over="ignore", invalid="ignore"):
-        sups = _weighted_sups(_GridPropagators(a, grid, omega), cols, p)
+        sups, _ = _weighted_sups(a, grid, omega, cols.T, NO_SHIFTS, p)
         assert sups.tobytes() == unpruned_sups(grid, stack, omega, cols, p).tobytes()
 
 
@@ -695,18 +720,20 @@ def test_streams_drawn_ahead_survive_fast_thread_switches():
     "make", [dissipative_diagonal, transient_dense, late_crossing_dense],
     ids=["diagonal", "dense", "late_crossing"],
 )
-@pytest.mark.parametrize("vectors", [1100, _SPLIT_BLOCK])
-def test_blocked_sups_equal_the_unpruned_loop_bit_for_bit(make, p, vectors):
-    # 2200 columns make blocks of 1024, 1024 and 152; 2048 + 1 make 1024
-    # and 1025, the lone last column joining the block before it
+@pytest.mark.parametrize(
+    "vectors, shifts", [(1100, [32]), (683, [16, 32])], ids=["three_blocks", "lone_column"]
+)
+def test_blocked_sups_equal_the_unpruned_loop_bit_for_bit(make, p, vectors, shifts):
+    # 1100 draws and one shift make 2200 columns, in blocks of 1024, 1024
+    # and 152; 683 draws and two shifts make 2049 = 2 * 1024 + 1, in blocks
+    # of 1024 and 1025, the lone last column joining the block before it
     a = make()
     grid = renorm_time_grid(a, 0.5, 65)
     stack = semigroup_matrices(a, grid)
-    draws = _draw(24, vectors, a.dim).T
-    cols = np.concatenate([draws, stack[32] @ draws], axis=1)
-    if vectors == _SPLIT_BLOCK:
-        cols = np.concatenate([cols, draws[:, :1]], axis=1)
-    sups = _weighted_sups(_GridPropagators(a, grid, 0.5, [32]), cols, p)
+    draws = _draw(24, vectors, a.dim)
+    cols = np.concatenate([draws.T] + [stack[k] @ draws.T for k in shifts], axis=1)
+    assert cols.shape[1] in (2200, 2 * _SPLIT_BLOCK + 1)
+    sups, _ = _weighted_sups(a, grid, 0.5, draws, np.array(shifts), p)
     assert sups.tobytes() == unpruned_sups(grid, stack, 0.5, cols, p).tobytes()
 
 
@@ -714,7 +741,7 @@ def test_empty_classical_batch_is_refused_as_before():
     a = dissipative_diagonal()
     grid = renorm_time_grid(a, 0.5, 9)
     with pytest.raises(ValueError, match="zero-size array to reduction operation minimum"):
-        _weighted_sups(_GridPropagators(a, grid, 0.5), np.empty((a.dim, 0), complex), 2.0)
+        _weighted_sups(a, grid, 0.5, np.empty((0, a.dim), complex), NO_SHIFTS, 2.0)
 
 
 def test_a_grid_needs_two_points():
