@@ -501,6 +501,8 @@ def _classical_audit(
     grid_points: int,
     tol: float,
 ) -> RenormReport:
+    if time_samples < 1:
+        raise ValueError("classical audit needs at least one time sample")
     _check_p(p)  # the skip in _weighted_sups is proven for these norms only
     bound = spectral_bound(a)
     grid = _time_grid(bound, omega, grid_points)

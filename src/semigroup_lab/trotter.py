@@ -13,7 +13,6 @@ comparisons between them are the point of the module.
 from __future__ import annotations
 
 import cmath
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,7 +27,6 @@ from .spaces import (
     Generator,
     _complex,
     apply_generator,
-    cexpm1,
     cexpm1_array,
     clog1p_array,
     dense_exponents,
@@ -66,29 +64,32 @@ class TrotterRecord(NamedTuple):
     branch_ambiguous: bool
 
 
-def limit_gap_error(limit_log: complex, log_value: complex) -> float:
-    """|exp(log_value) - exp(limit_log)| evaluated without leaving log space.
+def limit_gaps(limit_logs, log_values) -> np.ndarray:
+    """|exp(log_value) - exp(limit_log)| elementwise, without leaving log space.
 
-    Uses the factorization exp(Re limit) * |exp(gap) - 1|, which stays
-    finite and meaningful when either exponential alone would overflow.
-    Past a gap of 690, where exp(gap) would overflow, exp(log_value)
-    dominates and the factorization exp(Re log_value) * |1 - exp(-gap)|
-    takes over.  Where the exponential factor alone overflows, it goes in
-    as two halves, so a small gap still gives its finite value; an
-    overflowing comparison comes back as inf rather than an exception.
+    The two arguments broadcast.  Each gap is exp(Re limit) * |exp(gap) - 1|,
+    which stays finite and meaningful when either exponential alone would
+    overflow.  Past a gap of 690, where exp(gap) would overflow,
+    exp(log_value) dominates and exp(Re log_value) * |1 - exp(-gap)| takes
+    over.  Where the exponential factor alone overflows, it goes in as two
+    halves on those cells only, so a small gap still gives its finite value;
+    an overflowing comparison comes back as inf.
     """
-    gap = log_value - limit_log
-    base, gap = (log_value.real, -gap) if gap.real > 690.0 else (limit_log.real, gap)
-    move = abs(cexpm1(gap))
-    try:
-        return math.exp(base) * move
-    except OverflowError:
-        pass
-    try:
-        half = math.exp(base / 2.0)
-    except OverflowError:
-        return math.inf
-    return half * move * half
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.subtract(log_values, limit_logs)
+        base = np.real(limit_logs)
+        far = gap.real > 690.0
+        if far.any():
+            base, gap = np.where(far, np.real(log_values), base), np.where(far, -gap, gap)
+        move = np.abs(cexpm1_array(gap))
+        scale = np.exp(base)
+        errors = np.asarray(scale * move)
+        over = np.isinf(scale)
+        if over.any():
+            base, move, over = np.broadcast_arrays(base, move, over)
+            half = np.exp(base[over] / 2.0)
+            errors[over] = half * move[over] * half
+    return errors
 
 
 def step_pairing(a: Generator, f: Functional, x: CVec, t: float, n: int) -> complex:
@@ -156,7 +157,7 @@ def batched_log_values(
 
     Every product value the lab stores or checks comes from here.  The log
     goes through ``clog1p_array`` (a step value of exactly 0 gives -inf)
-    and the gap through ``cexpm1_array``, so nothing is lost to
+    and the gap through ``limit_gaps``, so nothing is lost to
     cancellation when the offset is far below the resolution of 1 + offset.
     The defects exp((t/n) A) - I at the counts are ``defects`` when the
     caller holds them (see ``_offsets``).  The counts, ints or floats, are
@@ -170,20 +171,9 @@ def batched_log_values(
         offsets = _offsets(a, f, vectors, t / n, defects)
         logs = clog1p_array(offsets)
         log_values = _complex(n[:, None] * logs.real, n[:, None] * logs.imag)
-        if limit_log is None:
-            return StepBatch(offsets, log_values, None)
-        # limit_gap_error's formula, elementwise; where exp(Re limit) overflows,
-        # limit_gap_error itself
-        gap = log_values - limit_log
-        scale = float(np.exp(limit_log.real))
-        if scale == math.inf:
-            errors = np.vectorize(limit_gap_error, otypes=[float])(limit_log, log_values)
-        else:
-            errors = scale * np.abs(cexpm1_array(gap))
-        far = gap.real > 690.0
-        if far.any():
-            errors[far] = np.exp(log_values.real[far]) * np.abs(cexpm1_array(-gap[far]))
-    return StepBatch(offsets, log_values, errors)
+    if limit_log is None:
+        return StepBatch(offsets, log_values, None)
+    return StepBatch(offsets, log_values, limit_gaps(limit_log, log_values))
 
 
 def _one_row(a: Generator, f: Functional, x: CVec, t: float, n: int) -> StepBatch:

@@ -153,7 +153,7 @@ def test_c5_shipped_ladder_builds_and_verifies():
     cert = build_from_config("blowup_k5")
     elapsed = time.perf_counter() - started
     assert elapsed <= LADDER_BUDGET_SECONDS
-    verify_certificate(cert, strict_goal=5)
+    verify_certificate(cert)
     assert len(cert.stages) == 6
     f = cert.functional_obj()
     y = CVec(cert.witness, cert.p)

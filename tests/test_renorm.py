@@ -758,6 +758,20 @@ def test_audits_refuse_missing_inputs_by_name():
         quasi_contractivity_audit("classical", omega=0.5)
 
 
+@pytest.mark.parametrize("time_samples", [0, -1])
+def test_classical_audit_refuses_too_few_time_samples_by_name(time_samples, monkeypatch):
+    # refused before the grid is formed or a vector drawn
+    monkeypatch.setattr(renorm, "_draw", None)
+    with pytest.raises(ValueError, match="classical audit needs at least one time sample"):
+        quasi_contractivity_audit(
+            "classical",
+            a=diagonal_generator_from_entries([-1.0, 2j]),
+            omega=0.5,
+            vector_samples=5,
+            time_samples=time_samples,
+        )
+
+
 def test_split_audit_records_lambdas_out_of_order(k5_certificate):
     cert = replace(
         k5_certificate, witness_log_values=tuple(reversed(k5_certificate.witness_log_values))

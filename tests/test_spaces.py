@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from semigroup_lab import (
     CVec,
     Functional,
+    Generator,
     GrowthLaw,
     SemigroupOverflow,
     apply_generator,
@@ -224,6 +225,23 @@ def test_diagonal_generator_checks_law_match():
     v = CVec([1.0, 1.0, 0.0, 0.0], 2.0)
     out = apply_generator(a, v)
     np.testing.assert_allclose(out.coords, [1j, 2j, 0.0, 0.0], atol=0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Generator("diagonal"), "diagonal generator needs entries"),
+        (lambda: Generator("dense"), "dense generator needs a matrix"),
+        (lambda: Generator("dense", matrix=np.eye(3)[:2]), "dense generator matrix must be square"),
+        (lambda: Generator("dense", matrix=[1.0, 2.0]), "dense generator matrix must be square"),
+        (lambda: Generator("diagonal", entries=[]), "coordinates must form a nonempty 1-d array"),
+        (lambda: CVec([[1.0, 2.0]], 2.0), "coordinates must form a nonempty 1-d array"),
+    ],
+    ids=["no_entries", "no_matrix", "not_square", "not_2d", "empty_entries", "coords_2d"],
+)
+def test_generator_and_coordinate_checks_name_their_field(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
 
 
 def test_semigroup_identity_at_time_zero():

@@ -34,7 +34,7 @@ from semigroup_lab.spaces import cexpm1, semigroup_defects
 from semigroup_lab.trotter import (
     batched_log_values,
     dense_trotter_products,
-    limit_gap_error,
+    limit_gaps,
     product_log_value,
     step_defects_and_oracles,
 )
@@ -174,13 +174,13 @@ def test_scalar_route_requires_unit_pairing():
         scalar_trotter_value(a, f, CVec([2.0, 2.0], 2.0), 1.0, 4)
 
 
-def test_limit_gap_error_identities():
-    assert limit_gap_error(1.0 + 0.0j, 1.0 + 0.0j) == 0.0
-    got = limit_gap_error(0.0j, complex(math.log(1.1), 0.0))
+def test_limit_gaps_identities():
+    assert limit_gaps(1.0 + 0.0j, 1.0 + 0.0j) == 0.0
+    got = limit_gaps(0.0j, complex(math.log(1.1), 0.0))
     assert got == pytest.approx(0.1, abs=1e-12)
     # far beyond the double range the gap is reported as infinite
-    assert limit_gap_error(800.0 + 0.0j, 0.0j) == math.inf
-    assert limit_gap_error(0.0j, 800.0 + 0.0j) == math.inf
+    assert limit_gaps(800.0 + 0.0j, 0.0j) == math.inf
+    assert limit_gaps(0.0j, 800.0 + 0.0j) == math.inf
 
 
 # (limit_log, log_value) pairs on both sides of the gap of 690 past which
@@ -204,13 +204,16 @@ GAP_CASES = [
 
 
 @pytest.mark.parametrize("limit_log, log_value", GAP_CASES)
-def test_limit_gap_error_matches_mpmath(limit_log, log_value):
+def test_limit_gaps_match_mpmath(limit_log, log_value):
     # |exp(log_value) - exp(limit_log)| is finite whenever exp(log_value) is,
-    # however far below it the limit lies; the carrier's elementwise copy
-    # of the formula agrees
-    with mpmath.workdps(50):
-        exact = abs(mpmath.exp(mpmath.mpc(log_value)) - mpmath.exp(mpmath.mpc(limit_log)))
-    got = limit_gap_error(limit_log, log_value)
+    # however far below it the limit lies, and so is the carrier's error at
+    # its own log value
+    def exact_gap(value):
+        with mpmath.workdps(50):
+            return abs(mpmath.exp(mpmath.mpc(value)) - mpmath.exp(mpmath.mpc(limit_log)))
+
+    exact = exact_gap(log_value)
+    got = float(limit_gaps(limit_log, log_value))
     if exact > sys.float_info.max:
         assert got == math.inf
     else:
@@ -225,15 +228,32 @@ def test_limit_gap_error_matches_mpmath(limit_log, log_value):
         [1],
         limit_log,
     )
-    stored = batch.log_values.item()
-    assert batch.errors.item() == pytest.approx(limit_gap_error(limit_log, stored), rel=4e-15)
+    exact = exact_gap(batch.log_values.item())
+    assert abs(batch.errors.item() - exact) <= 4e-15 * exact
+
+
+def test_limit_gaps_broadcast_with_the_bits_of_single_calls():
+    # a column of limits against a row of log values per limit: every cell,
+    # on either side of the gap of 690 and past the double range, has the
+    # bits of its own 0-d call
+    limits = np.array([limit for limit, _ in GAP_CASES])
+    moves = np.array([0.0, 1e-3 + 2.0j, -30.0, 20.0 - 1.0j, -700.0])
+    log_values = np.array([value for _, value in GAP_CASES])[:, None] + moves
+    got = limit_gaps(limits[:, None], log_values)
+    assert got.shape == log_values.shape
+    single = [
+        [float(limit_gaps(limit, value)) for value in row.tolist()]
+        for limit, row in zip(limits.tolist(), log_values)
+    ]
+    assert got.tobytes() == np.array(single).tobytes()
+    assert np.isinf(got).any() and np.isfinite(got).any()
 
 
 @pytest.mark.parametrize("level", [800.0, 1000.0])
 def test_batched_gap_past_the_double_range_matches_mpmath(level):
     # the carrier's log value of an entry `level`, against a limit that
     # differs from it in the imaginary part alone: exp(Re limit) overflows,
-    # the gap does not, and the carrier's error agrees with the scalar's
+    # the gap does not, and the carrier's error stays finite and exact
     a, f = diagonal_generator_from_entries([level]), Functional([1.0], 2.0)
     ones = np.ones((1, 1), dtype=np.complex128)
     for n in (2**12, 2**20):
@@ -243,7 +263,6 @@ def test_batched_gap_past_the_double_range_matches_mpmath(level):
         with mpmath.workdps(50):
             exact = abs(mpmath.exp(mpmath.mpc(stored)) - mpmath.exp(mpmath.mpc(limit_log)))
         assert abs(got - exact) <= 4e-15 * exact
-        assert got == pytest.approx(limit_gap_error(limit_log, stored), rel=4e-15)
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "dense"])
