@@ -10,7 +10,7 @@ law and act coordinatewise; dense ones are explicit matrices.  Orbits
 ``exp(t A) v`` go through one propagator, ``semigroup_matrices``, which
 stacks ``exp(t A)`` over a list of times.  A dense one is
 ``I + (exp(t A) - I)``.  ``semigroup_defects`` forms every time's defect
-exp(t A) - I for either kind with one call: ``cexpm1_array`` of the scaled
+exp(t A) - I for either kind with one call: ``cexpm1`` of the scaled
 entries for a diagonal generator, and for a dense one the lab's one matrix
 exponential, ``matrix_expm1``, which returns exp(X) - I directly, so
 small-time drifts are not lost to cancellation.  ``dense_exponents`` gives
@@ -355,17 +355,19 @@ def apply_generator(a: Generator, v: CVec) -> CVec:
     return CVec(a.matrix @ v.coords, v.p)
 
 
-def cexpm1(z: complex) -> complex:
-    """exp(z) - 1 for complex z without cancellation near zero.
+def cexpm1(z):
+    """exp(z) - 1 for complex z, or elementwise on an array, without
+    cancellation near zero.
 
     The real part uses expm1 plus the versine identity
     ``cos(y) - 1 = -2 sin(y/2)^2`` so both pieces stay accurate for
-    small arguments.
+    small arguments.  A scalar gives a scalar; an overflowing exponential
+    gives inf or NaN parts rather than an exception.
     """
-    x, y = z.real, z.imag
-    re = math.expm1(x) * math.cos(y) - 2.0 * math.sin(y / 2.0) ** 2
-    im = math.exp(x) * math.sin(y)
-    return complex(re, im)
+    x, y = np.real(z), np.imag(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _complex(np.expm1(x) * np.cos(y) - 2.0 * np.sin(y / 2.0) ** 2, np.exp(x) * np.sin(y))
+    return out[()]
 
 
 def clog1p(z: complex) -> complex:
@@ -387,13 +389,6 @@ def clog1p(z: complex) -> complex:
         if abs(term) <= 1e-18 * max(abs(total), 1e-300):
             break
     return total
-
-
-def cexpm1_array(z: np.ndarray) -> np.ndarray:
-    """:func:`cexpm1` elementwise on an array, by the same formula."""
-    x, y = z.real, z.imag
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _complex(np.expm1(x) * np.cos(y) - 2.0 * np.sin(y / 2.0) ** 2, np.exp(x) * np.sin(y))
 
 
 def clog1p_array(z: np.ndarray) -> np.ndarray:
@@ -499,7 +494,7 @@ def semigroup_defects(a: Generator, times) -> np.ndarray:
     """``exp(t A) - I`` for every t in ``times``: the (G, d) table of
     exp(t a_m) - 1 for a diagonal generator, the (G, d, d) stack for a dense one.
 
-    A diagonal table is ``cexpm1_array`` of the scaled entries; a row that
+    A diagonal table is ``cexpm1`` of the scaled entries; a row that
     overflows comes back inf, and the caller decides whether it matters.  A
     dense stack of t A goes to one ``matrix_expm1`` call; each defect has the
     bits of its own single-time call, and an empty list of times gives a
@@ -509,7 +504,7 @@ def semigroup_defects(a: Generator, times) -> np.ndarray:
     times = np.asarray(times, dtype=np.float64)
     if a.kind == "diagonal":
         with np.errstate(over="ignore", invalid="ignore"):
-            return cexpm1_array(np.multiply.outer(times, a.entries))
+            return cexpm1(np.multiply.outer(times, a.entries))
     scaled, overflow = dense_exponents(a, times)
     if overflow is not None:
         raise overflow

@@ -27,7 +27,7 @@ from .spaces import (
     Generator,
     _complex,
     apply_generator,
-    cexpm1_array,
+    cexpm1,
     clog1p_array,
     dense_exponents,
     dots,
@@ -81,7 +81,7 @@ def limit_gaps(limit_logs, log_values) -> np.ndarray:
         far = gap.real > 690.0
         if far.any():
             base, gap = np.where(far, np.real(log_values), base), np.where(far, -gap, gap)
-        move = np.abs(cexpm1_array(gap))
+        move = np.abs(cexpm1(gap))
         scale = np.exp(base)
         errors = np.asarray(scale * move)
         over = np.isinf(scale)

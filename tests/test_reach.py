@@ -51,7 +51,6 @@ NEVER_RAN = {
     "spaces.semigroup_apply": "perfbench/tracing.py SPANNED",
     "spaces.semigroup_matrix": "serves semigroup_apply",
     "spaces.semigroup_defect": "perfbench/tracing.py SPANNED",
-    "spaces.cexpm1": "perfbench/tracing.py COUNTED",
     "spaces.clog1p": "perfbench/tracing.py COUNTED",
     "projections.project": "perfbench/tracing.py SPANNED",
     "projections.DenseProjection.dim": "serves project on a dense projection",
