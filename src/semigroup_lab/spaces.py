@@ -361,12 +361,12 @@ def cexpm1(z):
 
     The real part uses expm1 plus the versine identity
     ``cos(y) - 1 = -2 sin(y/2)^2`` so both pieces stay accurate for
-    small arguments.  A scalar gives a scalar; an overflowing exponential
-    gives inf or NaN parts rather than an exception.
+    small arguments.  A scalar gives a scalar.  An overflowing exponential
+    gives inf or NaN parts; its callers, ``semigroup_defects`` and
+    ``trotter.limit_gaps``, silence numpy's overflow warnings around it.
     """
-    x, y = np.real(z), np.imag(z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _complex(np.expm1(x) * np.cos(y) - 2.0 * np.sin(y / 2.0) ** 2, np.exp(x) * np.sin(y))
+    x, y = z.real, z.imag
+    out = _complex(np.expm1(x) * np.cos(y) - 2.0 * np.sin(y / 2.0) ** 2, np.exp(x) * np.sin(y))
     return out[()]
 
 

@@ -79,14 +79,15 @@ def limit_gaps(limit_logs, log_values) -> np.ndarray:
         gap = np.subtract(log_values, limit_logs)
         base = np.real(limit_logs)
         far = gap.real > 690.0
-        if far.any():
+        if np.count_nonzero(far):
             base, gap = np.where(far, np.real(log_values), base), np.where(far, -gap, gap)
         move = np.abs(cexpm1(gap))
         scale = np.exp(base)
-        errors = np.asarray(scale * move)
+        errors = scale * move
         over = np.isinf(scale)
-        if over.any():
+        if np.count_nonzero(over):
             base, move, over = np.broadcast_arrays(base, move, over)
+            errors = np.array(errors)
             half = np.exp(base[over] / 2.0)
             errors[over] = half * move[over] * half
     return errors

@@ -30,7 +30,7 @@ from semigroup_lab import (
 )
 from semigroup_lab.config import load_config
 from semigroup_lab.projections import projection_matrix
-from semigroup_lab.spaces import cexpm1, semigroup_defects
+from semigroup_lab.spaces import semigroup_defects
 from semigroup_lab.trotter import (
     batched_log_values,
     dense_trotter_products,
@@ -39,7 +39,7 @@ from semigroup_lab.trotter import (
     step_defects_and_oracles,
 )
 
-from conftest import scalar_drift
+from conftest import scalar_cexpm1, scalar_drift
 
 DERIV_TOL = 1e-12
 PATH_AGREE_TOL = 1e-9
@@ -499,7 +499,7 @@ def drift_scale(a, f, x, t, n):
             weight, z = abs(complex(fm) * complex(xm)), complex(h * am)
             if weight == 0.0:
                 continue
-            defect = abs(cexpm1(z))
+            defect = abs(scalar_cexpm1(z))
             total += weight * (defect + 2.0 * abs(math.expm1(z.real)))
             top = max(top, math.log2(weight) + math.log2(defect) if defect else -math.inf)
     return float(n) * total, top
