@@ -8,13 +8,22 @@ The readers here serve configs, certificates and reports alike: a real is
 a plain number, a tagged float, a ``0x`` hex string or ``"inf"`` (decimal
 strings are refused), and a complex entry may also be an ``[re, im]``
 pair.  Every field of a config, certificate or report is read through
-:func:`_field`; certificates, stages, growth laws, reports and config
-sections are written and read field by field from their dataclasses
-(:func:`record_to_dict`, :func:`record_from_dict`).
+:func:`_field`; growth laws, reports and config sections are written and
+read field by field from their dataclasses (:func:`record_to_dict`,
+:func:`record_from_dict`).
+
+A ``cert/3`` certificate writes each of its float arrays as one packed
+string (:func:`pack`): padded base64 of the array's little-endian bytes
+under a tag naming the dtype, ``{"~c16": ...}`` or ``{"~f8": ...}``, which
+keeps every bit, a NaN's payload included.  Each float field of its
+stages is one such column under ``stage_values`` (the stage vectors as
+one K x d array), and ``stages`` keeps one row of integer fields per
+stage.  ``cert/1`` and ``cert/2`` certificates still read.
 """
 
 from __future__ import annotations
 
+import binascii
 import functools
 import json
 import math
@@ -36,8 +45,8 @@ from .spaces import (
 )
 from .witness import WitnessCertificate, WitnessStage
 
-CERT_SCHEMA = "semigroup-lab/cert/2"
-CERT_SCHEMAS = (CERT_SCHEMA, "semigroup-lab/cert/1")  # both decode
+CERT_SCHEMA = "semigroup-lab/cert/3"
+CERT_SCHEMAS = (CERT_SCHEMA, "semigroup-lab/cert/2", "semigroup-lab/cert/1")  # all decode
 REPORT_SCHEMA = "semigroup-lab/report/1"
 CONFIG_SCHEMA = "semigroup-lab/config/1"
 
@@ -329,10 +338,17 @@ def _entries(items, dim: int | None) -> np.ndarray:
 
 
 def encoded_length(raw) -> int | None:
-    """The entry count of an encoded list or tagged array, read without
-    decoding it; None for any other form."""
-    if isinstance(raw, dict) and len(raw) == 1 and "~a" in raw:
-        raw = raw["~a"]
+    """The entry count of an encoded list, tagged array or packed array,
+    read without decoding it; None for any other form."""
+    if isinstance(raw, dict) and len(raw) == 1:
+        (tag, body), = raw.items()
+        if tag == "~a":
+            raw = body
+        elif tag in PACKED_DTYPES and isinstance(body, str):
+            # padded base64 holds 3 bytes per 4 characters, less its padding
+            size = PACKED_DTYPES[tag].itemsize
+            count = len(body) // 4 * 3 - body[-2:].count("=")
+            return count // size if len(body) % 4 == 0 and count % size == 0 else None
     return len(raw) if isinstance(raw, list) else None
 
 
@@ -426,14 +442,144 @@ def record_from_dict(cls, data: dict, path: str = "", **readers):
     return cls(**values)
 
 
+# The dtype of each packed array's little-endian bytes, by its tag.
+PACKED_DTYPES = {"~c16": np.dtype("<c16"), "~f8": np.dtype("<f8")}
+
+
+def pack(values, tag: str) -> dict:
+    """``{tag: text}``: ``values`` as one padded base64 string (RFC 4648) of
+    their little-endian bytes in the dtype ``tag`` names."""
+    data = np.ascontiguousarray(values, dtype=PACKED_DTYPES[tag]).tobytes()
+    return {tag: binascii.b2a_base64(data, newline=False).decode("ascii")}
+
+
+def unpack(raw, tag: str) -> np.ndarray:
+    """The entries of a packed array ``{tag: text}``, every bit as written.
+    Text that is not padded base64, or bytes that are not a whole number
+    of entries, raise ValueError."""
+    if not (type(raw) is dict and len(raw) == 1 and tag in raw):
+        raise TypeError(f"expected a packed array {{{tag!r}: base64}}, got {raw!r:.60}")
+    try:
+        data = binascii.a2b_base64(raw[tag], strict_mode=True)
+    except binascii.Error as exc:
+        raise ValueError(f"not padded base64 ({exc})") from None
+    dtype = PACKED_DTYPES[tag]
+    if len(data) % dtype.itemsize:
+        raise ValueError(
+            f"{len(data)} bytes, not a whole number of {dtype.itemsize}-byte entries"
+        )
+    return np.frombuffer(data, dtype)
+
+
+# The tag of each float type cert/3 packs: a certificate's arrays, and each
+# float field of its stages as one column across the stages.
+_ARRAY_TAGS = {np.ndarray: "~c16", tuple[complex, ...]: "~c16", tuple[float, ...]: "~f8"}
+_COLUMN_TAGS = {np.ndarray: "~c16", complex: "~c16", float: "~f8", float | None: "~f8"}
+
+
+@functools.cache
+def _cert_layout() -> tuple:
+    """cert/3's layout, from the declared field types: ``(name, tag, read)``
+    of each packed certificate array, ``(name, tag, per_stage)`` of each
+    stage column (``per_stage`` for the stage vectors, one row of the
+    column each), and ``(name, read, default)`` of each integer field a
+    stage row keeps."""
+    arrays = tuple(
+        (name, _ARRAY_TAGS[hint], _unpacker(_ARRAY_TAGS[hint], hint is not np.ndarray))
+        for name, hint in typing.get_type_hints(WitnessCertificate).items()
+        if hint in _ARRAY_TAGS
+    )
+    columns = tuple(
+        (name, _COLUMN_TAGS[hint], hint is np.ndarray)
+        for name, hint in typing.get_type_hints(WitnessStage).items()
+        if hint in _COLUMN_TAGS
+    )
+    packed = frozenset(name for name, _, _ in columns)
+    int_fields = tuple(f for f in _record_fields(WitnessStage, packed) if f[0] not in packed)
+    return arrays, columns, int_fields
+
+
+def _unpacker(tag: str, as_tuple: bool):
+    """The reader of a packed certificate array: the array, or for a tuple
+    field the tuple of its entries."""
+    if as_tuple:
+        return lambda raw: tuple(unpack(raw, tag).tolist())
+    return lambda raw: unpack(raw, tag)
+
+
 def cert_to_dict(cert: WitnessCertificate) -> dict:
+    """A ``cert/3`` payload: every float array packed, each float stage
+    field one column of ``stage_values``, the integer stage fields in
+    ``stages`` rows, the scalars and the ``generator`` section as
+    :func:`encode` and :func:`generator_to_dict` write them.  A None in a
+    float field raises ValueError naming it."""
+    arrays, columns, int_fields = _cert_layout()
+    writers = {name: functools.partial(_packed, name, tag) for name, tag, _ in arrays}
     payload = record_to_dict(
         cert,
         a=generator_to_dict,
-        stages=lambda stages: [record_to_dict(st) for st in stages],
+        stages=lambda stages: [
+            {name: encode(getattr(st, name)) for name, _, _ in int_fields} for st in stages
+        ],
+        **writers,
     )
     payload["generator"] = payload.pop("a")
+    payload["stage_values"] = {
+        name: _packed(name, tag, [getattr(st, name) for st in cert.stages])
+        for name, tag, _ in columns
+    }
     return {"schema": CERT_SCHEMA, **payload}
+
+
+def _packed(name: str, tag: str, values) -> dict:
+    """:func:`pack` for the field ``name``; a None among ``values`` raises
+    ValueError, since numpy would write it as a NaN."""
+    if type(values) is not np.ndarray and any(v is None for v in values):
+        raise ValueError(f"{name}: a None has no place in a packed float array")
+    return pack(values, tag)
+
+
+def _stage_columns(raw, stage_values: dict, dim: int) -> tuple[WitnessStage, ...]:
+    """cert/3's stages: the integer fields of each from its row of ``raw``,
+    every other field from its column in ``stage_values``, which holds one
+    entry per row (the vectors ``dim`` each).  A stage's generator pairing
+    must be finite, as in the per-stage records."""
+    _, columns, int_fields = _cert_layout()
+    rows = _list(raw)
+    names, values = [], []
+    for name, tag, per_stage in columns:
+        read = functools.partial(
+            _column, tag, len(rows), dim if per_stage else None, name == "generator_pairing"
+        )
+        names.append(name)
+        values.append(_field(stage_values, name, read, "stage_values."))
+    stages = []
+    for k, (row, floats) in enumerate(zip(rows, zip(*values))):
+        row = _object(row)
+        ints = {}
+        for name, read, default in int_fields:
+            value = row.get(name)
+            if type(value) is not int:
+                value = _field(row, name, read, f"stages[{k}].", default)
+            if value is not None:
+                ints[name] = value
+        stages.append(WitnessStage(**ints, **dict(zip(names, floats))))
+    return tuple(stages)
+
+
+def _column(tag: str, count: int, width: int | None, finite: bool, raw) -> list:
+    """The ``count`` entries of a packed stage column, or its ``count`` rows
+    of ``width`` entries when ``width`` is given; all finite if ``finite``."""
+    column = unpack(raw, tag)
+    size = count if width is None else count * width
+    if column.size != size:
+        raise ValueError(
+            f"{column.size} entries, not {size} for {count} stages"
+            + ("" if width is None else f" x dimension {width}")
+        )
+    if finite:
+        _finite(column)
+    return column.tolist() if width is None else list(column.reshape(count, width))
 
 
 def cert_from_dict(data: dict) -> WitnessCertificate:
@@ -441,27 +587,39 @@ def cert_from_dict(data: dict) -> WitnessCertificate:
     schema = data.get("schema") if isinstance(data, dict) else None
     if schema not in CERT_SCHEMAS:
         raise InvalidCertificate([f"schema: not a certificate ({schema!r})"])
-    if schema != CERT_SCHEMA:  # /1 kept its generator in ``law`` or ``dense_matrix``
-        legacy = {"kind": "diagonal", "law": data.get("law")}
-        if data.get("dense_matrix") is not None:
-            legacy = {"kind": "dense", "matrix": data["dense_matrix"]}
-        data = {**data, "generator": legacy}
+    if schema == CERT_SCHEMA:
+        readers = {name: read for name, _, read in _cert_layout()[0]}
+        stage_values = _field(data, "stage_values", _object)
+        # the functional, read first below, sizes the stage vectors
+        readers["stages"] = lambda raw: _stage_columns(raw, stage_values, functional.size)
+    else:
+        if schema != "semigroup-lab/cert/2":  # /1 kept its generator in ``law`` or ``dense_matrix``
+            legacy = {"kind": "diagonal", "law": data.get("law")}
+            if data.get("dense_matrix") is not None:
+                legacy = {"kind": "dense", "matrix": data["dense_matrix"]}
+            data = {**data, "generator": legacy}
+        readers = {
+            "functional": _vector,
+            "stages": lambda raw: tuple(
+                record_from_dict(
+                    WitnessStage, st, f"stages[{k}].",
+                    generator_pairing=lambda v: _finite(_entry(v)),
+                )
+                for k, st in enumerate(_list(raw))
+            ),
+        }
     # the functional sizes the generator, which files keep under ``generator``
-    functional = _field(data, "functional", _vector)
+    functional = _field(data, "functional", readers["functional"])
     a = _field(data, "generator", lambda raw: generator_from_dict(raw, functional.size))
     return record_from_dict(
         WitnessCertificate,
         {**data, "a": a, "functional": functional},
-        a=lambda raw: raw,
-        functional=lambda raw: raw,
-        p=lambda raw: _check_p(_float(raw)),
-        stages=lambda raw: tuple(
-            record_from_dict(
-                WitnessStage, st, f"stages[{k}].",
-                generator_pairing=lambda v: _finite(_entry(v)),
-            )
-            for k, st in enumerate(_list(raw))
-        ),
+        **{
+            **readers,
+            "a": lambda raw: raw,
+            "functional": lambda raw: raw,
+            "p": lambda raw: _check_p(_float(raw)),
+        },
     )
 
 

@@ -34,7 +34,9 @@ from semigroup_lab.serialize import (
     cert_to_dict,
     dumps_canonical,
     load_json,
+    pack,
     report_to_dict,
+    unpack,
 )
 
 FINAL_ERR_BOUND = 1e-3
@@ -507,7 +509,9 @@ def test_witness_and_verify_roundtrip(tmp_path, capsys):
     assert main(["verify", str(cert_path)]) == EXIT_OK
 
     payload = json.loads(cert_path.read_text())
-    payload["witness_errors"][-1] = {"~f": (0.4999).hex()}
+    errors = unpack(payload["witness_errors"], "~f8").copy()
+    errors[-1] = 0.4999
+    payload["witness_errors"] = pack(errors, "~f8")
     tampered = tmp_path / "tampered.cert.json"
     tampered.write_text(json.dumps(payload))
     assert main(["verify", str(tampered)]) == EXIT_INVALID
@@ -566,7 +570,7 @@ def test_deep_ladder_witness_writes_the_pinned_certificate(tmp_path):
     config = V1_DATA / "configs" / f"{DEEP_LADDER}.config.json"
     assert main(["witness", "--config", str(config), "--out", str(tmp_path)]) == EXIT_OK
     written = (tmp_path / f"{DEEP_LADDER}.cert.json").read_bytes()
-    assert written == (V1_DATA / f"{DEEP_LADDER}.cert.json").read_bytes()
+    assert written == (V1_DATA / f"{DEEP_LADDER}.v3.cert.json").read_bytes()
 
 
 def test_deep_ladder_certificate_verifies():
@@ -584,7 +588,7 @@ def test_fresh_split_report_is_unchanged(tmp_path):
     # the canonical writer to the bytes they wrote before
     assert main(["renorm-audit", "--config", "split_renorm", "--out", str(tmp_path)]) == EXIT_OK
     written = (tmp_path / "split_renorm.report.json").read_bytes()
-    assert written == (V1_DATA / "split_renorm.v2.report.json").read_bytes()
+    assert written == (V1_DATA / "split_renorm.v3.report.json").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -682,10 +686,10 @@ def test_ladder_past_2_1024_is_lazy(tmp_path, capsys):
     assert written[0] == written[1]
 
 
-# Fresh /2 builds pinned on their own: the one log-domain carrier moved the
+# Fresh builds pinned on their own: the one log-domain carrier moved the
 # last bits of the K = 5 ladder's numbers, and of two rungs of its tuned law,
 # so the /1 certificate no longer re-encodes to them.
-FRESH_V2 = {"blowup_k5": "blowup_k5.v2.cert.json"}
+FRESH_V3 = {"blowup_k5": "blowup_k5.v3.cert.json"}
 
 
 @pytest.mark.parametrize("config", ["blowup_k5", "bounded_contrapositive"])
@@ -694,12 +698,12 @@ def test_v1_certificate_reencodes_to_a_fresh_build(tmp_path, config):
     fresh = (tmp_path / f"{config}.cert.json").read_text()
     old = load_json(V1_DATA / f"{config}.cert.json")
     assert old["schema"] == "semigroup-lab/cert/1"
-    assert json.loads(fresh)["schema"] == "semigroup-lab/cert/2"
+    assert json.loads(fresh)["schema"] == "semigroup-lab/cert/3"
     reencoded = dumps_canonical(cert_to_dict(cert_from_dict(old)))
-    assert json.loads(reencoded)["schema"] == "semigroup-lab/cert/2"
+    assert json.loads(reencoded)["schema"] == "semigroup-lab/cert/3"
     assert dumps_canonical(cert_to_dict(cert_from_dict(json.loads(reencoded)))) == reencoded
-    if config in FRESH_V2:
-        assert fresh == (V1_DATA / FRESH_V2[config]).read_text()
+    if config in FRESH_V3:
+        assert fresh == (V1_DATA / FRESH_V3[config]).read_text()
     else:
         assert reencoded == fresh
 
@@ -1634,6 +1638,23 @@ def test_no_thread_outlives_a_split_audit_call(tmp_path, monkeypatch, capsys, ca
     # each call drew its normals ahead, so the helper did run and was joined
     assert CountedNormals.started == 1
 
+
+
+def test_replay_of_a_fresh_split_report_draws_ahead_for_its_dimension(tmp_path, monkeypatch):
+    # verify counts the packed functional's entries without decoding it, so
+    # the helper starts drawing the audit's normals before the certificate
+    # is read
+    assert main(["renorm-audit", "--config", "split_renorm", "--out", str(tmp_path)]) == EXIT_OK
+    dims = []
+
+    class Recorded(renorm.SplitNormals):
+        def __init__(self, seed, samples, dim):
+            dims.append(dim)
+            super().__init__(seed, samples, dim)
+
+    monkeypatch.setattr(cli, "SplitNormals", Recorded)
+    assert main(["verify", str(tmp_path / "split_renorm.report.json")]) == EXIT_OK
+    assert dims == [load_config("split_renorm").dim] == [7]
 
 
 def refuse_to_start(thread):

@@ -1,5 +1,6 @@
 """Tagged hex-float JSON: every finite double survives a round trip."""
 
+import base64
 import copy
 import json
 import math
@@ -27,9 +28,10 @@ from semigroup_lab import (
     report_to_dict,
     verify_certificate,
 )
-from semigroup_lab.cli import _rebuild_report
+from semigroup_lab.cli import EXIT_INVALID, _rebuild_report, main
 from semigroup_lab.renorm import RenormReport
 from semigroup_lab.serialize import (
+    PACKED_DTYPES,
     _entries,
     _entry,
     _matrix,
@@ -37,12 +39,15 @@ from semigroup_lab.serialize import (
     cert_from_dict,
     decode,
     encode,
+    encoded_length,
     generator_from_dict,
     generator_to_dict,
     load_json,
+    pack,
     record_from_dict,
     record_to_dict,
     report_from_dict,
+    unpack,
 )
 from semigroup_lab.witness import WitnessCertificate, WitnessStage
 
@@ -313,9 +318,14 @@ def field_names(cls):
 
 def test_every_record_field_is_written(k5_certificate):
     payload = cert_to_dict(k5_certificate)
-    assert set(payload) == field_names(WitnessCertificate) - {"a"} | {"generator", "schema"}
+    assert set(payload) == field_names(WitnessCertificate) - {"a"} | {
+        "generator", "schema", "stage_values"
+    }
+    # each stage's integer fields in its row, every other field in a column
+    integers = {"index", "steps", "direction_index"}
     for stage in payload["stages"]:
-        assert set(stage) == field_names(WitnessStage)
+        assert set(stage) == integers
+    assert set(payload["stage_values"]) == field_names(WitnessStage) - integers
     for report in both_reports(k5_certificate):
         assert set(report_to_dict(report)) == field_names(RenormReport) | {"schema"}
 
@@ -711,3 +721,195 @@ def test_tagged_matrix_forms_the_bulk_reader_leaves_read_as_before(raw, dim):
 )
 def test_a_value_with_two_faults_names_the_one_read_first(read, raw, dim, error):
     assert outcome(read, raw, dim) == error
+
+
+# cert/3's packed arrays: padded base64 of little-endian bytes keeps every
+# bit of every value, a NaN's sign and payload included.
+
+DATA = Path(__file__).parent / "data"
+SPECIAL_BITS = [
+    0x0000000000000000,  # +0.0
+    0x8000000000000000,  # -0.0
+    0x7FF0000000000000,  # +inf
+    0xFFF0000000000000,  # -inf
+    0x7FF8000000000000,  # the quiet NaN
+    0xFFF8000000000001,  # a negative quiet NaN with a payload
+    0x7FF0000000000001,  # a signalling NaN
+    0xFFF7FFFFFFFFFFFF,  # a negative signalling NaN, every payload bit set
+    0x0000000000000001,  # the smallest subnormal
+    0x800FFFFFFFFFFFFF,  # the largest negative subnormal
+]
+BIT_PATTERNS = st.integers(0, 2**64 - 1) | st.sampled_from(SPECIAL_BITS)
+
+
+@given(st.sampled_from([0, 1, 18]).flatmap(
+    lambda k: st.lists(BIT_PATTERNS, min_size=2 * k, max_size=2 * k)
+))
+@example(SPECIAL_BITS + SPECIAL_BITS[:8] + SPECIAL_BITS + SPECIAL_BITS[:8])
+def test_packed_arrays_round_trip_bit_for_bit(patterns):
+    bits = np.array(patterns, dtype=np.uint64)
+    count = bits.size // 2
+    for tag, values in [("~f8", bits[:count].view(np.float64)), ("~c16", bits.view(np.complex128))]:
+        for form in (values, values.tolist()):  # an array, and a tuple field's Python numbers
+            back = unpack(json.loads(dumps_canonical(pack(form, tag))), tag)
+            assert back.dtype == values.dtype and back.shape == (count,)
+            assert back.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+
+
+def pinned_certificates():
+    """Every pinned /1 and /2 certificate, the embedded ones too."""
+    for path in sorted(DATA.glob("*.json")):
+        payload = load_json(path)
+        payload = payload.get("source", {}).get("certificate", payload)
+        if payload.get("schema") in ("semigroup-lab/cert/1", "semigroup-lab/cert/2"):
+            yield pytest.param(payload, id=path.name)
+
+
+def bits(value):
+    """``value`` with every float as its bytes, field by field."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (float, complex)):
+        return type(value).__name__, np.array(value).tobytes()
+    if isinstance(value, (tuple, list)):
+        return [bits(v) for v in value]
+    if hasattr(value, "__dataclass_fields__"):
+        return {fld.name: bits(getattr(value, fld.name)) for fld in fields(value)}
+    return type(value).__name__, value
+
+
+@pytest.mark.parametrize("payload", pinned_certificates())
+def test_pinned_certificates_reencode_as_cert3_to_the_same_bits(payload):
+    old = cert_from_dict(payload)
+    text = dumps_canonical(cert_to_dict(old))
+    assert json.loads(text)["schema"] == "semigroup-lab/cert/3"
+    assert bits(cert_from_dict(json.loads(text))) == bits(old)
+
+
+@pytest.mark.parametrize(
+    "field, stage, value",
+    [("bump_radius", 2, None), ("search_target", 0, None), ("limit_error", 5, None)],
+)
+def test_writer_refuses_a_none_in_a_float_column(k5_certificate, field, stage, value):
+    stages = list(k5_certificate.stages)
+    stages[stage] = replace(stages[stage], **{field: value})
+    with pytest.raises(ValueError) as info:
+        cert_to_dict(replace(k5_certificate, stages=tuple(stages)))
+    assert str(info.value) == f"{field}: a None has no place in a packed float array"
+    errors = k5_certificate.witness_errors[:-1] + (None,)
+    with pytest.raises(ValueError) as info:
+        cert_to_dict(replace(k5_certificate, witness_errors=errors))
+    assert str(info.value) == "witness_errors: a None has no place in a packed float array"
+
+
+def packed(tag, data: bytes) -> dict:
+    return {tag: base64.b64encode(data).decode("ascii")}
+
+
+def k5_v3():
+    return load_json(DATA / "blowup_k5.v3.cert.json")
+
+
+def column(payload, name, tag="~f8"):
+    return unpack(payload["stage_values"][name], tag).copy()
+
+
+def set_column(payload, name, values, tag="~f8"):
+    payload["stage_values"][name] = pack(values, tag)
+
+
+def with_inf_pairing(payload):
+    pairings = column(payload, "generator_pairing", "~c16")
+    pairings[3] = complex(1.5, math.inf)
+    set_column(payload, "generator_pairing", pairings, "~c16")
+
+
+# Each malformed cert/3 payload with the failure that names its field.
+@pytest.mark.parametrize(
+    "mutate, failure",
+    [
+        (
+            lambda payload: payload["functional"].update({"~c16": "!" + payload["functional"]["~c16"][1:]}),
+            "functional: not padded base64 (Only base64 data is allowed)",
+        ),
+        (
+            lambda payload: payload.update(witness=packed("~c16", bytes(16 * 7 - 8))),
+            "witness: 104 bytes, not a whole number of 16-byte entries",
+        ),
+        (
+            lambda payload: payload.update(witness_errors=packed("~f8", bytes(45))),
+            "witness_errors: 45 bytes, not a whole number of 8-byte entries",
+        ),
+        (
+            lambda payload: payload.update(initial={"~a": [1.0] * 7}),
+            "initial: expected a packed array {'~c16': base64}, got {'~a': [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]}",
+        ),
+        (
+            lambda payload: payload.update(witness_log_values={"~f8": ""}),
+            "witness_log_values: expected a packed array {'~c16': base64}, got {'~f8': ''}",
+        ),
+        (
+            lambda payload: set_column(payload, "limit_error", column(payload, "limit_error")[:5]),
+            "stage_values.limit_error: 5 entries, not 6 for 6 stages",
+        ),
+        (
+            lambda payload: set_column(payload, "vector", column(payload, "vector", "~c16")[:41], "~c16"),
+            "stage_values.vector: 41 entries, not 42 for 6 stages x dimension 7",
+        ),
+        (
+            lambda payload: payload["stages"].pop(),
+            "stage_values.vector: 42 entries, not 35 for 5 stages x dimension 7",
+        ),
+        (with_inf_pairing, "stage_values.generator_pairing: must be finite"),
+        (
+            lambda payload: payload["stage_values"].pop("stability_radius"),
+            "stage_values.stability_radius: missing",
+        ),
+        (lambda payload: payload.update(stage_values=[]), "stage_values: expected an object, got []"),
+        (
+            lambda payload: payload["stages"][4].update(steps=2.0),
+            "stages[4].steps: expected an integer, got 2.0",
+        ),
+        (lambda payload: payload["stages"][1].pop("index"), "stages[1].index: missing"),
+        (lambda payload: payload["stages"].__setitem__(3, 3), "stages: expected an object, got 3"),
+    ],
+    ids=["non_base64", "ragged_vector_bytes", "ragged_float_bytes", "tagged_list", "wrong_tag",
+         "short_column", "vector_not_k_by_d", "one_row_short", "inf_pairing", "missing_column",
+         "columns_list", "float_steps", "missing_index", "row_not_an_object"],
+)
+def test_malformed_packed_certificate_names_the_field(tmp_path, capsys, mutate, failure):
+    payload = k5_v3()
+    cert_from_dict(payload)
+    mutate(payload)
+    with pytest.raises(InvalidCertificate) as info:
+        cert_from_dict(payload)
+    assert info.value.failures == [failure]
+    path = tmp_path / "malformed.cert.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().out.endswith(f"\n  - {failure}\n")
+
+
+def test_packed_entry_counts_are_read_without_decoding():
+    for values in ([], [1.0], [1.0, 2.0], [1.0, 2.0, 3.0]):
+        assert encoded_length(pack(values, "~f8")) == len(values)
+        assert encoded_length(pack(values, "~c16")) == len(values)
+    assert encoded_length(k5_v3()["functional"]) == 7
+    # a count only: bytes that are not whole entries, or text that is not
+    # padded base64 by its length, give None
+    assert encoded_length(packed("~c16", bytes(24))) is None
+    assert encoded_length({"~f8": "AAAAAAAAAA="}) is None
+    assert encoded_length({"~f8": 5}) is None
+    assert encoded_length({"~f4": "AAAAAA=="}) is None
+
+
+def test_readme_decodes_a_packed_array_with_the_standard_library():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Certificate format", 1)[1]
+    recipe = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(recipe, names)
+    payload = k5_v3()
+    for field, read, tag in [("witness_errors", "floats", "~f8"), ("witness", "complexes", "~c16")]:
+        values = np.array(names[read](payload[field]), dtype=PACKED_DTYPES[tag])
+        assert values.tobytes() == unpack(payload[field], tag).tobytes()

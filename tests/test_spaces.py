@@ -219,6 +219,29 @@ def test_law_rejects_decreasing_moduli():
         law_entries(GrowthLaw("table", values=(0.0, 2j, 1j)), 3)
 
 
+# Each law check that no reader reaches first, with its message pinned.  The
+# double exponential's exponents are checked before any entry is formed, so
+# its message names the dimension, not the first entry past the range (9).
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: GrowthLaw("cubic"), ValueError, "unknown growth law kind 'cubic'"),
+        (lambda: GrowthLaw("table"), ValueError, "table law needs explicit values"),
+        (lambda: law_entries(GrowthLaw("poly", 1.0), 0), ValueError, "dimension must be positive"),
+        (
+            lambda: law_entries(GrowthLaw("imag_double_exp", 10.0), 12),
+            SemigroupOverflow,
+            "imag_double_exp entry 12 exceeds the floating range",
+        ),
+    ],
+    ids=["unknown_kind", "empty_table", "zero_dimension", "double_exp_overflow"],
+)
+def test_law_checks_name_what_is_wrong(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message
+
+
 def test_diagonal_generator_checks_law_match():
     law = GrowthLaw("imag_poly", 1.0)
     a = diagonal_generator(law, 4)

@@ -43,7 +43,7 @@ from semigroup_lab.errors import (
 )
 from semigroup_lab import spaces, witness
 from semigroup_lab.cli import _build_from_config
-from semigroup_lab.serialize import encode, load_json
+from semigroup_lab.serialize import load_json, pack
 from semigroup_lab.trotter import batched_log_values, limit_gaps
 from semigroup_lab.witness import (
     _radius_log_bound,
@@ -59,6 +59,7 @@ PAIRING_TOL = 1e-10
 RECOMPUTE_TOL = 1e-9
 DATA = Path(__file__).parent / "data"
 K5_V2_CERT = DATA / "blowup_k5.v2.cert.json"
+K5_V3_CERT = DATA / "blowup_k5.v3.cert.json"
 
 # held fixed with test_trotter: smallest dyadic step count reaching 0.1
 # for the two-coordinate model, found by scanning the closed form
@@ -295,7 +296,7 @@ def test_build_samples_nothing(monkeypatch):
     cert = build_from_config("blowup_k5")
     assert counts == [161] * 6 + [6]
     assert sampled == []
-    assert dumps_canonical(cert_to_dict(cert)) == K5_V2_CERT.read_text()
+    assert dumps_canonical(cert_to_dict(cert)) == K5_V3_CERT.read_text()
 
 
 @pytest.mark.parametrize("samples", [1, 5, 100])
@@ -315,7 +316,7 @@ def test_validation_samples_no_longer_act(samples):
         margin=params.margin,
         validation_samples=samples,
     )
-    assert dumps_canonical(cert_to_dict(cert)) == K5_V2_CERT.read_text()
+    assert dumps_canonical(cert_to_dict(cert)) == K5_V3_CERT.read_text()
 
 
 def test_product_log_value_matches_scalar_route():
@@ -471,8 +472,10 @@ def truncate(payload, key, size):
     ids=["missing_eps", "empty_stages", "unknown_law", "short_stage_vector", "short_witness",
          "stages_object", "witness_errors_object", "witness_log_values_string"],
 )
-def test_malformed_certificate_names_the_field(k5_certificate, mutate, prefix):
-    payload = cert_to_dict(k5_certificate)
+def test_malformed_certificate_names_the_field(mutate, prefix):
+    # the per-stage layout of a pinned /2 file; tests/test_serialize.py
+    # holds the /3 column checks
+    payload = load_json(K5_V2_CERT)
     mutate(payload)
     with pytest.raises(InvalidCertificate) as info:
         verify_certificate(cert_from_dict(payload))
@@ -481,7 +484,7 @@ def test_malformed_certificate_names_the_field(k5_certificate, mutate, prefix):
 
 def test_verify_zero_functional_lists_the_pairing_failure(k5_certificate):
     payload = cert_to_dict(k5_certificate)
-    payload["functional"] = encode(np.zeros(7, dtype=np.complex128))
+    payload["functional"] = pack(np.zeros(7), "~c16")
     with pytest.raises(InvalidCertificate) as info:
         verify_certificate(cert_from_dict(payload))
     assert info.value.failures[0] == "stage 0: pairing 0+0j strays from 1"
