@@ -4,7 +4,7 @@ import base64
 import copy
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -773,7 +773,7 @@ def bits(value):
         return type(value).__name__, np.array(value).tobytes()
     if isinstance(value, (tuple, list)):
         return [bits(v) for v in value]
-    if hasattr(value, "__dataclass_fields__"):
+    if is_dataclass(value):
         return {fld.name: bits(getattr(value, fld.name)) for fld in fields(value)}
     return type(value).__name__, value
 
@@ -786,20 +786,17 @@ def test_pinned_certificates_reencode_as_cert3_to_the_same_bits(payload):
     assert bits(cert_from_dict(json.loads(text))) == bits(old)
 
 
-@pytest.mark.parametrize(
-    "field, stage, value",
-    [("bump_radius", 2, None), ("search_target", 0, None), ("limit_error", 5, None)],
-)
-def test_writer_refuses_a_none_in_a_float_column(k5_certificate, field, stage, value):
-    stages = list(k5_certificate.stages)
-    stages[stage] = replace(stages[stage], **{field: value})
+@pytest.mark.parametrize("field", ["bump_radius", "search_target", "limit_error", "witness_errors"])
+def test_writer_refuses_a_none_in_a_float_field(k5_certificate, field):
+    if field == "witness_errors":
+        cert = replace(k5_certificate, witness_errors=k5_certificate.witness_errors[:-1] + (None,))
+    else:
+        stages = list(k5_certificate.stages)
+        stages[2] = replace(stages[2], **{field: None})
+        cert = replace(k5_certificate, stages=tuple(stages))
     with pytest.raises(ValueError) as info:
-        cert_to_dict(replace(k5_certificate, stages=tuple(stages)))
+        cert_to_dict(cert)
     assert str(info.value) == f"{field}: a None has no place in a packed float array"
-    errors = k5_certificate.witness_errors[:-1] + (None,)
-    with pytest.raises(ValueError) as info:
-        cert_to_dict(replace(k5_certificate, witness_errors=errors))
-    assert str(info.value) == "witness_errors: a None has no place in a packed float array"
 
 
 def packed(tag, data: bytes) -> dict:
