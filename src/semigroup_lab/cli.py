@@ -47,7 +47,6 @@ from .serialize import (
     _object,
     cert_from_dict,
     cert_to_dict,
-    encoded_length,
     generator_from_dict,
     generator_to_dict,
     load_json,
@@ -343,26 +342,15 @@ def _bound(raw) -> float:
     return value
 
 
-def _split_dim(params, certificate) -> int | None:
-    """A split report's ``parameters.dim``, read before its certificate is
-    decoded only to start drawing the audit's normals: None unless it is an
-    int that sizes the embedded certificate's functional.  The audit checks
-    the streams it is handed against the decoded certificate in any case."""
-    dim = params.get("dim") if isinstance(params, dict) else None
-    functional = certificate.get("functional") if isinstance(certificate, dict) else None
-    if type(dim) is int and encoded_length(functional) == dim:
-        return dim
-    return None
-
-
 def _rebuild_report(report):
     """The audit ``report`` records, re-run from its embedded source.  The
     fresh report carries no source: it was read from the stored one."""
     src, params = report.source, report.parameters
     if "certificate" in src:
-        dim = _split_dim(params, src["certificate"])
-        with SplitNormals(report.seed, report.vector_samples, dim) as normals:
-            cert = _named("source.certificate.", cert_from_dict, src["certificate"])
+        cert = _named("source.certificate.", cert_from_dict, src["certificate"])
+        # the audit's normals are drawn on a helper thread while the
+        # certificate is verified
+        with SplitNormals(report.seed, report.vector_samples, cert.dim) as normals:
             verify_certificate(cert)
             fresh = quasi_contractivity_audit(
                 "split",

@@ -15,18 +15,18 @@ against.  Both measure their columns in blocks of ``_SPLIT_BLOCK`` through
 reused buffers, so their temporaries stay near 100 kB each whatever the
 sample count, and every value is that of the whole batch bit for bit.  The
 split audit's normals are drawn on a helper thread (``SplitNormals``) while
-the caller builds or reads the certificate and the audit measures the
-blocks already drawn; its ratios are summarized block by block (see
-``_split_ratio_blocks``).  The classical audit evaluates only the grid
-times that can raise a sup: a time whose weighted bound exp(-w t) |exp(tA)|
-is below 1 cannot beat the t = 0 norm, so it is skipped, and the sups are
-those of the full grid bit for bit.  The logarithmic norm mu of A bounds
-|exp(tA)| by exp(t mu) before any exponential is formed, so exp(tA) is
-formed, in one stack, only at the shift times and at the times that bound
-leaves open; ``_weighted_sups`` decides the evaluated times once per audit,
-and forms, in one more stack, only those that the range of the columns'
-magnitudes forces.  A weight or factor exp(+-w t) past the floating range
-raises SemigroupOverflow.
+the caller builds, reads or verifies the certificate and the audit measures
+the blocks already drawn; its ratios are summarized block by block (see
+``_split_ratio_blocks``).  The classical audit evaluates only the grid times
+that can raise a sup: a time whose weighted bound exp(-w t) |exp(tA)| is
+below 1 cannot beat the t = 0 norm, so it is skipped, and the sups are those
+of the full grid bit for bit.  The logarithmic norm mu of A bounds |exp(tA)|
+by exp(t mu) before any exponential is formed, so exp(tA) is formed, in one
+stack, only at the shift times and at the times that bound leaves open;
+``_weighted_sups`` decides the evaluated times once per audit, and forms, in
+one more stack, only those that the range of the columns' magnitudes forces.
+A weight or factor exp(+-w t) past the floating range raises
+SemigroupOverflow.
 """
 
 from __future__ import annotations
@@ -155,18 +155,15 @@ class SplitNormals:
     half one block at a time, at most one block ahead of the audit.  Each
     stream has its own generator, which only the helper uses.  Leaving the
     ``with`` block stops the helper and joins it, whether or not the audit
-    took the streams.  A ``dim`` of None draws nothing ahead, and neither do
-    streams this cannot allocate or seed (a negative seed or count, or a
-    draw too large for memory): ``key`` is then None, and the audit draws
-    its streams itself and raises what its own draw raises, where it would
-    have raised it.
+    took the streams.  Streams this cannot allocate or seed (a negative seed
+    or count, or a draw too large for memory) are not drawn ahead: ``key``
+    is then None, and the audit draws its streams itself and raises what its
+    own draw raises, where it would have raised it.
     """
 
-    def __init__(self, seed: int, samples: int, dim: int | None):
+    def __init__(self, seed: int, samples: int, dim: int):
         self.key = None
         self._thread = None
-        if dim is None:
-            return
         try:
             rngs = (np.random.default_rng(seed), np.random.default_rng(seed + 1))
             # One allocation for both real halves, the size of the whole draw

@@ -134,11 +134,6 @@ def _emit(value, newline: str, write) -> None:
             write("{}")
             return
         inner = newline + "  "
-        if len(value) == 1:
-            leaf = _tagged_leaf(value, inner)
-            if leaf is not None:
-                write("{" + inner + leaf + newline + "}")
-                return
         lead = "{" + inner
         for key in sorted(value):
             write(lead)
@@ -170,24 +165,6 @@ def _emit(value, newline: str, write) -> None:
         write("NaN" if value != value else _FLOAT_WORDS.get(value) or float.__repr__(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _tagged_leaf(value: dict, inner: str) -> str | None:
-    """The text of a tagged float ``{"~f": hex}`` or complex ``{"~c": [re,
-    im]}`` of strings from its key to the end of its value, at the indent
-    ``inner`` opens; None for any other one-key dict, which the general path
-    writes."""
-    if "~f" in value:
-        text = value["~f"]
-        return '"~f": ' + _escape(text) if isinstance(text, str) else None
-    pair = value.get("~c")
-    if not (type(pair) is list and len(pair) == 2):
-        return None
-    re, im = pair
-    if not (isinstance(re, str) and isinstance(im, str)):
-        return None
-    deeper = inner + "  "
-    return f'"~c": [{deeper}{_escape(re)},{deeper}{_escape(im)}{inner}]'
 
 
 def save_json(path: str | Path, payload: dict) -> None:
@@ -335,21 +312,6 @@ def _items(items, dim: int | None, what: str) -> list:
 def _entries(items, dim: int | None) -> np.ndarray:
     """Complex entries of a list, ``dim`` of them if given."""
     return np.array([_entry(v) for v in _items(items, dim, "entries")], dtype=np.complex128)
-
-
-def encoded_length(raw) -> int | None:
-    """The entry count of an encoded list, tagged array or packed array,
-    read without decoding it; None for any other form."""
-    if isinstance(raw, dict) and len(raw) == 1:
-        (tag, body), = raw.items()
-        if tag == "~a":
-            raw = body
-        elif tag in PACKED_DTYPES and isinstance(body, str):
-            # padded base64 holds 3 bytes per 4 characters, less its padding
-            size = PACKED_DTYPES[tag].itemsize
-            count = len(body) // 4 * 3 - body[-2:].count("=")
-            return count // size if len(body) % 4 == 0 and count % size == 0 else None
-    return len(raw) if isinstance(raw, list) else None
 
 
 def _listed(raw):

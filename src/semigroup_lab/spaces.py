@@ -21,7 +21,6 @@ can put other matrices into the same call.  The single-time
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -370,30 +369,9 @@ def cexpm1(z):
     return out[()]
 
 
-def clog1p(z: complex) -> complex:
-    """log(1 + z) on the principal branch, accurate for small |z|.
-
-    Falls back to the direct logarithm once |z| is large enough that the
-    alternating series stops paying for itself.  Against mpmath the error
-    is at most 1e-14 relative for |z| <= 1/2; beyond that it is absolute,
-    up to 1e-15 * max(1, |log(1 + z)|), since the direct logarithm
-    cancels where |1 + z| is close to 1.
-    """
-    if abs(z) > 0.5:
-        return cmath.log(1.0 + z)
-    term = complex(z)
-    total = complex(z)
-    for k in range(2, 64):
-        term *= -z
-        total += term / k
-        if abs(term) <= 1e-18 * max(abs(total), 1e-300):
-            break
-    return total
-
-
-def clog1p_array(z: np.ndarray) -> np.ndarray:
-    """log(1 + z) elementwise, accurate for small |z|: :func:`clog1p` on an
-    array, with the same split at |z| = 1/2.
+def clog1p(z):
+    """log(1 + z) on the principal branch for complex z, or elementwise on
+    an array, accurate for small |z|.
 
     ``np.log1p`` is not: on complex input it returns a real part of 0 once
     |z| is near 1e-19.  Here, for |z| <= 1/2, the real part is
@@ -401,15 +379,17 @@ def clog1p_array(z: np.ndarray) -> np.ndarray:
     part atan2(y, 1 + x); against mpmath the error is at most 1e-14
     relative.  Beyond 1/2 the direct logarithm takes over, since
     2x + x^2 + y^2 cancels where 1 + z is near 0; there the error is
-    absolute, as :func:`clog1p` states.  A step value of exactly 0 (z = -1)
-    gives -inf.
+    absolute, up to 1e-15 * max(1, |log(1 + z)|), since the direct
+    logarithm cancels where |1 + z| is close to 1.  A scalar gives a
+    scalar, and z = -1 gives -inf.
     """
+    z = np.asarray(z)
     x, y = z.real, z.imag
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         out = _complex(0.5 * np.log1p(x * (2.0 + x) + y * y), np.arctan2(y, 1.0 + x))
         far = np.abs(z) > 0.5
         out[far] = np.log(1.0 + z[far])
-    return out
+    return out[()]
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from .spaces import (
     _complex,
     apply_generator,
     cexpm1,
-    clog1p_array,
+    clog1p,
     dense_exponents,
     dots,
     matrix_expm1,
@@ -157,7 +157,7 @@ def batched_log_values(
     exp(limit_log).
 
     Every product value the lab stores or checks comes from here.  The log
-    goes through ``clog1p_array`` (a step value of exactly 0 gives -inf)
+    goes through ``clog1p`` (a step value of exactly 0 gives -inf)
     and the gap through ``limit_gaps``, so nothing is lost to
     cancellation when the offset is far below the resolution of 1 + offset.
     The defects exp((t/n) A) - I at the counts are ``defects`` when the
@@ -170,7 +170,7 @@ def batched_log_values(
         raise ValueError("step count must be positive")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         offsets = _offsets(a, f, vectors, t / n, defects)
-        logs = clog1p_array(offsets)
+        logs = clog1p(offsets)
         log_values = _complex(n[:, None] * logs.real, n[:, None] * logs.imag)
     if limit_log is None:
         return StepBatch(offsets, log_values, None)

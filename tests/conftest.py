@@ -1,6 +1,7 @@
 """Shared fixtures, a derandomized hypothesis profile, and the scalar
 reference carrier."""
 
+import cmath
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, settings
 
 from semigroup_lab import load_config
 from semigroup_lab.cli import _build_from_config
-from semigroup_lab.spaces import clog1p, semigroup_defect
+from semigroup_lab.spaces import semigroup_defect
 
 settings.register_profile(
     "repo",
@@ -34,8 +35,8 @@ def k5_certificate():
 # The scalar carrier the lab stored its numbers with before the batched
 # carrier became the only one, kept as a reference the carrier is checked
 # against: a loop over numpy scalars for a diagonal drift, each defect by
-# scalar_cexpm1, one defect matmul for a dense one, and the series clog1p
-# for the log.
+# scalar_cexpm1, one defect matmul for a dense one, and scalar_clog1p for
+# the log.
 
 def scalar_cexpm1(z: complex) -> complex:
     """exp(z) - 1 by ``math``, the scalar form of ``spaces.cexpm1``: expm1
@@ -44,6 +45,28 @@ def scalar_cexpm1(z: complex) -> complex:
     re = math.expm1(x) * math.cos(y) - 2.0 * math.sin(y / 2.0) ** 2
     im = math.exp(x) * math.sin(y)
     return complex(re, im)
+
+
+def scalar_clog1p(z: complex) -> complex:
+    """log(1 + z) on the principal branch by its alternating series, the
+    scalar form of ``spaces.clog1p``.
+
+    Falls back to the direct logarithm once |z| is large enough that the
+    series stops paying for itself.  Against mpmath the error is at most
+    1e-14 relative for |z| <= 1/2; beyond that it is absolute, up to
+    1e-15 * max(1, |log(1 + z)|), since the direct logarithm cancels where
+    |1 + z| is close to 1.
+    """
+    if abs(z) > 0.5:
+        return cmath.log(1.0 + z)
+    term = complex(z)
+    total = complex(z)
+    for k in range(2, 64):
+        term *= -z
+        total += term / k
+        if abs(term) <= 1e-18 * max(abs(total), 1e-300):
+            break
+    return total
 
 
 def scalar_drift(a, f, x, t, n):
@@ -65,4 +88,4 @@ def scalar_log_value(a, f, x, n):
     offset = scalar_drift(a, f, x, 1.0, n) / float(n)
     if offset == -1.0:
         return complex(-math.inf, 0.0)
-    return float(n) * clog1p(offset)
+    return float(n) * scalar_clog1p(offset)

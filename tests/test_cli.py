@@ -1563,8 +1563,8 @@ class CountedNormals(renorm.SplitNormals):
         CountedNormals.started += self._thread is not None
 
 
-def split_report_copy(tmp_path, change=None):
-    payload = load_json(V1_DATA / "split_renorm.v2.report.json")
+def split_report_copy(tmp_path, change=None, name="split_renorm.v2.report.json"):
+    payload = load_json(V1_DATA / name)
     if change is not None:
         change(payload)
     path = tmp_path / "changed.report.json"
@@ -1592,17 +1592,27 @@ def drop_embedded_eps(payload):
     del payload["source"]["certificate"]["eps"]
 
 
+def miscount_embedded_steps(payload):
+    payload["source"]["certificate"]["stages"][1]["steps"] += 1
+
+
+# Each case: its arguments, a patch, its exit code (None: the error it
+# raises) and how many helper threads it starts.  renorm-audit starts the
+# helper before it builds or reads the certificate; verify starts it once
+# the embedded certificate has decoded.
 THREAD_CASES = {
-    "passes": (lambda tmp: split_run(tmp, "passing"), None, EXIT_OK),
-    "replay_passes": (lambda tmp: ["verify", str(split_report_copy(tmp))], None, EXIT_OK),
+    "passes": (lambda tmp: split_run(tmp, "passing"), None, EXIT_OK, 1),
+    "replay_passes": (lambda tmp: ["verify", str(split_report_copy(tmp))], None, EXIT_OK, 1),
     "truncation": (
         lambda tmp: split_run(tmp, "bounded", data=shipped_config("bounded_contrapositive")),
         None,
         EXIT_TRUNCATION,
+        1,
     ),
     "underflow": (
         lambda tmp: split_run(tmp, "underflow"), ("build_certificate", underflowing_build),
         EXIT_UNDERFLOW,
+        1,
     ),
     "unreadable_certificate": (
         lambda tmp: split_run(
@@ -1611,17 +1621,32 @@ THREAD_CASES = {
         ),
         None,
         EXIT_CONFIG,
+        1,
     ),
     "malformed_embedded_certificate": (
-        lambda tmp: ["verify", str(split_report_copy(tmp, drop_embedded_eps))], None, EXIT_INVALID
+        lambda tmp: ["verify", str(split_report_copy(tmp, drop_embedded_eps))],
+        None,
+        EXIT_INVALID,
+        0,
     ),
-    "audit_raises": (lambda tmp: split_run(tmp, "raising"), ("_contractivity", failing_pass), None),
+    "unverifiable_embedded_certificate": (
+        lambda tmp: [
+            "verify",
+            str(split_report_copy(tmp, miscount_embedded_steps, "split_renorm.v3.report.json")),
+        ],
+        None,
+        EXIT_INVALID,
+        1,
+    ),
+    "audit_raises": (
+        lambda tmp: split_run(tmp, "raising"), ("_contractivity", failing_pass), None, 1
+    ),
 }
 
 
 @pytest.mark.parametrize("case", THREAD_CASES)
 def test_no_thread_outlives_a_split_audit_call(tmp_path, monkeypatch, capsys, case):
-    argv, patch, code = THREAD_CASES[case]
+    argv, patch, code, starts = THREAD_CASES[case]
     if patch is not None:
         name, replacement = patch
         monkeypatch.setattr(cli if hasattr(cli, name) else renorm, name, replacement)
@@ -1635,15 +1660,14 @@ def test_no_thread_outlives_a_split_audit_call(tmp_path, monkeypatch, capsys, ca
     else:
         assert main(args) == code, capsys.readouterr()
     assert threading.enumerate() == before
-    # each call drew its normals ahead, so the helper did run and was joined
-    assert CountedNormals.started == 1
+    # a helper that started was joined
+    assert CountedNormals.started == starts
 
 
 
 def test_replay_of_a_fresh_split_report_draws_ahead_for_its_dimension(tmp_path, monkeypatch):
-    # verify counts the packed functional's entries without decoding it, so
-    # the helper starts drawing the audit's normals before the certificate
-    # is read
+    # verify decodes the embedded certificate first and sizes the normals
+    # it draws ahead by the certificate's dimension
     assert main(["renorm-audit", "--config", "split_renorm", "--out", str(tmp_path)]) == EXIT_OK
     dims = []
 

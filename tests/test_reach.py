@@ -51,7 +51,6 @@ NEVER_RAN = {
     "spaces.semigroup_apply": "perfbench/tracing.py SPANNED",
     "spaces.semigroup_matrix": "serves semigroup_apply",
     "spaces.semigroup_defect": "perfbench/tracing.py SPANNED",
-    "spaces.clog1p": "perfbench/tracing.py COUNTED",
     "projections.project": "perfbench/tracing.py SPANNED",
     "projections.DenseProjection.dim": "serves project on a dense projection",
     "renorm.split_norm": "perfbench/tracing.py SPANNED",
@@ -104,8 +103,8 @@ def clear_caches() -> None:
 def traced_run(tmp_path) -> tuple[set[tuple[str, int, str]], dict[str, int]]:
     """The functions of the package that ran, and the exit codes, while every
     shipped config went through the CLI and ``verify`` read back every
-    output, every pinned file and one split report whose ``parameters.dim``
-    is wrong."""
+    output, every pinned file, one split report whose ``parameters.dim`` is
+    wrong and one whose ``seed`` is negative."""
     ran = set()
 
     def profile(frame, event, arg):
@@ -124,13 +123,20 @@ def traced_run(tmp_path) -> tuple[set[tuple[str, int, str]], dict[str, int]]:
             codes[name] = main([COMMANDS[name], "--config", str(config), "--out", str(out)])
         codes["verify outputs"] = main(["verify", *map(str, sorted(out.glob("*.json")))])
         codes["verify data"] = main(["verify", *map(str, DATA)])
-        # with no dimension to trust, verify draws no normals ahead, and the
-        # audit draws its own streams (renorm._draws)
+        # the replay sizes its audit by the decoded certificate, so a
+        # misstated dimension only keeps the report from reproducing
         report = json.loads((out / "split_renorm.report.json").read_text(encoding="utf-8"))
         report["parameters"]["dim"] += 1
         misstated = tmp_path / "misstated_dim.report.json"
         misstated.write_text(json.dumps(report), encoding="utf-8")
         codes["verify misstated dim"] = main(["verify", str(misstated)])
+        # no generator takes a negative seed, so no normals are drawn ahead,
+        # and the audit's own draw (renorm._draws) raises
+        report["parameters"]["dim"] -= 1
+        report["seed"] = -1
+        negative = tmp_path / "negative_seed.report.json"
+        negative.write_text(json.dumps(report), encoding="utf-8")
+        codes["verify negative seed"] = main(["verify", str(negative)])
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
@@ -146,6 +152,7 @@ def test_every_package_function_runs_or_is_listed_with_its_pin(tmp_path, capsys)
         "verify outputs": EXIT_OK,
         "verify data": EXIT_OK,
         "verify misstated dim": EXIT_INVALID,
+        "verify negative seed": EXIT_INVALID,
     }
     never_ran = {name for key, name in package_functions().items() if key not in ran}
     unlisted = sorted(never_ran - NEVER_RAN.keys())

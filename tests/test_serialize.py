@@ -39,7 +39,6 @@ from semigroup_lab.serialize import (
     cert_from_dict,
     decode,
     encode,
-    encoded_length,
     generator_from_dict,
     generator_to_dict,
     load_json,
@@ -885,19 +884,6 @@ def test_malformed_packed_certificate_names_the_field(tmp_path, capsys, mutate, 
     path.write_text(json.dumps(payload))
     assert main(["verify", str(path)]) == EXIT_INVALID
     assert capsys.readouterr().out.endswith(f"\n  - {failure}\n")
-
-
-def test_packed_entry_counts_are_read_without_decoding():
-    for values in ([], [1.0], [1.0, 2.0], [1.0, 2.0, 3.0]):
-        assert encoded_length(pack(values, "~f8")) == len(values)
-        assert encoded_length(pack(values, "~c16")) == len(values)
-    assert encoded_length(k5_v3()["functional"]) == 7
-    # a count only: bytes that are not whole entries, or text that is not
-    # padded base64 by its length, give None
-    assert encoded_length(packed("~c16", bytes(24))) is None
-    assert encoded_length({"~f8": "AAAAAAAAAA="}) is None
-    assert encoded_length({"~f8": 5}) is None
-    assert encoded_length({"~f4": "AAAAAA=="}) is None
 
 
 def test_readme_decodes_a_packed_array_with_the_standard_library():

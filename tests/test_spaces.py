@@ -34,7 +34,6 @@ from semigroup_lab.spaces import (
     _TAYLOR_THETA,
     cexpm1,
     clog1p,
-    clog1p_array,
     dense_exponents,
     log_norm,
     matrix_expm1,
@@ -48,7 +47,7 @@ from semigroup_lab.spaces import (
     spectral_norm_bound,
 )
 
-from conftest import scalar_cexpm1
+from conftest import scalar_cexpm1, scalar_clog1p
 
 EXACT_TOL = 1e-12
 SEMIGROUP_TOL = 1e-9
@@ -714,10 +713,14 @@ def test_cexpm1_tiny_arguments_keep_relative_accuracy(expm1):
     assert expm1(0.0).real == 0.0
 
 
-def test_clog1p_inverts_cexpm1():
+LOG1P_FORMS = pytest.mark.parametrize("log1p", [clog1p, scalar_clog1p], ids=["clog1p", "scalar_clog1p"])
+
+
+@LOG1P_FORMS
+def test_clog1p_inverts_cexpm1(log1p):
     for z in (1e-10 + 2e-10j, 0.3 - 0.2j, -0.4 + 0.1j, 2.0 + 1.0j):
         w = cexpm1(z)
-        back = clog1p(w)
+        back = log1p(w)
         assert abs(back - z) <= 1e-13 * max(1.0, abs(z))
 
 
@@ -728,7 +731,8 @@ def clog1p_reference(z: complex) -> complex:
         return complex(mpmath.log(1 + mpmath.mpc(z.real, z.imag)))
 
 
-def test_clog1p_matches_mpmath():
+@LOG1P_FORMS
+def test_clog1p_matches_mpmath(log1p):
     rng = np.random.default_rng(41)
     moduli = 10.0 ** rng.uniform(-300.0, 5.0, 2000)
     points = list(moduli * np.exp(1j * rng.uniform(-math.pi, math.pi, moduli.size)))
@@ -736,14 +740,14 @@ def test_clog1p_matches_mpmath():
     points += list(np.exp(1j * np.linspace(-3.1, 3.1, 200)) - 1.0)
     for z in map(complex, points):
         ref = clog1p_reference(z)
-        err = abs(clog1p(z) - ref)
+        err = abs(log1p(z) - ref)
         if abs(z) <= 0.5:
             assert err <= 1e-14 * abs(ref), z
         else:
             assert err <= 1e-15 * max(1.0, abs(ref)), z
 
 
-def test_clog1p_array_matches_mpmath():
+def test_clog1p_on_an_array_matches_mpmath():
     # the batched carrier's log, on the moduli the step offsets take
     rng = np.random.default_rng(43)
     moduli = 10.0 ** rng.uniform(-40.0, math.log10(0.5), 2000)
@@ -760,7 +764,7 @@ def test_clog1p_array_matches_mpmath():
         1j * rng.uniform(-math.pi, math.pi, 500)
     ) - 1.0
     points = np.concatenate([points, far, circle, near_minus_one])
-    logs = clog1p_array(points)
+    logs = clog1p(points)
     for z, got in zip(map(complex, points), logs):
         ref = clog1p_reference(z)
         if abs(z) <= 0.5:
@@ -769,16 +773,28 @@ def test_clog1p_array_matches_mpmath():
             # the bound clog1p states there
             assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref)), z
     # np.log1p returns a real part of 0 at this point
-    assert clog1p_array(np.array([1e-19 + 1e-19j]))[0].real == pytest.approx(1e-19, rel=1e-14)
+    assert clog1p(np.array([1e-19 + 1e-19j]))[0].real == pytest.approx(1e-19, rel=1e-14)
 
 
-def test_clog1p_array_edges():
+def test_clog1p_on_an_array_edges():
     z = np.array([-1.0 + 0.0j, 1e200 + 1e200j, -2.0 + 0.0j, 0.0j])
-    got = clog1p_array(z)
+    got = clog1p(z)
     assert got[0] == complex(-math.inf, 0.0)
     assert got[1] == pytest.approx(cmath.log(1e200 + 1e200j), rel=1e-15)
-    assert got[2] == pytest.approx(clog1p(-2.0 + 0.0j), rel=1e-15)
+    assert got[2] == pytest.approx(scalar_clog1p(-2.0 + 0.0j), rel=1e-15)
     assert got[3] == 0.0
+
+
+def test_clog1p_of_a_scalar_has_the_bits_of_its_array_cell():
+    rng = np.random.default_rng(45)
+    moduli = 10.0 ** rng.uniform(-300.0, 5.0, 500)
+    points = moduli * np.exp(1j * rng.uniform(-math.pi, math.pi, moduli.size))
+    # either side of the switch to the direct logarithm, and its edges
+    edges = [0.5, -0.5, 0.5j, np.nextafter(0.5, 1.0), -1.0, 0.0, 1e200 + 1e200j]
+    points = np.concatenate([points, np.array(edges, dtype=np.complex128)])
+    scalars = [clog1p(complex(z)) for z in points]
+    assert all(np.ndim(w) == 0 for w in scalars)
+    assert np.array(scalars).tobytes() == clog1p(points).tobytes()
 
 
 def test_cexpm1_on_an_array_agrees_with_the_math_reference():

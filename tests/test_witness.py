@@ -33,6 +33,7 @@ from semigroup_lab import (
     verify_certificate,
 )
 from semigroup_lab.errors import (
+    DegeneratePair,
     InvalidCertificate,
     ScheduleExhausted,
     SemigroupOverflow,
@@ -351,6 +352,39 @@ def test_seed_needs_reachable_nudge_target():
         build_certificate(a, f, x, eps=0.1, stage_goal=0)
     assert isinstance(info.value.cause, TruncationInsufficient)
     assert info.value.partial is None
+
+
+def test_a_negative_stage_goal_is_refused():
+    a, f, x = two_point()
+    with pytest.raises(ValueError, match="^stage goal must be nonnegative$"):
+        build_certificate(a, f, x, eps=0.1, stage_goal=-1)
+
+
+@pytest.mark.parametrize(
+    "z, cause, message",
+    [
+        # f(z) = 0: no gauge makes f(x_0) = 1
+        ([0.0, 1.0], DegeneratePair, "seed pairing 0 is negligible"),
+        # f(Az) = 0: the seed's pairing target 4 |f(Az)| is 0
+        ([1.0, 0.0], ValueError, "direction search needs positive target and radius"),
+    ],
+    ids=["zero_gauge", "zero_target"],
+)
+def test_a_seed_the_ladder_cannot_start_from_is_refused(z, cause, message):
+    a = diagonal_generator_from_entries([0.0, 2j])
+    f = Functional([1.0, 0.0], 2.0)
+    with pytest.raises(WitnessBuildError) as info:
+        build_certificate(a, f, CVec(z, 2.0), eps=0.1, stage_goal=0)
+    assert type(info.value.cause) is cause
+    assert str(info.value.cause) == message
+    assert info.value.partial is None
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan])
+def test_choose_step_count_refuses_an_eps_that_is_not_positive(eps):
+    a, f, x = two_point()
+    with pytest.raises(ValueError, match="^eps must be positive$"):
+        choose_step_count(a, f, x, eps)
 
 
 def test_k5_ladder_invariants(k5_certificate):
