@@ -42,6 +42,7 @@ from .serialize import (
     CERT_SCHEMAS,
     REPORT_SCHEMA,
     _field,
+    _finite,
     _float,
     _int,
     _object,
@@ -266,6 +267,19 @@ def run_witness(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
+def _verified_split_audit(certificate, seed: int, samples: int, dim: int, slack: float):
+    """The certificate that ``certificate()`` builds or hands back, verified,
+    and its split audit.  The audit's normals, sized by ``dim``, are drawn
+    on a helper thread while the certificate is built and verified."""
+    with SplitNormals(seed, samples, dim) as normals:
+        cert = certificate()
+        verify_certificate(cert)
+        report = quasi_contractivity_audit(
+            "split", cert=cert, seed=seed, vector_samples=samples, slack=slack, normals=normals
+        )
+    return cert, report
+
+
 def run_renorm_audit(cfg: ExperimentConfig, out_dir: Path, config_dir: Path) -> int:
     params = cfg.renorm_params()
     if params.kind == "classical":
@@ -289,31 +303,19 @@ def run_renorm_audit(cfg: ExperimentConfig, out_dir: Path, config_dir: Path) -> 
             return EXIT_OVERFLOW
         report = replace(report, source={"generator": generator_to_dict(a)})
     else:
-        # the audit's normals are drawn on a helper thread while the
-        # certificate is built or read and verified
-        with SplitNormals(cfg.seed, params.vector_samples, cfg.dim) as normals:
-            if params.certificate is not None:
-                cert_path = Path(params.certificate)
-                if not cert_path.is_absolute():
-                    cert_path = config_dir / cert_path
-                try:
-                    payload = load_json(cert_path)
-                except (OSError, ValueError) as exc:
-                    raise ConfigError(
-                        f"renorm.certificate: cannot read {cert_path}: {exc}"
-                    ) from exc
-                cert = cert_from_dict(payload)
-            else:
-                cert = _build_from_config(cfg)
-            verify_certificate(cert)
-            report = quasi_contractivity_audit(
-                "split",
-                cert=cert,
-                seed=cfg.seed,
-                vector_samples=params.vector_samples,
-                slack=params.slack,
-                normals=normals,
-            )
+        # a build starts the helper first; a certificate file is decoded first
+        certificate, dim = functools.partial(_build_from_config, cfg), cfg.dim
+        if params.certificate is not None:
+            cert_path = config_dir / params.certificate
+            try:
+                payload = load_json(cert_path)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"renorm.certificate: cannot read {cert_path}: {exc}") from exc
+            decoded = cert_from_dict(payload)
+            certificate, dim = lambda: decoded, decoded.dim
+        cert, report = _verified_split_audit(
+            certificate, cfg.seed, params.vector_samples, dim, params.slack
+        )
         report = replace(report, source={"certificate": cert_to_dict(cert)})
     out_path = out_dir / f"{cfg.name}.report.json"
     save_json(out_path, report_to_dict(report))
@@ -333,33 +335,20 @@ def _named(prefix: str, read, *args):
         raise InvalidCertificate([prefix + line for line in exc.failures]) from exc
 
 
-def _bound(raw) -> float:
-    """An audit bound read back from a report.  A NaN or infinite one is
-    never exceeded, so it would switch the replayed check off."""
-    value = _float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"must be finite, got {value}")
-    return value
-
-
 def _rebuild_report(report):
     """The audit ``report`` records, re-run from its embedded source.  The
     fresh report carries no source: it was read from the stored one."""
     src, params = report.source, report.parameters
+    # a NaN or infinite audit bound is never exceeded: it would switch the
+    # replayed check off
+    def bound(name: str) -> float:
+        return _field(params, name, lambda raw: _finite(_float(raw)), "parameters.")
+
     if "certificate" in src:
         cert = _named("source.certificate.", cert_from_dict, src["certificate"])
-        # the audit's normals are drawn on a helper thread while the
-        # certificate is verified
-        with SplitNormals(report.seed, report.vector_samples, cert.dim) as normals:
-            verify_certificate(cert)
-            fresh = quasi_contractivity_audit(
-                "split",
-                cert=cert,
-                seed=report.seed,
-                vector_samples=report.vector_samples,
-                slack=_field(params, "slack", _bound, "parameters."),
-                normals=normals,
-            )
+        _, fresh = _verified_split_audit(
+            lambda: cert, report.seed, report.vector_samples, cert.dim, bound("slack")
+        )
     elif "generator" in src:
         dim = _field(params, "dim", _int, "parameters.")
         a = _named("source.", generator_from_dict, src["generator"], dim)
@@ -372,7 +361,7 @@ def _rebuild_report(report):
             vector_samples=report.vector_samples,
             time_samples=_field(params, "time_samples_requested", _int, "parameters."),
             grid_points=_field(params, "grid_points", _int, "parameters."),
-            tol=_field(params, "tol", _bound, "parameters."),
+            tol=bound("tol"),
         )
     else:
         raise InvalidCertificate(["report embeds no source to re-run"])

@@ -191,7 +191,9 @@ def generator_to_dict(a: Generator) -> dict:
 
 def generator_from_dict(desc: dict, dim: int) -> Generator:
     """Invert :func:`generator_to_dict`; configs share the format.  ``dim``
-    sizes a diagonal law and fixes the shape of a dense matrix."""
+    sizes a diagonal law and fixes the shape of a dense matrix.  A table
+    law's values and a dense matrix's entries must be finite: a NaN or
+    infinite entry turns every product it enters into NaN."""
     kind = _field(desc, "kind", str, "generator.")
     if kind == "diagonal":
         values = _tuple(_entry)
@@ -208,7 +210,7 @@ def generator_from_dict(desc: dict, dim: int) -> Generator:
         )
     if kind == "dense":
         return _field(
-            desc, "matrix", lambda raw: dense_generator(_matrix(raw, dim)), "generator."
+            desc, "matrix", lambda raw: dense_generator(_finite(_matrix(raw, dim))), "generator."
         )
     raise InvalidCertificate([f"generator.kind: {kind!r} is not diagonal or dense"])
 

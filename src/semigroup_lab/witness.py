@@ -34,6 +34,7 @@ from .errors import (
     DegeneratePair,
     InvalidCertificate,
     ScheduleExhausted,
+    SemigroupOverflow,
     TruncationInsufficient,
     UnderflowRadius,
     WitnessBuildError,
@@ -526,7 +527,8 @@ def verify_certificate(cert: WitnessCertificate) -> None:
     """Recheck every invariant of a certificate from its stored data.
 
     Raises InvalidCertificate listing all failed checks; returns None
-    when everything holds.
+    when everything holds.  A recomputation that leaves the floating range
+    is a failure too, named by its overflow.
 
     Each quantity is recomputed for all stages at once: the log values at
     the stage vectors and at the witness from one carrier call each, every
@@ -561,9 +563,12 @@ def verify_certificate(cert: WitnessCertificate) -> None:
     two_eps = 2.0 * cert.eps
     steps = [st.steps for st in cert.stages]
     stage_vectors = np.array([st.vector for st in cert.stages])
-    # each stage vector at its own step count: the diagonal of one batch
-    stage_logs = np.diagonal(batched_log_values(a, f, stage_vectors, steps).log_values)
-    witness_logs = batched_log_values(a, f, cert.witness[None, :], steps).log_values[:, 0]
+    try:
+        # each stage vector at its own step count: the diagonal of one batch
+        stage_logs = np.diagonal(batched_log_values(a, f, stage_vectors, steps).log_values)
+        witness_logs = batched_log_values(a, f, cert.witness[None, :], steps).log_values[:, 0]
+    except SemigroupOverflow as exc:  # the stored numbers cannot be rechecked
+        raise InvalidCertificate([*failures, str(exc)]) from exc
     limit_logs = np.array([st.generator_pairing for st in cert.stages])
     stage_errors, witness_errors = limit_gaps(limit_logs, np.stack((stage_logs, witness_logs)))
     gauges = pairings(f, stage_vectors)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import semigroup_lab
-from semigroup_lab import ConfigError, dual_norm, load_config
+from semigroup_lab import ConfigError, Generator, dual_norm, load_config
 from semigroup_lab import cli, renorm
 from semigroup_lab.cli import (
     EXIT_CONFIG,
@@ -33,6 +33,7 @@ from semigroup_lab.serialize import (
     cert_from_dict,
     cert_to_dict,
     dumps_canonical,
+    generator_to_dict,
     load_json,
     pack,
     report_to_dict,
@@ -1596,10 +1597,29 @@ def miscount_embedded_steps(payload):
     payload["source"]["certificate"]["stages"][1]["steps"] += 1
 
 
+def certificate_run(tmp_path, change=None, name="blowup_k5.v3.cert.json"):
+    """A split renorm-audit of a copy of the data file ``name``, changed by
+    ``change``, named by ``renorm.certificate``."""
+    payload = load_json(V1_DATA / name)
+    if change is not None:
+        change(payload)
+    (tmp_path / "changed.cert.json").write_text(json.dumps(payload))
+    return split_run(
+        tmp_path,
+        "from_file",
+        {"kind": "split", "certificate": "changed.cert.json", "vector_samples": 3000},
+    )
+
+
+def drop_certificate_eps(payload):
+    del payload["eps"]
+
+
 # Each case: its arguments, a patch, its exit code (None: the error it
 # raises) and how many helper threads it starts.  renorm-audit starts the
-# helper before it builds or reads the certificate; verify starts it once
-# the embedded certificate has decoded.
+# helper before it builds a certificate, and once it has read and decoded
+# a certificate file; verify starts it once the embedded certificate has
+# decoded.
 THREAD_CASES = {
     "passes": (lambda tmp: split_run(tmp, "passing"), None, EXIT_OK, 1),
     "replay_passes": (lambda tmp: ["verify", str(split_report_copy(tmp))], None, EXIT_OK, 1),
@@ -1621,8 +1641,12 @@ THREAD_CASES = {
         ),
         None,
         EXIT_CONFIG,
-        1,
+        0,
     ),
+    "undecodable_certificate": (
+        lambda tmp: certificate_run(tmp, drop_certificate_eps), None, EXIT_INVALID, 0
+    ),
+    "certificate_file_passes": (lambda tmp: certificate_run(tmp), None, EXIT_OK, 1),
     "malformed_embedded_certificate": (
         lambda tmp: ["verify", str(split_report_copy(tmp, drop_embedded_eps))],
         None,
@@ -1679,6 +1703,122 @@ def test_replay_of_a_fresh_split_report_draws_ahead_for_its_dimension(tmp_path, 
     monkeypatch.setattr(cli, "SplitNormals", Recorded)
     assert main(["verify", str(tmp_path / "split_renorm.report.json")]) == EXIT_OK
     assert dims == [load_config("split_renorm").dim] == [7]
+
+
+def test_a_certificate_file_draws_ahead_for_its_own_dimension(tmp_path, monkeypatch):
+    # renorm-audit decodes the file before it starts the helper, so the
+    # normals drawn ahead fit the certificate, not the config's space
+    dims = []
+
+    class Recorded(renorm.SplitNormals):
+        def __init__(self, seed, samples, dim):
+            dims.append(dim)
+            super().__init__(seed, samples, dim)
+
+    monkeypatch.setattr(cli, "SplitNormals", Recorded)
+    args = certificate_run(tmp_path, name="bounded_contrapositive.cert.json")
+    assert main(args) == EXIT_OK
+    assert dims == [6] != [load_config(args[2]).dim]
+
+
+def comparable(value):
+    """An audit argument in a form ``==`` compares: a certificate or a
+    generator as the codec writes it."""
+    if isinstance(value, renorm.WitnessCertificate):
+        return cert_to_dict(value)
+    if isinstance(value, Generator):
+        return generator_to_dict(value)
+    return value
+
+
+@pytest.mark.parametrize("config", ["split_renorm", "classical_renorm"])
+def test_an_audit_and_its_replay_take_the_same_arguments(tmp_path, monkeypatch, config):
+    calls = []
+    audit = cli.quasi_contractivity_audit
+
+    def recorded(kind, **kwargs):
+        kwargs.pop("normals", None)
+        calls.append((kind, {key: comparable(value) for key, value in kwargs.items()}))
+        return audit(kind, **kwargs)
+
+    monkeypatch.setattr(cli, "quasi_contractivity_audit", recorded)
+    assert main(["renorm-audit", "--config", config, "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["verify", str(tmp_path / f"{config}.report.json")]) == EXIT_OK
+    assert len(calls) == 2
+    assert calls[0] == calls[1]
+
+
+def overflowing_law(payload):
+    # the last table entry's real part becomes 1e30: exp(1e30 t) overflows
+    payload["generator"]["law"]["values"][-1]["~c"][0] = (1e30).hex()
+
+
+def overflowing_matrix(payload):
+    payload["dense_matrix"]["~a"][0][5]["~c"][0] = (1e30).hex()
+
+
+@pytest.mark.parametrize(
+    "name, change, message",
+    [
+        ("blowup_k5.v3.cert.json", overflowing_law, "diagonal orbit at t = 1 overflows"),
+        (
+            "bounded_contrapositive.cert.json",
+            overflowing_matrix,
+            "dense orbit with |tA| = 6.25e+28 overflows",
+        ),
+    ],
+    ids=["diagonal", "dense"],
+)
+def test_a_certificate_that_cannot_be_recomputed_is_invalid(
+    tmp_path, monkeypatch, capsys, name, change, message
+):
+    monkeypatch.setattr(cli, "SplitNormals", CountedNormals)
+    monkeypatch.setattr(CountedNormals, "started", 0)
+    args = certificate_run(tmp_path, change, name)
+    assert main(["verify", str(tmp_path / "changed.cert.json")]) == EXIT_INVALID
+    assert f"certificate invalid: {message}\n  - {message}\n" in capsys.readouterr().out
+    before = threading.enumerate()
+    assert main(args) == EXIT_INVALID
+    assert capsys.readouterr() == ("", f"certificate invalid: {message}\n")
+    assert threading.enumerate() == before
+    assert CountedNormals.started == 1  # the file decodes; verification refuses it
+    assert not (tmp_path / "from_file.report.json").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_the_codec_refuses_a_non_finite_dense_matrix(tmp_path, capsys, value):
+    # a certificate, through verify and renorm-audit, and in cert/3 form
+    def change(payload):
+        payload["dense_matrix"]["~a"][0][0]["~c"][0] = value.hex()
+
+    args = certificate_run(tmp_path, change, "bounded_contrapositive.cert.json")
+    assert main(["verify", str(tmp_path / "changed.cert.json")]) == EXIT_INVALID
+    assert "  - generator.matrix: must be finite\n" in capsys.readouterr().out
+    assert main(args) == EXIT_INVALID
+    assert capsys.readouterr().err == "certificate invalid: generator.matrix: must be finite\n"
+    packed = cert_to_dict(cert_from_dict(load_json(V1_DATA / "bounded_contrapositive.cert.json")))
+    packed["generator"]["matrix"]["~a"][0][0]["~c"][0] = value.hex()
+    (tmp_path / "packed.cert.json").write_text(json.dumps(packed))
+    assert main(["verify", str(tmp_path / "packed.cert.json")]) == EXIT_INVALID
+    assert "  - generator.matrix: must be finite\n" in capsys.readouterr().out
+    # a dense classical report's source
+    data = shipped_config("classical_renorm")
+    data["space"]["dim"] = 2
+    data["generator"] = {"kind": "dense", "matrix": [[-1.0, 0.5], [0.0, -2.0]]}
+    config = tmp_path / "dense.config.json"
+    config.write_text(json.dumps(data))
+    assert main(["renorm-audit", "--config", str(config), "--out", str(tmp_path)]) == EXIT_OK
+    report = load_json(tmp_path / "dense.report.json")
+    report["source"]["generator"]["matrix"]["~a"][0][0]["~c"][0] = value.hex()
+    (tmp_path / "dense.report.json").write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "dense.report.json")]) == EXIT_INVALID
+    assert "  - source.generator.matrix: must be finite\n" in capsys.readouterr().out
+    # a config, refused with the message it had before the codec checked
+    data["generator"]["matrix"][0][0] = value
+    config.write_text(json.dumps(data))
+    assert main(["renorm-audit", "--config", str(config), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: generator.matrix: must be finite\n"
 
 
 def refuse_to_start(thread):
