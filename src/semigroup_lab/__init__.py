@@ -4,7 +4,8 @@ The package walks one story end to end: alternating products
 (exp(tA/n) P)^n converge for bounded generators, reduce to scalar powers
 through rank-one projections, and blow up stage by stage for unbounded
 diagonal generators; witness certificates make the blow-up checkable,
-and renorming audits measure what no equivalent norm can repair.
+and renorming audits measure the growth the split norm of the witness
+projection cannot avoid, although another equivalent norm may.
 """
 
 from .errors import (

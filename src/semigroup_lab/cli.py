@@ -323,7 +323,7 @@ def run_renorm_audit(cfg: ExperimentConfig, out_dir: Path, config_dir: Path) -> 
     print(f"renorm-audit {cfg.name} [{report.kind}]: {state} -> {out_path}")
     if report.lambdas:
         gaps = ", ".join(f"{v:.4f}" for v in report.lambdas)
-        print(f"growth exponent lower bounds: {gaps}")
+        print(f"split-norm growth exponent lower bounds: {gaps}")
     return EXIT_OK if report.passed else EXIT_FAIL
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DegeneratePair, DimensionMismatch
 from .spaces import (
-    CVec, Functional, dual_norm, norm, pairing, spectral_norm, spectral_norm_bound
+    CVec, Functional, _check_dims, dual_norm, norm, pairing, spectral_norm, spectral_norm_bound
 )
 
 # A matrix is accepted as a projection when |M^2 - M| stays within this
@@ -34,7 +34,9 @@ def _induced_norm(matrix: np.ndarray, p: float) -> float:
 @dataclass(frozen=True, eq=False)
 class RankOneProjection:
     """P z = f(z) x for a pair normalized to f(x) = 1.  A pair of two sizes
-    raises DimensionMismatch from the pairing that checks the gauge."""
+    raises DimensionMismatch, as ``pairing`` does.  The gauge check sums
+    f_m x_m with numpy's own reduction, not BLAS, so building the witness
+    projection of a split audit makes no BLAS call."""
 
     functional: Functional
     vector: CVec
@@ -42,11 +44,10 @@ class RankOneProjection:
     def __post_init__(self) -> None:
         if self.functional.p != self.vector.p:
             raise ValueError("rank-one pair must share a norm tag")
-        gauge = pairing(self.functional, self.vector)
+        _check_dims(self.functional.dim, self.vector.dim, "pairing")
+        gauge = complex(np.add.reduce(self.functional.coords * self.vector.coords))
         if abs(gauge - 1.0) > 1e-9:
-            raise ValueError(
-                f"rank-one pair is not normalized: pairing = {gauge:.6g}"
-            )
+            raise ValueError(f"rank-one pair is not normalized: pairing = {gauge:.6g}")
 
     @property
     def dim(self) -> int:

@@ -4,10 +4,12 @@ Two renorming routes are audited.  The split norm measures a vector
 through a bounded projection, ``|P z| + |z - P z|``; it is equivalent to
 the base norm within [1, 2|P| + 1] and the projection is a contraction
 for it.  The classical weighted norm ``sup_t exp(-w t) |exp(tA) z|``
-makes a semigroup with spectral bound below w quasi-contractive.  The
-lambda table extracted from a witness certificate gives per-stage lower
-bounds on any quasi-contractivity exponent a renorming could achieve,
-which is the quantitative obstruction the certificates exist to show.
+makes a semigroup with spectral bound below w quasi-contractive; the audit
+takes its sup over the lattice t_k = k h of a uniform grid.  The lambda
+table extracted from a witness certificate gives per-stage lower bounds on
+the growth exponent of the split norm, which is the quantitative
+obstruction the certificates exist to show: the semigroup may be
+contractive in the base norm while that exponent grows with the stage.
 
 Both audits treat one draw as one column; ``split_norm`` and
 ``classical_renorm_value`` are the per-vector references they are tested
@@ -37,13 +39,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SemigroupOverflow, SpectralBoundViolated
-from .projections import (
-    Projection, RankOneProjection, make_rank_one, project, projection_matrix, projection_norm
-)
+from .errors import DegeneratePair, SemigroupOverflow, SpectralBoundViolated
+from .projections import DEGENERATE_PAIRING, Projection, RankOneProjection, project
 from .spaces import (
-    CVec, Generator, _check_p, dual_norm, norm, semigroup_apply, semigroup_matrices,
-    semigroup_norm_bounds,
+    CVec, Functional, Generator, _check_p, _conjugate_exponent, norm, semigroup_apply,
+    semigroup_matrices, semigroup_norm_bounds,
 )
 from .witness import WitnessCertificate
 
@@ -89,19 +89,41 @@ def _draw(seed: int, count: int, dim: int) -> np.ndarray:
 
 
 def _norms_into(x: np.ndarray, p: float, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(x, ord=p, axis=0)`` written into ``out``, for p in
-    {1, 2, inf}, through a complex ``scratch`` buffer of at least ``x.size``
-    entries.  The scratch view takes x's memory order (C or Fortran), so the
-    reduction runs over the strides ``np.linalg.norm``'s temporaries have,
-    with its operations in its order, and sums as it does."""
-    flat = scratch[: x.size]
-    work = flat.reshape(x.shape[::-1]).T if x.flags.f_contiguous else flat.reshape(x.shape)
+    """``np.linalg.norm(x, ord=p, axis=0)`` of a C-order (d, n) array,
+    written into ``out``, for p in {1, 2, inf}, through a complex ``scratch``
+    buffer of at least ``x.size`` entries.  No BLAS call: each column's sum
+    runs over the rows in their order (numpy's pairwise sum when n = 1)."""
+    work = scratch[: x.size].reshape(x.shape)
     if p == 2.0:
         np.multiply(np.conjugate(x, out=work), x, out=work)
         return np.sqrt(np.add.reduce(work.real, axis=0, out=out), out=out)
     if p == 1.0:
         return np.add.reduce(np.abs(x, out=work.real), axis=0, out=out)
     return np.maximum.reduce(np.abs(x, out=work.real), axis=0, out=out, initial=0.0)
+
+
+def _pairings(f: np.ndarray, cols: np.ndarray, work=None, out=None) -> np.ndarray:
+    """f(z) for every column z of a C-order (d, n) array, summed over the rows
+    as ``_norms_into`` sums, with no BLAS call; through ``work`` and into
+    ``out`` when they are given."""
+    return np.add.reduce(np.multiply(f[:, None], cols, out=work), axis=0, out=out)
+
+
+def _vector_norm(coords: np.ndarray, p: float) -> float:
+    """|coords|_p by ``_norms_into``, as a batch of one column.  A sum that
+    overflows although every entry is finite goes again scaled by the largest
+    modulus, as ``spaces.norm``'s does."""
+    with np.errstate(over="ignore"):
+        value = _norms_into(coords[:, None], p, np.empty(coords.size, complex), np.empty(1)).item()
+    scale = float(np.max(np.abs(coords), initial=0.0))
+    if math.isfinite(value) or not math.isfinite(scale):
+        return value
+    return scale * _vector_norm(coords / scale, p)
+
+
+def _size(f: Functional, y: CVec) -> float:
+    """|f|_q |y|_p, q the conjugate exponent of p: the norm of z -> f(z) y."""
+    return _vector_norm(f.coords, _conjugate_exponent(f.p)) * _vector_norm(y.coords, y.p)
 
 
 # Columns per block of both audits.  At d = 7 a block of complex entries is
@@ -117,9 +139,9 @@ _REAL_PIECE = 64 * _SPLIT_BLOCK
 
 def _blocks(count: int):
     """(start, stop) of each block of ``count`` columns, ``_SPLIT_BLOCK`` at a
-    time.  A lone last column would go through BLAS's matrix-vector product,
-    which rounds differently from the matrix-matrix one of a block, so it
-    joins the block before it."""
+    time.  A lone last column would round differently from a block's, since
+    BLAS takes it by its matrix-vector product and numpy sums a one-column
+    reduction pairwise, so it joins the block before it."""
     start = 0
     while start < count:
         stop = count if count - start <= _SPLIT_BLOCK + 1 else start + _SPLIT_BLOCK
@@ -238,46 +260,40 @@ class SplitNormals:
             self._thread = None
 
 
-def _split_ratio_blocks(proj: Projection, draws, of_image: bool):
+def _split_ratio_blocks(proj: RankOneProjection, draws, of_image: bool):
     """Yield (start, ratios) for each (real, imaginary) block of ``draws``:
     split_norm(z) / |z| of every draw z of the block, or
     split_norm(P z) / split_norm(z) when ``of_image``.  ``ratios`` is
     overwritten by the next block.
 
-    Each block is copied into one reused buffer whose transpose is a block
-    of the batch's columns with the batch's memory layout, so every product
-    and norm sums in the whole batch's order and every ratio has its bits.
-    The images, differences and norms go to reused buffers too: at d = 7,
-    four complex buffers of 115 kB and three rows of 8 kB, whatever the
-    sample count.
+    For P z = f(z) y the split norms have a closed form:
+    split_norm(z) = |f(z)| |y| + |z - f(z) y|, and, as P P z = f(z) f(y) y,
+    split_norm(P z) = |f(z)| |y| (|f(y)| + |f(y) - 1|).  Each block is copied
+    into one reused buffer as a C-order (d, n) array of its columns; f(z)
+    (``_pairings``) and every norm (``_norms_into``) sum over its rows, so no
+    BLAS kernel picks an order and a column's ratio has the same bits in every
+    block.  f(z), the differences and the norms go to reused buffers too: at
+    d = 7, three complex buffers of 115 kB and two rows of 8 kB, whatever
+    the sample count.
     """
-    matrix = projection_matrix(proj)
-    dim, p = proj.dim, proj.p
-    size = dim * (_SPLIT_BLOCK + 1)
-    rows, image, spare, work = (np.empty(size, dtype=complex) for _ in range(4))
-    split, other, ratios = (np.empty(_SPLIT_BLOCK + 1) for _ in range(3))
-
-    def split_norms(cols, image, diff, out, aux):
-        """split_norm of every column of ``cols`` into ``out``, with P cols in ``image``."""
-        np.matmul(matrix, cols, out=image)
-        _norms_into(image, p, work, out)
-        diff = np.subtract(cols, image, out=diff)
-        return np.add(out, _norms_into(diff, p, work, aux), out=out)
-
+    f, y, p, dim = proj.functional.coords, proj.vector.coords, proj.p, proj.dim
+    y_norm = _vector_norm(y, p)
+    f_y = _pairings(f, y[:, None])[0]
+    image = abs(f_y) + abs(f_y - 1.0)  # split_norm(P z) / (|f(z)| |y|)
+    cols, diff, work = (np.empty(dim * (_SPLIT_BLOCK + 1), dtype=complex) for _ in range(3))
+    heads, wholes = (np.empty(_SPLIT_BLOCK + 1) for _ in range(2))
     start = 0
     for real, imag in draws:
         n = len(real)
-        block = rows[: n * dim].reshape(n, dim)
-        block.real, block.imag = real, imag
-        cols, img, shape = block.T, image[: n * dim].reshape(dim, n), (dim, n)
-        whole = split_norms(cols, img, spare[: n * dim].reshape(shape), split[:n], other[:n])
-        if of_image:
-            # the block's columns are no longer needed: their buffer takes P(P z) - P z
-            moved, diff = spare[: n * dim].reshape(shape), rows[: n * dim].reshape(shape)
-            top = split_norms(img, moved, diff, other[:n], ratios[:n])
-            yield start, np.divide(top, whole, out=ratios[:n])
-        else:
-            yield start, np.divide(whole, _norms_into(cols, p, work, other[:n]), out=ratios[:n])
+        z, rest = cols[: n * dim].reshape(dim, n), diff[: n * dim].reshape(dim, n)
+        z.real, z.imag = real.T, imag.T
+        f_z = _pairings(f, z, rest, work[:n])  # work is free until the first norm
+        np.subtract(z, np.multiply(y[:, None], f_z, out=rest), out=rest)
+        head = np.multiply(np.abs(f_z, out=heads[:n]), y_norm, out=heads[:n])
+        whole = np.add(head, _norms_into(rest, p, work, wholes[:n]), out=wholes[:n])
+        top = np.multiply(head, image, out=head) if of_image else whole
+        bottom = whole if of_image else _norms_into(z, p, work, head)
+        yield start, np.divide(top, bottom, out=head)
         start += n
 
 
@@ -294,8 +310,8 @@ def _ratio_summary(ratio_blocks, bad) -> tuple[float, float, list[tuple[int, flo
     return float(np.min(lows, initial=math.inf)), float(np.max(highs, initial=0.0)), rows
 
 
-def _equivalence(proj: Projection, draws, slack: float) -> tuple[float, float, list[tuple]]:
-    high = 2.0 * projection_norm(proj) + 1.0
+def _equivalence(proj: RankOneProjection, draws, slack: float) -> tuple[float, float, list[tuple]]:
+    high = 2.0 * _size(proj.functional, proj.vector) + 1.0
     lo, hi, rows = _ratio_summary(
         _split_ratio_blocks(proj, draws, of_image=False),
         lambda r: (r < 1.0 - slack) | (r > high + slack),
@@ -303,7 +319,7 @@ def _equivalence(proj: Projection, draws, slack: float) -> tuple[float, float, l
     return lo, hi, [(i, ratio, 1.0, high) for i, ratio in rows]
 
 
-def _contractivity(proj: Projection, draws, slack: float) -> tuple[float, list[tuple]]:
+def _contractivity(proj: RankOneProjection, draws, slack: float) -> tuple[float, list[tuple]]:
     _, worst, rows = _ratio_summary(
         _split_ratio_blocks(proj, draws, of_image=True), lambda r: r > 1.0 + slack
     )
@@ -311,20 +327,31 @@ def _contractivity(proj: Projection, draws, slack: float) -> tuple[float, list[t
 
 
 def witness_projection(cert: WitnessCertificate) -> RankOneProjection:
-    """The rank-one projection onto the certificate's witness vector."""
-    return make_rank_one(cert.functional_obj(), CVec(cert.witness, cert.p))
+    """The rank-one projection onto the certificate's witness vector x:
+    P z = f(z) x / f(x), with f(x) summed as the split audit sums f(z)."""
+    f, x = cert.functional_obj(), cert.witness
+    gauge = _pairings(f.coords, x[:, None])[0]
+    if abs(gauge) < DEGENERATE_PAIRING:
+        raise DegeneratePair(f"pairing {abs(gauge):.3g} below {DEGENERATE_PAIRING:g}; "
+                             "the pair spans no bounded projection")
+    return RankOneProjection(f, CVec(x / gauge, cert.p))
 
 
 def lambda_lower_bounds(cert: WitnessCertificate) -> tuple[float, ...]:
-    """Per-stage lower bounds on any quasi-contractivity exponent.
+    """Per-stage lower bounds on the growth exponent of the split norm.
 
     Stage k's product moves the witness y to a vector of norm at least
     |value_k(y)| / |f|; against |y| that forces a growth exponent of at
-    least log(|value_k(y)| / (|f| |y|)) at time 1, however the space is
-    renormed (equivalent norms shift the bound by an additive constant
-    independent of k, which the gap between stages swallows).
+    least log(|value_k(y)| / (|f| |y|)) at time 1 in any norm that
+    dominates |.|, keeps |y| and makes P a contraction, such as the split
+    norm |z|_s = |P z| + |z - P z| of the witness projection.  With
+    c = f((T(h) P)^n y), |c| <= |f| |(T(h) P)^n y|_s <= |f| e^(w_s) |y|
+    when |T(1)|_s <= e^(w_s), since |P|_s <= 1 and |y|_s = |y|; so
+    lambda_k <= w_s.  They bound no other renorming: a norm in which the
+    semigroup is contractive may keep P unbounded.  |f|_q |y|_p comes from
+    the split audit's column norms.
     """
-    scale = math.log(dual_norm(cert.functional_obj()) * norm(CVec(cert.witness, cert.p)))
+    scale = math.log(_size(cert.functional_obj(), CVec(cert.witness, cert.p)))
     return tuple(lv.real - scale for lv in cert.witness_log_values)
 
 
@@ -338,10 +365,14 @@ def spectral_bound(a: Generator) -> float:
 def renorm_time_grid(
     a: Generator, omega: float, points: int = DEFAULT_GRID_POINTS
 ) -> np.ndarray:
-    """A geometric time grid {0} u [T*1e-6, T] for the weighted-norm sup.
+    """The uniform time grid t_k = k h, h = T / (points - 1), for the
+    weighted-norm sup.
 
     The horizon T = 50 / (omega - spectral bound) is far enough out that
-    the weighted orbit has decayed below any tolerance in use.  Raises
+    the weighted orbit has decayed below any tolerance in use.  The audited
+    norm is the lattice norm sup_k exp(-omega t_k) |exp(t_k A) z|, an
+    equivalent norm for which a shift by a grid time s = j h is exact: the
+    shifted lattice t_k + s lies in the grid up to the horizon.  Raises
     SpectralBoundViolated when omega does not dominate the bound.
     """
     return _time_grid(spectral_bound(a), omega, points)
@@ -355,9 +386,7 @@ def _time_grid(bound: float, omega: float, points: int) -> np.ndarray:
         )
     if points < 2:
         raise ValueError("grid needs at least two points")
-    horizon = 50.0 / (omega - bound)
-    tail = np.geomspace(horizon * 1e-6, horizon, points - 1)
-    return np.concatenate(([0.0], tail))
+    return np.linspace(0.0, 50.0 / (omega - bound), points)
 
 
 def classical_renorm_value(
@@ -504,9 +533,7 @@ def _classical_audit(
     bound = spectral_bound(a)
     grid = _time_grid(bound, omega, grid_points)
     draws = _draw(seed, vector_samples, a.dim)
-    shift_idx = np.unique(
-        np.round(np.linspace(0, grid.size - 1, time_samples)).astype(int)
-    )
+    shift_idx = np.unique(np.round(np.linspace(0, grid.size - 1, time_samples)).astype(int))
     shifts = grid[shift_idx]
     sups, factors = _weighted_sups(a, grid, omega, draws, shift_idx, p)
     base = sups[:vector_samples]
@@ -518,7 +545,6 @@ def _classical_audit(
         (int(i), float(shifts[k]), float(lhs[k, i]), float(rhs[k, i]))
         for i, k in np.argwhere(excess.T > tol)
     ]
-    passed = not violations
     return RenormReport(
         kind="classical",
         seed=seed,
@@ -536,7 +562,7 @@ def _classical_audit(
         summary={"worst_excess": worst_excess, "horizon": float(grid[-1])},
         lambdas=(),
         violations=tuple(violations),
-        passed=passed,
+        passed=not violations,
     )
 
 
@@ -559,13 +585,11 @@ def _split_audit(
     lo, hi, eq_violations = _equivalence(proj, first, slack)
     worst, ctr_violations = _contractivity(proj, second, slack)
     lambdas = lambda_lower_bounds(cert)
-    increasing = all(b > a for a, b in zip(lambdas, lambdas[1:]))
-    high = 2.0 * projection_norm(proj) + 1.0
+    size = _size(proj.functional, proj.vector)
     violations = [("equivalence", *row) for row in eq_violations]
     violations += [("contractivity", *row) for row in ctr_violations]
-    if not increasing:
+    if not all(b > a for a, b in zip(lambdas, lambdas[1:])):
         violations.append(("lambda_order",) + lambdas)
-    passed = not violations
     return RenormReport(
         kind="split",
         seed=seed,
@@ -576,18 +600,18 @@ def _split_audit(
             "dim": cert.dim,
             "eps": cert.eps,
             "slack": slack,
-            "projection_norm": projection_norm(proj),
+            "projection_norm": size,
         },
         summary={
             "min_ratio": lo,
             "max_ratio": hi,
-            "ratio_bound": high,
+            "ratio_bound": 2.0 * size + 1.0,
             "contractivity_max": worst,
             "lambda_gap": lambdas[-1] - lambdas[0] if len(lambdas) > 1 else 0.0,
         },
         lambdas=lambdas,
         violations=tuple(violations),
-        passed=passed,
+        passed=not violations,
     )
 
 
@@ -609,7 +633,7 @@ def quasi_contractivity_audit(
 
     kind "split" takes a witness certificate: it checks the split-norm
     sandwich and projection contractivity, and tabulates the lambda
-    lower bounds that cap what any renorming could achieve.  Its normals
+    lower bounds on the split norm's growth exponent.  Its normals
     come from ``normals`` when that draws them (a caller starts one before
     it has the certificate), else from a helper started here.  kind
     "classical" takes a generator and weight: it checks the weighted

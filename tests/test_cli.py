@@ -850,12 +850,13 @@ def simd_targets_above_x86_v3():
 
 
 def test_artifacts_verify_across_simd_dispatch_levels(tmp_path):
-    # numpy's kernels may round differently at another SIMD level; a
-    # certificate or report written at one level verifies at the other
+    # numpy's kernels may round differently at another SIMD level, and
+    # OpenBLAS's at another core type; a certificate or report written at
+    # one setting verifies at the other
+    settings = [{"OPENBLAS_CORETYPE": "Nehalem"}]
     targets = simd_targets_above_x86_v3()
-    if not targets:
-        pytest.skip("numpy has no dispatch target above X86_V3 on this machine")
-    reduced = {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    if targets:
+        settings.append({"NPY_DISABLE_CPU_FEATURES": " ".join(targets)})
     k17 = Path(__file__).parent / "data" / "configs" / "blowup_k17.config.json"
     names = ("blowup_k5.cert.json", "blowup_k17.cert.json", "split_renorm.report.json")
 
@@ -869,12 +870,16 @@ def test_artifacts_verify_across_simd_dispatch_levels(tmp_path):
     def verifies(out):
         return [["verify", str(out / name)] for name in names]
 
-    low, full = tmp_path / "reduced", tmp_path / "full"
-    assert cli_exit_codes(writes(low), reduced) == [EXIT_OK] * 3
-    assert cli_exit_codes(writes(full) + verifies(low)) == [EXIT_OK] * 6
-    if all((low / name).read_bytes() == (full / name).read_bytes() for name in names):
-        pytest.skip(f"no artifact's bytes differ with {' '.join(targets)} disabled")
-    assert cli_exit_codes(verifies(full), reduced) == [EXIT_OK] * 3
+    full = tmp_path / "full"
+    assert cli_exit_codes(writes(full)) == [EXIT_OK] * 3
+    moved = False
+    for k, setting in enumerate(settings):
+        other = tmp_path / f"setting{k}"
+        assert cli_exit_codes(writes(other) + verifies(full), setting) == [EXIT_OK] * 6
+        assert cli_exit_codes(verifies(other)) == [EXIT_OK] * 3
+        moved |= any((other / n).read_bytes() != (full / n).read_bytes() for n in names)
+    if not moved:
+        pytest.skip(f"no artifact's bytes differ under any of {settings}")
 
 
 def write_config(tmp_path, name, **overrides):
@@ -1849,7 +1854,7 @@ def test_a_split_audit_with_no_thread_to_be_had_draws_its_own_normals(
     [
         ("split_renorm", {"vector_samples": 10**13}, "(2, 10000000000000, 7)"),
         ("classical_renorm", {"vector_samples": 10**13}, "(10000000000000, 6)"),
-        ("classical_renorm", {"grid_points": 10**15}, "(999999999999999,)"),
+        ("classical_renorm", {"grid_points": 10**15}, "(1000000000000000,)"),
     ],
     ids=["split_samples", "classical_samples", "classical_grid"],
 )
@@ -1874,12 +1879,12 @@ def test_an_audit_too_large_to_allocate_ends_with_one_line(
         (
             {"kind": "diagonal", "law": {"kind": "table", "values": [[0.9, 0.0], [0.95, 1.0]]}},
             {"omega": 1.0},
-            "diagonal orbit at t = 763 overflows",
+            "diagonal orbit at t = 750 overflows",
         ),
         (
             {"kind": "dense", "matrix": [[0.4, 0.0], [0.0, 0.3]]},
             {"omega": 0.41, "grid_points": 3000},
-            "dense orbit with |tA| = 693 overflows",
+            "dense orbit with |tA| = 690 overflows",
         ),
     ],
     ids=["diagonal", "dense"],
@@ -1909,7 +1914,7 @@ def test_a_classical_audit_whose_orbit_overflows_ends_with_one_line(
         (
             [[-0.5, 1.0], [-0.5, 3.0], [-0.4, 9.0]],
             -0.39,
-            "weight exp(-omega t) at t = 1.89e+03 overflows",
+            "weight exp(-omega t) at t = 1.84e+03 overflows",
         ),
         ([[-0.5, 0.0], [1.0, 0.0]], 1.075, "shift factor exp(omega t) at t = 667 overflows"),
     ],

@@ -1,9 +1,12 @@
 """Renorming audits: the split norm, its sandwich bounds, and the
 classical weighted norm."""
 
+import ast
 import contextlib
+import inspect
 import math
 import sys
+import textwrap
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -30,10 +33,8 @@ from semigroup_lab import (
     split_norm,
     witness_projection,
 )
-from semigroup_lab.errors import SpectralBoundViolated
-from semigroup_lab.projections import (
-    DenseProjection, Projection, projection_matrix, random_oblique_projection
-)
+from semigroup_lab.errors import DegeneratePair, SpectralBoundViolated
+from semigroup_lab.projections import RankOneProjection
 from semigroup_lab.renorm import (
     DEFAULT_SLACK,
     DEFAULT_VECTOR_SAMPLES,
@@ -56,13 +57,16 @@ RATIO_SLACK = 1e-10
 BATCH_REF_TOL = 1e-13
 # the grid times of no shift: the audit's columns are the draws alone
 NO_SHIFTS = np.array([], dtype=int)
+# The split audit takes a rank-one projection only; "kind" keeps its name in
+# the split tests' ids.
+RANK_ONE = pytest.mark.parametrize("kind", ["rank_one"])
 
 
 # The split audit's two halves drawn serially, with no helper thread: the
 # references the threaded audit is held to bit for bit.
 
 def equivalence_audit(
-    proj: Projection,
+    proj: RankOneProjection,
     seed: int = 0,
     samples: int = DEFAULT_VECTOR_SAMPLES,
     slack: float = DEFAULT_SLACK,
@@ -76,7 +80,7 @@ def equivalence_audit(
 
 
 def projection_contractivity_check(
-    proj: Projection,
+    proj: RankOneProjection,
     seed: int = 0,
     samples: int = DEFAULT_VECTOR_SAMPLES,
     slack: float = DEFAULT_SLACK,
@@ -89,7 +93,7 @@ def projection_contractivity_check(
     return _contractivity(proj, _draws(seed, samples, proj.dim), slack)
 
 
-def _split_ratios(proj: Projection, seed: int, samples: int, of_image: bool) -> np.ndarray:
+def _split_ratios(proj: RankOneProjection, seed: int, samples: int, of_image: bool) -> np.ndarray:
     """The ratios of ``_split_ratio_blocks`` over ``_draws(seed, samples, proj.dim)``, in one array."""
     ratios = np.empty(samples)
     for start, block in _split_ratio_blocks(proj, _draws(seed, samples, proj.dim), of_image):
@@ -160,6 +164,40 @@ def test_witness_projection_matches_certificate(k5_certificate):
     y = CVec(k5_certificate.witness, k5_certificate.p)
     out = project(proj, y)
     np.testing.assert_allclose(out.coords, y.coords, rtol=1e-9)
+
+
+def test_lambda_bounds_survive_a_functional_past_the_sum_of_squares_range(k5_certificate):
+    # |f|_2 of f * 2^520 is a double, though its sum of squares is not
+    big = replace(k5_certificate, functional=k5_certificate.functional * 2.0**520)
+    shift = 520 * math.log(2.0)
+    for lam, ref in zip(lambda_lower_bounds(big), lambda_lower_bounds(k5_certificate)):
+        assert lam == pytest.approx(ref - shift, abs=1e-12)
+
+
+def test_witness_projection_refuses_a_witness_the_functional_annihilates(k5_certificate):
+    f = k5_certificate.functional
+    x = np.zeros_like(f)
+    x[0], x[1] = f[1], -f[0]  # f(x) = f_0 f_1 - f_1 f_0 = 0 exactly
+    with pytest.raises(DegeneratePair, match="^pairing 0 below 1e-12; the pair spans no bounded projection$"):
+        witness_projection(replace(k5_certificate, witness=x))
+
+
+def test_the_split_audit_makes_no_blas_call(monkeypatch, k5_certificate):
+    # BLAS picks its kernel, and with it the order of its sums, by CPU: a
+    # call on this path would make a split report's bits depend on the machine
+    def refused(*args, **kwargs):
+        raise AssertionError("BLAS call on the split path")
+
+    for module, name in [(np, "dot"), (np, "vdot"), (np, "matmul"), (np.linalg, "norm")]:
+        monkeypatch.setattr(module, name, refused)
+    assert _split_audit(k5_certificate, 9, 3000, DEFAULT_SLACK).passed
+    split_path = (
+        renorm._split_audit, renorm.witness_projection, renorm.lambda_lower_bounds,
+        renorm._split_ratio_blocks, renorm._pairings, renorm._norms_into, renorm._vector_norm,
+    )
+    for function in split_path:  # an ``@`` product calls no module attribute
+        tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+        assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
 
 
 def test_spectral_bound_values():
@@ -279,6 +317,53 @@ def row_heavy_dense():
     matrix = -2.0 * np.eye(8)
     matrix[0, 1:] = 4.0
     return dense_generator(matrix)
+
+
+TRANSIENTS = pytest.mark.parametrize(
+    "make", [transient_dense, late_crossing_dense], ids=["transient", "late_crossing"]
+)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["p1", "p2", "pinf"])
+@pytest.mark.parametrize("points", [65, 257])
+@TRANSIENTS
+def test_classical_audit_passes_where_the_weighted_sup_lies_past_zero(make, points, p):
+    # |T(s) z|_w <= exp(w s) |z|_w holds exactly for the lattice norm
+    # sup_k exp(-w t_k) |T(t_k) z|, t_k = k h, and shifts s = j h: the
+    # shifted lattice lies inside the grid up to the horizon
+    report = quasi_contractivity_audit(
+        "classical", a=make(), omega=0.5, p=p, seed=3, vector_samples=200, grid_points=points
+    )
+    assert report.passed, report.violations[:3]
+
+
+@pytest.mark.parametrize("points", [65, 257])
+@TRANSIENTS
+def test_a_perturbed_shift_propagator_fails_the_classical_audit(monkeypatch, make, points):
+    # exp(s(A + 1e-6 E)) in place of exp(sA) at the shift times s > 0 only,
+    # every second grid time, so that some lie before the weighted orbits'
+    # peaks: T(t_k) T(s) z is then no longer T(t_k + s) z, and the audit
+    # must see it
+    a, shift_count = make(), (points + 1) // 2
+    grid = renorm_time_grid(a, 0.5, points)
+    shifts = set(grid[2:points:2].tolist())
+    bent = dense_generator(a.matrix + 1e-6 * np.eye(a.dim, k=-1))
+
+    def perturbed(gen, times):
+        stack = semigroup_matrices(gen, times)
+        for i, t in enumerate(times.tolist()):
+            if t in shifts:
+                stack[i] = semigroup_matrices(bent, [t])[0]
+        return stack
+
+    monkeypatch.setattr(renorm, "semigroup_matrices", perturbed)
+    report = quasi_contractivity_audit(
+        "classical", a=a, omega=0.5, seed=3, vector_samples=200,
+        time_samples=shift_count, grid_points=points,
+    )
+    assert report.time_samples == shift_count
+    assert not report.passed
+    assert {row[1] for row in report.violations} <= shifts
 
 
 def negative_weight_diagonal():
@@ -487,16 +572,12 @@ def test_classical_violation_rows_match_per_vector_loop(p):
             assert abs(x - y) <= BATCH_REF_TOL * abs(y)
 
 
-@pytest.mark.parametrize("kind", ["rank_one", "dense"])
+@RANK_ONE
 def test_batched_split_ratios_match_split_norm(kind):
     rng = np.random.default_rng(52)
-    if kind == "rank_one":
-        f, x = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
-        proj = make_rank_one(Functional(f, 1.0), CVec(x, 1.0))
-        p = 1.0
-    else:
-        proj = random_oblique_projection(5, 2, rng)
-        p = proj.p
+    f, x = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    proj = make_rank_one(Functional(f, 1.0), CVec(x, 1.0))
+    p = 1.0
     # negative slack turns every sample into a violation row carrying its ratio
     _, _, eq_rows = equivalence_audit(proj, seed=6, samples=30, slack=-10.0)
     _, ctr_rows = projection_contractivity_check(proj, seed=7, samples=30, slack=-10.0)
@@ -511,27 +592,29 @@ def test_batched_split_ratios_match_split_norm(kind):
 
 
 def whole_batch_ratios(proj, seed, samples, of_image):
-    """The split audit's ratios with every draw in one batch: the reference
-    its block-streamed kernel must equal bit for bit."""
+    """The split audit's ratios in their closed form, with every draw in one
+    C-order (d, samples) batch: the reference its block-streamed kernel must
+    equal bit for bit.  For P z = f(z) y, split_norm(z) is
+    |f(z)| |y| + |z - f(z) y| and split_norm(P z) is
+    |f(z)| |y| (|f(y)| + |f(y) - 1|)."""
     def norms(cols):
         return np.linalg.norm(cols, ord=proj.p, axis=0)
 
-    matrix = projection_matrix(proj)
-    cols = _draw(seed, samples, proj.dim).T
-    image = matrix @ cols
-    split = norms(image) + norms(cols - image)
+    f, y = proj.functional.coords, proj.vector.coords[:, None]
+    cols = np.ascontiguousarray(_draw(seed, samples, proj.dim).T)
+    f_z = np.add.reduce(f[:, None] * cols, axis=0)
+    f_y = np.add.reduce(f[:, None] * y, axis=0)[0]
+    head = np.abs(f_z) * norms(y)[0]
+    split = head + norms(cols - y * f_z)
     if not of_image:
         return split / norms(cols)
-    moved = matrix @ image
-    return (norms(moved) + norms(image - moved)) / split
+    return head * (abs(f_y) + abs(f_y - 1.0)) / split
 
 
-def split_projection(kind, dim, p):
+def split_projection(dim, p):
     rng = np.random.default_rng(53)
-    if kind == "rank_one":
-        f, x = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
-        return make_rank_one(Functional(f, p), CVec(x, p))
-    return DenseProjection(random_oblique_projection(dim, 3, rng).matrix, p)
+    f, x = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
+    return make_rank_one(Functional(f, p), CVec(x, p))
 
 
 SAMPLE_COUNTS = [0, 1, _SPLIT_BLOCK - 1, _SPLIT_BLOCK, _SPLIT_BLOCK + 1, 2 * _SPLIT_BLOCK + 1, 10**4]
@@ -539,10 +622,10 @@ SAMPLE_COUNTS = [0, 1, _SPLIT_BLOCK - 1, _SPLIT_BLOCK, _SPLIT_BLOCK + 1, 2 * _SP
 
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["p1", "p2", "pinf"])
-@pytest.mark.parametrize("kind", ["rank_one", "dense"])
+@RANK_ONE
 @pytest.mark.parametrize("dim", [7, 9])
 def test_blocked_split_ratios_equal_the_whole_batch_bit_for_bit(dim, kind, p, samples):
-    proj = split_projection(kind, dim, p)
+    proj = split_projection(dim, p)
     for of_image in (False, True):
         blocked = _split_ratios(proj, 31, samples, of_image)
         assert blocked.tobytes() == whole_batch_ratios(proj, 31, samples, of_image).tobytes()
@@ -583,18 +666,12 @@ def drawn_ahead(proj, seed, samples, slack):
         return _equivalence(proj, first, slack), _contractivity(proj, second, slack)
 
 
-def audit_projection(kind, dim, p):
-    if kind == "dense" and dim < 4:
-        return DenseProjection(np.eye(dim), p)
-    return split_projection(kind, dim, p)
-
-
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["p1", "p2", "pinf"])
-@pytest.mark.parametrize("kind", ["rank_one", "dense"])
+@RANK_ONE
 @pytest.mark.parametrize("dim", [1, 7, 9])
 def test_streams_drawn_ahead_give_the_serial_audits_bit_for_bit(dim, kind, p, samples):
-    proj = audit_projection(kind, dim, p)
+    proj = split_projection(dim, p)
     # a negative slack makes every sample a violation row carrying its ratio
     for slack in (DEFAULT_SLACK, -10.0):
         eq, ctr = drawn_ahead(proj, 41, samples, slack)
