@@ -57,9 +57,10 @@ RATIO_SLACK = 1e-10
 BATCH_REF_TOL = 1e-13
 # the grid times of no shift: the audit's columns are the draws alone
 NO_SHIFTS = np.array([], dtype=int)
-# The split audit takes a rank-one projection only; "kind" keeps its name in
-# the split tests' ids.
-RANK_ONE = pytest.mark.parametrize("kind", ["rank_one"])
+# The split audit takes a rank-one projection only.  "skewed" moves the
+# vector of a drawn pair along ker f (``skew``), so that |P| = |f| |y| is
+# large and z - f(z) y cancels in every column.
+SPLIT_KINDS = pytest.mark.parametrize("kind", ["rank_one", "skewed"])
 
 
 # The split audit's two halves drawn serially, with no helper thread: the
@@ -572,15 +573,18 @@ def test_classical_violation_rows_match_per_vector_loop(p):
             assert abs(x - y) <= BATCH_REF_TOL * abs(y)
 
 
-@RANK_ONE
+@SPLIT_KINDS
 def test_batched_split_ratios_match_split_norm(kind):
-    rng = np.random.default_rng(52)
-    f, x = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
-    proj = make_rank_one(Functional(f, 1.0), CVec(x, 1.0))
     p = 1.0
-    # negative slack turns every sample into a violation row carrying its ratio
-    _, _, eq_rows = equivalence_audit(proj, seed=6, samples=30, slack=-10.0)
-    _, ctr_rows = projection_contractivity_check(proj, seed=7, samples=30, slack=-10.0)
+    proj = split_projection(kind, 5, p, seed=52)
+    if kind == "skewed":  # the skew made |P| = |f| |y| over ten times larger
+        plain = split_projection("rank_one", 5, p, seed=52)
+        size = [dual_norm(q.functional) * norm(q.vector) for q in (proj, plain)]
+        assert size[0] > 10 * size[1]
+    # slack -inf turns every sample into a violation row carrying its ratio,
+    # whatever the ratio bound 1 + 2 |P|
+    _, _, eq_rows = equivalence_audit(proj, seed=6, samples=30, slack=-math.inf)
+    _, ctr_rows = projection_contractivity_check(proj, seed=7, samples=30, slack=-math.inf)
     assert [row[0] for row in eq_rows] == [row[0] for row in ctr_rows] == list(range(30))
     for row, z in zip(eq_rows, _draw(6, 30, 5)):
         z = CVec(z, p)
@@ -611,9 +615,22 @@ def whole_batch_ratios(proj, seed, samples, of_image):
     return head * (abs(f_y) + abs(f_y - 1.0)) / split
 
 
-def split_projection(dim, p):
-    rng = np.random.default_rng(53)
+def skew(f, x, t=30.0):
+    """x + t k for k = (f_1, -f_0, 0, ...): f(k) = f_0 f_1 - f_1 f_0 is 0,
+    so the pair keeps f(x) while |x| grows.  In one dimension ker f is 0 and
+    x stays."""
+    x = x.copy()
+    if len(x) > 1:
+        x[0] += t * f[1]
+        x[1] -= t * f[0]
+    return x
+
+
+def split_projection(kind, dim, p, seed=53):
+    rng = np.random.default_rng(seed)
     f, x = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
+    if kind == "skewed":
+        x = skew(f, x)
     return make_rank_one(Functional(f, p), CVec(x, p))
 
 
@@ -622,10 +639,10 @@ SAMPLE_COUNTS = [0, 1, _SPLIT_BLOCK - 1, _SPLIT_BLOCK, _SPLIT_BLOCK + 1, 2 * _SP
 
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["p1", "p2", "pinf"])
-@RANK_ONE
+@SPLIT_KINDS
 @pytest.mark.parametrize("dim", [7, 9])
 def test_blocked_split_ratios_equal_the_whole_batch_bit_for_bit(dim, kind, p, samples):
-    proj = split_projection(dim, p)
+    proj = split_projection(kind, dim, p)
     for of_image in (False, True):
         blocked = _split_ratios(proj, 31, samples, of_image)
         assert blocked.tobytes() == whole_batch_ratios(proj, 31, samples, of_image).tobytes()
@@ -668,10 +685,10 @@ def drawn_ahead(proj, seed, samples, slack):
 
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=["p1", "p2", "pinf"])
-@RANK_ONE
+@SPLIT_KINDS
 @pytest.mark.parametrize("dim", [1, 7, 9])
 def test_streams_drawn_ahead_give_the_serial_audits_bit_for_bit(dim, kind, p, samples):
-    proj = split_projection(dim, p)
+    proj = split_projection(kind, dim, p)
     # a negative slack makes every sample a violation row carrying its ratio
     for slack in (DEFAULT_SLACK, -10.0):
         eq, ctr = drawn_ahead(proj, 41, samples, slack)
